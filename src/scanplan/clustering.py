@@ -1,9 +1,9 @@
 """Euclidean clustering of leftover points into obstacle objects.
 
 Clusters are the connected components of the graph linking points within a
-radius of each other, found by a breadth-first flood fill over kd-tree
-sphere queries. An octree view of the occupied space is provided for
-visualization exports.
+radius of each other: one kd-tree pair query lists the graph's edges and a
+sparse-graph labelling finds its components. An octree view of the occupied
+space is provided for visualization exports.
 """
 
 from __future__ import annotations
@@ -56,35 +56,28 @@ def euclidean_cluster(
     treated as noise and not returned. Output is ordered by descending size,
     ties by smallest member index, independent of input order.
     """
+    # Imported here: csgraph costs every verb import time and memory, and
+    # only the segment and cluster stages need it.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = len(cloud)
     if n == 0:
         return []
-    tree = KdTree(cloud.points)
-    processed = np.zeros(n, dtype=bool)
-    components: list[np.ndarray] = []
-
-    for seed in range(n):
-        if processed[seed]:
-            continue
-        processed[seed] = True
-        members = [seed]
-        frontier = [seed]
-        while frontier:
-            neighbor_lists = tree.within_radius_batch(
-                cloud.points[frontier], cfg.radius
-            )
-            fresh = []
-            for neighbors in neighbor_lists:
-                for j in neighbors:
-                    if not processed[j]:
-                        processed[j] = True
-                        fresh.append(j)
-            members.extend(fresh)
-            frontier = fresh
-        components.append(np.asarray(members, dtype=np.int64))
-
-    kept = [c for c in components if len(c) >= cfg.min_cluster_size]
-    kept.sort(key=lambda c: (-len(c), int(c.min())))
+    pairs = KdTree(cloud.points).pairs_within_radius(cfg.radius)
+    graph = coo_matrix(
+        (np.ones(len(pairs), dtype=bool), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
+    )
+    _, labels = connected_components(graph, directed=False)
+    # A stable sort by label lists each component's members in index order.
+    members = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    kept = [
+        members[starts[c]:starts[c + 1]]
+        for c in np.nonzero(sizes >= cfg.min_cluster_size)[0]
+    ]
+    kept.sort(key=lambda c: (-len(c), int(c[0])))
     return [Cluster(c) for c in kept]
 
 

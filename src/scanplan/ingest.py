@@ -218,15 +218,17 @@ def write_scan_log(path, log: ScanLog) -> None:
     order = {"V": 0, "H": 1, "I": 2}
     records.sort(key=lambda r: (r[1], order[r[0]]))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# angle_min {log.angle_min!r}\n")
-        fh.write(f"# angle_inc {log.angle_inc!r}\n")
-        fh.write(f"# range_max {log.range_max!r}\n")
+        # repr(float(v)): under numpy 2 the repr of a numpy scalar is
+        # "np.float64(...)", which the parser rejects.
+        fh.write(f"# angle_min {float(log.angle_min)!r}\n")
+        fh.write(f"# angle_inc {float(log.angle_inc)!r}\n")
+        fh.write(f"# range_max {float(log.range_max)!r}\n")
         for tag, t, rec in records:
             if tag == "I":
                 vals = " ".join(repr(float(v)) for v in rec.rotation.ravel())
             else:
                 vals = " ".join(repr(float(v)) for v in rec.ranges)
-            fh.write(f"{tag} {t!r} {vals}\n")
+            fh.write(f"{tag} {float(t)!r} {vals}\n")
 
 
 def _nearest_sample(timestamps: np.ndarray, t: float) -> int:

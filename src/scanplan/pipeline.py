@@ -13,12 +13,12 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import artifacts, plots
 from .clustering import ClusterConfig, euclidean_cluster
-from .errors import StageError
+from .errors import StageError, ValidationError
 from .ingest import build_cloud, estimate_pose_track, parse_scan_log
 from .planning import (
     AStarWeights,
@@ -84,31 +84,44 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "PipelineConfig":
-        data = dict(data)
+        """Inverse of :meth:`to_dict`; missing keys take their defaults.
+
+        Raises:
+            ValidationError: a key the format does not have, at the top
+                level or inside a section, or a section that is not an
+                object.
+        """
+        data = _known_keys(
+            "top level", data, _field_names(PipelineConfig) | {"version"}
+        )
         data.pop("version", None)
         kwargs = {}
-        if "icp" in data:
-            kwargs["icp"] = IcpConfig(**data["icp"])
-        if "outlier_filter" in data:
-            kwargs["outlier_filter"] = OutlierFilterConfig(**data["outlier_filter"])
-        if "voxel_grid" in data:
-            kwargs["voxel_grid"] = VoxelGridConfig(**data["voxel_grid"])
+        for name, cls in (
+            ("icp", IcpConfig),
+            ("outlier_filter", OutlierFilterConfig),
+            ("voxel_grid", VoxelGridConfig),
+            ("cluster", ClusterConfig),
+            ("astar_weights", AStarWeights),
+            ("planning", PlanningConfig),
+        ):
+            if name in data:
+                kwargs[name] = cls(**_known_keys(name, data[name], _field_names(cls)))
         if "ransac" in data:
-            ransac = dict(data["ransac"])
+            ransac = _known_keys("ransac", data["ransac"], _field_names(RansacConfig))
             if ransac.get("max_area") is None:
                 ransac["max_area"] = math.inf
             kwargs["ransac"] = RansacConfig(**ransac)
-        if "cluster" in data:
-            kwargs["cluster"] = ClusterConfig(**data["cluster"])
-        if "astar_weights" in data:
-            kwargs["astar_weights"] = AStarWeights(**data["astar_weights"])
         if "camera" in data:
-            cam = dict(data["camera"])
-            cam["fov_h"] = math.radians(cam.pop("fov_h_deg"))
-            cam["fov_v"] = math.radians(cam.pop("fov_v_deg"))
+            # The file holds the fields of view in degrees.
+            in_degrees = {"fov_h_deg", "fov_v_deg"}
+            cam = _known_keys(
+                "camera", data["camera"],
+                _field_names(CameraSpec) - {"fov_h", "fov_v"} | in_degrees,
+            )
+            for axis in ("fov_h", "fov_v"):
+                if f"{axis}_deg" in cam:
+                    cam[axis] = math.radians(cam.pop(f"{axis}_deg"))
             kwargs["camera"] = CameraSpec(**cam)
-        if "planning" in data:
-            kwargs["planning"] = PlanningConfig(**data["planning"])
         if "surface_cluster_eps" in data:
             kwargs["surface_cluster_eps"] = float(data["surface_cluster_eps"])
         return PipelineConfig(**kwargs)
@@ -124,6 +137,22 @@ class PipelineConfig:
         return PipelineConfig.from_dict(
             json.loads(Path(path).read_text(encoding="ascii"))
         )
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def _known_keys(section: str, values, allowed: set) -> dict:
+    """A copy of one config object; a key outside ``allowed`` is an error."""
+    if not isinstance(values, dict):
+        raise ValidationError(
+            f"config {section}: expected an object, got {type(values).__name__}"
+        )
+    unknown = sorted(set(values) - allowed)
+    if unknown:
+        raise ValidationError(f"config {section}: unknown key(s) {', '.join(unknown)}")
+    return dict(values)
 
 
 @dataclass

@@ -3,6 +3,8 @@
 Sparse outliers get trimmed by comparing each point's mean distance to its
 k nearest neighbors against the global mean of those statistics; density is
 equalized by replacing every occupied voxel with the centroid of its points.
+The centroids are summed row by row in input order and divided by the count
+at the end, which reproduces ``ndarray.mean(axis=0)`` per voxel bit for bit.
 """
 
 from __future__ import annotations
@@ -96,6 +98,14 @@ def voxel_downsample(
     idx_sorted = idx[order]
     pts_sorted = pts[order]
     boundaries = np.nonzero(np.any(np.diff(idx_sorted, axis=0) != 0, axis=1))[0] + 1
-    groups = np.split(np.arange(len(pts_sorted)), boundaries)
-    centroids = np.array([pts_sorted[g].mean(axis=0) for g in groups])
-    return PointCloud(centroids)
+    starts = np.concatenate(([0], boundaries))
+    counts = np.diff(np.concatenate((starts, [len(pts_sorted)])))
+    # One pass per rank within a voxel (not per voxel): pass r adds each
+    # voxel's r-th point. Starting from +0.0 and adding in order matches the
+    # sequential sum numpy's mean(axis=0) does; np.add.reduceat rounds
+    # differently.
+    sums = np.zeros((len(starts), pts.shape[1]))
+    for rank in range(int(counts.max())):
+        live = np.nonzero(counts > rank)[0]
+        sums[live] += pts_sorted[starts[live] + rank]
+    return PointCloud(sums / counts[:, None])

@@ -3,7 +3,9 @@
 Thin wrapper over scipy's cKDTree that pins down the semantics the rest of
 the pipeline relies on: nearest-neighbor ties break to the lowest point
 index, and radius searches are closed balls (distance <= r), so results are
-deterministic and reproducible across runs.
+deterministic and reproducible across runs. k-nearest queries run on every
+core; each row's answer is independent of how the rows are split across
+threads, so the output does not depend on the core count.
 """
 
 from __future__ import annotations
@@ -67,19 +69,22 @@ class KdTree:
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         if k > len(self._points):
             raise ValueError(f"k={k} exceeds the {len(self._points)} indexed points")
-        dist, idx = self._tree.query(q, k=k)
+        dist, idx = self._tree.query(q, k=k, workers=-1)
         if k == 1:
             dist = dist[:, None]
             idx = idx[:, None]
         return idx.astype(np.int64), dist
 
-    def within_radius(self, query: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of all points with distance <= radius of one query, sorted."""
-        q = np.asarray(query, dtype=float)
-        found = self._tree.query_ball_point(q, r=radius, return_sorted=True)
-        return np.asarray(sorted(found), dtype=np.int64)
+    def pairs_within_radius(self, radius: float) -> np.ndarray:
+        """Every pair of indexed points at distance <= radius.
+
+        Returns a (P, 2) int64 array of index pairs (i, j) with i < j, each
+        pair once, in no particular order.
+        """
+        pairs = self._tree.query_pairs(radius, output_type="ndarray")
+        return pairs.astype(np.int64, copy=False)
 
     def within_radius_batch(self, queries: np.ndarray, radius: float) -> list:
-        """Like within_radius for a (M, d) batch; returns a list of index lists."""
+        """Indices of all points with distance <= radius, per row of a (M, d) batch."""
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         return list(self._tree.query_ball_point(q, r=radius))

@@ -49,6 +49,13 @@ def unionfind_clusters(points: np.ndarray, eps: float) -> list[frozenset]:
     return [frozenset(g) for g in groups.values()]
 
 
+def ordered_clusters(points: np.ndarray, eps: float, min_size: int) -> list[list[int]]:
+    """Components of at least ``min_size`` points as sorted index lists,
+    largest first, equal sizes by smallest member index."""
+    kept = [sorted(c) for c in unionfind_clusters(points, eps) if len(c) >= min_size]
+    return sorted(kept, key=lambda c: (-len(c), c[0]))
+
+
 def gift_wrap_hull(points: np.ndarray) -> np.ndarray:
     """Naive convex hull: from the lowest point, wrap by scanning all points.
 

@@ -9,7 +9,7 @@ from scanplan.clustering import (
 )
 from scanplan.geometry import PointCloud
 
-from oracles import unionfind_clusters
+from oracles import ordered_clusters, unionfind_clusters
 
 
 def test_two_separated_blobs(rng):
@@ -45,6 +45,31 @@ def test_clusters_match_unionfind_oracle(rng):
         got_sets = {frozenset(c.indices.tolist()) for c in got}
         oracle = set(unionfind_clusters(pts, eps))
         assert got_sets == oracle
+
+
+def test_clusters_and_order_match_component_oracle(rng):
+    # Random blobs with noise, then lattices whose spacing equals the radius
+    # exactly: neighbors sit on the closed ball's boundary, and a gap of two
+    # spacings separates the lattices.
+    clouds = [
+        (np.vstack([rng.normal(c, 0.15, size=(40, 3)) for c in (0.0, 1.5, 3.0)]
+                   + [rng.uniform(-1, 4, size=(60, 3))]), 0.2, 3)
+    ]
+    step = 0.25
+    blocks = []
+    for offset, side in ((0.0, 3), (1.0, 4), (2.25, 3), (3.25, 1)):
+        ij = np.array([[i, j] for i in range(side) for j in range(side)], float)
+        blocks.append(np.column_stack([offset + ij[:, 0] * step,
+                                       ij[:, 1] * step, np.zeros(len(ij))]))
+    lattice = np.vstack(blocks)
+    clouds.append((lattice[rng.permutation(len(lattice))], step, 1))
+    for pts, eps, min_size in clouds:
+        got = euclidean_cluster(
+            PointCloud(pts), ClusterConfig(radius=eps, min_cluster_size=min_size)
+        )
+        assert [c.indices.tolist() for c in got] == ordered_clusters(pts, eps, min_size)
+    # The lattice run: 16, 9, 9 and 1 points, the 9s ordered by smallest index.
+    assert sorted(len(c) for c in got) == [1, 9, 9, 16]
 
 
 def test_partition_with_noise_filtering(rng):

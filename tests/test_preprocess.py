@@ -97,6 +97,29 @@ def test_voxel_two_points_merge_to_centroid():
     assert np.allclose(out.points[0], [0.025, 0.0, 0.0])
 
 
+def test_voxel_centroids_equal_per_voxel_mean_bit_for_bit(rng):
+    # Dense clusters put 8 to several hundred points in one voxel, where
+    # numpy's own sums would start to round differently from a naive loop.
+    centers = rng.uniform(-3, 3, size=(30, 3))
+    sizes = rng.integers(1, 400, size=30)
+    pts = np.vstack([c + rng.normal(0, 0.04, size=(k, 3))
+                     for c, k in zip(centers, sizes)])
+    pts = np.vstack([pts, rng.uniform(-3, 3, size=(500, 3)), -np.zeros((2, 3))])
+    pts = pts[rng.permutation(len(pts))]
+    leaf = 0.1
+    origin = pts.min(axis=0)
+    groups: dict = {}
+    for p in pts:
+        key = tuple(np.floor((p - origin) / leaf).astype(np.int64).tolist())
+        groups.setdefault(key, []).append(p)
+    expected = np.array([np.array(groups[k]).mean(axis=0) for k in sorted(groups)])
+    assert max(len(g) for g in groups.values()) >= 100
+    assert sum(len(g) >= 8 for g in groups.values()) >= 10
+
+    out = voxel_downsample(PointCloud(pts), VoxelGridConfig(leaf_size=leaf))
+    assert out.points.tobytes() == expected.tobytes()
+
+
 def test_voxel_sparse_cloud_unchanged(rng):
     # Points on a lattice with spacing > leaf: one point per voxel.
     pts = unit_grid_10() * 3.0

@@ -10,8 +10,10 @@ from scanplan.segmentation import (
     PlaneModel,
     RansacConfig,
     convex_hull_2d,
+    _canonical_plane,
     extract_surfaces,
     plane_basis,
+    plane_from_3_points,
     project_to_plane,
     ransac_plane,
     refine_plane,
@@ -71,6 +73,25 @@ def test_ransac_inliers_within_threshold_of_refined_model(rng):
     cfg = RansacConfig(distance_threshold=0.2, min_inliers=50)
     model, inliers = ransac_plane(cloud, cfg)
     assert np.all(model.distance(cloud.points[inliers]) <= cfg.distance_threshold)
+
+
+def test_plane_from_3_points_matches_np_cross(rng):
+    triples = list(rng.normal(0, 10, size=(500, 3, 3)))
+    triples += [rng.integers(-3, 4, size=(3, 3)).astype(float) for _ in range(200)]
+    compared = 0
+    for p0, p1, p2 in triples:
+        normal = np.cross(p1 - p0, p2 - p0)
+        if np.linalg.norm(normal) <= 1e-9:
+            with pytest.raises(DegenerateGeometry):
+                plane_from_3_points(p0, p1, p2)
+            continue
+        expected = _canonical_plane(normal, -float(normal @ p0))
+        got = plane_from_3_points(p0, p1, p2)
+        # Bytes, not ==, so a zero of the other sign counts as a difference.
+        assert np.array([got.a, got.b, got.c, got.d]).tobytes() == np.array(
+            [expected.a, expected.b, expected.c, expected.d]).tobytes()
+        compared += 1
+    assert compared >= 600
 
 
 def test_refine_exact_plane():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from scanplan.spatial import KdTree
 
@@ -49,17 +50,21 @@ def test_single_point_tree():
 def test_within_radius_boundary_inclusive():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     tree = KdTree(pts)
-    found = tree.within_radius(np.array([0.0, 0.0]), 1.0)
-    assert list(found) == [0, 1]
+    found = tree.pairs_within_radius(1.0)
+    assert found.dtype == np.int64
+    assert sorted(map(tuple, found.tolist())) == [(0, 1), (1, 2)]
 
 
 def test_within_radius_matches_linear_scan(rng):
     pts = rng.uniform(0, 1, size=(300, 3))
     tree = KdTree(pts)
-    for _ in range(30):
-        q = rng.uniform(0, 1, size=3)
-        r = rng.uniform(0.05, 0.5)
-        assert sorted(linear_radius(pts, q, r)) == list(tree.within_radius(q, r))
+    for _ in range(10):
+        r = rng.uniform(0.05, 0.3)
+        expected = [
+            (i, j) for i in range(len(pts))
+            for j in linear_radius(pts, pts[i], r) if j > i
+        ]
+        assert sorted(map(tuple, tree.pairs_within_radius(r).tolist())) == expected
 
 
 def test_knearest_shape_and_order(rng):
@@ -70,6 +75,15 @@ def test_knearest_shape_and_order(rng):
     assert np.all(np.diff(dist, axis=1) >= 0)
     # The nearest hit of a stored point is itself.
     assert dist[:, 0] == pytest.approx(np.zeros(5), abs=1e-12)
+
+
+def test_knearest_threaded_matches_single_thread(rng):
+    pts = rng.normal(size=(3000, 3))
+    tree = KdTree(pts)
+    idx, dist = tree.knearest(pts, k=12)
+    ref_dist, ref_idx = cKDTree(pts).query(pts, k=12, workers=1)
+    assert np.array_equal(idx, ref_idx)
+    assert dist.tobytes() == ref_dist.tobytes()
 
 
 def test_empty_tree_rejected():
