@@ -6,7 +6,7 @@ the leftover points into obstacles, and generates collision-free coverage
 waypoints for photographing each surface.
 """
 
-from .clustering import Cluster, ClusterConfig, Octree, euclidean_cluster, octree_from_points
+from .clustering import Cluster, ClusterConfig, euclidean_cluster
 from .errors import (
     CloudTooSmall,
     DegenerateGeometry,
@@ -31,14 +31,11 @@ from .errors import (
 )
 from .geometry import (
     PointCloud,
-    PolarPoint,
     Pose,
     concat_clouds,
-    polar_to_local,
     polar_to_local_arrays,
     rotation_about_z,
     transform_cloud,
-    transform_point,
     validate_rotation,
 )
 from .ingest import (
@@ -63,9 +60,7 @@ from .planning import (
     build_occupancy,
     generate_waypoints,
     inflate,
-    path_cost,
     plan_coverage,
-    standoff_distance,
 )
 from .preprocess import (
     OutlierFilterConfig,
@@ -78,7 +73,6 @@ from .registration import (
     RigidTransform2D,
     icp_align_2d,
     icp_align_3d,
-    predict_overlap,
     register_clouds,
 )
 from .scenes import SceneSpec, generate_scene, preset_scene
@@ -86,15 +80,10 @@ from .segmentation import (
     PlanarSurface,
     PlaneModel,
     RansacConfig,
-    convex_hull_2d,
     extract_surfaces,
-    plane_basis,
-    project_to_plane,
     ransac_plane,
-    refine_plane,
-    surface_area,
 )
-from .simulate import DeviceParams, scan_truth, simulate_yaw_scan, true_pose_track
+from .simulate import DeviceParams, scan_truth, simulate_yaw_scan
 from .spatial import KdTree
 
 __version__ = "0.1.0"

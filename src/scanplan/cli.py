@@ -18,16 +18,20 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .clustering import euclidean_cluster
 from .errors import StageError, ValidationError
-from .geometry import PointCloud
-from .ingest import build_cloud, estimate_pose_track, parse_scan_log, write_scan_log
-from .pipeline import PipelineConfig, format_timings, run_pipeline
-from .planning import InspectionTask, build_occupancy, generate_waypoints, inflate, plan_coverage
-from .preprocess import remove_statistical_outliers, voxel_downsample
+from .ingest import parse_scan_log, write_scan_log
+from .pipeline import (
+    PipelineConfig,
+    cluster_cloud,
+    filter_cloud,
+    format_timings,
+    ingest_log,
+    plan_surfaces,
+    run_pipeline,
+    segment_cloud,
+)
 from .registration import register_clouds
 from .scenes import generate_scene, preset_scene, scene_from_dict, scene_to_dict
-from .segmentation import extract_surfaces
 from .simulate import DeviceParams, scan_truth, simulate_yaw_scan
 
 logger = logging.getLogger(__name__)
@@ -37,18 +41,22 @@ EXIT_VALIDATION = 2
 EXIT_STAGE = 3
 
 
+# Per-verb flags that override one config field: (flag, section, field).
+_OVERRIDES = [
+    ("seed", "ransac", "rng_seed"),
+    ("leaf_size", "voxel_grid", "leaf_size"),
+    ("ransac_threshold", "ransac", "distance_threshold"),
+    ("min_area", "ransac", "min_area"),
+]
+
+
 def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, ransac=replace(cfg.ransac, rng_seed=args.seed))
-    if getattr(args, "leaf_size", None) is not None:
-        cfg = replace(cfg, voxel_grid=replace(cfg.voxel_grid, leaf_size=args.leaf_size))
-    if getattr(args, "ransac_threshold", None) is not None:
-        cfg = replace(
-            cfg, ransac=replace(cfg.ransac, distance_threshold=args.ransac_threshold)
-        )
-    if getattr(args, "min_area", None) is not None:
-        cfg = replace(cfg, ransac=replace(cfg.ransac, min_area=args.min_area))
+    for flag, section, name in _OVERRIDES:
+        value = getattr(args, flag, None)
+        if value is not None:
+            section_cfg = replace(getattr(cfg, section), **{name: value})
+            cfg = replace(cfg, **{section: section_cfg})
     return cfg
 
 
@@ -101,9 +109,7 @@ def cmd_simulate(args) -> int:
 def cmd_ingest(args) -> int:
     cfg = _load_config(args)
     log = parse_scan_log(args.input)
-    track = estimate_pose_track(log, cfg.icp)
-    cloud = build_cloud(log, track)
-    artifacts.write_cloud(args.out, cloud)
+    cloud = ingest_log(log, cfg, args.out)
     print(f"built {len(cloud)} points from {len(log.vertical)} vertical scans")
     return EXIT_OK
 
@@ -126,9 +132,7 @@ def cmd_register(args) -> int:
 def cmd_filter(args) -> int:
     cfg = _load_config(args)
     cloud = artifacts.read_cloud(args.input)
-    kept, removed = remove_statistical_outliers(cloud, cfg.outlier_filter)
-    filtered = voxel_downsample(kept, cfg.voxel_grid)
-    artifacts.write_cloud(args.out, filtered)
+    filtered, removed = filter_cloud(cloud, cfg, args.out)
     print(f"{len(cloud)} -> {len(filtered)} points ({removed} outliers removed)")
     return EXIT_OK
 
@@ -136,8 +140,7 @@ def cmd_filter(args) -> int:
 def cmd_segment(args) -> int:
     cfg = _load_config(args)
     cloud = artifacts.read_cloud(args.input)
-    surfaces, remainder = extract_surfaces(cloud, cfg.ransac, cfg.surface_cluster_eps)
-    artifacts.write_surfaces(args.out, surfaces)
+    surfaces, remainder = segment_cloud(cloud, cfg, args.out)
     if args.remainder:
         artifacts.write_cloud(args.remainder, remainder)
     print(f"extracted {len(surfaces)} surfaces, {len(remainder)} points left over")
@@ -146,9 +149,7 @@ def cmd_segment(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = _load_config(args)
-    cloud = artifacts.read_cloud(args.input)
-    clusters = euclidean_cluster(cloud, cfg.cluster)
-    artifacts.write_clusters(args.out, clusters, cloud)
+    clusters = cluster_cloud(artifacts.read_cloud(args.input), cfg, args.out)
     print(f"found {len(clusters)} clusters")
     return EXIT_OK
 
@@ -157,33 +158,10 @@ def cmd_plan(args) -> int:
     cfg = _load_config(args)
     cloud = artifacts.read_cloud(args.cloud)
     surfaces = artifacts.read_surfaces(args.surfaces)
-    grid = build_occupancy(cloud, cfg.planning.voxel_edge, cfg.planning.bounds_margin)
-    inflated = inflate(grid, cfg.planning.inflate_radius)
-    entries = []
-    failures = 0
-    out_dir = Path(args.out).parent
-    for k, surface in enumerate(surfaces):
-        task = InspectionTask(
-            surface,
-            cfg.planning.footprint_width,
-            cfg.planning.footprint_height,
-            cfg.planning.overlap,
-        )
-        try:
-            stops = plan_coverage(task, cfg.camera, grid=inflated)
-            plan = generate_waypoints(stops, inflated, cfg.astar_weights)
-        except StageError as err:
-            entries.append({"surface_index": k, "status": type(err).__name__,
-                            "error": str(err)})
-            print(f"plan: surface {k}: {err}", file=sys.stderr)
-            failures += 1
-            continue
-        entry = {"surface_index": k, "status": "ok"}
-        entry.update(artifacts.plan_to_dict(plan))
-        entries.append(entry)
-        artifacts.write_waypoints_csv(out_dir / f"plan_{k}.csv", plan)
-    artifacts.write_plans(args.out, entries)
-    print(f"planned {len(entries) - failures}/{len(entries)} surfaces")
+    entries, failures = plan_surfaces(cloud, surfaces, cfg, args.out)
+    for message in failures:
+        print(f"plan: {message}", file=sys.stderr)
+    print(f"planned {len(entries) - len(failures)}/{len(entries)} surfaces")
     return EXIT_STAGE if failures else EXIT_OK
 
 
@@ -329,16 +307,10 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except ValidationError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except StageError as err:
         print(f"stage {args.verb}: {err}", file=sys.stderr)
         return EXIT_STAGE
-    except FileNotFoundError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as err:
+    except (ValidationError, FileNotFoundError, ValueError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

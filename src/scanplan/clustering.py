@@ -2,13 +2,12 @@
 
 Clusters are the connected components of the graph linking points within a
 radius of each other: one kd-tree pair query lists the graph's edges and a
-sparse-graph labelling finds its components. An octree view of the occupied
-space is provided for visualization exports.
+sparse-graph labelling finds its components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,52 +78,3 @@ def euclidean_cluster(
     ]
     kept.sort(key=lambda c: (-len(c), int(c[0])))
     return [Cluster(c) for c in kept]
-
-
-@dataclass(frozen=True)
-class Octree:
-    """Cubic region subdivided 8-ways down to ``leaf_resolution``.
-
-    ``occupied`` holds the integer (i, j, k) leaf coordinates of every leaf
-    containing at least one source point; the root edge is the smallest
-    power-of-two multiple of the leaf resolution covering the data.
-    """
-
-    origin: np.ndarray
-    root_size: float
-    leaf_resolution: float
-    depth: int
-    occupied: frozenset = field(repr=False)
-
-    def leaves_per_edge(self) -> int:
-        return 2 ** self.depth
-
-    def leaf_centers(self) -> np.ndarray:
-        """(K, 3) centers of the occupied leaves, sorted by leaf index."""
-        if not self.occupied:
-            return np.zeros((0, 3))
-        idx = np.array(sorted(self.occupied), dtype=float)
-        return self.origin + (idx + 0.5) * self.leaf_resolution
-
-
-def octree_from_points(points: np.ndarray, leaf_resolution: float) -> Octree:
-    """Build the occupied-leaf set for a point array.
-
-    Points on the root cube's far faces are clamped into the last leaf so
-    the bounding box is fully covered.
-    """
-    if not leaf_resolution > 0:
-        raise ValueError("leaf_resolution must be > 0")
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) == 0:
-        return Octree(np.zeros(3), leaf_resolution, leaf_resolution, 0, frozenset())
-    origin = pts.min(axis=0)
-    extent = float((pts.max(axis=0) - origin).max())
-    depth = 0
-    while leaf_resolution * (2 ** depth) < extent * (1.0 - 1e-12):
-        depth += 1
-    per_edge = 2 ** depth
-    idx = np.floor((pts - origin) / leaf_resolution).astype(np.int64)
-    idx = np.clip(idx, 0, per_edge - 1)
-    occupied = frozenset(map(tuple, idx.tolist()))
-    return Octree(origin, leaf_resolution * per_edge, leaf_resolution, depth, occupied)

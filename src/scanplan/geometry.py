@@ -51,40 +51,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    """A single scanner return: range (m) and bearing (rad) in the scan plane."""
-
-    range_m: float
-    bearing_rad: float
-
-    def validate(self, arc_limit: float = DEFAULT_ARC_LIMIT) -> None:
-        if not (self.range_m >= 0.0 and math.isfinite(self.range_m)):
-            raise ValueError(f"range must be finite and >= 0, got {self.range_m!r}")
-        if not (abs(self.bearing_rad) <= arc_limit):
-            raise ValueError(
-                f"bearing {self.bearing_rad!r} outside detection arc +-{arc_limit!r}"
-            )
-
-
-def polar_to_local(p: PolarPoint) -> np.ndarray:
-    """Map a vertical-scan return to local Cartesian coordinates.
+def polar_to_local_arrays(ranges: np.ndarray, bearings: np.ndarray) -> np.ndarray:
+    """Map vertical-scan returns to local Cartesian coordinates, (N, 3).
 
     The scan plane is the local x-z plane; the convention negates both
     in-plane coordinates (the scanner faces the -x/-z quadrant):
     (range, bearing) -> (-range*cos(bearing), 0, -range*sin(bearing)).
     """
-    return np.array(
-        [
-            -p.range_m * math.cos(p.bearing_rad),
-            0.0,
-            -p.range_m * math.sin(p.bearing_rad),
-        ]
-    )
-
-
-def polar_to_local_arrays(ranges: np.ndarray, bearings: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`polar_to_local`; returns an (N, 3) array."""
     ranges = np.asarray(ranges, dtype=float)
     bearings = np.asarray(bearings, dtype=float)
     out = np.zeros(ranges.shape + (3,))
@@ -127,11 +100,6 @@ class Pose:
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
-
-
-def transform_point(pose: Pose, local: np.ndarray) -> np.ndarray:
-    """Global coordinates of a single local point: R x + T."""
-    return pose.apply(np.asarray(local, dtype=float).reshape(3))
 
 
 @dataclass(frozen=True)

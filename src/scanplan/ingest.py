@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .geometry import (
     polar_to_local_arrays,
     validate_rotation,
 )
-from .registration import IcpConfig, RigidTransform2D, icp_align_2d, locked
+from .registration import IcpConfig, RigidTransform2D, icp_align_2d
 
 logger = logging.getLogger(__name__)
 
@@ -237,16 +237,6 @@ def _nearest_sample(timestamps: np.ndarray, t: float) -> int:
     return int(np.argmin(diffs))
 
 
-def _horizontal_to_global_2d(scan: LaserScan, rotation: np.ndarray) -> np.ndarray:
-    """Horizontal-scan returns pre-rotated by the IMU attitude, x-y only."""
-    ranges = scan.ranges[scan.valid]
-    bearings = scan.bearings()[scan.valid]
-    local = np.zeros((len(ranges), 3))
-    local[:, 0] = -ranges * np.cos(bearings)
-    local[:, 1] = -ranges * np.sin(bearings)
-    return (local @ rotation.T)[:, :2]
-
-
 def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> PoseTrack:
     """Pose per vertical-scan timestamp: IMU rotation + chained 2D scan matching.
 
@@ -268,11 +258,20 @@ def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> PoseT
         return log.imu[_nearest_sample(imu_ts, t)].rotation
 
     h_ts = np.array([s.timestamp for s in log.horizontal])
+
+    def rotated_xy(i: int) -> np.ndarray:
+        # A horizontal scan lies in the local x-y plane: the vertical-scan
+        # convention with its y and z columns swapped.
+        scan = log.horizontal[i]
+        valid = scan.valid
+        local = polar_to_local_arrays(scan.ranges[valid], scan.bearings()[valid])
+        return (local[:, [0, 2, 1]] @ imu_for(h_ts[i]).T)[:, :2]
+
     cumulative = np.zeros((len(log.horizontal), 2))
-    prev_points = _horizontal_to_global_2d(log.horizontal[0], imu_for(h_ts[0]))
-    cfg = locked(icp_cfg)
+    prev_points = rotated_xy(0)
+    cfg = replace(icp_cfg, rotation_locked=True)
     for i in range(1, len(log.horizontal)):
-        cur_points = _horizontal_to_global_2d(log.horizontal[i], imu_for(h_ts[i]))
+        cur_points = rotated_xy(i)
         try:
             delta = icp_align_2d(
                 cur_points, prev_points, RigidTransform2D.identity(), cfg

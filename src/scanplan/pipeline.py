@@ -1,10 +1,13 @@
 """End-to-end batch pipeline: ingest/register, filter, segment, cluster, plan.
 
-Every stage persists its artifact, so stages can be re-run in isolation from
-the files. All randomness is seeded through the config; two runs with the
-same config produce byte-identical artifacts. Per-stage wall times are
-reported on the returned result (and by the CLI on stdout), never written
-into artifacts.
+Each stage is one function (``ingest_log``, ``filter_cloud``,
+``segment_cloud``, ``cluster_cloud``, ``plan_surfaces``) that
+``run_pipeline`` and the matching CLI verb both call, so a chain of verbs
+writes the same bytes as one run. Every stage persists its artifact, so
+stages can be re-run in isolation from the files. All randomness is seeded
+through the config; two runs with the same config produce byte-identical
+artifacts. Per-stage wall times are reported on the returned result (and by
+the CLI on stdout), never written into artifacts.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from . import artifacts, plots
-from .clustering import ClusterConfig, euclidean_cluster
+from .clustering import Cluster, ClusterConfig, euclidean_cluster
 from .errors import StageError, ValidationError
-from .ingest import build_cloud, estimate_pose_track, parse_scan_log
+from .geometry import PointCloud
+from .ingest import ScanLog, build_cloud, estimate_pose_track, parse_scan_log
 from .planning import (
     AStarWeights,
     CameraSpec,
@@ -36,7 +40,7 @@ from .preprocess import (
     voxel_downsample,
 )
 from .registration import IcpConfig
-from .segmentation import RansacConfig, extract_surfaces
+from .segmentation import PlanarSurface, RansacConfig, extract_surfaces
 
 logger = logging.getLogger(__name__)
 
@@ -75,9 +79,8 @@ class PipelineConfig:
         data = asdict(self)
         data["version"] = 1
         # Degrees at the file boundary; radians everywhere inside.
-        cam = data["camera"]
-        cam["fov_h_deg"] = math.degrees(cam.pop("fov_h"))
-        cam["fov_v_deg"] = math.degrees(cam.pop("fov_v"))
+        for name in _IN_DEGREES:
+            data["camera"][f"{name}_deg"] = math.degrees(data["camera"].pop(name))
         if math.isinf(data["ransac"]["max_area"]):
             data["ransac"]["max_area"] = None
         return data
@@ -87,44 +90,12 @@ class PipelineConfig:
         """Inverse of :meth:`to_dict`; missing keys take their defaults.
 
         Raises:
-            ValidationError: a key the format does not have, at the top
-                level or inside a section, or a section that is not an
-                object.
+            ValidationError: a key the format does not have, a value of the
+                wrong type, or a section that is not an object.
         """
-        data = _known_keys(
-            "top level", data, _field_names(PipelineConfig) | {"version"}
-        )
-        data.pop("version", None)
-        kwargs = {}
-        for name, cls in (
-            ("icp", IcpConfig),
-            ("outlier_filter", OutlierFilterConfig),
-            ("voxel_grid", VoxelGridConfig),
-            ("cluster", ClusterConfig),
-            ("astar_weights", AStarWeights),
-            ("planning", PlanningConfig),
-        ):
-            if name in data:
-                kwargs[name] = cls(**_known_keys(name, data[name], _field_names(cls)))
-        if "ransac" in data:
-            ransac = _known_keys("ransac", data["ransac"], _field_names(RansacConfig))
-            if ransac.get("max_area") is None:
-                ransac["max_area"] = math.inf
-            kwargs["ransac"] = RansacConfig(**ransac)
-        if "camera" in data:
-            # The file holds the fields of view in degrees.
-            in_degrees = {"fov_h_deg", "fov_v_deg"}
-            cam = _known_keys(
-                "camera", data["camera"],
-                _field_names(CameraSpec) - {"fov_h", "fov_v"} | in_degrees,
-            )
-            for axis in ("fov_h", "fov_v"):
-                if f"{axis}_deg" in cam:
-                    cam[axis] = math.radians(cam.pop(f"{axis}_deg"))
-            kwargs["camera"] = CameraSpec(**cam)
-        if "surface_cluster_eps" in data:
-            kwargs["surface_cluster_eps"] = float(data["surface_cluster_eps"])
-        return PipelineConfig(**kwargs)
+        if isinstance(data, dict):
+            data = {k: v for k, v in data.items() if k != "version"}
+        return _from_file(PipelineConfig, data, "")
 
     def save(self, path) -> None:
         Path(path).write_text(
@@ -139,20 +110,54 @@ class PipelineConfig:
         )
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in fields(cls)}
+def _from_file(cls, values, section: str):
+    """One config dataclass from its JSON object, read strictly.
 
-
-def _known_keys(section: str, values, allowed: set) -> dict:
-    """A copy of one config object; a key outside ``allowed`` is an error."""
+    Every key must name a field, and every value must have the type of its
+    field's default (a JSON integer passes as a float). Nested dataclass
+    fields are read the same way. Two fields differ in the file: the camera
+    fields of view are held in degrees (``fov_h_deg``, ``fov_v_deg``), and
+    a ``max_area`` of null means no upper bound.
+    """
+    where = section or "top level"
     if not isinstance(values, dict):
         raise ValidationError(
-            f"config {section}: expected an object, got {type(values).__name__}"
+            f"config {where}: expected an object, got {_json_type(values)}"
         )
-    unknown = sorted(set(values) - allowed)
-    if unknown:
-        raise ValidationError(f"config {section}: unknown key(s) {', '.join(unknown)}")
-    return dict(values)
+    values = dict(values)
+    kwargs = {}
+    for f in fields(cls):
+        key = f"{f.name}_deg" if f.name in _IN_DEGREES else f.name
+        if key not in values:
+            continue
+        value = values.pop(key)
+        default = f.default if f.default is not MISSING else f.default_factory()
+        kind = type(default)
+        if is_dataclass(kind):
+            kwargs[f.name] = _from_file(kind, value, key)
+            continue
+        if value is None and f.name == "max_area":
+            value = math.inf
+        if not (type(value) is kind or kind is float and type(value) is int):
+            raise ValidationError(
+                f"config {section + '.' if section else ''}{key}: expected "
+                f"{kind.__name__}, got {_json_type(value)}"
+            )
+        value = kind(value)
+        kwargs[f.name] = math.radians(value) if key != f.name else value
+    if values:
+        raise ValidationError(
+            f"config {where}: unknown key(s) {', '.join(sorted(values))}"
+        )
+    return cls(**kwargs)
+
+
+# CameraSpec fields held in radians inside and in degrees in the file.
+_IN_DEGREES = ("fov_h", "fov_v")
+
+
+def _json_type(value) -> str:
+    return "null" if value is None else type(value).__name__
 
 
 @dataclass
@@ -165,7 +170,11 @@ class PipelineResult:
 
 
 class _Stage:
-    """Context helper recording wall time per stage."""
+    """Context helper recording wall time per stage, and its StageError.
+
+    The error still propagates: it ends the pipeline, and the artifacts
+    written so far stay.
+    """
 
     def __init__(self, result: PipelineResult, name: str):
         self.result = result
@@ -177,12 +186,98 @@ class _Stage:
 
     def __exit__(self, exc_type, exc, tb):
         self.result.timings[self.name] = time.perf_counter() - self.t0
-        if exc is not None and isinstance(exc, StageError):
+        if isinstance(exc, StageError):
             self.result.failures.append((self.name, str(exc)))
             self.result.status = 3
             logger.error("stage %s failed: %s", self.name, exc)
-            return True  # keep the partial artifacts, stop the pipeline
-        return False
+
+
+# One function per stage, shared by run_pipeline and the CLI verbs: each
+# takes its input in memory, writes its artifact and returns its result.
+
+def ingest_log(log: ScanLog, cfg: PipelineConfig, out) -> PointCloud:
+    """Pose-track a scan log, map its vertical scans into a cloud, write ``out``."""
+    cloud = build_cloud(log, estimate_pose_track(log, cfg.icp))
+    artifacts.write_cloud(out, cloud)
+    return cloud
+
+
+def filter_cloud(
+    cloud: PointCloud, cfg: PipelineConfig, out
+) -> tuple[PointCloud, int]:
+    """Statistical outlier removal, then voxel downsampling; writes ``out``.
+
+    A cloud of at most ``k_neighbors`` points is too small for neighborhood
+    statistics and goes to the voxel grid whole.
+
+    Returns:
+        (filtered cloud, number of outliers removed).
+    """
+    if len(cloud) > cfg.outlier_filter.k_neighbors:
+        kept, removed = remove_statistical_outliers(cloud, cfg.outlier_filter)
+    else:
+        kept, removed = cloud, 0
+    filtered = voxel_downsample(kept, cfg.voxel_grid)
+    artifacts.write_cloud(out, filtered)
+    return filtered, removed
+
+
+def segment_cloud(
+    cloud: PointCloud, cfg: PipelineConfig, out
+) -> tuple[list[PlanarSurface], PointCloud]:
+    """Extract planar surfaces, write them to ``out``; returns (surfaces, remainder)."""
+    surfaces, remainder = extract_surfaces(cloud, cfg.ransac, cfg.surface_cluster_eps)
+    artifacts.write_surfaces(out, surfaces)
+    return surfaces, remainder
+
+
+def cluster_cloud(cloud: PointCloud, cfg: PipelineConfig, out) -> list[Cluster]:
+    """Cluster leftover points into obstacles and write them to ``out``."""
+    clusters = euclidean_cluster(cloud, cfg.cluster)
+    artifacts.write_clusters(out, clusters, cloud)
+    return clusters
+
+
+def plan_surfaces(
+    cloud: PointCloud, surfaces: list[PlanarSurface], cfg: PipelineConfig, out
+) -> tuple[list[dict], list[str]]:
+    """Coverage stops and waypoints per surface, in an occupancy grid of ``cloud``.
+
+    Writes the plan JSON to ``out`` and ``plan_<k>.csv`` beside it for each
+    planned surface. A surface whose planning fails gets an entry with the
+    error's class name and message; the other surfaces are still planned.
+
+    Returns:
+        (plan entries, one "surface <k>: <error>" message per failed surface).
+    """
+    grid = inflate(
+        build_occupancy(cloud, cfg.planning.voxel_edge, cfg.planning.bounds_margin),
+        cfg.planning.inflate_radius,
+    )
+    entries: list[dict] = []
+    failures: list[str] = []
+    for k, surface in enumerate(surfaces):
+        task = InspectionTask(
+            surface,
+            cfg.planning.footprint_width,
+            cfg.planning.footprint_height,
+            cfg.planning.overlap,
+        )
+        try:
+            stops = plan_coverage(task, cfg.camera, grid=grid)
+            plan = generate_waypoints(stops, grid, cfg.astar_weights)
+        except StageError as err:
+            entries.append(
+                {"surface_index": k, "status": type(err).__name__, "error": str(err)}
+            )
+            failures.append(f"surface {k}: {err}")
+            continue
+        entries.append(
+            {"surface_index": k, "status": "ok", **artifacts.plan_to_dict(plan)}
+        )
+        artifacts.write_waypoints_csv(Path(out).parent / f"plan_{k}.csv", plan)
+    artifacts.write_plans(out, entries)
+    return entries, failures
 
 
 def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
@@ -199,110 +294,64 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
     result = PipelineResult(0, {}, {}, {}, [])
     input_path = Path(input_path)
 
-    # ingest + single-station registration
-    with _Stage(result, "register"):
-        if input_path.suffix in (".log", ".txt"):
-            log = parse_scan_log(input_path)
-            track = estimate_pose_track(log, cfg.icp)
-            cloud = build_cloud(log, track)
-        else:
-            cloud = artifacts.read_cloud(input_path)
-        registered = out / "registered.xyz"
-        artifacts.write_cloud(registered, cloud)
-        result.artifacts["registered"] = registered
-        result.counts["register"] = len(cloud)
-    if result.status:
-        return result
+    try:
+        with _Stage(result, "register"):
+            path = out / "registered.xyz"
+            if input_path.suffix in (".log", ".txt"):
+                cloud = ingest_log(parse_scan_log(input_path), cfg, path)
+            else:
+                cloud = artifacts.read_cloud(input_path)
+                artifacts.write_cloud(path, cloud)
+            result.artifacts["registered"] = path
+            result.counts["register"] = len(cloud)
 
-    with _Stage(result, "filter"):
-        if len(cloud) > cfg.outlier_filter.k_neighbors:
-            kept, removed = remove_statistical_outliers(cloud, cfg.outlier_filter)
-        else:
-            # Too few points for neighborhood statistics; pass through.
-            kept, removed = cloud, 0
-        filtered = voxel_downsample(kept, cfg.voxel_grid)
-        filtered_path = out / "filtered.xyz"
-        artifacts.write_cloud(filtered_path, filtered)
-        result.artifacts["filtered"] = filtered_path
-        result.counts["filter"] = len(filtered)
-        logger.info("filter: %d -> %d points (%d outliers removed)",
-                    len(cloud), len(filtered), removed)
-    if result.status:
-        return result
+        with _Stage(result, "filter"):
+            path = out / "filtered.xyz"
+            filtered, removed = filter_cloud(cloud, cfg, path)
+            result.artifacts["filtered"] = path
+            result.counts["filter"] = len(filtered)
+            logger.info("filter: %d -> %d points (%d outliers removed)",
+                        len(cloud), len(filtered), removed)
 
-    with _Stage(result, "segment"):
-        surfaces, remainder = extract_surfaces(
-            filtered, cfg.ransac, cfg.surface_cluster_eps
-        )
-        surfaces_path = out / "surfaces.json"
-        artifacts.write_surfaces(surfaces_path, surfaces)
-        result.artifacts["surfaces"] = surfaces_path
-        result.counts["segment"] = len(surfaces)
-    if result.status:
-        return result
+        with _Stage(result, "segment"):
+            path = out / "surfaces.json"
+            surfaces, remainder = segment_cloud(filtered, cfg, path)
+            result.artifacts["surfaces"] = path
+            result.counts["segment"] = len(surfaces)
 
-    with _Stage(result, "cluster"):
-        clusters = euclidean_cluster(remainder, cfg.cluster)
-        clusters_path = out / "clusters.json"
-        artifacts.write_clusters(clusters_path, clusters, remainder)
-        result.artifacts["clusters"] = clusters_path
-        result.counts["cluster"] = len(clusters)
-    if result.status:
-        return result
+        with _Stage(result, "cluster"):
+            path = out / "clusters.json"
+            clusters = cluster_cloud(remainder, cfg, path)
+            result.artifacts["clusters"] = path
+            result.counts["cluster"] = len(clusters)
 
-    entries: list[dict] = []
-    with _Stage(result, "plan"):
-        grid = build_occupancy(
-            filtered, cfg.planning.voxel_edge, cfg.planning.bounds_margin
-        )
-        inflated = inflate(grid, cfg.planning.inflate_radius)
-        plan_count = 0
-        for k, surface in enumerate(surfaces):
-            task = InspectionTask(
-                surface,
-                cfg.planning.footprint_width,
-                cfg.planning.footprint_height,
-                cfg.planning.overlap,
-            )
-            try:
-                stops = plan_coverage(task, cfg.camera, grid=inflated)
-                plan = generate_waypoints(stops, inflated, cfg.astar_weights)
-            except StageError as err:
-                entries.append({
-                    "surface_index": k,
-                    "status": type(err).__name__,
-                    "error": str(err),
-                })
-                result.failures.append(("plan", f"surface {k}: {err}"))
-                continue
-            entry = {"surface_index": k, "status": "ok"}
-            entry.update(artifacts.plan_to_dict(plan))
-            entries.append(entry)
-            csv_path = out / f"plan_{k}.csv"
-            artifacts.write_waypoints_csv(csv_path, plan)
-            result.artifacts[f"plan_{k}_csv"] = csv_path
-            plan_count += 1
-        plan_path = out / "plan.json"
-        artifacts.write_plans(plan_path, entries)
-        result.artifacts["plan"] = plan_path
-        result.counts["plan"] = plan_count
-        if any(stage == "plan" for stage, _ in result.failures):
-            result.status = 3
+        with _Stage(result, "plan"):
+            path = out / "plan.json"
+            entries, failures = plan_surfaces(filtered, surfaces, cfg, path)
+            planned = [e["surface_index"] for e in entries if e["status"] == "ok"]
+            for k in planned:
+                result.artifacts[f"plan_{k}_csv"] = out / f"plan_{k}.csv"
+            result.artifacts["plan"] = path
+            result.counts["plan"] = len(planned)
+            result.failures.extend(("plan", message) for message in failures)
+            if failures:
+                result.status = 3
 
-    with _Stage(result, "render"):
-        boundaries = [s.boundary for s in surfaces]
-        chains = [
-            e["waypoints"] for e in entries
-            if e["status"] == "ok" and len(e["waypoints"]) > 1
-        ]
-        for view in ("top", "elevation"):
-            svg = out / f"scene_{view}.svg"
-            plots.render_svg(
-                svg, cloud=filtered, polygons=boundaries, polylines=chains,
-                view=view,
-            )
-            result.artifacts[f"scene_{view}"] = svg
-
+        with _Stage(result, "render"):
+            boundaries = [s.boundary for s in surfaces]
+            chains = [
+                e["waypoints"] for e in entries
+                if e["status"] == "ok" and len(e["waypoints"]) > 1
+            ]
+            for view in ("top", "elevation"):
+                svg = out / f"scene_{view}.svg"
+                plots.render_svg(
+                    svg, cloud=filtered, polygons=boundaries, polylines=chains,
+                    view=view,
+                )
+                result.artifacts[f"scene_{view}"] = svg
+    except StageError:
+        pass  # recorded by _Stage
     return result
 
 

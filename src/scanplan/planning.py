@@ -126,9 +126,6 @@ class OccupancyGrid:
     def in_bounds(self, index) -> bool:
         return all(0 <= index[i] < self.occupied.shape[i] for i in range(3))
 
-    def is_free(self, index) -> bool:
-        return self.in_bounds(index) and not self.occupied[tuple(index)]
-
 
 def build_occupancy(
     cloud: PointCloud, voxel_edge: float, bounds_margin: float

@@ -19,7 +19,6 @@ def render_svg(
     cloud=None,
     polygons=(),
     polylines=(),
-    markers=(),
     view: str = "top",
     size: int = 800,
 ) -> None:
@@ -30,24 +29,15 @@ def render_svg(
             plotting budget).
         polygons: iterables of (K, 3) vertex arrays, drawn closed in blue.
         polylines: iterables of (K, 3) arrays, drawn open in red.
-        markers: (K, 3) positions drawn as green crosses.
     """
     ax, ay = _VIEWS[view]
-    groups = []
     pts2d = None
     if cloud is not None and len(cloud) > 0:
         stride = max(1, len(cloud) // _MAX_PLOTTED)
         pts2d = cloud.points[::stride][:, (ax, ay)]
-        groups.append(pts2d)
     poly2d = [np.asarray(p, dtype=float)[:, (ax, ay)] for p in polygons]
     line2d = [np.asarray(p, dtype=float)[:, (ax, ay)] for p in polylines]
-    mark2d = (
-        np.asarray(markers, dtype=float)[:, (ax, ay)] if len(markers) else None
-    )
-    groups.extend(poly2d)
-    groups.extend(line2d)
-    if mark2d is not None:
-        groups.append(mark2d)
+    groups = ([] if pts2d is None else [pts2d]) + poly2d + line2d
 
     if groups:
         allpts = np.vstack(groups)
@@ -93,13 +83,5 @@ def render_svg(
             f'<polyline points="{coords}" fill="none" stroke="#cc3322" '
             'stroke-width="1"/>'
         )
-    if mark2d is not None:
-        for p in mark2d:
-            x, y = sx(p[0]), sy(p[1])
-            out.append(
-                f'<path d="M {x - 3:.2f} {y:.2f} H {x + 3:.2f} '
-                f'M {x:.2f} {y - 3:.2f} V {y + 3:.2f}" stroke="#22aa44" '
-                'stroke-width="1"/>'
-            )
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n", encoding="ascii")

@@ -1,14 +1,17 @@
 """Point-to-point ICP alignment (2D and 3D) and multi-station registration.
 
-The 2D path recovers per-scan translation for the pose track (rotation comes
-from the IMU, so it can be locked); the 3D path merges station clouds after
-an axis-aligned-box overlap prediction seeded by the recorded poses.
+One ICP loop (Besl & McKay, PAMI 1992) serves d = 2 and d = 3 with a
+d-dimensional Kabsch fit; ``icp_align_2d`` and ``icp_align_3d`` adapt it to
+planar transforms and poses. The 2D path recovers per-scan translation for
+the pose track (rotation comes from the IMU, so it can be locked); the 3D
+path merges station clouds after an axis-aligned-box overlap prediction
+seeded by the recorded poses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,144 +91,47 @@ def _points_collinear(points: np.ndarray, tol: float = 1e-9) -> bool:
     return svals[1] <= tol * max(svals[0], 1.0)
 
 
-def _match(tree: KdTree, moved: np.ndarray, max_dist: float):
-    idx, dist = tree.nearest(moved)
-    mask = dist <= max_dist
-    return idx, dist, mask
-
-
-def icp_align_2d(
-    source: np.ndarray,
-    target: np.ndarray,
-    init: RigidTransform2D | None = None,
-    cfg: IcpConfig = IcpConfig(),
-) -> RigidTransform2D:
-    """Align a 2D source point set onto a target set.
-
-    Alternates nearest-neighbor correspondence with a closed-form rigid
-    re-fit from the original source points until the mean correspondence
-    distance stops changing by more than ``cfg.convergence_eps``.
-
-    Args:
-        source: (N, 2) points to move.
-        target: (M, 2) fixed points.
-        init: starting transform (identity when omitted). With
-            ``cfg.rotation_locked`` the returned angle equals ``init.angle``.
-        cfg: iteration/correspondence limits.
-
-    Raises:
-        IcpDiverged: no correspondences within reach, or the mean residual
-            grew for three consecutive iterations.
-        InsufficientOverlap: fewer matched pairs than ``cfg.min_pairs``.
-        DegenerateGeometry: all points collinear while rotation is free.
-    """
-    src = np.asarray(source, dtype=float).reshape(-1, 2)
-    tgt = np.asarray(target, dtype=float).reshape(-1, 2)
-    if len(src) < 3 or len(tgt) < 3:
-        raise ValueError("icp_align_2d needs at least 3 points in each set")
-    if init is None:
-        init = RigidTransform2D.identity()
-    if not cfg.rotation_locked and (_points_collinear(src) or _points_collinear(tgt)):
-        raise DegenerateGeometry("all points collinear and rotation unlocked")
-
-    tree = KdTree(tgt)
-    angle = init.angle
-    translation = init.translation.copy()
-    prev_residual = None
-    grow_streak = 0
-
-    for _ in range(cfg.max_iterations):
-        current = RigidTransform2D(angle, translation)
-        moved = current.apply(src)
-        idx, dist, mask = _match(tree, moved, cfg.max_correspondence_dist)
-        n_pairs = int(mask.sum())
-        if n_pairs == 0:
-            raise IcpDiverged("no correspondences within max_correspondence_dist")
-        if n_pairs < cfg.min_pairs:
-            raise InsufficientOverlap(
-                f"only {n_pairs} matched pairs, need {cfg.min_pairs}"
-            )
-        residual = float(dist[mask].mean())
-
-        p = src[mask]
-        q = tgt[idx[mask]]
-        if cfg.rotation_locked:
-            angle = init.angle
-            rot = RigidTransform2D(angle, np.zeros(2)).matrix()
-            translation = q.mean(axis=0) - (p @ rot.T).mean(axis=0)
-        else:
-            pc = p - p.mean(axis=0)
-            qc = q - q.mean(axis=0)
-            num = float(np.sum(pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]))
-            den = float(np.sum(pc[:, 0] * qc[:, 0] + pc[:, 1] * qc[:, 1]))
-            angle = math.atan2(num, den)
-            rot = RigidTransform2D(angle, np.zeros(2)).matrix()
-            translation = q.mean(axis=0) - rot @ p.mean(axis=0)
-
-        if prev_residual is not None:
-            if residual > prev_residual:
-                grow_streak += 1
-                if grow_streak >= _DIVERGENCE_STREAK:
-                    raise IcpDiverged(
-                        f"mean residual grew for {_DIVERGENCE_STREAK} consecutive iterations"
-                    )
-            else:
-                grow_streak = 0
-            if abs(prev_residual - residual) < cfg.convergence_eps:
-                break
-        prev_residual = residual
-
-    if cfg.rotation_locked:
-        return RigidTransform2D(init.angle, translation)
-    return RigidTransform2D(angle, translation)
-
-
 def _kabsch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares rotation + translation mapping p onto q (3D)."""
+    """Least-squares rotation + translation mapping p onto q, in any dimension."""
     p_mean = p.mean(axis=0)
     q_mean = q.mean(axis=0)
     h = (p - p_mean).T @ (q - q_mean)
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    # diag(1, ..., 1, det) turns a best-fit reflection into a rotation.
+    fix = np.ones(len(p_mean))
+    fix[-1] = np.sign(np.linalg.det(vt.T @ u.T))
+    rot = vt.T @ np.diag(fix) @ u.T
     return rot, q_mean - rot @ p_mean
 
 
-def icp_align_3d(
-    source: PointCloud,
-    target: PointCloud,
-    init: Pose | None = None,
-    cfg: IcpConfig = IcpConfig(),
-) -> Pose:
-    """3D analogue of :func:`icp_align_2d` with an SVD rigid fit per iteration.
+def _icp(
+    src: np.ndarray,
+    tgt: np.ndarray,
+    rot: np.ndarray,
+    trans: np.ndarray,
+    cfg: IcpConfig,
+    fewest_pairs: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Point-to-point ICP on (N, d) arrays, from the rigid guess (rot, trans).
 
-    Returns the pose mapping source-local coordinates onto the target frame.
-
-    Raises:
-        IcpDiverged: no correspondences within reach, or a growing residual.
-        DegenerateGeometry: fewer than 3 corresponding points.
-        InsufficientOverlap: fewer matched pairs than ``cfg.min_pairs``.
+    Alternates nearest-neighbor correspondence with a closed-form rigid
+    re-fit from the original source points until the mean correspondence
+    distance changes by less than ``cfg.convergence_eps``. With
+    ``cfg.rotation_locked`` the rotation stays at the guess and only the
+    translation is fitted. Fewer than ``fewest_pairs`` matched pairs raise
+    DegenerateGeometry; the other errors are those of the two adapters.
     """
-    if init is None:
-        init = Pose.identity()
-    src = source.points
-    tgt = target.points
-    if len(src) == 0 or len(tgt) == 0:
-        raise IcpDiverged("empty cloud")
-
     tree = KdTree(tgt)
-    rot = init.rotation.copy()
-    trans = init.translation.copy()
     prev_residual = None
     grow_streak = 0
 
     for _ in range(cfg.max_iterations):
-        moved = src @ rot.T + trans
-        idx, dist, mask = _match(tree, moved, cfg.max_correspondence_dist)
+        idx, dist = tree.nearest(src @ rot.T + trans)
+        mask = dist <= cfg.max_correspondence_dist
         n_pairs = int(mask.sum())
         if n_pairs == 0:
             raise IcpDiverged("no correspondences within max_correspondence_dist")
-        if n_pairs < 3:
+        if n_pairs < fewest_pairs:
             raise DegenerateGeometry(f"only {n_pairs} corresponding points")
         if n_pairs < cfg.min_pairs:
             raise InsufficientOverlap(
@@ -236,7 +142,6 @@ def icp_align_3d(
         p = src[mask]
         q = tgt[idx[mask]]
         if cfg.rotation_locked:
-            rot = init.rotation.copy()
             trans = q.mean(axis=0) - rot @ p.mean(axis=0)
         else:
             rot, trans = _kabsch(p, q)
@@ -254,8 +159,69 @@ def icp_align_3d(
                 break
         prev_residual = residual
 
+    return rot, trans
+
+
+def icp_align_2d(
+    source: np.ndarray,
+    target: np.ndarray,
+    init: RigidTransform2D | None = None,
+    cfg: IcpConfig = IcpConfig(),
+) -> RigidTransform2D:
+    """Align a 2D source point set onto a target set.
+
+    Args:
+        source: (N, 2) points to move.
+        target: (M, 2) fixed points.
+        init: starting transform (identity when omitted). With
+            ``cfg.rotation_locked`` the returned angle equals ``init.angle``.
+        cfg: iteration/correspondence limits.
+
+    Raises:
+        ValueError: fewer than 3 points in either set.
+        DegenerateGeometry: all points collinear while rotation is free.
+        IcpDiverged: no correspondences within reach, or the mean residual
+            grew for three consecutive iterations.
+        InsufficientOverlap: fewer matched pairs than ``cfg.min_pairs``.
+    """
+    src = np.asarray(source, dtype=float).reshape(-1, 2)
+    tgt = np.asarray(target, dtype=float).reshape(-1, 2)
+    if len(src) < 3 or len(tgt) < 3:
+        raise ValueError("icp_align_2d needs at least 3 points in each set")
+    if init is None:
+        init = RigidTransform2D.identity()
+    if not cfg.rotation_locked and (_points_collinear(src) or _points_collinear(tgt)):
+        raise DegenerateGeometry("all points collinear and rotation unlocked")
+    rot, trans = _icp(src, tgt, init.matrix(), init.translation, cfg, fewest_pairs=1)
     if cfg.rotation_locked:
-        return Pose(init.rotation, trans)
+        return RigidTransform2D(init.angle, trans)
+    return RigidTransform2D(math.atan2(rot[1, 0], rot[0, 0]), trans)
+
+
+def icp_align_3d(
+    source: PointCloud,
+    target: PointCloud,
+    init: Pose | None = None,
+    cfg: IcpConfig = IcpConfig(),
+) -> Pose:
+    """3D analogue of :func:`icp_align_2d`.
+
+    Returns the pose mapping source-local coordinates onto the target frame.
+
+    Raises:
+        IcpDiverged: an empty cloud, no correspondences within reach, or a
+            growing residual.
+        DegenerateGeometry: fewer than 3 corresponding points.
+        InsufficientOverlap: fewer matched pairs than ``cfg.min_pairs``.
+    """
+    if init is None:
+        init = Pose.identity()
+    if len(source) == 0 or len(target) == 0:
+        raise IcpDiverged("empty cloud")
+    rot, trans = _icp(
+        source.points, target.points, init.rotation, init.translation, cfg,
+        fewest_pairs=3,
+    )
     return Pose(rot, trans)
 
 
@@ -327,8 +293,3 @@ def register_clouds(
         merged_parts.append(transform_cloud(refined, cloud))
 
     return concat_clouds(merged_parts, retag=True)
-
-
-def locked(cfg: IcpConfig) -> IcpConfig:
-    """Copy of ``cfg`` with the rotation frozen at the initial guess."""
-    return replace(cfg, rotation_locked=True)

@@ -78,18 +78,12 @@ class RansacConfig:
     min_area: float = 2.0
     max_area: float = math.inf
     rng_seed: int = 0
-    area_estimator: str = "hull"          # "hull" or "density"
-    points_per_m2: float | None = None     # used by the "density" estimator
 
     def __post_init__(self):
         if not self.distance_threshold > 0:
             raise ValueError("distance_threshold must be > 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.area_estimator not in ("hull", "density"):
-            raise ValueError("area_estimator must be 'hull' or 'density'")
-        if self.area_estimator == "density" and not self.points_per_m2:
-            raise ValueError("density estimator needs points_per_m2")
 
 
 @dataclass(frozen=True)
@@ -310,7 +304,7 @@ def extract_surfaces(
             model, local_inliers = ransac_plane(
                 working,
                 # vary the stream per round, still fully seed-determined
-                cfg=_with_seed(cfg, cfg.rng_seed + round_index),
+                cfg=replace(cfg, rng_seed=cfg.rng_seed + round_index),
             )
         except NoPlaneFound:
             break
@@ -324,13 +318,9 @@ def extract_surfaces(
         component = active[largest]
 
         try:
-            boundary, hull_area = _boundary_and_area(pts_all[component], model)
+            boundary, area = _boundary_and_area(pts_all[component], model)
         except DegenerateGeometry:
-            boundary, hull_area = None, 0.0
-        if cfg.area_estimator == "density":
-            area = len(component) / float(cfg.points_per_m2)
-        else:
-            area = hull_area
+            boundary, area = None, 0.0
 
         if boundary is not None and cfg.min_area <= area <= cfg.max_area:
             surfaces.append(PlanarSurface(model, component, boundary, area))
@@ -345,7 +335,3 @@ def extract_surfaces(
     )
     remainder = PointCloud(pts_all[remainder_idx], sources=remainder_idx)
     return surfaces, remainder
-
-
-def _with_seed(cfg: RansacConfig, seed: int) -> RansacConfig:
-    return replace(cfg, rng_seed=seed)

@@ -25,10 +25,6 @@ class KdTree:
     def __len__(self) -> int:
         return len(self._points)
 
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
     def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest indexed point for each query; ties go to the lowest index.
 

@@ -5,7 +5,6 @@ from scanplan.clustering import (
     Cluster,
     ClusterConfig,
     euclidean_cluster,
-    octree_from_points,
 )
 from scanplan.geometry import PointCloud
 
@@ -112,40 +111,3 @@ def test_cluster_validation():
         Cluster(np.array([], dtype=int))
     with pytest.raises(ValueError):
         Cluster(np.array([1, 1, 2]))
-
-
-def test_octree_single_point():
-    tree = octree_from_points(np.array([[1.0, 2.0, 3.0]]), 0.5)
-    assert len(tree.occupied) == 1
-    center = tree.leaf_centers()[0]
-    assert np.allclose(center, [1.25, 2.25, 3.25])
-
-
-def test_octree_two_points_one_leaf():
-    tree = octree_from_points(np.array([[0.0, 0, 0], [0.1, 0.1, 0.1]]), 0.5)
-    assert len(tree.occupied) == 1
-
-
-def test_octree_lattice_leaf_count():
-    xs = np.arange(10.0)
-    pts = np.array([[x, y, z] for x in xs for y in xs for z in xs])
-    leaf = 2.0
-    tree = octree_from_points(pts, leaf)
-    origin = pts.min(axis=0)
-    expected = {tuple(np.floor((p - origin) / leaf).astype(int)) for p in pts}
-    assert len(tree.occupied) == len(expected) == 125
-    # Root edge is a power-of-two multiple of the leaf covering the extent.
-    assert tree.root_size == leaf * tree.leaves_per_edge()
-    assert tree.root_size >= 9.0
-    assert tree.leaves_per_edge() == 2 ** tree.depth
-
-
-def test_octree_every_leaf_has_a_point(rng):
-    pts = rng.uniform(0, 4, size=(200, 3))
-    leaf = 0.5
-    tree = octree_from_points(pts, leaf)
-    origin = pts.min(axis=0)
-    per_edge = tree.leaves_per_edge()
-    idx = np.clip(np.floor((pts - origin) / leaf).astype(int), 0, per_edge - 1)
-    occupied = {tuple(i) for i in idx}
-    assert tree.occupied == occupied

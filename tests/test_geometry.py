@@ -5,30 +5,27 @@ import pytest
 
 from scanplan.geometry import (
     PointCloud,
-    PolarPoint,
     Pose,
     concat_clouds,
-    polar_to_local,
     polar_to_local_arrays,
     rotation_about_z,
     transform_cloud,
-    transform_point,
     validate_rotation,
 )
 
 
 def test_polar_to_local_unit_range_zero_bearing():
-    assert np.allclose(polar_to_local(PolarPoint(1.0, 0.0)), [-1.0, 0.0, 0.0])
+    assert np.allclose(polar_to_local_arrays([1.0], [0.0]), [[-1.0, 0.0, 0.0]])
 
 
 def test_polar_to_local_quarter_turn():
-    p = polar_to_local(PolarPoint(2.0, math.pi / 2))
-    assert np.allclose(p, [0.0, 0.0, -2.0], atol=1e-15)
+    p = polar_to_local_arrays([2.0], [math.pi / 2])
+    assert np.allclose(p, [[0.0, 0.0, -2.0]], atol=1e-15)
 
 
 def test_polar_to_local_diagonal():
-    p = polar_to_local(PolarPoint(math.sqrt(2.0), math.pi / 4))
-    assert np.allclose(p, [-1.0, 0.0, -1.0])
+    p = polar_to_local_arrays([math.sqrt(2.0)], [math.pi / 4])
+    assert np.allclose(p, [[-1.0, 0.0, -1.0]])
 
 
 def test_polar_to_local_plane_and_norm(rng):
@@ -39,28 +36,20 @@ def test_polar_to_local_plane_and_norm(rng):
     assert np.allclose(np.linalg.norm(pts, axis=1), ranges)
 
 
-def test_polar_point_validation():
-    with pytest.raises(ValueError):
-        PolarPoint(-1.0, 0.0).validate()
-    with pytest.raises(ValueError):
-        PolarPoint(1.0, 0.8 * math.pi).validate()
-    PolarPoint(1.0, 0.75 * math.pi).validate()  # arc edge is allowed
-
-
 def test_transform_point_identity():
     pose = Pose.identity()
-    assert np.allclose(transform_point(pose, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    assert np.allclose(pose.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
 def test_transform_point_yaw_quarter_turn():
     pose = Pose(rotation_about_z(math.pi / 2), np.zeros(3))
-    assert np.allclose(transform_point(pose, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0],
+    assert np.allclose(pose.apply([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0],
                        atol=1e-15)
 
 
 def test_transform_point_pure_translation():
     pose = Pose(np.eye(3), np.ones(3))
-    assert np.allclose(transform_point(pose, [-1.0, 0.0, -1.0]), [0.0, 1.0, 0.0])
+    assert np.allclose(pose.apply([-1.0, 0.0, -1.0]), [0.0, 1.0, 0.0])
 
 
 def test_transform_preserves_distances(rng):

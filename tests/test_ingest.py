@@ -9,7 +9,7 @@ from scanplan.errors import (
     MissingPose,
     UnsortedTimestamps,
 )
-from scanplan.geometry import PolarPoint, Pose, polar_to_local
+from scanplan.geometry import Pose
 from scanplan.ingest import (
     LaserScan,
     PoseTrack,
@@ -200,8 +200,8 @@ def test_build_cloud_single_scan_identity_pose():
     track = PoseTrack([(0.0, Pose.identity())])
     cloud = build_cloud(log, track)
     assert len(cloud) == 2
-    expected = [polar_to_local(PolarPoint(1.0, -0.1)),
-                polar_to_local(PolarPoint(2.0, 0.1))]
+    expected = [[-1.0 * math.cos(-0.1), 0.0, -1.0 * math.sin(-0.1)],
+                [-2.0 * math.cos(0.1), 0.0, -2.0 * math.sin(0.1)]]
     assert np.allclose(cloud.points, expected)
     assert np.array_equal(cloud.sources, [0, 0])
 

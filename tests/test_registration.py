@@ -45,6 +45,17 @@ def test_icp2d_rotation_locked_with_correct_init():
     assert np.allclose(out.translation, shift, atol=1e-3)
 
 
+def test_icp2d_free_rotation_recovers_rotation_and_shift():
+    # Point-to-point ICP on this square outline needs a guess within a few
+    # degrees; from the identity it settles in a local minimum.
+    src = ring_2d()
+    true = RigidTransform2D(math.radians(5.0), np.array([0.2, -0.1]))
+    init = RigidTransform2D(math.radians(3.0), np.zeros(2))
+    out = icp_align_2d(src, true.apply(src), init=init, cfg=IcpConfig())
+    assert out.angle == pytest.approx(true.angle, abs=1e-9)
+    assert np.allclose(out.translation, true.translation, atol=1e-9)
+
+
 def test_icp2d_disjoint_sets_diverge():
     src = ring_2d(50, radius=1.0)
     tgt = ring_2d(50, radius=1.0) + np.array([100.0, 0.0])
@@ -104,6 +115,18 @@ def test_icp3d_recovers_known_pose():
         min(1.0, (np.trace(got.rotation.T @ true.rotation) - 1.0) / 2.0)
     )
     assert math.degrees(angle_err) < 0.1
+
+
+def test_icp3d_mirrored_target_still_gives_a_rotation():
+    # A thin slab and its mirror image across x = 0: each point's nearest
+    # neighbour is its own mirror, so the unconstrained best fit is the
+    # reflection diag(-1, 1, 1), which the Kabsch fit must turn into a rotation.
+    rng = np.random.default_rng(5)
+    pts = np.column_stack([rng.uniform(-0.01, 0.01, 200),
+                           rng.uniform(-1.0, 1.0, (200, 2))])
+    src, tgt = PointCloud(pts), PointCloud(pts * [-1.0, 1.0, 1.0])
+    pose = icp_align_3d(src, tgt, cfg=IcpConfig(max_iterations=1))
+    assert np.linalg.det(pose.rotation) == pytest.approx(1.0)
 
 
 def test_icp3d_tiny_overlap_degenerate():
