@@ -8,12 +8,19 @@ two runs with the same seeds produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .clustering import Cluster
-from .errors import MalformedRecord, NonPlanarEdit, SelfIntersectingPolygon
+from .errors import (
+    MalformedRecord,
+    NonPlanarEdit,
+    SelfIntersectingPolygon,
+    ValidationError,
+)
 from .geometry import PointCloud, Pose
 from .planning import FlightPlan
 from .polygons import polygon_is_simple, shoelace_area
@@ -82,34 +89,40 @@ def surfaces_to_dict(surfaces: list[PlanarSurface]) -> dict:
                 "d": s.model.d,
                 "boundary": [[float(c) for c in v] for v in s.boundary],
                 "area": float(s.area),
-                "inlier_count": int(len(s.inliers)),
+                "inlier_count": int(s.inlier_count),
             }
             for s in surfaces
         ],
     }
 
 
-def surfaces_from_dict(data: dict) -> list[PlanarSurface]:
+def surfaces_from_dict(data: dict, source: str = "surfaces") -> list[PlanarSurface]:
+    """Inverse of :func:`surfaces_to_dict`; a ValidationError names ``source``
+    and the key when ``planes`` or a key of a plane is missing."""
     surfaces = []
-    for entry in data["planes"]:
-        a, b, c = entry["normal"]
-        model = PlaneModel(float(a), float(b), float(c), float(entry["d"]))
-        boundary = np.array(entry["boundary"], dtype=float)
-        # Inlier indices are not part of the schema; file-loaded surfaces
-        # carry an empty set and remain fully usable for planning.
+    for k, entry in enumerate(_list_in(data, "planes", source)):
+        normal, d, boundary, area, count = _values(
+            entry, ("normal", "d", "boundary", "area", "inlier_count"),
+            f"{source} planes[{k}]",
+        )
+        a, b, c = normal
+        model = PlaneModel(float(a), float(b), float(c), float(d))
+        # Inlier indices are not part of the schema, only their count;
+        # file-loaded surfaces carry an empty set and stay usable for planning.
         surfaces.append(
-            PlanarSurface(model, np.zeros(0, dtype=np.int64), boundary,
-                          float(entry["area"]))
+            PlanarSurface(model, np.zeros(0, dtype=np.int64),
+                          np.array(boundary, dtype=float), float(area), int(count))
         )
     return surfaces
 
 
 def write_surfaces(path, surfaces: list[PlanarSurface]) -> None:
-    _write_json(path, surfaces_to_dict(surfaces))
+    write_json(path, surfaces_to_dict(surfaces))
 
 
 def read_surfaces(path) -> list[PlanarSurface]:
-    return surfaces_from_dict(json.loads(Path(path).read_text(encoding="ascii")))
+    data = json.loads(Path(path).read_text(encoding="ascii"))
+    return surfaces_from_dict(data, str(path))
 
 
 # --- clusters ------------------------------------------------------------------
@@ -127,7 +140,7 @@ def clusters_to_dict(clusters: list[Cluster], cloud: PointCloud) -> dict:
 
 
 def write_clusters(path, clusters: list[Cluster], cloud: PointCloud) -> None:
-    _write_json(path, clusters_to_dict(clusters, cloud))
+    write_json(path, clusters_to_dict(clusters, cloud))
 
 
 # --- flight plans ----------------------------------------------------------------
@@ -154,7 +167,7 @@ def plans_to_dict(entries: list[dict]) -> dict:
 
 
 def write_plans(path, entries: list[dict]) -> None:
-    _write_json(path, plans_to_dict(entries))
+    write_json(path, plans_to_dict(entries))
 
 
 def write_waypoints_csv(path, plan: FlightPlan) -> None:
@@ -165,13 +178,16 @@ def write_waypoints_csv(path, plan: FlightPlan) -> None:
 # --- stations (multi-cloud registration input) ------------------------------------
 
 def read_stations(path) -> list[tuple[str, Pose]]:
-    """JSON list of {cloud: path, rotation: 3x3, translation: [x,y,z]}."""
+    """JSON list of {cloud: path, rotation: 3x3, translation: [x,y,z]}; a
+    ValidationError names the file and the key when one is missing."""
     data = json.loads(Path(path).read_text(encoding="ascii"))
     stations = []
-    for entry in data["stations"]:
-        pose = Pose(np.array(entry["rotation"], dtype=float),
-                    np.array(entry["translation"], dtype=float))
-        stations.append((entry["cloud"], pose))
+    for k, entry in enumerate(_list_in(data, "stations", str(path))):
+        cloud, rotation, translation = _values(
+            entry, ("cloud", "rotation", "translation"), f"{path} stations[{k}]"
+        )
+        pose = Pose(np.array(rotation, dtype=float), np.array(translation, dtype=float))
+        stations.append((cloud, pose))
     return stations
 
 
@@ -187,7 +203,7 @@ def write_stations(path, entries: list[tuple[str, Pose]]) -> None:
             for name, pose in entries
         ],
     }
-    _write_json(path, data)
+    write_json(path, data)
 
 
 # --- operator boundary editing -------------------------------------------------------
@@ -200,7 +216,7 @@ def export_boundary(surface: PlanarSurface, path) -> None:
         "d": surface.model.d,
         "boundary": [[float(c) for c in v] for v in surface.boundary],
     }
-    _write_json(path, data)
+    write_json(path, data)
 
 
 def import_boundary(
@@ -210,13 +226,16 @@ def import_boundary(
 
     The polygon must be simple and its vertices must lie on the surface's
     plane within ``distance_threshold``. Convexity is not required; the area
-    is recomputed by the shoelace rule in the plane basis.
+    is recomputed by the shoelace rule in the plane basis. The surface's own
+    boundary brings the surface back as it is, so an export and import of an
+    unedited file changes no byte.
 
     Raises:
-        SelfIntersectingPolygon, NonPlanarEdit.
+        ValidationError (no ``boundary``), SelfIntersectingPolygon, NonPlanarEdit.
     """
     data = json.loads(Path(path).read_text(encoding="ascii"))
-    boundary = np.array(data["boundary"], dtype=float)
+    (boundary,) = _values(data, ("boundary",), str(path))
+    boundary = np.array(boundary, dtype=float)
     if boundary.ndim != 2 or boundary.shape[1] != 3 or len(boundary) < 3:
         raise NonPlanarEdit("boundary must be at least 3 points of 3 coordinates")
     dists = surface.model.distance(boundary)
@@ -228,11 +247,84 @@ def import_boundary(
     coords, _ = project_to_plane(boundary, surface.model)
     if not polygon_is_simple(coords):
         raise SelfIntersectingPolygon("edited boundary intersects itself")
+    if np.array_equal(boundary, surface.boundary):
+        return surface
     area = abs(shoelace_area(coords))
-    return PlanarSurface(surface.model, surface.inliers, boundary, area)
+    return PlanarSurface(surface.model, surface.inliers, boundary, area,
+                         surface.inlier_count)
 
 
-def _write_json(path, data: dict) -> None:
+def write_json(path, data: dict) -> None:
+    """The one JSON form of every file written: sorted keys, indent 1, ASCII."""
     Path(path).write_text(
         json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="ascii"
     )
+
+
+def dataclass_from_json(cls, values, where: str):
+    """One dataclass from its JSON object, read strictly.
+
+    Every key must name a field and every field without a default must be
+    there. A value must have the type of its field's default (a JSON integer
+    passes as a float); a field without a default, or with a None one, takes
+    a float, or a list of 3 when it holds a tuple. Nested dataclass fields
+    are read the same way, and a ``max_area`` of null means no upper bound.
+    Errors name the value by its path from ``where``, e.g. ``config.icp``.
+    """
+    if not isinstance(values, dict):
+        raise ValidationError(f"{where}: expected an object, got {_json_type(values)}")
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in values
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValidationError(f"{where}: missing key(s) {', '.join(missing)}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in values:
+            continue
+        value, path = values[f.name], f"{where}.{f.name}"
+        default = f.default_factory() if f.default_factory is not MISSING else f.default
+        if is_dataclass(default):
+            kwargs[f.name] = dataclass_from_json(type(default), value, path)
+        elif value is None and f.name == "max_area":
+            kwargs[f.name] = math.inf
+        elif "tuple" in str(f.type):
+            if not (isinstance(value, list) and len(value) == 3):
+                raise ValidationError(f"{path}: expected a list of 3 numbers")
+            kwargs[f.name] = tuple(_typed(v, float, path) for v in value)
+        else:
+            kind = float if default is MISSING or default is None else type(default)
+            kwargs[f.name] = _typed(value, kind, path)
+    return cls(**kwargs)
+
+
+def _typed(value, kind: type, path: str):
+    if not (type(value) is kind or kind is float and type(value) is int):
+        raise ValidationError(
+            f"{path}: expected {kind.__name__}, got {_json_type(value)}"
+        )
+    return kind(value)
+
+
+def _json_type(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _values(entry, keys, where: str) -> list:
+    """The values of ``keys`` in a JSON object; ``where`` names it in errors."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where}: expected an object, got {_json_type(entry)}")
+    missing = [k for k in keys if k not in entry]
+    if missing:
+        raise ValidationError(f"{where}: missing key(s) {', '.join(missing)}")
+    return [entry[k] for k in keys]
+
+
+def _list_in(data, key: str, where: str) -> list:
+    """The list under ``key`` of a JSON file's top-level object."""
+    (items,) = _values(data, (key,), where)
+    if not isinstance(items, list):
+        raise ValidationError(f"{where} {key}: expected a list, got {_json_type(items)}")
+    return items

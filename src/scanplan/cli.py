@@ -100,8 +100,7 @@ def cmd_simulate(args) -> int:
                             scan_period=device.scan_period),
     }
     truth_path = Path(str(args.out) + ".truth.json")
-    truth_path.write_text(json.dumps(truth, indent=1, sort_keys=True) + "\n",
-                          encoding="ascii")
+    artifacts.write_json(truth_path, truth)
     print(f"wrote {args.scans} scans to {args.out} (+ {truth_path.name})")
     return EXIT_OK
 

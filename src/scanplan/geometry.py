@@ -1,9 +1,20 @@
 """Core value types and frame transformations.
 
-The scanner reports (range, bearing) pairs in its own plane; a rigid pose
-(rotation from the IMU, translation from scan matching) maps local points
-into the global frame anchored at the platform's initial position.
-All angles are radians, all distances meters, everything float64.
+The platform carries two 2D scanners mounted at right angles. Each reports
+one range per bearing ``angle_min + i * angle_inc`` (:func:`scan_bearings`)
+in its own plane of the platform's local frame, and both negate the
+in-plane coordinates (at bearing 0 a scanner looks along -x):
+
+- the vertical scanner sweeps the local x-z plane,
+  (range, bearing) -> (-range*cos(bearing), 0, -range*sin(bearing))
+  (:func:`polar_to_local_arrays`);
+- the horizontal scanner sweeps the local x-y plane with the same map, its
+  y and z columns swapped: (-range*cos(bearing), -range*sin(bearing), 0)
+  (:func:`horizontal_polar_to_local_arrays`).
+
+A rigid pose (rotation from the IMU, translation from scan matching) maps
+local points into the global frame anchored at the platform's initial
+position. All angles are radians, all distances meters, everything float64.
 """
 
 from __future__ import annotations
@@ -51,19 +62,47 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def polar_to_local_arrays(ranges: np.ndarray, bearings: np.ndarray) -> np.ndarray:
-    """Map vertical-scan returns to local Cartesian coordinates, (N, 3).
+def scan_bearings(angle_min: float, angle_inc: float, count: int) -> np.ndarray:
+    """The bearing of each of a scan's ``count`` rays, in ray order."""
+    return angle_min + angle_inc * np.arange(count)
 
-    The scan plane is the local x-z plane; the convention negates both
-    in-plane coordinates (the scanner faces the -x/-z quadrant):
-    (range, bearing) -> (-range*cos(bearing), 0, -range*sin(bearing)).
-    """
+
+def polar_to_local_arrays(ranges: np.ndarray, bearings: np.ndarray) -> np.ndarray:
+    """Vertical-scan returns in local coordinates, (N, 3): the x-z plane."""
     ranges = np.asarray(ranges, dtype=float)
     bearings = np.asarray(bearings, dtype=float)
     out = np.zeros(ranges.shape + (3,))
     out[..., 0] = -ranges * np.cos(bearings)
     out[..., 2] = -ranges * np.sin(bearings)
     return out
+
+
+def horizontal_polar_to_local_arrays(
+    ranges: np.ndarray, bearings: np.ndarray
+) -> np.ndarray:
+    """Horizontal-scan returns in local coordinates, (N, 3): the x-y plane."""
+    return polar_to_local_arrays(ranges, bearings)[..., [0, 2, 1]]
+
+
+def plane_axes(normal: np.ndarray, u_dir=None) -> tuple[np.ndarray, np.ndarray]:
+    """In-plane unit axes (u, v = normal x u) of a plane; ``normal`` is used as given.
+
+    u is ``u_dir``, or else the global axis least aligned with the unit
+    normal (the first on ties), projected into the plane. A ``u_dir`` along
+    the normal is a ValueError.
+    """
+    n = np.asarray(normal, dtype=float)
+    if u_dir is None:
+        u = np.zeros(3)
+        u[int(np.argmin(np.abs(n)))] = 1.0
+    else:
+        u = np.asarray(u_dir, dtype=float)
+    u = u - (u @ n) * n
+    length = np.linalg.norm(u)
+    if length == 0:
+        raise ValueError("in-plane direction is parallel to the normal")
+    u = u / length
+    return u, np.cross(n, u)
 
 
 @dataclass(frozen=True)

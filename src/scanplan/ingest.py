@@ -10,19 +10,26 @@ pipeline):
     H <t> <r1> ... <rN>          horizontal scan ranges
     I <t> <r11> <r12> ... <r33>  IMU rotation matrix, row-major
 
-Range readings of 0 or beyond range_max are no-returns: they are kept in the
-record but masked invalid at parse time. The rotation channel of the pose
-track is the nearest IMU sample, untouched; the translation channel chains
-2D scan matching between consecutive horizontal scans, each pre-rotated by
-its IMU rotation so only translation is left to estimate. The vertical
-translation component stays 0 (a horizontal scanner cannot observe it).
+The three header lines come first: a log has one header, which gives the
+bearings of every scan (the two scan planes are set out in
+:mod:`scanplan.geometry`), and a header line after the first record is
+malformed. One validity rule, applied in :func:`local_points` only: a range
+reading is a valid return when 0 < range <= range_max. Other readings (0
+marks a no-return) stay in the record as written and are skipped by every
+consumer.
+
+The rotation channel of the pose track is the nearest IMU sample,
+untouched; the translation channel chains 2D scan matching between
+consecutive horizontal scans, each pre-rotated by its IMU rotation so only
+translation is left to estimate. The vertical translation component stays
+0 (a horizontal scanner cannot observe it).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +46,9 @@ from .geometry import (
     DEFAULT_ARC_LIMIT,
     PointCloud,
     Pose,
+    horizontal_polar_to_local_arrays,
     polar_to_local_arrays,
+    scan_bearings,
     validate_rotation,
 )
 from .registration import IcpConfig, RigidTransform2D, icp_align_2d
@@ -49,25 +58,13 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class LaserScan:
-    """One sweep: ranges at bearings angle_min + i * angle_inc, plus validity."""
+    """One sweep's ranges, in ray order; its log's header gives the bearings."""
 
     timestamp: float
     ranges: np.ndarray
-    angle_min: float
-    angle_inc: float
-    kind: str                      # "vertical" | "horizontal"
-    valid: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "ranges", np.asarray(self.ranges, dtype=float))
-        if self.valid is None:
-            # Range 0 is the no-return marker.
-            object.__setattr__(self, "valid", self.ranges > 0)
-        else:
-            object.__setattr__(self, "valid", np.asarray(self.valid, dtype=bool))
-
-    def bearings(self) -> np.ndarray:
-        return self.angle_min + self.angle_inc * np.arange(len(self.ranges))
 
 
 @dataclass(frozen=True)
@@ -81,6 +78,8 @@ class ImuSample:
 
 @dataclass(frozen=True)
 class ScanLog:
+    """Vertical scans, horizontal scans and IMU samples under one header."""
+
     vertical: list
     horizontal: list
     imu: list
@@ -122,8 +121,9 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
 
     Raises:
         MalformedRecord: unknown record type, bad number, negative range,
-            implied bearing outside the detection arc, missing header, or no
-            IMU sample at or before the first scan.
+            implied bearing outside the detection arc, missing header, a
+            header line after the first record, or no IMU sample at or
+            before the first scan.
         UnsortedTimestamps: a stream's timestamps fail to strictly increase.
         EmptyLog: no scan records at all.
     """
@@ -140,6 +140,11 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
             if line.startswith("#"):
                 parts = line[1:].split()
                 if len(parts) == 2 and parts[0] in ("angle_min", "angle_inc", "range_max"):
+                    if vertical or horizontal or imu:
+                        raise MalformedRecord(
+                            f"header line '# {parts[0]} ...' after the first record",
+                            line=line_no,
+                        )
                     header[parts[0]] = _parse_float(parts[1], line_no, parts[0])
                 continue
             tokens = line.split()
@@ -169,12 +174,7 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
                         f"implied bearing outside the +-{arc_limit:.6f} rad arc",
                         line=line_no,
                     )
-                valid = (ranges > 0) & (ranges <= header["range_max"])
-                scan = LaserScan(
-                    t, ranges, header["angle_min"], header["angle_inc"],
-                    "vertical" if tag == "V" else "horizontal", valid,
-                )
-                (vertical if tag == "V" else horizontal).append(scan)
+                (vertical if tag == "V" else horizontal).append(LaserScan(t, ranges))
             elif tag == "I":
                 if len(tokens) != 11:
                     raise MalformedRecord(
@@ -231,6 +231,16 @@ def write_scan_log(path, log: ScanLog) -> None:
             fh.write(f"{tag} {float(t)!r} {vals}\n")
 
 
+def local_points(log: ScanLog, scan: LaserScan, to_local) -> np.ndarray:
+    """Local points (N, 3) of a scan's valid returns: 0 < range <= range_max.
+
+    ``to_local`` is the map of the scan's plane from :mod:`scanplan.geometry`.
+    """
+    valid = (scan.ranges > 0) & (scan.ranges <= log.range_max)
+    bearings = scan_bearings(log.angle_min, log.angle_inc, len(scan.ranges))
+    return to_local(scan.ranges[valid], bearings[valid])
+
+
 def _nearest_sample(timestamps: np.ndarray, t: float) -> int:
     """Index of the time-nearest sample; earlier sample wins ties."""
     diffs = np.abs(timestamps - t)
@@ -260,12 +270,8 @@ def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> PoseT
     h_ts = np.array([s.timestamp for s in log.horizontal])
 
     def rotated_xy(i: int) -> np.ndarray:
-        # A horizontal scan lies in the local x-y plane: the vertical-scan
-        # convention with its y and z columns swapped.
-        scan = log.horizontal[i]
-        valid = scan.valid
-        local = polar_to_local_arrays(scan.ranges[valid], scan.bearings()[valid])
-        return (local[:, [0, 2, 1]] @ imu_for(h_ts[i]).T)[:, :2]
+        local = local_points(log, log.horizontal[i], horizontal_polar_to_local_arrays)
+        return (local @ imu_for(h_ts[i]).T)[:, :2]
 
     cumulative = np.zeros((len(log.horizontal), 2))
     prev_points = rotated_xy(0)
@@ -294,9 +300,8 @@ def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> PoseT
 def build_cloud(log: ScanLog, track: PoseTrack) -> PointCloud:
     """Map every valid vertical-scan return through its scan pose.
 
-    Points masked invalid at parse time (no-returns, beyond the range limit)
-    are dropped; the drop count is logged. Output points carry the vertical
-    scan index as source tag.
+    Invalid readings (see :func:`local_points`) are dropped; the drop count
+    is logged. Output points carry the vertical scan index as source tag.
 
     Raises:
         MissingPose: the track lacks a vertical-scan timestamp.
@@ -306,13 +311,12 @@ def build_cloud(log: ScanLog, track: PoseTrack) -> PointCloud:
     dropped = 0
     for scan_index, scan in enumerate(log.vertical):
         pose = track.pose_at(scan.timestamp)
-        mask = scan.valid & (scan.ranges <= log.range_max)
-        dropped += int(np.count_nonzero(~mask))
-        if not mask.any():
+        local = local_points(log, scan, polar_to_local_arrays)
+        dropped += len(scan.ranges) - len(local)
+        if not len(local):
             continue
-        local = polar_to_local_arrays(scan.ranges[mask], scan.bearings()[mask])
         parts.append(pose.apply(local))
-        tags.append(np.full(int(mask.sum()), scan_index, dtype=np.int64))
+        tags.append(np.full(len(local), scan_index, dtype=np.int64))
     if dropped:
         logger.info("build_cloud dropped %d invalid/out-of-range returns", dropped)
     if not parts:

@@ -16,12 +16,12 @@ import json
 import logging
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import artifacts, plots
 from .clustering import Cluster, ClusterConfig, euclidean_cluster
-from .errors import StageError, ValidationError
+from .errors import StageError
 from .geometry import PointCloud
 from .ingest import ScanLog, build_cloud, estimate_pose_track, parse_scan_log
 from .planning import (
@@ -78,9 +78,6 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         data = asdict(self)
         data["version"] = 1
-        # Degrees at the file boundary; radians everywhere inside.
-        for name in _IN_DEGREES:
-            data["camera"][f"{name}_deg"] = math.degrees(data["camera"].pop(name))
         if math.isinf(data["ransac"]["max_area"]):
             data["ransac"]["max_area"] = None
         return data
@@ -95,69 +92,16 @@ class PipelineConfig:
         """
         if isinstance(data, dict):
             data = {k: v for k, v in data.items() if k != "version"}
-        return _from_file(PipelineConfig, data, "")
+        return artifacts.dataclass_from_json(PipelineConfig, data, "config")
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n",
-            encoding="ascii",
-        )
+        artifacts.write_json(path, self.to_dict())
 
     @staticmethod
     def load(path) -> "PipelineConfig":
         return PipelineConfig.from_dict(
             json.loads(Path(path).read_text(encoding="ascii"))
         )
-
-
-def _from_file(cls, values, section: str):
-    """One config dataclass from its JSON object, read strictly.
-
-    Every key must name a field, and every value must have the type of its
-    field's default (a JSON integer passes as a float). Nested dataclass
-    fields are read the same way. Two fields differ in the file: the camera
-    fields of view are held in degrees (``fov_h_deg``, ``fov_v_deg``), and
-    a ``max_area`` of null means no upper bound.
-    """
-    where = section or "top level"
-    if not isinstance(values, dict):
-        raise ValidationError(
-            f"config {where}: expected an object, got {_json_type(values)}"
-        )
-    values = dict(values)
-    kwargs = {}
-    for f in fields(cls):
-        key = f"{f.name}_deg" if f.name in _IN_DEGREES else f.name
-        if key not in values:
-            continue
-        value = values.pop(key)
-        default = f.default if f.default is not MISSING else f.default_factory()
-        kind = type(default)
-        if is_dataclass(kind):
-            kwargs[f.name] = _from_file(kind, value, key)
-            continue
-        if value is None and f.name == "max_area":
-            value = math.inf
-        if not (type(value) is kind or kind is float and type(value) is int):
-            raise ValidationError(
-                f"config {section + '.' if section else ''}{key}: expected "
-                f"{kind.__name__}, got {_json_type(value)}"
-            )
-        value = kind(value)
-        kwargs[f.name] = math.radians(value) if key != f.name else value
-    if values:
-        raise ValidationError(
-            f"config {where}: unknown key(s) {', '.join(sorted(values))}"
-        )
-    return cls(**kwargs)
-
-
-# CameraSpec fields held in radians inside and in degrees in the file.
-_IN_DEGREES = ("fov_h", "fov_v")
-
-
-def _json_type(value) -> str:
-    return "null" if value is None else type(value).__name__
 
 
 @dataclass

@@ -28,20 +28,15 @@ from .segmentation import PlanarSurface, plane_basis
 
 @dataclass(frozen=True)
 class CameraSpec:
-    """Imaging capability: sensor size, field of view, gimbal freedom."""
+    """Imaging capability: fields of view in degrees, farthest usable standoff."""
 
-    image_width: int = 4000
-    image_height: int = 3000
-    fov_h: float = math.radians(24.0)
-    fov_v: float = math.radians(20.0)
-    gimbal_dof: int = 2
+    fov_h_deg: float = 24.0
+    fov_v_deg: float = 20.0
     max_standoff: float = 10.0
 
     def __post_init__(self):
-        if not (0 < self.fov_h < math.pi and 0 < self.fov_v < math.pi):
-            raise ValueError("fields of view must be in (0, pi)")
-        if self.image_width < 1 or self.image_height < 1:
-            raise ValueError("image dimensions must be >= 1 pixel")
+        if not (0 < self.fov_h_deg < 180 and 0 < self.fov_v_deg < 180):
+            raise ValueError("fields of view must be in (0, 180) degrees")
 
 
 @dataclass(frozen=True)
@@ -258,12 +253,12 @@ def standoff_distance(task: InspectionTask, camera: CameraSpec) -> float:
         UnreachableStandoff: beyond ``camera.max_standoff``, or the vertical
             coverage falls short of the footprint height.
     """
-    d = (task.footprint_width / 2.0) / math.tan(camera.fov_h / 2.0)
+    d = (task.footprint_width / 2.0) / math.tan(math.radians(camera.fov_h_deg) / 2.0)
     if d > camera.max_standoff:
         raise UnreachableStandoff(
             f"standoff {d:.2f} m exceeds camera max range {camera.max_standoff:.2f} m"
         )
-    vertical_cover = 2.0 * d * math.tan(camera.fov_v / 2.0)
+    vertical_cover = 2.0 * d * math.tan(math.radians(camera.fov_v_deg) / 2.0)
     if vertical_cover + 1e-9 < task.footprint_height:
         raise UnreachableStandoff(
             f"vertical coverage {vertical_cover:.3f} m at standoff {d:.2f} m "

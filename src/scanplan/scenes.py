@@ -1,19 +1,23 @@
 """Synthetic scene primitives and deterministic point-cloud sampling.
 
 Scenes are built from a handful of primitives (point, segment, rectangle,
-box, crossed-planes composite). Sampling is seeded and applies Gaussian
-noise along each primitive's surface normal; points and segments have no
-normal and stay noise-free so degenerate-geometry behavior is exact.
+box, crossed-planes composite). A primitive's area is a list of rectangles
+(:meth:`rectangles`), which both the sampler and the ray-casting simulator
+use. Sampling is seeded and applies Gaussian noise along each rectangle's
+normal; points and segments have no normal and stay noise-free so
+degenerate-geometry behavior is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .geometry import PointCloud
+from .artifacts import dataclass_from_json
+from .errors import ValidationError
+from .geometry import PointCloud, plane_axes
 
 
 def _unit(v) -> np.ndarray:
@@ -24,20 +28,19 @@ def _unit(v) -> np.ndarray:
     return v / n
 
 
-def _plane_axes(normal: np.ndarray, u_dir=None) -> tuple[np.ndarray, np.ndarray]:
-    n = _unit(normal)
-    if u_dir is None:
-        e = np.zeros(3)
-        e[int(np.argmin(np.abs(n)))] = 1.0
-        u = e - (e @ n) * n
-    else:
-        u = np.asarray(u_dir, dtype=float)
-        u = u - (u @ n) * n
-    return _unit(u), np.cross(n, _unit(u))
+class _Primitive:
+    """What every primitive has: its rectangles, sampled one after another."""
+
+    def rectangles(self) -> list[RectanglePrimitive]:
+        """The primitive's area as rectangles, in sampling order (none by default)."""
+        return []
+
+    def sample(self, density, sigma, rng) -> np.ndarray:
+        return np.vstack([r.sample(density, sigma, rng) for r in self.rectangles()])
 
 
 @dataclass(frozen=True)
-class PointPrimitive:
+class PointPrimitive(_Primitive):
     position: tuple
 
     def sample(self, density, sigma, rng) -> np.ndarray:
@@ -45,7 +48,7 @@ class PointPrimitive:
 
 
 @dataclass(frozen=True)
-class SegmentPrimitive:
+class SegmentPrimitive(_Primitive):
     start: tuple
     end: tuple
 
@@ -59,7 +62,7 @@ class SegmentPrimitive:
 
 
 @dataclass(frozen=True)
-class RectanglePrimitive:
+class RectanglePrimitive(_Primitive):
     """Planar patch: center, outward normal, width along u, height along v."""
 
     center: tuple
@@ -69,8 +72,12 @@ class RectanglePrimitive:
     u_dir: tuple | None = None
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        u, v = _plane_axes(np.asarray(self.normal, float), self.u_dir)
-        return u, v, _unit(self.normal)
+        n = _unit(self.normal)
+        u, v = plane_axes(n, self.u_dir)
+        return u, v, n
+
+    def rectangles(self) -> list[RectanglePrimitive]:
+        return [self]
 
     def sample(self, density, sigma, rng) -> np.ndarray:
         u, v, n = self.axes()
@@ -84,7 +91,7 @@ class RectanglePrimitive:
 
 
 @dataclass(frozen=True)
-class BoxPrimitive:
+class BoxPrimitive(_Primitive):
     """Axis-aligned hollow box sampled on its 6 faces."""
 
     center: tuple
@@ -102,12 +109,12 @@ class BoxPrimitive:
             RectanglePrimitive(tuple(c - [0, 0, sz / 2]), (0, 0, -1), sx, sy),
         ]
 
-    def sample(self, density, sigma, rng) -> np.ndarray:
-        return np.vstack([f.sample(density, sigma, rng) for f in self.faces()])
+    def rectangles(self) -> list[RectanglePrimitive]:
+        return self.faces()
 
 
 @dataclass(frozen=True)
-class CrossedPlanesPrimitive:
+class CrossedPlanesPrimitive(_Primitive):
     """A cube with two large sheets crossing through its center.
 
     The sheets extend well past the cube faces, so standoff positions in
@@ -128,15 +135,15 @@ class CrossedPlanesPrimitive:
             RectanglePrimitive(tuple(c), (1, 0, 0), reach, reach),
         ]
 
-    def sample(self, density, sigma, rng) -> np.ndarray:
-        return np.vstack([p.sample(density, sigma, rng) for p in self.parts()])
+    def rectangles(self) -> list[RectanglePrimitive]:
+        return [r for part in self.parts() for r in part.rectangles()]
 
 
 @dataclass(frozen=True)
 class SceneSpec:
     """Primitives plus areal sampling density (points/m^2) and noise sigma (m)."""
 
-    primitives: tuple
+    primitives: tuple = ()
     density: float = 100.0
     noise_sigma: float = 0.0
 
@@ -146,6 +153,10 @@ class SceneSpec:
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         object.__setattr__(self, "primitives", tuple(self.primitives))
+
+    def rectangles(self) -> list[RectanglePrimitive]:
+        """Every primitive's rectangles, in primitive order."""
+        return [r for p in self.primitives for r in p.rectangles()]
 
 
 def generate_scene(spec: SceneSpec, seed: int = 0) -> PointCloud:
@@ -188,59 +199,55 @@ def preset_scene(name: str, density: float = 100.0, noise_sigma: float = 0.0) ->
     return SceneSpec(prims, density=density, noise_sigma=noise_sigma)
 
 
+# The scene file's name for each primitive type.
+_PRIMITIVE_TYPES = {
+    "point": PointPrimitive,
+    "segment": SegmentPrimitive,
+    "rectangle": RectanglePrimitive,
+    "box": BoxPrimitive,
+    "crossed_planes": CrossedPlanesPrimitive,
+}
+_TYPE_NAMES = {cls: name for name, cls in _PRIMITIVE_TYPES.items()}
+
+
 def scene_to_dict(spec: SceneSpec) -> dict:
+    """The scene file form: one object per primitive; ``None`` fields stay out."""
     prims = []
     for p in spec.primitives:
-        if isinstance(p, PointPrimitive):
-            prims.append({"type": "point", "position": list(map(float, p.position))})
-        elif isinstance(p, SegmentPrimitive):
-            prims.append({"type": "segment",
-                          "start": list(map(float, p.start)),
-                          "end": list(map(float, p.end))})
-        elif isinstance(p, RectanglePrimitive):
-            d = {"type": "rectangle",
-                 "center": list(map(float, p.center)),
-                 "normal": list(map(float, p.normal)),
-                 "width": p.width, "height": p.height}
-            if p.u_dir is not None:
-                d["u_dir"] = list(map(float, p.u_dir))
-            prims.append(d)
-        elif isinstance(p, BoxPrimitive):
-            prims.append({"type": "box",
-                          "center": list(map(float, p.center)),
-                          "size": list(map(float, p.size))})
-        elif isinstance(p, CrossedPlanesPrimitive):
-            prims.append({"type": "crossed_planes",
-                          "center": list(map(float, p.center)),
-                          "edge": p.edge, "span": p.span})
-        else:
-            raise TypeError(f"unknown primitive {type(p).__name__}")
+        entry = {"type": _TYPE_NAMES[type(p)]}
+        for f in fields(p):
+            value = getattr(p, f.name)
+            if value is not None:
+                entry[f.name] = (
+                    [float(v) for v in value] if np.ndim(value) else float(value)
+                )
+        prims.append(entry)
     return {"version": 1, "density": spec.density,
             "noise_sigma": spec.noise_sigma, "primitives": prims}
 
 
-def scene_from_dict(data: dict) -> SceneSpec:
+def scene_from_dict(data) -> SceneSpec:
+    """Inverse of :func:`scene_to_dict`, read strictly.
+
+    Fields with a default may be left out.
+
+    Raises:
+        ValidationError: not an object with a ``primitives`` list, an unknown
+            primitive type, or a primitive that :func:`dataclass_from_json`
+            rejects (unknown key, missing field, value of the wrong type).
+    """
+    if not isinstance(data, dict) or not isinstance(data.get("primitives"), list):
+        raise ValidationError("scene: expected an object with a 'primitives' list")
     prims = []
-    for d in data["primitives"]:
-        kind = d["type"]
-        if kind == "point":
-            prims.append(PointPrimitive(tuple(d["position"])))
-        elif kind == "segment":
-            prims.append(SegmentPrimitive(tuple(d["start"]), tuple(d["end"])))
-        elif kind == "rectangle":
-            prims.append(RectanglePrimitive(
-                tuple(d["center"]), tuple(d["normal"]),
-                float(d["width"]), float(d["height"]),
-                tuple(d["u_dir"]) if "u_dir" in d else None,
-            ))
-        elif kind == "box":
-            prims.append(BoxPrimitive(tuple(d["center"]), tuple(d["size"])))
-        elif kind == "crossed_planes":
-            prims.append(CrossedPlanesPrimitive(
-                tuple(d["center"]), float(d["edge"]), float(d.get("span", 3.0))
-            ))
-        else:
-            raise ValueError(f"unknown primitive type {kind!r}")
-    return SceneSpec(tuple(prims),
-                     density=float(data.get("density", 100.0)),
-                     noise_sigma=float(data.get("noise_sigma", 0.0)))
+    for k, entry in enumerate(data["primitives"]):
+        where = f"scene.primitives[{k}]"
+        kind = entry.get("type") if isinstance(entry, dict) else None
+        if not (isinstance(kind, str) and kind in _PRIMITIVE_TYPES):
+            raise ValidationError(f"{where}: unknown type {kind!r} "
+                                  f"(one of {', '.join(_PRIMITIVE_TYPES)})")
+        values = {key: v for key, v in entry.items() if key != "type"}
+        prims.append(
+            dataclass_from_json(_PRIMITIVE_TYPES[kind], values, f"{where} ({kind})")
+        )
+    rest = {key: v for key, v in data.items() if key not in ("version", "primitives")}
+    return replace(dataclass_from_json(SceneSpec, rest, "scene"), primitives=tuple(prims))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clustering import ClusterConfig, euclidean_cluster
 from .errors import DegenerateGeometry, NoPlaneFound
-from .geometry import PointCloud
+from .geometry import PointCloud, plane_axes
 from .polygons import shoelace_area
 
 _DEGENERATE_SAMPLE_TOL = 1e-9
@@ -88,16 +88,24 @@ class RansacConfig:
 
 @dataclass(frozen=True)
 class PlanarSurface:
-    """An extracted plane with its inliers, convex boundary and area."""
+    """An extracted plane with its inliers, convex boundary and area.
+
+    ``inlier_count`` defaults to the number of inlier indices. A surface
+    read from a file has no indices (the file holds only their count) and
+    keeps the count it was written with.
+    """
 
     model: PlaneModel
     inliers: np.ndarray
     boundary: np.ndarray     # (K, 3) vertices on the plane, counter-clockwise
     area: float
+    inlier_count: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "inliers", np.asarray(self.inliers, dtype=np.int64))
         object.__setattr__(self, "boundary", np.asarray(self.boundary, dtype=float))
+        if self.inlier_count is None:
+            object.__setattr__(self, "inlier_count", len(self.inliers))
 
 
 def refine_plane(points: np.ndarray) -> PlaneModel:
@@ -208,16 +216,10 @@ class PlaneBasis:
 
 
 def plane_basis(model: PlaneModel) -> PlaneBasis:
-    """Orthonormal basis: u from the global axis least aligned with the normal."""
+    """Orthonormal basis: :func:`~scanplan.geometry.plane_axes` of the normal."""
     n = model.normal
-    axis = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[axis] = 1.0
-    u = e - (e @ n) * n
-    u = u / np.linalg.norm(u)
-    v = np.cross(n, u)
-    origin = -model.d * n
-    return PlaneBasis(origin, u, v, n)
+    u, v = plane_axes(n)
+    return PlaneBasis(-model.d * n, u, v, n)
 
 
 def project_to_plane(

@@ -2,8 +2,8 @@
 
 The virtual platform carries a vertically and a horizontally scanning
 rangefinder plus an attitude sensor. Each simulated sweep ray-casts against
-the scene's planar primitives; no-returns are written as range 0, which the
-parser masks out. Points and segments are invisible to rays (measure zero).
+the scene's rectangles; no-returns are written as range 0, which ingest
+skips as invalid. Points and segments are invisible to rays (measure zero).
 """
 
 from __future__ import annotations
@@ -13,46 +13,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEFAULT_ARC_LIMIT, Pose, rotation_about_z
-from .ingest import ImuSample, LaserScan, ScanLog
-from .scenes import (
-    BoxPrimitive,
-    CrossedPlanesPrimitive,
-    RectanglePrimitive,
-    SceneSpec,
+from .geometry import (
+    DEFAULT_ARC_LIMIT,
+    Pose,
+    horizontal_polar_to_local_arrays,
+    polar_to_local_arrays,
+    rotation_about_z,
+    scan_bearings,
 )
+from .ingest import ImuSample, LaserScan, ScanLog
+from .scenes import RectanglePrimitive, SceneSpec
 
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Rangefinder geometry and timing; offsets hold the scanner extrinsics."""
+    """Rangefinder geometry and timing.
+
+    Both scanners sit at the platform origin, as ingest assumes when it maps
+    their returns (the scan planes are set out in :mod:`scanplan.geometry`).
+    """
 
     range_max: float = 30.0
     angle_min: float = -DEFAULT_ARC_LIMIT
     angle_inc: float = math.radians(0.25)
     rays_per_scan: int = 1081
     scan_period: float = 0.025
-    vertical_offset: tuple = (0.0, 0.0, 0.0)
-    horizontal_offset: tuple = (0.0, 0.0, 0.0)
-
-    def bearings(self) -> np.ndarray:
-        return self.angle_min + self.angle_inc * np.arange(self.rays_per_scan)
-
-
-def _scene_rectangles(scene: SceneSpec) -> list[RectanglePrimitive]:
-    rects: list[RectanglePrimitive] = []
-    for prim in scene.primitives:
-        if isinstance(prim, RectanglePrimitive):
-            rects.append(prim)
-        elif isinstance(prim, BoxPrimitive):
-            rects.extend(prim.faces())
-        elif isinstance(prim, CrossedPlanesPrimitive):
-            for part in prim.parts():
-                if isinstance(part, RectanglePrimitive):
-                    rects.append(part)
-                else:
-                    rects.extend(part.faces())
-    return rects
 
 
 def _cast(origin: np.ndarray, dirs: np.ndarray,
@@ -128,18 +113,15 @@ def simulate_yaw_scan(
     same arguments.
     """
     rng = np.random.default_rng(seed)
-    rects = _scene_rectangles(scene)
-    bearings = device.bearings()
+    rects = scene.rectangles()
+    bearings = scan_bearings(device.angle_min, device.angle_inc, device.rays_per_scan)
     if abs(bearings[-1]) > DEFAULT_ARC_LIMIT + 1e-9 or abs(bearings[0]) > DEFAULT_ARC_LIMIT + 1e-9:
         raise ValueError("device bearings exceed the detection arc")
 
-    # Local unit ray directions for the two scan planes.
-    vertical_dirs = np.stack(
-        [-np.cos(bearings), np.zeros_like(bearings), -np.sin(bearings)], axis=1
-    )
-    horizontal_dirs = np.stack(
-        [-np.cos(bearings), -np.sin(bearings), np.zeros_like(bearings)], axis=1
-    )
+    # Local unit ray directions: the returns of unit range in each scan plane.
+    unit = np.ones_like(bearings)
+    vertical_dirs = polar_to_local_arrays(unit, bearings)
+    horizontal_dirs = horizontal_polar_to_local_arrays(unit, bearings)
 
     vertical: list[LaserScan] = []
     horizontal: list[LaserScan] = []
@@ -149,20 +131,15 @@ def simulate_yaw_scan(
         t = rec["timestamp"]
         rot = rotation_about_z(rec["yaw"])
         pos = np.asarray(rec["position"])
-        for dirs, offset, out in (
-            (vertical_dirs, device.vertical_offset, vertical),
-            (horizontal_dirs, device.horizontal_offset, horizontal),
-        ):
-            origin = pos + rot @ np.asarray(offset, dtype=float)
-            ranges = _cast(origin, dirs @ rot.T, rects, device.range_max)
+        for dirs, out in ((vertical_dirs, vertical), (horizontal_dirs, horizontal)):
+            ranges = _cast(pos, dirs @ rot.T, rects, device.range_max)
             if range_noise > 0:
                 hits = ranges > 0
                 ranges = np.where(
                     hits, np.maximum(ranges + rng.normal(0, range_noise, len(ranges)),
                                      1e-6), ranges
                 )
-            kind = "vertical" if out is vertical else "horizontal"
-            out.append(LaserScan(t, ranges, device.angle_min, device.angle_inc, kind))
+            out.append(LaserScan(t, ranges))
         imu.append(ImuSample(t, rot))
 
     return ScanLog(vertical, horizontal, imu,

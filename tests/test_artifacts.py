@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -82,7 +81,7 @@ def test_boundary_export_import_round_trip(tmp_path):
 
 
 def test_boundary_shrink_halves_stop_count(tmp_path):
-    camera = CameraSpec(fov_h=math.radians(24.0), fov_v=math.radians(20.0))
+    camera = CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0)
     full = square_surface(22.0, 10.0)
     stops_full = plan_coverage(InspectionTask(full, 0.6, 0.4, 0.2), camera)
 

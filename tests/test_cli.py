@@ -1,10 +1,14 @@
 """The command line end to end, called in-process through ``cli.main``."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from scanplan.artifacts import read_cloud
 from scanplan.cli import EXIT_OK, EXIT_VALIDATION, main
+from scanplan.scenes import preset_scene, scene_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -96,27 +100,136 @@ def test_filter_and_run_share_the_small_cloud_rule(tmp_path):
     assert filtered.read_bytes() == (out / "filtered.xyz").read_bytes()
 
 
+def test_register_two_stations(tmp_path):
+    # Station 1 is the same scan recorded 3 cm off; ICP moves it back.
+    cloud = tmp_path / "cube.xyz"
+    assert main(["generate", "--preset", "cube", "--density", "50",
+                 "--out", str(cloud)]) == EXIT_OK
+    identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    stations = tmp_path / "stations.json"
+    stations.write_text(json.dumps({"stations": [
+        {"cloud": "cube.xyz", "rotation": identity, "translation": [0.0, 0.0, 0.0]},
+        {"cloud": "cube.xyz", "rotation": identity, "translation": [0.03, -0.02, 0.01]},
+    ]}), encoding="ascii")
+    merged = tmp_path / "merged.xyz"
+    assert main(["register", "--stations", str(stations),
+                 "--out", str(merged)]) == EXIT_OK
+    points = read_cloud(cloud).points
+    got = read_cloud(merged)
+    n = len(points)
+    assert np.array_equal(got.sources, [0] * n + [1] * n)
+    assert np.array_equal(got.points[:n], points)
+    assert np.allclose(got.points[n:], points, atol=1e-6)
+
+
+def test_edit_boundary_export_then_import_keeps_the_surfaces_bytes(deck, tmp_path):
+    _, out = deck
+    surfaces = out / "surfaces.json"
+    boundary = tmp_path / "boundary.json"
+    edited = tmp_path / "surfaces.json"
+    assert main(["edit-boundary", "export", "--surfaces", str(surfaces),
+                 "--boundary", str(boundary)]) == EXIT_OK
+    assert main(["edit-boundary", "import", "--surfaces", str(surfaces),
+                 "--boundary", str(boundary), "--out", str(edited)]) == EXIT_OK
+    assert edited.read_bytes() == surfaces.read_bytes()
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("generate", ["--density", "20", "--noise", "0.01"]),
+    ("simulate", ["--station", "0", "0", "1.5", "--rays-per-scan", "91",
+                  "--angular-resolution-deg", "2", "--scans", "4"]),
+])
+@pytest.mark.parametrize("preset", ["cube", "crossed_planes", "deck", "room"])
+def test_scene_file_gives_the_preset_bytes(tmp_path, verb, extra, preset):
+    density = 20.0 if verb == "generate" else 100.0
+    noise = 0.01 if verb == "generate" else 0.0
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(scene_to_dict(preset_scene(preset, density, noise))),
+                     encoding="ascii")
+    from_preset, from_file = tmp_path / "preset.out", tmp_path / "file.out"
+    assert main([verb, "--preset", preset, *extra, "--out", str(from_preset)]) == EXIT_OK
+    assert main([verb, "--scene", str(scene), *extra, "--out", str(from_file)]) == EXIT_OK
+    assert from_file.read_bytes() == from_preset.read_bytes()
+    if verb == "simulate":
+        truth = Path(str(from_file) + ".truth.json")
+        assert truth.read_bytes() == Path(str(from_preset) + ".truth.json").read_bytes()
+
+
+def _run_with_config(config):
+    return {"config.json": config}, ["run", "--config", "{tmp}/config.json",
+                                     "--input", "{tmp}/cloud.xyz", "--out", "{tmp}/out"]
+
+
+def _generate_scene(scene):
+    return {"scene.json": scene}, ["generate", "--scene", "{tmp}/scene.json",
+                                   "--out", "{tmp}/scene.xyz"]
+
+
+_IDENTITY = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+_PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
+          "boundary": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]}
+
+
 @pytest.mark.parametrize(
-    "config, message",
-    [({"ransca": {"iterations": 10}}, "unknown key(s) ransca"),
-     ({"ransac": {"min_aera": 1.0}}, "unknown key(s) min_aera"),
-     ({"ransac": {"area_estimator": "hull"}}, "unknown key(s) area_estimator"),
-     ({"ransac": {"iterations": "10"}}, "ransac.iterations: expected int, got str"),
-     ({"planning": {"voxel_edge": None}},
+    "files, argv, message",
+    [(*_run_with_config({"ransca": {"iterations": 10}}), "unknown key(s) ransca"),
+     (*_run_with_config({"ransac": {"min_aera": 1.0}}), "unknown key(s) min_aera"),
+     (*_run_with_config({"ransac": {"area_estimator": "hull"}}),
+      "unknown key(s) area_estimator"),
+     (*_run_with_config({"ransac": {"iterations": "10"}}),
+      "ransac.iterations: expected int, got str"),
+     (*_run_with_config({"planning": {"voxel_edge": None}}),
       "planning.voxel_edge: expected float, got null"),
-     ({"icp": {"max_iterations": 2.5}}, "icp.max_iterations: expected int, got float"),
-     ({"icp": []}, "icp: expected an object, got list")],
+     (*_run_with_config({"icp": {"max_iterations": 2.5}}),
+      "icp.max_iterations: expected int, got float"),
+     (*_run_with_config({"icp": []}), "icp: expected an object, got list"),
+     (*_run_with_config({"camera": {"image_width": 640}}), "unknown key(s) image_width"),
+     ({"stations.json": {"stations": [
+         {"cloud": "cloud.xyz", "translation": [0.0, 0.0, 0.0]}]}},
+      ["register", "--stations", "{tmp}/stations.json", "--out", "{tmp}/merged.xyz"],
+      "stations.json stations[0]: missing key(s) rotation"),
+     ({"surfaces.json": {"planes": [{k: v for k, v in _PLANE.items() if k != "d"}]}},
+      ["plan", "--cloud", "{tmp}/cloud.xyz", "--surfaces", "{tmp}/surfaces.json",
+       "--out", "{tmp}/plan.json"],
+      "surfaces.json planes[0]: missing key(s) d"),
+     ({"surfaces.json": {"planes": [_PLANE]},
+       "boundary.json": {"normal": [0.0, 0.0, 1.0], "d": 0.0}},
+      ["edit-boundary", "import", "--surfaces", "{tmp}/surfaces.json",
+       "--boundary", "{tmp}/boundary.json"],
+      "boundary.json: missing key(s) boundary"),
+     (*_generate_scene({"primitives": [{"type": "sphere", "center": [0, 0, 0]}]}),
+      "scene.primitives[0]: unknown type 'sphere'"),
+     (*_generate_scene({"primitives": [
+         {"type": "rectangle", "normal": [0, 0, 1], "width": 1.0, "height": 1.0}]}),
+      "scene.primitives[0] (rectangle): missing key(s) center"),
+     (*_generate_scene({"primitives": [
+         {"type": "point", "position": [0, 0, 0], "radius": 1.0}]}),
+      "scene.primitives[0] (point): unknown key(s) radius"),
+     (*_generate_scene({"primitives": [
+         {"type": "box", "center": [0, 0, 0], "size": 2.0}]}),
+      "scene.primitives[0] (box).size: expected a list of 3 numbers"),
+     (*_generate_scene({"density": "10", "primitives": []}),
+      "scene.density: expected float, got str"),
+     (*_generate_scene({"version": 1, "density": 10.0}),
+      "scene: expected an object with a 'primitives' list"),
+     (*_generate_scene([{"type": "point", "position": [0, 0, 0]}]),
+      "scene: expected an object with a 'primitives' list")],
     ids=["top_level", "nested", "removed_field", "string_for_int",
-         "null_for_float", "float_for_int", "list_for_section"],
+         "null_for_float", "float_for_int", "list_for_section",
+         "removed_camera_field", "station_without_rotation", "plane_without_d",
+         "boundary_file_without_boundary", "scene_unknown_type",
+         "scene_missing_field", "scene_unknown_key", "scene_number_for_vector",
+         "scene_string_for_number", "scene_without_primitives", "scene_not_an_object"],
 )
-def test_unknown_config_key_exits_2(tmp_path, capsys, config, message):
+def test_unknown_config_key_exits_2(tmp_path, capsys, files, argv, message):
+    # Bad config keys and values, and input files that lack a key or hold
+    # one they should not, end with exit 2 and a message naming the key.
     cloud = tmp_path / "cloud.xyz"
     assert main(["generate", "--preset", "surface", "--density", "10",
                  "--out", str(cloud)]) == EXIT_OK
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(config), encoding="ascii")
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="ascii")
     capsys.readouterr()
-    code = main(["run", "--config", str(cfg), "--input", str(cloud),
-                 "--out", str(tmp_path / "out")])
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err

@@ -7,8 +7,10 @@ from scanplan.geometry import (
     PointCloud,
     Pose,
     concat_clouds,
+    horizontal_polar_to_local_arrays,
     polar_to_local_arrays,
     rotation_about_z,
+    scan_bearings,
     transform_cloud,
     validate_rotation,
 )
@@ -34,6 +36,17 @@ def test_polar_to_local_plane_and_norm(rng):
     pts = polar_to_local_arrays(ranges, bearings)
     assert np.all(pts[:, 1] == 0.0)
     assert np.allclose(np.linalg.norm(pts, axis=1), ranges)
+
+
+@pytest.mark.parametrize("angle_inc, rays", [(math.radians(0.25), 1081),
+                                              (math.radians(1.0), 271)])
+def test_scan_planes_are_the_written_out_unit_rays(angle_inc, rays):
+    b = scan_bearings(-0.75 * math.pi, angle_inc, rays)
+    ones, zeros = np.ones_like(b), np.zeros_like(b)
+    vertical = np.stack([-np.cos(b), zeros, -np.sin(b)], axis=1)
+    horizontal = np.stack([-np.cos(b), -np.sin(b), zeros], axis=1)
+    assert polar_to_local_arrays(ones, b).tobytes() == vertical.tobytes()
+    assert horizontal_polar_to_local_arrays(ones, b).tobytes() == horizontal.tobytes()
 
 
 def test_transform_point_identity():

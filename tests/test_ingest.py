@@ -9,12 +9,14 @@ from scanplan.errors import (
     MissingPose,
     UnsortedTimestamps,
 )
-from scanplan.geometry import Pose
+from scanplan.geometry import Pose, polar_to_local_arrays
 from scanplan.ingest import (
     LaserScan,
     PoseTrack,
+    ScanLog,
     build_cloud,
     estimate_pose_track,
+    local_points,
     parse_scan_log,
     write_scan_log,
 )
@@ -123,7 +125,23 @@ def test_parse_invalid_ranges_masked(tmp_path):
         HEADER + f"I 0.0 {IDENTITY}\nV 0.0 0.0 5.0 31.0\n", encoding="ascii"
     )
     log = parse_scan_log(path)
-    assert list(log.vertical[0].valid) == [False, True, False]
+    # The readings stay as written; only the 5.0 m return at ray 1 is valid.
+    assert list(log.vertical[0].ranges) == [0.0, 5.0, 31.0]
+    expected = polar_to_local_arrays([5.0], [log.angle_min + log.angle_inc])
+    assert np.array_equal(
+        local_points(log, log.vertical[0], polar_to_local_arrays), expected
+    )
+
+
+def test_parse_header_after_first_record(tmp_path):
+    path = tmp_path / "scan.log"
+    path.write_text(
+        HEADER + f"I 0.0 {IDENTITY}\nV 0.0 1.0 2.0\n# angle_inc 0.01\nV 0.1 1.0\n",
+        encoding="ascii",
+    )
+    with pytest.raises(MalformedRecord) as err:
+        parse_scan_log(path)
+    assert err.value.line == 6
 
 
 def test_write_read_round_trip(tmp_path):
@@ -144,6 +162,31 @@ def test_write_read_round_trip(tmp_path):
         assert np.array_equal(a.ranges, b.ranges)  # repr round-trip is exact
     for a, b in zip(log.imu, back.imu):
         assert np.array_equal(a.rotation, b.rotation)
+
+
+def test_in_memory_log_matches_its_file_round_trip(tmp_path):
+    # Noisy returns just inside range_max land past it. Whether the log comes
+    # from the simulator or from its file, those readings are invalid.
+    device = DeviceParams(range_max=4.5, angle_inc=math.radians(0.5), rays_per_scan=541)
+    log = simulate_yaw_scan(open_walls(), station=(0.0, 0.0, 1.0), device=device,
+                            n_scans=12, yaw_span=math.radians(30.0),
+                            range_noise=0.01, seed=0)
+    assert any((s.ranges > device.range_max).any() for s in log.horizontal)
+    path = tmp_path / "sim.log"
+    write_scan_log(path, log)
+    back = parse_scan_log(path)
+
+    track = estimate_pose_track(log, IcpConfig())
+    track_back = estimate_pose_track(back, IcpConfig())
+    assert len(track.entries) == len(track_back.entries)
+    for (t, pose), (t_back, pose_back) in zip(track.entries, track_back.entries):
+        assert t == t_back
+        assert pose.translation.tobytes() == pose_back.translation.tobytes()
+        assert pose.rotation.tobytes() == pose_back.rotation.tobytes()
+    cloud = build_cloud(log, track)
+    cloud_back = build_cloud(back, track_back)
+    assert cloud.points.tobytes() == cloud_back.points.tobytes()
+    assert cloud.sources.tobytes() == cloud_back.sources.tobytes()
 
 
 def test_pose_track_stationary_zero_translation():
@@ -193,9 +236,7 @@ def test_pose_track_needs_two_horizontal_scans():
 
 
 def test_build_cloud_single_scan_identity_pose():
-    scan = LaserScan(0.0, np.array([1.0, 2.0]), -0.1, 0.2, "vertical")
-    from scanplan.ingest import ScanLog
-
+    scan = LaserScan(0.0, np.array([1.0, 2.0]))
     log = ScanLog([scan], [], [], -0.1, 0.2, 30.0)
     track = PoseTrack([(0.0, Pose.identity())])
     cloud = build_cloud(log, track)
@@ -207,17 +248,13 @@ def test_build_cloud_single_scan_identity_pose():
 
 
 def test_build_cloud_empty_vertical_scans():
-    from scanplan.ingest import ScanLog
-
     log = ScanLog([], [], [], 0.0, 0.1, 30.0)
     cloud = build_cloud(log, PoseTrack([]))
     assert len(cloud) == 0
 
 
 def test_build_cloud_missing_pose():
-    scan = LaserScan(5.0, np.array([1.0]), 0.0, 0.1, "vertical")
-    from scanplan.ingest import ScanLog
-
+    scan = LaserScan(5.0, np.array([1.0]))
     log = ScanLog([scan], [], [], 0.0, 0.1, 30.0)
     with pytest.raises(MissingPose):
         build_cloud(log, PoseTrack([(0.0, Pose.identity())]))
@@ -228,7 +265,10 @@ def test_build_cloud_size_equals_valid_points():
                             device=fine_device())
     track = estimate_pose_track(log, IcpConfig())
     cloud = build_cloud(log, track)
-    expected = sum(int(s.valid.sum()) for s in log.vertical)
+    expected = sum(
+        int(np.count_nonzero((s.ranges > 0) & (s.ranges <= log.range_max)))
+        for s in log.vertical
+    )
     assert len(cloud) == expected
 
 

@@ -1,6 +1,3 @@
-import math
-from dataclasses import replace
-
 import pytest
 
 from scanplan.pipeline import PipelineConfig
@@ -14,26 +11,20 @@ from scanplan.segmentation import RansacConfig
     PipelineConfig(
         icp=IcpConfig(max_iterations=7, rotation_locked=True),
         ransac=RansacConfig(min_area=1.5, max_area=40.0),
-        camera=CameraSpec(fov_h=math.radians(30.0), image_width=640),
+        camera=CameraSpec(fov_h_deg=30.0, max_standoff=6.5),
         surface_cluster_eps=0.5,
     ),
 ], ids=["defaults", "changed"])
 def test_config_round_trips_through_its_file_form(tmp_path, cfg):
     path = tmp_path / "config.json"
     cfg.save(path)
-    back = PipelineConfig.load(path)
-    # Degrees in the file: the angles come back to within an ulp.
-    assert back.camera.fov_h == pytest.approx(cfg.camera.fov_h, rel=1e-15)
-    assert back.camera.fov_v == pytest.approx(cfg.camera.fov_v, rel=1e-15)
-    same_angles = replace(back.camera, fov_h=cfg.camera.fov_h, fov_v=cfg.camera.fov_v)
-    assert replace(back, camera=same_angles) == cfg
+    assert PipelineConfig.load(path) == cfg
 
 
 def test_config_file_form_of_max_area_and_fields_of_view():
     data = PipelineConfig().to_dict()
     assert data["ransac"]["max_area"] is None
-    assert data["camera"]["fov_v_deg"] == pytest.approx(20.0)
-    assert "fov_v" not in data["camera"]
+    assert data["camera"] == {"fov_h_deg": 24.0, "fov_v_deg": 20.0, "max_standoff": 10.0}
 
 
 def test_config_integers_pass_as_floats():

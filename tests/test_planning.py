@@ -37,7 +37,7 @@ def rect_surface(width, height, z=0.0):
     return PlanarSurface(model, np.arange(4), boundary, width * height)
 
 
-WIDE_CAMERA = CameraSpec(fov_h=math.radians(60.0), fov_v=math.radians(50.0),
+WIDE_CAMERA = CameraSpec(fov_h_deg=60.0, fov_v_deg=50.0,
                          max_standoff=10.0)
 
 
@@ -48,7 +48,7 @@ def test_standoff_pinhole_relation():
 
 
 def test_standoff_beyond_max_range():
-    camera = CameraSpec(fov_h=math.radians(2.0), fov_v=math.radians(2.0),
+    camera = CameraSpec(fov_h_deg=2.0, fov_v_deg=2.0,
                         max_standoff=5.0)
     task = InspectionTask(rect_surface(2.0, 2.0), 0.6, 0.4, 0.2)
     with pytest.raises(UnreachableStandoff):
@@ -56,7 +56,7 @@ def test_standoff_beyond_max_range():
 
 
 def test_standoff_vertical_coverage_shortfall():
-    camera = CameraSpec(fov_h=math.radians(60.0), fov_v=math.radians(5.0))
+    camera = CameraSpec(fov_h_deg=60.0, fov_v_deg=5.0)
     task = InspectionTask(rect_surface(2.0, 2.0), 0.6, 0.6, 0.0)
     with pytest.raises(UnreachableStandoff):
         standoff_distance(task, camera)
@@ -70,7 +70,7 @@ def test_coverage_single_stop_when_footprint_covers_surface():
 
 def test_coverage_exact_tiling_serpentine():
     task = InspectionTask(rect_surface(1.0, 1.0), 0.5, 0.5, 0.0)
-    square_camera = CameraSpec(fov_h=math.radians(60.0), fov_v=math.radians(60.0))
+    square_camera = CameraSpec(fov_h_deg=60.0, fov_v_deg=60.0)
     stops = plan_coverage(task, square_camera)
     assert len(stops) == 4
     assert [(s.row, s.col) for s in stops] == [(0, 0), (0, 1), (1, 1), (1, 0)]
@@ -293,7 +293,7 @@ def test_generate_waypoints_obstacle_free_lattice():
     cloud = PointCloud(pts)
     grid = inflate(build_occupancy(cloud, 0.25, 2.5), 0.6)
     task = InspectionTask(surface, 0.6, 0.4, 0.2)
-    camera = CameraSpec(fov_h=math.radians(24.0), fov_v=math.radians(20.0))
+    camera = CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0)
     stops = plan_coverage(task, camera, grid=grid)
     plan = generate_waypoints(stops, grid)
     assert len(plan.legs) == len(stops) - 1

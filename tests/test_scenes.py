@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from scanplan.geometry import horizontal_polar_to_local_arrays, polar_to_local_arrays
+from scanplan.ingest import local_points
 from scanplan.scenes import (
     BoxPrimitive,
     CrossedPlanesPrimitive,
@@ -59,6 +61,22 @@ def test_generation_deterministic():
     assert np.array_equal(a.points, b.points)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_crossed_planes_samples_its_rectangles_in_order(seed):
+    # The composite written out: the cube's six faces, then the two sheets.
+    faces = [((1, 0, 0), (1, 0, 0), 2.0, 2.0), ((-1, 0, 0), (-1, 0, 0), 2.0, 2.0),
+             ((0, 1, 0), (0, 1, 0), 2.0, 2.0), ((0, -1, 0), (0, -1, 0), 2.0, 2.0),
+             ((0, 0, 1), (0, 0, 1), 2.0, 2.0), ((0, 0, -1), (0, 0, -1), 2.0, 2.0),
+             ((0, 0, 0), (0, 1, 0), 6.0, 6.0), ((0, 0, 0), (1, 0, 0), 6.0, 6.0)]
+    rng = np.random.default_rng(seed)
+    expected = np.vstack([
+        RectanglePrimitive(tuple(map(float, c)), n, w, h).sample(400.0, 0.01, rng)
+        for c, n, w, h in faces
+    ])
+    cloud = generate_scene(preset_scene("crossed_planes", 400.0, 0.01), seed=seed)
+    assert cloud.points.tobytes() == expected.tobytes()
+
+
 def test_crossed_planes_extends_past_cube():
     spec = preset_scene("crossed_planes", density=60.0)
     cloud = generate_scene(spec, seed=0)
@@ -92,7 +110,7 @@ def test_simulate_empty_scene_all_no_returns():
     )
     for scan in log.vertical + log.horizontal:
         assert np.all(scan.ranges == 0.0)
-        assert not scan.valid.any()
+        assert len(local_points(log, scan, polar_to_local_arrays)) == 0
 
 
 def test_simulate_single_wall_hits_match_analytic():
@@ -100,8 +118,8 @@ def test_simulate_single_wall_hits_match_analytic():
     dev = DeviceParams(angle_inc=math.radians(0.5), rays_per_scan=541)
     log = simulate_yaw_scan(wall, station=(0.0, 0.0, 1.0), n_scans=1,
                             yaw_span=0.0, device=dev)
-    scan = log.horizontal[0]
-    hits = scan.ranges[scan.valid]
-    bearings = scan.bearings()[scan.valid]
-    # Horizontal rays at height 1.0: range to the x=-3 plane is 3/cos(b).
-    assert np.allclose(hits * np.cos(bearings), 3.0, atol=1e-9)
+    local = local_points(log, log.horizontal[0], horizontal_polar_to_local_arrays)
+    # Horizontal rays at height 1.0 end on the x=-3 plane, in the scan plane.
+    assert len(local) > 0
+    assert np.allclose(local[:, 0], -3.0, atol=1e-9)
+    assert np.all(local[:, 2] == 0.0)

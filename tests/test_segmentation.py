@@ -241,6 +241,22 @@ def test_surface_area_matches_monte_carlo(rng):
     assert area == pytest.approx(mc, rel=0.01)
 
 
+def test_plane_basis_is_the_written_out_frame_of_refined_planes(rng):
+    # The unit normal of a refined plane is used as given: normalising it
+    # again changes the last bits of u and v for some planes.
+    for _ in range(300):
+        pts = rng.normal(size=(20, 3)) * rng.uniform(0.1, 5.0, 3) + rng.normal(size=3)
+        model = refine_plane(pts)
+        n = model.normal
+        e = np.zeros(3)
+        e[int(np.argmin(np.abs(n)))] = 1.0
+        u = e - (e @ n) * n
+        u = u / np.linalg.norm(u)
+        basis = plane_basis(model)
+        assert basis.u.tobytes() == u.tobytes()
+        assert basis.v.tobytes() == np.cross(n, u).tobytes()
+
+
 def rect_cloud(rng, width, height, z=0.0, density=100.0, center=(0.0, 0.0)):
     n = int(width * height * density)
     pts = np.zeros((n, 3))
