@@ -70,7 +70,6 @@ from .preprocess import (
 )
 from .registration import (
     IcpConfig,
-    RigidTransform2D,
     icp_align_2d,
     icp_align_3d,
     register_clouds,

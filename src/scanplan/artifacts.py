@@ -98,21 +98,23 @@ def surfaces_to_dict(surfaces: list[PlanarSurface]) -> dict:
 
 def surfaces_from_dict(data: dict, source: str = "surfaces") -> list[PlanarSurface]:
     """Inverse of :func:`surfaces_to_dict`; a ValidationError names ``source``
-    and the key when ``planes`` or a key of a plane is missing."""
+    and the key when ``planes`` or a key of a plane is missing or mistyped."""
     surfaces = []
     for k, entry in enumerate(_list_in(data, "planes", source)):
+        where = f"{source} planes[{k}]"
         normal, d, boundary, area, count = _values(
-            entry, ("normal", "d", "boundary", "area", "inlier_count"),
-            f"{source} planes[{k}]",
+            entry, ("normal", "d", "boundary", "area", "inlier_count"), where
         )
-        a, b, c = normal
-        model = PlaneModel(float(a), float(b), float(c), float(d))
+        model = PlaneModel(*_vector(normal, f"{where}.normal"),
+                           _typed(d, float, f"{where}.d"))
         # Inlier indices are not part of the schema, only their count;
         # file-loaded surfaces carry an empty set and stay usable for planning.
-        surfaces.append(
-            PlanarSurface(model, np.zeros(0, dtype=np.int64),
-                          np.array(boundary, dtype=float), float(area), int(count))
-        )
+        surfaces.append(PlanarSurface(
+            model, np.zeros(0, dtype=np.int64),
+            np.array(_vectors(boundary, f"{where}.boundary")),
+            _typed(area, float, f"{where}.area"),
+            _typed(count, int, f"{where}.inlier_count"),
+        ))
     return surfaces
 
 
@@ -179,15 +181,17 @@ def write_waypoints_csv(path, plan: FlightPlan) -> None:
 
 def read_stations(path) -> list[tuple[str, Pose]]:
     """JSON list of {cloud: path, rotation: 3x3, translation: [x,y,z]}; a
-    ValidationError names the file and the key when one is missing."""
+    ValidationError names the file and the key when one is missing or mistyped."""
     data = json.loads(Path(path).read_text(encoding="ascii"))
     stations = []
     for k, entry in enumerate(_list_in(data, "stations", str(path))):
+        where = f"{path} stations[{k}]"
         cloud, rotation, translation = _values(
-            entry, ("cloud", "rotation", "translation"), f"{path} stations[{k}]"
+            entry, ("cloud", "rotation", "translation"), where
         )
-        pose = Pose(np.array(rotation, dtype=float), np.array(translation, dtype=float))
-        stations.append((cloud, pose))
+        pose = Pose(np.array(_vectors(rotation, f"{where}.rotation")),
+                    np.array(_vector(translation, f"{where}.translation")))
+        stations.append((_typed(cloud, str, f"{where}.cloud"), pose))
     return stations
 
 
@@ -231,12 +235,13 @@ def import_boundary(
     unedited file changes no byte.
 
     Raises:
-        ValidationError (no ``boundary``), SelfIntersectingPolygon, NonPlanarEdit.
+        ValidationError (no ``boundary``, or one that is not a list of
+        3-vectors), SelfIntersectingPolygon, NonPlanarEdit.
     """
     data = json.loads(Path(path).read_text(encoding="ascii"))
     (boundary,) = _values(data, ("boundary",), str(path))
-    boundary = np.array(boundary, dtype=float)
-    if boundary.ndim != 2 or boundary.shape[1] != 3 or len(boundary) < 3:
+    boundary = np.array(_vectors(boundary, f"{path} boundary"))
+    if len(boundary) < 3:
         raise NonPlanarEdit("boundary must be at least 3 points of 3 coordinates")
     dists = surface.model.distance(boundary)
     if float(dists.max()) > distance_threshold:
@@ -291,9 +296,7 @@ def dataclass_from_json(cls, values, where: str):
         elif value is None and f.name == "max_area":
             kwargs[f.name] = math.inf
         elif "tuple" in str(f.type):
-            if not (isinstance(value, list) and len(value) == 3):
-                raise ValidationError(f"{path}: expected a list of 3 numbers")
-            kwargs[f.name] = tuple(_typed(v, float, path) for v in value)
+            kwargs[f.name] = _vector(value, path)
         else:
             kind = float if default is MISSING or default is None else type(default)
             kwargs[f.name] = _typed(value, kind, path)
@@ -306,6 +309,17 @@ def _typed(value, kind: type, path: str):
             f"{path}: expected {kind.__name__}, got {_json_type(value)}"
         )
     return kind(value)
+
+
+def _vector(value, path: str) -> tuple:
+    if not (isinstance(value, list) and len(value) == 3):
+        raise ValidationError(f"{path}: expected a list of 3 numbers")
+    return tuple(_typed(v, float, path) for v in value)
+
+
+def _vectors(value, path: str) -> list:
+    """A JSON list of 3-vectors: polygon vertices or the rows of a matrix."""
+    return [_vector(v, path) for v in _typed(value, list, path)]
 
 
 def _json_type(value) -> str:
@@ -325,6 +339,4 @@ def _values(entry, keys, where: str) -> list:
 def _list_in(data, key: str, where: str) -> list:
     """The list under ``key`` of a JSON file's top-level object."""
     (items,) = _values(data, (key,), where)
-    if not isinstance(items, list):
-        raise ValidationError(f"{where} {key}: expected a list, got {_json_type(items)}")
-    return items
+    return _typed(items, list, f"{where} {key}")

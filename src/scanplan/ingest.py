@@ -18,18 +18,18 @@ reading is a valid return when 0 < range <= range_max. Other readings (0
 marks a no-return) stay in the record as written and are skipped by every
 consumer.
 
-The rotation channel of the pose track is the nearest IMU sample,
-untouched; the translation channel chains 2D scan matching between
-consecutive horizontal scans, each pre-rotated by its IMU rotation so only
-translation is left to estimate. The vertical translation component stays
-0 (a horizontal scanner cannot observe it).
+The IMU owns the rotation channel of the pose track: each pose takes the
+nearest IMU sample, untouched. The translation channel chains 2D scan
+matching between consecutive horizontal scans, each first rotated by its
+IMU sample so that only a translation is fitted. The vertical component
+stays 0 (a horizontal scanner cannot observe it).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ from .geometry import (
     scan_bearings,
     validate_rotation,
 )
-from .registration import IcpConfig, RigidTransform2D, icp_align_2d
+from .registration import IcpConfig, icp_align_2d
 
 logger = logging.getLogger(__name__)
 
@@ -275,16 +275,13 @@ def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> PoseT
 
     cumulative = np.zeros((len(log.horizontal), 2))
     prev_points = rotated_xy(0)
-    cfg = replace(icp_cfg, rotation_locked=True)
     for i in range(1, len(log.horizontal)):
         cur_points = rotated_xy(i)
         try:
-            delta = icp_align_2d(
-                cur_points, prev_points, RigidTransform2D.identity(), cfg
-            )
+            delta = icp_align_2d(cur_points, prev_points, icp_cfg)
         except (IcpDiverged, InsufficientOverlap) as err:
             raise type(err)(str(err), pair_index=i - 1) from err
-        cumulative[i] = cumulative[i - 1] + delta.translation
+        cumulative[i] = cumulative[i - 1] + delta
         prev_points = cur_points
 
     entries = []

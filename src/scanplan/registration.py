@@ -1,16 +1,15 @@
-"""Point-to-point ICP alignment (2D and 3D) and multi-station registration.
+"""Point-to-point ICP: the pose track's scan matcher and station registration.
 
-One ICP loop (Besl & McKay, PAMI 1992) serves d = 2 and d = 3 with a
-d-dimensional Kabsch fit; ``icp_align_2d`` and ``icp_align_3d`` adapt it to
-planar transforms and poses. The 2D path recovers per-scan translation for
-the pose track (rotation comes from the IMU, so it can be locked); the 3D
-path merges station clouds after an axis-aligned-box overlap prediction
-seeded by the recorded poses.
+One ICP loop (Besl & McKay, PAMI 1992) serves d = 2 and d = 3. The 2D path
+fits a translation only: the IMU gives the attitude, so the pose track
+hands it horizontal scans already rotated into a common frame, and all that
+is left to recover is how far the platform moved between them. The 3D path
+fits a full rigid motion with a Kabsch fit to merge station clouds, after
+an axis-aligned-box overlap prediction seeded by the recorded poses.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,55 +21,19 @@ from .spatial import KdTree
 _DIVERGENCE_STREAK = 3
 
 
-def _normalize_angle(angle: float) -> float:
-    """Wrap into (-pi, pi]; in-range values pass through bit-exact."""
-    if -math.pi < angle <= math.pi:
-        return angle
-    a = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if a <= 0.0:
-        a += 2.0 * math.pi
-    return a - math.pi
-
-
-@dataclass(frozen=True)
-class RigidTransform2D:
-    """Planar rigid motion: rotation by ``angle`` about the origin, then shift."""
-
-    angle: float
-    translation: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.translation, dtype=float).reshape(2)
-        object.__setattr__(self, "angle", _normalize_angle(float(self.angle)))
-        object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def identity() -> "RigidTransform2D":
-        return RigidTransform2D(0.0, np.zeros(2))
-
-    def matrix(self) -> np.ndarray:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return np.array([[c, -s], [s, c]])
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.matrix().T + self.translation
-
-
 @dataclass(frozen=True)
 class IcpConfig:
     """Iteration and correspondence limits shared by the 2D and 3D aligners.
 
     ``convergence_eps`` bounds the change of the mean correspondence distance
-    between iterations; ``rotation_locked`` freezes the rotation at the
-    initial guess so only translation is optimized (used when the rotation is
-    already known from the IMU). ``min_pairs`` is the fewest matched pairs
-    accepted before InsufficientOverlap is raised.
+    between iterations; ``max_correspondence_dist`` is the farthest a nearest
+    neighbour may lie and still form a pair; ``min_pairs`` is the fewest
+    pairs accepted before InsufficientOverlap is raised.
     """
 
     max_iterations: int = 50
     convergence_eps: float = 1e-4
     max_correspondence_dist: float = 1.0
-    rotation_locked: bool = False
     min_pairs: int = 10
 
     def __post_init__(self):
@@ -80,15 +43,6 @@ class IcpConfig:
             raise ValueError("convergence_eps must be > 0")
         if not self.max_correspondence_dist > 0:
             raise ValueError("max_correspondence_dist must be > 0")
-
-
-def _points_collinear(points: np.ndarray, tol: float = 1e-9) -> bool:
-    pts = np.asarray(points, dtype=float)
-    if len(pts) < 3:
-        return True
-    centered = pts - pts.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    return svals[1] <= tol * max(svals[0], 1.0)
 
 
 def _kabsch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,31 +61,32 @@ def _kabsch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _icp(
     src: np.ndarray,
     tgt: np.ndarray,
-    rot: np.ndarray,
+    rot: np.ndarray | None,
     trans: np.ndarray,
     cfg: IcpConfig,
-    fewest_pairs: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Point-to-point ICP on (N, d) arrays, from the rigid guess (rot, trans).
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Point-to-point ICP on (N, d) arrays, from the guess (rot, trans).
 
-    Alternates nearest-neighbor correspondence with a closed-form rigid
-    re-fit from the original source points until the mean correspondence
-    distance changes by less than ``cfg.convergence_eps``. With
-    ``cfg.rotation_locked`` the rotation stays at the guess and only the
-    translation is fitted. Fewer than ``fewest_pairs`` matched pairs raise
-    DegenerateGeometry; the other errors are those of the two adapters.
+    Alternates nearest-neighbour correspondence with a closed-form re-fit
+    from the original source points until the mean correspondence distance
+    changes by less than ``cfg.convergence_eps``. Without a rotation
+    (``rot`` None) the fit is the translation mean(q) - mean(p), which one
+    pair determines; with one, a Kabsch fit moves both and needs 3 pairs
+    (DegenerateGeometry below that). The errors are those of the aligners.
     """
+    if len(src) == 0 or len(tgt) == 0:
+        raise IcpDiverged("empty point set")
     tree = KdTree(tgt)
     prev_residual = None
     grow_streak = 0
 
     for _ in range(cfg.max_iterations):
-        idx, dist = tree.nearest(src @ rot.T + trans)
+        idx, dist = tree.nearest(src + trans if rot is None else src @ rot.T + trans)
         mask = dist <= cfg.max_correspondence_dist
         n_pairs = int(mask.sum())
         if n_pairs == 0:
             raise IcpDiverged("no correspondences within max_correspondence_dist")
-        if n_pairs < fewest_pairs:
+        if rot is not None and n_pairs < 3:
             raise DegenerateGeometry(f"only {n_pairs} corresponding points")
         if n_pairs < cfg.min_pairs:
             raise InsufficientOverlap(
@@ -141,8 +96,8 @@ def _icp(
 
         p = src[mask]
         q = tgt[idx[mask]]
-        if cfg.rotation_locked:
-            trans = q.mean(axis=0) - rot @ p.mean(axis=0)
+        if rot is None:
+            trans = q.mean(axis=0) - p.mean(axis=0)
         else:
             rot, trans = _kabsch(p, q)
 
@@ -165,48 +120,31 @@ def _icp(
 def icp_align_2d(
     source: np.ndarray,
     target: np.ndarray,
-    init: RigidTransform2D | None = None,
     cfg: IcpConfig = IcpConfig(),
-) -> RigidTransform2D:
-    """Align a 2D source point set onto a target set.
+) -> np.ndarray:
+    """The (2,) translation that moves a 2D source point set onto a target set.
 
-    Args:
-        source: (N, 2) points to move.
-        target: (M, 2) fixed points.
-        init: starting transform (identity when omitted). With
-            ``cfg.rotation_locked`` the returned angle equals ``init.angle``.
-        cfg: iteration/correspondence limits.
+    Both sets must share one orientation (the pose track rotates each scan
+    by its IMU sample first), so only the translation is fitted.
 
     Raises:
-        ValueError: fewer than 3 points in either set.
-        DegenerateGeometry: all points collinear while rotation is free.
-        IcpDiverged: no correspondences within reach, or the mean residual
-            grew for three consecutive iterations.
+        IcpDiverged: an empty set, no correspondences within reach, or the
+            mean residual grew for three consecutive iterations.
         InsufficientOverlap: fewer matched pairs than ``cfg.min_pairs``.
     """
     src = np.asarray(source, dtype=float).reshape(-1, 2)
     tgt = np.asarray(target, dtype=float).reshape(-1, 2)
-    if len(src) < 3 or len(tgt) < 3:
-        raise ValueError("icp_align_2d needs at least 3 points in each set")
-    if init is None:
-        init = RigidTransform2D.identity()
-    if not cfg.rotation_locked and (_points_collinear(src) or _points_collinear(tgt)):
-        raise DegenerateGeometry("all points collinear and rotation unlocked")
-    rot, trans = _icp(src, tgt, init.matrix(), init.translation, cfg, fewest_pairs=1)
-    if cfg.rotation_locked:
-        return RigidTransform2D(init.angle, trans)
-    return RigidTransform2D(math.atan2(rot[1, 0], rot[0, 0]), trans)
+    return _icp(src, tgt, None, np.zeros(2), cfg)[1]
 
 
 def icp_align_3d(
     source: PointCloud,
     target: PointCloud,
-    init: Pose | None = None,
+    init: Pose = Pose.identity(),
     cfg: IcpConfig = IcpConfig(),
 ) -> Pose:
-    """3D analogue of :func:`icp_align_2d`.
-
-    Returns the pose mapping source-local coordinates onto the target frame.
+    """The rigid pose, rotation and translation both fitted from ``init``
+    (the identity when omitted), that maps the source onto the target frame.
 
     Raises:
         IcpDiverged: an empty cloud, no correspondences within reach, or a
@@ -214,15 +152,7 @@ def icp_align_3d(
         DegenerateGeometry: fewer than 3 corresponding points.
         InsufficientOverlap: fewer matched pairs than ``cfg.min_pairs``.
     """
-    if init is None:
-        init = Pose.identity()
-    if len(source) == 0 or len(target) == 0:
-        raise IcpDiverged("empty cloud")
-    rot, trans = _icp(
-        source.points, target.points, init.rotation, init.translation, cfg,
-        fewest_pairs=3,
-    )
-    return Pose(rot, trans)
+    return Pose(*_icp(source.points, target.points, init.rotation, init.translation, cfg))
 
 
 def predict_overlap(

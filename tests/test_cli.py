@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from scanplan.artifacts import read_cloud
-from scanplan.cli import EXIT_OK, EXIT_VALIDATION, main
+from scanplan.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
+from scanplan.ingest import LaserScan, write_scan_log
 from scanplan.scenes import preset_scene, scene_to_dict
+from scanplan.simulate import simulate_yaw_scan
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,33 @@ def test_two_runs_write_identical_directories(deck, tmp_path):
     again = tmp_path / "again"
     assert main(["run", "--input", str(cloud), "--out", str(again)]) == EXIT_OK
     assert _files(again) == _files(out)
+
+
+@pytest.mark.parametrize("verb", ["ingest", "run"])
+def test_blank_horizontal_scan_fails_its_scan_pair(tmp_path, capsys, verb):
+    # A scan of no-returns is valid input, so it is a stage failure (exit 3)
+    # of the pair that needs it, not a validation error.
+    log = simulate_yaw_scan(preset_scene("room"), station=(0.0, 0.0, 1.5))
+    blank = log.horizontal[5]
+    log.horizontal[5] = LaserScan(blank.timestamp, np.zeros_like(blank.ranges))
+    path = tmp_path / "blank.log"
+    write_scan_log(path, log)
+    capsys.readouterr()
+    assert main([verb, "--input", str(path), "--out", str(tmp_path / "out")]) == EXIT_STAGE
+    assert ": scan pair 4: empty point set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    pytest.param(["--range-noise", "0.01"], marks=pytest.mark.xfail(
+        strict=True, reason="defect 1a: IcpDiverged on scan pair 0 of a noisy 72-scan room")),
+    pytest.param(["--scans", "24"], marks=pytest.mark.xfail(
+        strict=True, reason="defect 1b: IcpDiverged on a noise-free 24-scan room")),
+], ids=["1a_noisy_72_scans", "1b_24_scans"])
+def test_short_or_noisy_room_sweep_registers(tmp_path, extra):
+    log = tmp_path / "sweep.log"
+    assert main(["simulate", "--preset", "room", "--station", "0", "0", "1.5",
+                 *extra, "--out", str(log)]) == EXIT_OK
+    assert main(["run", "--input", str(log), "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_filter_and_run_share_the_small_cloud_rule(tmp_path):
@@ -184,19 +213,34 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
       "icp.max_iterations: expected int, got float"),
      (*_run_with_config({"icp": []}), "icp: expected an object, got list"),
      (*_run_with_config({"camera": {"image_width": 640}}), "unknown key(s) image_width"),
+     (*_run_with_config({"icp": {"rotation_locked": True}}),
+      "unknown key(s) rotation_locked"),
      ({"stations.json": {"stations": [
          {"cloud": "cloud.xyz", "translation": [0.0, 0.0, 0.0]}]}},
       ["register", "--stations", "{tmp}/stations.json", "--out", "{tmp}/merged.xyz"],
       "stations.json stations[0]: missing key(s) rotation"),
+     ({"stations.json": {"stations": [
+         {"cloud": 5, "rotation": _IDENTITY, "translation": [0.0, 0.0, 0.0]}]}},
+      ["register", "--stations", "{tmp}/stations.json", "--out", "{tmp}/merged.xyz"],
+      "stations.json stations[0].cloud: expected str, got int"),
      ({"surfaces.json": {"planes": [{k: v for k, v in _PLANE.items() if k != "d"}]}},
       ["plan", "--cloud", "{tmp}/cloud.xyz", "--surfaces", "{tmp}/surfaces.json",
        "--out", "{tmp}/plan.json"],
       "surfaces.json planes[0]: missing key(s) d"),
+     ({"surfaces.json": {"planes": [{**_PLANE, "area": None}]}},
+      ["plan", "--cloud", "{tmp}/cloud.xyz", "--surfaces", "{tmp}/surfaces.json",
+       "--out", "{tmp}/plan.json"],
+      "surfaces.json planes[0].area: expected float, got null"),
      ({"surfaces.json": {"planes": [_PLANE]},
        "boundary.json": {"normal": [0.0, 0.0, 1.0], "d": 0.0}},
       ["edit-boundary", "import", "--surfaces", "{tmp}/surfaces.json",
        "--boundary", "{tmp}/boundary.json"],
       "boundary.json: missing key(s) boundary"),
+     ({"surfaces.json": {"planes": [_PLANE]},
+       "boundary.json": {"boundary": [[0.0, 0.0, None], *_PLANE["boundary"][1:]]}},
+      ["edit-boundary", "import", "--surfaces", "{tmp}/surfaces.json",
+       "--boundary", "{tmp}/boundary.json"],
+      "boundary.json boundary: expected float, got null"),
      (*_generate_scene({"primitives": [{"type": "sphere", "center": [0, 0, 0]}]}),
       "scene.primitives[0]: unknown type 'sphere'"),
      (*_generate_scene({"primitives": [
@@ -216,8 +260,9 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
       "scene: expected an object with a 'primitives' list")],
     ids=["top_level", "nested", "removed_field", "string_for_int",
          "null_for_float", "float_for_int", "list_for_section",
-         "removed_camera_field", "station_without_rotation", "plane_without_d",
-         "boundary_file_without_boundary", "scene_unknown_type",
+         "removed_camera_field", "removed_icp_field", "station_without_rotation",
+         "station_number_for_cloud", "plane_without_d", "plane_null_area",
+         "boundary_file_without_boundary", "boundary_null_coordinate", "scene_unknown_type",
          "scene_missing_field", "scene_unknown_key", "scene_number_for_vector",
          "scene_string_for_number", "scene_without_primitives", "scene_not_an_object"],
 )

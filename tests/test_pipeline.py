@@ -9,7 +9,7 @@ from scanplan.segmentation import RansacConfig
 @pytest.mark.parametrize("cfg", [
     PipelineConfig(),
     PipelineConfig(
-        icp=IcpConfig(max_iterations=7, rotation_locked=True),
+        icp=IcpConfig(max_iterations=7, min_pairs=5),
         ransac=RansacConfig(min_area=1.5, max_area=40.0),
         camera=CameraSpec(fov_h_deg=30.0, max_standoff=6.5),
         surface_cluster_eps=0.5,
