@@ -48,13 +48,13 @@ from .ingest import (
     parse_scan_log,
     write_scan_log,
 )
-from .pipeline import PipelineConfig, PipelineResult, PlanningConfig, run_pipeline
+from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 from .planning import (
     AStarWeights,
     CameraSpec,
     FlightPlan,
-    InspectionTask,
     OccupancyGrid,
+    PlanningConfig,
     StopPoint,
     astar,
     build_occupancy,

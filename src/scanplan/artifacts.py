@@ -189,8 +189,11 @@ def read_stations(path) -> list[tuple[str, Pose]]:
         cloud, rotation, translation = _values(
             entry, ("cloud", "rotation", "translation"), where
         )
-        pose = Pose(np.array(_vectors(rotation, f"{where}.rotation")),
-                    np.array(_vector(translation, f"{where}.translation")))
+        try:
+            pose = Pose(np.array(_vectors(rotation, f"{where}.rotation")),
+                        np.array(_vector(translation, f"{where}.translation")))
+        except ValueError as err:  # _vector has checked the translation
+            raise ValidationError(f"{where}.rotation: {err}") from err
         stations.append((_typed(cloud, str, f"{where}.cloud"), pose))
     return stations
 
@@ -273,8 +276,8 @@ def dataclass_from_json(cls, values, where: str):
     there. A value must have the type of its field's default (a JSON integer
     passes as a float); a field without a default, or with a None one, takes
     a float, or a list of 3 when it holds a tuple. Nested dataclass fields
-    are read the same way, and a ``max_area`` of null means no upper bound.
-    Errors name the value by its path from ``where``, e.g. ``config.icp``.
+    are read the same way. Errors name the value by its path from ``where``,
+    e.g. ``config.icp``, or the object whose ``__post_init__`` rejects it.
     """
     if not isinstance(values, dict):
         raise ValidationError(f"{where}: expected an object, got {_json_type(values)}")
@@ -293,14 +296,15 @@ def dataclass_from_json(cls, values, where: str):
         default = f.default_factory() if f.default_factory is not MISSING else f.default
         if is_dataclass(default):
             kwargs[f.name] = dataclass_from_json(type(default), value, path)
-        elif value is None and f.name == "max_area":
-            kwargs[f.name] = math.inf
         elif "tuple" in str(f.type):
             kwargs[f.name] = _vector(value, path)
         else:
             kind = float if default is MISSING or default is None else type(default)
             kwargs[f.name] = _typed(value, kind, path)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ValidationError(f"{where}: {err}") from err
 
 
 def _typed(value, kind: type, path: str):
@@ -308,6 +312,8 @@ def _typed(value, kind: type, path: str):
         raise ValidationError(
             f"{path}: expected {kind.__name__}, got {_json_type(value)}"
         )
+    if kind is float and not math.isfinite(value):
+        raise ValidationError(f"{path}: expected a finite float, got {value!r}")
     return kind(value)
 
 

@@ -40,19 +40,11 @@ class MissingPose(StageError):
 # --- registration ---------------------------------------------------------
 
 class IcpDiverged(StageError):
-    def __init__(self, message, pair_index=None):
-        self.pair_index = pair_index
-        if pair_index is not None:
-            message = f"scan pair {pair_index}: {message}"
-        super().__init__(message)
+    pass
 
 
 class InsufficientOverlap(StageError):
-    def __init__(self, message, pair_index=None):
-        self.pair_index = pair_index
-        if pair_index is not None:
-            message = f"scan pair {pair_index}: {message}"
-        super().__init__(message)
+    pass
 
 
 class NoOverlap(StageError):
@@ -84,11 +76,7 @@ class EmptySurface(StageError):
 
 
 class NoPath(StageError):
-    def __init__(self, message, leg_index=None):
-        self.leg_index = leg_index
-        if leg_index is not None:
-            message = f"leg {leg_index}: {message}"
-        super().__init__(message)
+    pass
 
 
 class StartOrGoalOccupied(StageError):
@@ -96,11 +84,7 @@ class StartOrGoalOccupied(StageError):
 
 
 class StopPointBlocked(StageError):
-    def __init__(self, message, stop_index=None):
-        self.stop_index = stop_index
-        if stop_index is not None:
-            message = f"stop {stop_index}: {message}"
-        super().__init__(message)
+    pass
 
 
 # --- boundary editing --------------------------------------------------------

@@ -256,7 +256,7 @@ def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> PoseT
     rotation and the translation accumulated at its nearest horizontal scan.
 
     Raises:
-        IcpDiverged / InsufficientOverlap: from a scan pair, index attached.
+        IcpDiverged / InsufficientOverlap: from a scan pair, named in the message.
     """
     if len(log.horizontal) < 2:
         raise ValueError("pose-track estimation needs at least 2 horizontal scans")
@@ -280,7 +280,7 @@ def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> PoseT
         try:
             delta = icp_align_2d(cur_points, prev_points, icp_cfg)
         except (IcpDiverged, InsufficientOverlap) as err:
-            raise type(err)(str(err), pair_index=i - 1) from err
+            raise type(err)(f"scan pair {i - 1}: {err}") from err
         cumulative[i] = cumulative[i - 1] + delta
         prev_points = cur_points
 

@@ -8,13 +8,16 @@ stages can be re-run in isolation from the files. All randomness is seeded
 through the config; two runs with the same config produce byte-identical
 artifacts. Per-stage wall times are reported on the returned result (and by
 the CLI on stdout), never written into artifacts.
+
+A config is checked once, when it is built: each config type's
+``__post_init__`` rejects a bad value, so a bad config file fails before
+any stage runs, and the stages do not check their settings again.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -27,7 +30,7 @@ from .ingest import ScanLog, build_cloud, estimate_pose_track, parse_scan_log
 from .planning import (
     AStarWeights,
     CameraSpec,
-    InspectionTask,
+    PlanningConfig,
     build_occupancy,
     generate_waypoints,
     inflate,
@@ -46,22 +49,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class PlanningConfig:
-    voxel_edge: float = 0.25
-    bounds_margin: float = 2.0
-    inflate_radius: float = 0.6
-    footprint_width: float = 0.6
-    footprint_height: float = 0.4
-    overlap: float = 0.2
-
-    def __post_init__(self):
-        if not self.voxel_edge > 0:
-            raise ValueError("voxel_edge must be > 0")
-        if self.bounds_margin < 0:
-            raise ValueError("bounds_margin must be >= 0")
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     """Bundle of every stage's parameters; JSON round-trippable."""
 
@@ -75,11 +62,13 @@ class PipelineConfig:
     planning: PlanningConfig = field(default_factory=PlanningConfig)
     surface_cluster_eps: float = 0.3
 
+    def __post_init__(self):
+        if not self.surface_cluster_eps > 0:
+            raise ValueError("surface_cluster_eps must be > 0")
+
     def to_dict(self) -> dict:
         data = asdict(self)
         data["version"] = 1
-        if math.isinf(data["ransac"]["max_area"]):
-            data["ransac"]["max_area"] = None
         return data
 
     @staticmethod
@@ -88,7 +77,7 @@ class PipelineConfig:
 
         Raises:
             ValidationError: a key the format does not have, a value of the
-                wrong type, or a section that is not an object.
+                wrong type or out of range, or a section that is not an object.
         """
         if isinstance(data, dict):
             data = {k: v for k, v in data.items() if k != "version"}
@@ -201,14 +190,8 @@ def plan_surfaces(
     entries: list[dict] = []
     failures: list[str] = []
     for k, surface in enumerate(surfaces):
-        task = InspectionTask(
-            surface,
-            cfg.planning.footprint_width,
-            cfg.planning.footprint_height,
-            cfg.planning.overlap,
-        )
         try:
-            stops = plan_coverage(task, cfg.camera, grid=grid)
+            stops = plan_coverage(surface, cfg.planning, cfg.camera, grid=grid)
             plan = generate_waypoints(stops, grid, cfg.astar_weights)
         except StageError as err:
             entries.append(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -40,15 +40,27 @@ class CameraSpec:
 
 
 @dataclass(frozen=True)
-class InspectionTask:
-    """What to photograph and how densely."""
+class PlanningConfig:
+    """Occupancy grid and photo lattice of the plan stage.
 
-    surface: PlanarSurface
+    Each photo covers ``footprint_width`` x ``footprint_height`` of the
+    surface (the width fixes the standoff); photos along a row share
+    ``overlap`` of the width, and rows abut."""
+
+    voxel_edge: float = 0.25
+    bounds_margin: float = 2.0
+    inflate_radius: float = 0.6
     footprint_width: float = 0.6
     footprint_height: float = 0.4
     overlap: float = 0.2
 
     def __post_init__(self):
+        if not self.voxel_edge > 0:
+            raise ValueError("voxel_edge must be > 0")
+        if self.bounds_margin < 0:
+            raise ValueError("bounds_margin must be >= 0")
+        if self.inflate_radius < 0:
+            raise ValueError("inflate_radius must be >= 0")
         if not (self.footprint_width > 0 and self.footprint_height > 0):
             raise ValueError("footprint dimensions must be > 0")
         if not (0.0 <= self.overlap < 1.0):
@@ -128,8 +140,6 @@ def build_occupancy(
     """Grid over the cloud's bounding box plus margin; a voxel is occupied
     iff it contains at least one point. An empty cloud yields an all-free
     grid spanning the margin around the origin."""
-    if not voxel_edge > 0:
-        raise ValueError("voxel_edge must be > 0")
     if len(cloud) == 0:
         lo = np.zeros(3) - bounds_margin
         extent = np.full(3, 2.0 * bounds_margin)
@@ -148,8 +158,6 @@ def build_occupancy(
 def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
     """Mark every voxel whose center lies within ``radius`` of an occupied
     voxel center as occupied (so the vehicle can be planned as a point)."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     reach = int(math.floor(radius / grid.voxel_edge))
     if reach == 0 or not grid.occupied.any():
         return OccupancyGrid(grid.origin.copy(), grid.voxel_edge, grid.occupied.copy())
@@ -243,8 +251,8 @@ def path_cost(path, weights: AStarWeights = AStarWeights()) -> float:
     return total
 
 
-def standoff_distance(task: InspectionTask, camera: CameraSpec) -> float:
-    """Camera-to-surface distance realizing the requested footprint width.
+def standoff_distance(cfg: PlanningConfig, camera: CameraSpec) -> float:
+    """Camera-to-surface distance at which a photo spans ``cfg.footprint_width``.
 
     Pinhole relation on the horizontal axis; the vertical field of view must
     cover the footprint height at that distance.
@@ -253,16 +261,16 @@ def standoff_distance(task: InspectionTask, camera: CameraSpec) -> float:
         UnreachableStandoff: beyond ``camera.max_standoff``, or the vertical
             coverage falls short of the footprint height.
     """
-    d = (task.footprint_width / 2.0) / math.tan(math.radians(camera.fov_h_deg) / 2.0)
+    d = (cfg.footprint_width / 2.0) / math.tan(math.radians(camera.fov_h_deg) / 2.0)
     if d > camera.max_standoff:
         raise UnreachableStandoff(
             f"standoff {d:.2f} m exceeds camera max range {camera.max_standoff:.2f} m"
         )
     vertical_cover = 2.0 * d * math.tan(math.radians(camera.fov_v_deg) / 2.0)
-    if vertical_cover + 1e-9 < task.footprint_height:
+    if vertical_cover + 1e-9 < cfg.footprint_height:
         raise UnreachableStandoff(
             f"vertical coverage {vertical_cover:.3f} m at standoff {d:.2f} m "
-            f"cannot reach the {task.footprint_height:.3f} m footprint height"
+            f"cannot reach the {cfg.footprint_height:.3f} m footprint height"
         )
     return d
 
@@ -287,23 +295,24 @@ def _pick_side(
 
 
 def plan_coverage(
-    task: InspectionTask,
+    surface: PlanarSurface,
+    cfg: PlanningConfig,
     camera: CameraSpec,
     grid: OccupancyGrid | None = None,
 ) -> list[StopPoint]:
     """Serpentine lattice of photo positions covering the surface boundary.
 
     Photo centers tile the boundary's bounding rectangle in the plane basis
-    with step footprint_width * (1 - overlap) along rows (the overlap between
-    consecutive photos) and footprint_height across rows; cells whose
-    footprint misses the boundary polygon are dropped. Rows alternate
-    direction.
+    with step ``cfg.footprint_width * (1 - cfg.overlap)`` along rows and
+    ``cfg.footprint_height`` across rows; cells whose footprint misses the
+    boundary polygon are dropped. Rows alternate direction. Each stop stands
+    at :func:`standoff_distance` on the side of the plane that ``grid``
+    shows to be freer (the normal side without a grid).
 
     Raises:
         EmptySurface: degenerate boundary.
         UnreachableStandoff: see :func:`standoff_distance`.
     """
-    surface = task.surface
     if surface.boundary is None or len(surface.boundary) < 3:
         raise EmptySurface("surface boundary is degenerate")
     basis = plane_basis(surface.model)
@@ -314,12 +323,12 @@ def plan_coverage(
     if min(extent) <= 0:
         raise EmptySurface("surface boundary has zero extent")
 
-    standoff = standoff_distance(task, camera)
+    standoff = standoff_distance(cfg, camera)
     side = _pick_side(surface, standoff, grid)
     outward = side * basis.normal
 
-    w, h = task.footprint_width, task.footprint_height
-    step_u = w * (1.0 - task.overlap)
+    w, h = cfg.footprint_width, cfg.footprint_height
+    step_u = w * (1.0 - cfg.overlap)
     step_v = h
     n_u = 1 if extent[0] <= w else 1 + math.ceil((extent[0] - w) / step_u - 1e-9)
     n_v = 1 if extent[1] <= h else 1 + math.ceil((extent[1] - h) / step_v - 1e-9)
@@ -360,8 +369,9 @@ def generate_waypoints(
     """Thread the coverage stops with A* legs over the inflated grid.
 
     Raises:
-        StopPointBlocked: a stop's voxel is occupied after inflation.
-        NoPath: some leg admits no free path (the leg index is attached).
+        StopPointBlocked: a stop's voxel is occupied after inflation (the
+            message names the stop).
+        NoPath: some leg admits no free path (the message names the leg).
     """
     if not stops:
         raise ValueError("need at least one stop point")
@@ -370,11 +380,11 @@ def generate_waypoints(
         v = grid.world_to_index(stop.position)
         if not grid.in_bounds(v):
             raise StopPointBlocked(
-                f"stop position {stop.position} is outside the grid", stop_index=i
+                f"stop {i}: stop position {stop.position} is outside the grid"
             )
         if grid.occupied[v]:
             raise StopPointBlocked(
-                f"stop voxel {v} is occupied after inflation", stop_index=i
+                f"stop {i}: stop voxel {v} is occupied after inflation"
             )
         voxels.append(v)
 
@@ -385,7 +395,7 @@ def generate_waypoints(
         try:
             leg = astar(grid, voxels[i], voxels[i + 1], weights)
         except NoPath as err:
-            raise NoPath(str(err), leg_index=i) from err
+            raise NoPath(f"leg {i}: {err}") from err
         legs.append(leg)
         leg_costs.append(path_cost(leg, weights))
         chain.extend(leg[1:])

@@ -169,8 +169,6 @@ def predict_overlap(
     ``margin``. Raises NoOverlap when the boxes are separated by more than
     ``margin`` on some axis (callers fall back to the full clouds).
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
     if len(a) == 0 or len(b) == 0:
         raise NoOverlap("empty cloud")
     ga = pose_a.apply(a.points)

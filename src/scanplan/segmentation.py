@@ -3,8 +3,8 @@
 Planes are pulled out of the cloud one at a time. Each candidate is trimmed
 to its largest radius-connected component (detached coplanar patches would
 otherwise stretch the boundary), bounded by the convex hull of the projected
-inliers, and accepted only when its hull area falls inside the configured
-window.
+inliers, and accepted only when its hull area reaches the configured
+minimum.
 """
 
 from __future__ import annotations
@@ -70,13 +70,12 @@ def _canonical_plane(normal: np.ndarray, d: float) -> PlaneModel:
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """Sampling and acceptance parameters for iterative plane extraction."""
+    """RANSAC sampling; a surface is kept when its area is at least ``min_area``."""
 
     distance_threshold: float = 0.20
     iterations: int = 200
     min_inliers: int = 100
     min_area: float = 2.0
-    max_area: float = math.inf
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -284,8 +283,8 @@ def extract_surfaces(
     """Iteratively extract planar surfaces and return the leftovers.
 
     Loop: fit a plane, trim its inliers to the largest ``cluster_eps``
-    component, bound and measure it, and accept it when the area lies in
-    [min_area, max_area]. The trimmed component is removed from the working
+    component, bound and measure it, and accept it when the area is at least
+    ``min_area``. The trimmed component is removed from the working
     cloud whether accepted or not (rejected ones end up in the remainder);
     the loop exits when no further plane reaches ``min_inliers``.
 
@@ -324,7 +323,7 @@ def extract_surfaces(
         except DegenerateGeometry:
             boundary, area = None, 0.0
 
-        if boundary is not None and cfg.min_area <= area <= cfg.max_area:
+        if boundary is not None and area >= cfg.min_area:
             surfaces.append(PlanarSurface(model, component, boundary, area))
         else:
             rejected.append(component)

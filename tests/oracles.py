@@ -152,21 +152,21 @@ def monte_carlo_polygon_area(polygon: np.ndarray, n_samples: int, rng) -> float:
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)
     samples = rng.uniform(lo, hi, size=(n_samples, 2))
-    inside = np.fromiter(
-        (_point_in_poly(s, poly) for s in samples), dtype=bool, count=n_samples
-    )
     box_area = float(np.prod(hi - lo))
-    return box_area * inside.mean()
+    return box_area * _points_in_poly(samples, poly).mean()
 
 
-def _point_in_poly(point, poly) -> bool:
-    x, y = point
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            if x < x1 + (y - y1) * (x2 - x1) / (y2 - y1):
-                inside = not inside
+def _points_in_poly(points, poly) -> np.ndarray:
+    """Even-odd rule, one pass per edge over all points: a point is inside
+    when a ray from it towards +x crosses the boundary an odd number of
+    times."""
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    for (x1, y1), (x2, y2) in zip(poly, np.roll(poly, -1, axis=0)):
+        straddles = (y1 > y) != (y2 > y)
+        # A level edge (y1 == y2) straddles no point, so its division by
+        # zero is never used.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crosses = x < x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= straddles & crosses
     return inside

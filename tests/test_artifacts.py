@@ -15,7 +15,7 @@ from scanplan.artifacts import (
 )
 from scanplan.errors import MalformedRecord, NonPlanarEdit, SelfIntersectingPolygon
 from scanplan.geometry import PointCloud, Pose, rotation_about_z
-from scanplan.planning import CameraSpec, InspectionTask, plan_coverage
+from scanplan.planning import CameraSpec, PlanningConfig, plan_coverage
 from scanplan.segmentation import PlanarSurface, PlaneModel
 
 
@@ -83,7 +83,7 @@ def test_boundary_export_import_round_trip(tmp_path):
 def test_boundary_shrink_halves_stop_count(tmp_path):
     camera = CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0)
     full = square_surface(22.0, 10.0)
-    stops_full = plan_coverage(InspectionTask(full, 0.6, 0.4, 0.2), camera)
+    stops_full = plan_coverage(full, PlanningConfig(), camera)
 
     path = tmp_path / "half.json"
     export_boundary(full, path)
@@ -93,7 +93,7 @@ def test_boundary_shrink_halves_stop_count(tmp_path):
     ]
     path.write_text(json.dumps(data), encoding="ascii")
     half = import_boundary(full, path)
-    stops_half = plan_coverage(InspectionTask(half, 0.6, 0.4, 0.2), camera)
+    stops_half = plan_coverage(half, PlanningConfig(), camera)
     ratio = len(stops_half) / len(stops_full)
     assert ratio == pytest.approx(0.5, rel=0.02)
 

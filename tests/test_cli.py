@@ -215,6 +215,7 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
      (*_run_with_config({"camera": {"image_width": 640}}), "unknown key(s) image_width"),
      (*_run_with_config({"icp": {"rotation_locked": True}}),
       "unknown key(s) rotation_locked"),
+     (*_run_with_config({"ransac": {"max_area": 40.0}}), "unknown key(s) max_area"),
      ({"stations.json": {"stations": [
          {"cloud": "cloud.xyz", "translation": [0.0, 0.0, 0.0]}]}},
       ["register", "--stations", "{tmp}/stations.json", "--out", "{tmp}/merged.xyz"],
@@ -223,6 +224,11 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
          {"cloud": 5, "rotation": _IDENTITY, "translation": [0.0, 0.0, 0.0]}]}},
       ["register", "--stations", "{tmp}/stations.json", "--out", "{tmp}/merged.xyz"],
       "stations.json stations[0].cloud: expected str, got int"),
+     ({"stations.json": {"stations": [
+         {"cloud": "cloud.xyz", "rotation": _IDENTITY[:2],
+          "translation": [0.0, 0.0, 0.0]}]}},
+      ["register", "--stations", "{tmp}/stations.json", "--out", "{tmp}/merged.xyz"],
+      "stations.json stations[0].rotation: rotation must be 3x3, got shape (2, 3)"),
      ({"surfaces.json": {"planes": [{k: v for k, v in _PLANE.items() if k != "d"}]}},
       ["plan", "--cloud", "{tmp}/cloud.xyz", "--surfaces", "{tmp}/surfaces.json",
        "--out", "{tmp}/plan.json"],
@@ -231,6 +237,10 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
       ["plan", "--cloud", "{tmp}/cloud.xyz", "--surfaces", "{tmp}/surfaces.json",
        "--out", "{tmp}/plan.json"],
       "surfaces.json planes[0].area: expected float, got null"),
+     ({"surfaces.json": {"planes": [{**_PLANE, "d": float("nan")}]}},
+      ["plan", "--cloud", "{tmp}/cloud.xyz", "--surfaces", "{tmp}/surfaces.json",
+       "--out", "{tmp}/plan.json"],
+      "surfaces.json planes[0].d: expected a finite float, got nan"),
      ({"surfaces.json": {"planes": [_PLANE]},
        "boundary.json": {"normal": [0.0, 0.0, 1.0], "d": 0.0}},
       ["edit-boundary", "import", "--surfaces", "{tmp}/surfaces.json",
@@ -254,17 +264,21 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
       "scene.primitives[0] (box).size: expected a list of 3 numbers"),
      (*_generate_scene({"density": "10", "primitives": []}),
       "scene.density: expected float, got str"),
+     (*_generate_scene({"density": -1.0, "primitives": []}),
+      "scene: density must be > 0"),
      (*_generate_scene({"version": 1, "density": 10.0}),
       "scene: expected an object with a 'primitives' list"),
      (*_generate_scene([{"type": "point", "position": [0, 0, 0]}]),
       "scene: expected an object with a 'primitives' list")],
     ids=["top_level", "nested", "removed_field", "string_for_int",
          "null_for_float", "float_for_int", "list_for_section",
-         "removed_camera_field", "removed_icp_field", "station_without_rotation",
-         "station_number_for_cloud", "plane_without_d", "plane_null_area",
-         "boundary_file_without_boundary", "boundary_null_coordinate", "scene_unknown_type",
-         "scene_missing_field", "scene_unknown_key", "scene_number_for_vector",
-         "scene_string_for_number", "scene_without_primitives", "scene_not_an_object"],
+         "removed_camera_field", "removed_icp_field", "removed_ransac_field",
+         "station_without_rotation", "station_number_for_cloud",
+         "station_two_row_rotation", "plane_without_d", "plane_null_area",
+         "plane_nan_d", "boundary_file_without_boundary", "boundary_null_coordinate",
+         "scene_unknown_type", "scene_missing_field", "scene_unknown_key",
+         "scene_number_for_vector", "scene_string_for_number", "scene_negative_density",
+         "scene_without_primitives", "scene_not_an_object"],
 )
 def test_unknown_config_key_exits_2(tmp_path, capsys, files, argv, message):
     # Bad config keys and values, and input files that lack a key or hold
@@ -278,3 +292,26 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, files, argv, message):
     code = main([arg.format(tmp=tmp_path) for arg in argv])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"planning": {"inflate_radius": -1}},
+     "config.planning: inflate_radius must be >= 0"),
+    ({"planning": {"footprint_width": 0}},
+     "config.planning: footprint dimensions must be > 0"),
+    ({"planning": {"overlap": 1.0}}, "config.planning: overlap must be in [0, 1)"),
+    ({"surface_cluster_eps": -1}, "config: surface_cluster_eps must be > 0"),
+], ids=["negative_inflate_radius", "zero_footprint", "full_overlap",
+        "negative_cluster_eps"])
+def test_config_value_out_of_range_exits_2_before_any_stage(
+        deck, tmp_path, capsys, config, message):
+    # A value the config rejects ends the run before a stage writes anything,
+    # even one that only the plan or segment stage reads.
+    cloud, _ = deck
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="ascii")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", "--config", str(tmp_path / "config.json"),
+                 "--input", str(cloud), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"validation error: {message}" in capsys.readouterr().err
+    assert list(out.rglob("*")) == []

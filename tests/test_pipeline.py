@@ -10,7 +10,7 @@ from scanplan.segmentation import RansacConfig
     PipelineConfig(),
     PipelineConfig(
         icp=IcpConfig(max_iterations=7, min_pairs=5),
-        ransac=RansacConfig(min_area=1.5, max_area=40.0),
+        ransac=RansacConfig(min_area=1.5, rng_seed=7),
         camera=CameraSpec(fov_h_deg=30.0, max_standoff=6.5),
         surface_cluster_eps=0.5,
     ),
@@ -23,7 +23,6 @@ def test_config_round_trips_through_its_file_form(tmp_path, cfg):
 
 def test_config_file_form_of_max_area_and_fields_of_view():
     data = PipelineConfig().to_dict()
-    assert data["ransac"]["max_area"] is None
     assert data["camera"] == {"fov_h_deg": 24.0, "fov_v_deg": 20.0, "max_standoff": 10.0}
 
 

@@ -14,8 +14,8 @@ from scanplan.geometry import PointCloud
 from scanplan.planning import (
     AStarWeights,
     CameraSpec,
-    InspectionTask,
     OccupancyGrid,
+    PlanningConfig,
     astar,
     build_occupancy,
     generate_waypoints,
@@ -37,53 +37,58 @@ def rect_surface(width, height, z=0.0):
     return PlanarSurface(model, np.arange(4), boundary, width * height)
 
 
+def footprint(width, height, overlap):
+    return PlanningConfig(footprint_width=width, footprint_height=height,
+                          overlap=overlap)
+
+
 WIDE_CAMERA = CameraSpec(fov_h_deg=60.0, fov_v_deg=50.0,
                          max_standoff=10.0)
 
 
 def test_standoff_pinhole_relation():
-    task = InspectionTask(rect_surface(2.0, 2.0), 0.6, 0.4, 0.2)
-    d = standoff_distance(task, WIDE_CAMERA)
+    cfg = footprint(0.6, 0.4, 0.2)
+    d = standoff_distance(cfg, WIDE_CAMERA)
     assert d == pytest.approx(0.3 / math.tan(math.radians(30.0)))
 
 
 def test_standoff_beyond_max_range():
     camera = CameraSpec(fov_h_deg=2.0, fov_v_deg=2.0,
                         max_standoff=5.0)
-    task = InspectionTask(rect_surface(2.0, 2.0), 0.6, 0.4, 0.2)
+    cfg = footprint(0.6, 0.4, 0.2)
     with pytest.raises(UnreachableStandoff):
-        standoff_distance(task, camera)
+        standoff_distance(cfg, camera)
 
 
 def test_standoff_vertical_coverage_shortfall():
     camera = CameraSpec(fov_h_deg=60.0, fov_v_deg=5.0)
-    task = InspectionTask(rect_surface(2.0, 2.0), 0.6, 0.6, 0.0)
+    cfg = footprint(0.6, 0.6, 0.0)
     with pytest.raises(UnreachableStandoff):
-        standoff_distance(task, camera)
+        standoff_distance(cfg, camera)
 
 
 def test_coverage_single_stop_when_footprint_covers_surface():
-    task = InspectionTask(rect_surface(0.4, 0.3), 0.6, 0.4, 0.0)
-    stops = plan_coverage(task, WIDE_CAMERA)
+    cfg = footprint(0.6, 0.4, 0.0)
+    stops = plan_coverage(rect_surface(0.4, 0.3), cfg, WIDE_CAMERA)
     assert len(stops) == 1
 
 
 def test_coverage_exact_tiling_serpentine():
-    task = InspectionTask(rect_surface(1.0, 1.0), 0.5, 0.5, 0.0)
+    cfg = footprint(0.5, 0.5, 0.0)
     square_camera = CameraSpec(fov_h_deg=60.0, fov_v_deg=60.0)
-    stops = plan_coverage(task, square_camera)
+    stops = plan_coverage(rect_surface(1.0, 1.0), cfg, square_camera)
     assert len(stops) == 4
     assert [(s.row, s.col) for s in stops] == [(0, 0), (0, 1), (1, 1), (1, 0)]
     # Stops stand off the plane by the pinhole distance, facing the surface.
-    d = standoff_distance(task, square_camera)
+    d = standoff_distance(cfg, square_camera)
     for s in stops:
         assert s.position[2] == pytest.approx(d, abs=1e-6)
         assert np.allclose(s.facing, [0, 0, -1])
 
 
 def test_coverage_deck_count_matches_formula():
-    task = InspectionTask(rect_surface(22.0, 10.0), 0.6, 0.4, 0.2)
-    stops = plan_coverage(task, WIDE_CAMERA)
+    cfg = footprint(0.6, 0.4, 0.2)
+    stops = plan_coverage(rect_surface(22.0, 10.0), cfg, WIDE_CAMERA)
     # 46 columns (0.48 m steps along rows) x 25 rows (0.4 m spacing).
     assert len(stops) == 1150
     assert 1123 <= len(stops) <= 1169
@@ -91,9 +96,9 @@ def test_coverage_deck_count_matches_formula():
 
 def test_coverage_footprints_cover_polygon_monte_carlo(rng):
     surface = rect_surface(3.3, 2.1)
-    task = InspectionTask(surface, 0.6, 0.4, 0.2)
-    stops = plan_coverage(task, WIDE_CAMERA)
-    w, h = task.footprint_width, task.footprint_height
+    cfg = footprint(0.6, 0.4, 0.2)
+    stops = plan_coverage(surface, cfg, WIDE_CAMERA)
+    w, h = cfg.footprint_width, cfg.footprint_height
     centers = np.array([s.position[:2] for s in stops])
     samples = rng.uniform([0.0, 0.0], [3.3, 2.1], size=(10_000, 2))
     for s in samples:
@@ -105,8 +110,8 @@ def test_coverage_footprints_cover_polygon_monte_carlo(rng):
 
 
 def test_coverage_serpentine_adjacent_steps():
-    task = InspectionTask(rect_surface(4.0, 2.0), 0.6, 0.4, 0.2)
-    stops = plan_coverage(task, WIDE_CAMERA)
+    cfg = footprint(0.6, 0.4, 0.2)
+    stops = plan_coverage(rect_surface(4.0, 2.0), cfg, WIDE_CAMERA)
     rows = {}
     for s in stops:
         rows.setdefault(s.row, []).append(s.col)
@@ -124,9 +129,9 @@ def test_coverage_empty_surface():
     surface = rect_surface(2.0, 2.0)
     degenerate = PlanarSurface(surface.model, surface.inliers,
                                surface.boundary[:2], 0.0)
-    task = InspectionTask(degenerate, 0.6, 0.4, 0.2)
+    cfg = footprint(0.6, 0.4, 0.2)
     with pytest.raises(EmptySurface):
-        plan_coverage(task, WIDE_CAMERA)
+        plan_coverage(degenerate, cfg, WIDE_CAMERA)
 
 
 def test_build_occupancy_empty_cloud():
@@ -292,9 +297,9 @@ def test_generate_waypoints_obstacle_free_lattice():
     pts[:, 1] = rng.uniform(0, 1, 600)
     cloud = PointCloud(pts)
     grid = inflate(build_occupancy(cloud, 0.25, 2.5), 0.6)
-    task = InspectionTask(surface, 0.6, 0.4, 0.2)
+    cfg = footprint(0.6, 0.4, 0.2)
     camera = CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0)
-    stops = plan_coverage(task, camera, grid=grid)
+    stops = plan_coverage(surface, cfg, camera, grid=grid)
     plan = generate_waypoints(stops, grid)
     assert len(plan.legs) == len(stops) - 1
     # Every waypoint voxel is free; consecutive waypoints are neighbors.
