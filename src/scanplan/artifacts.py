@@ -312,8 +312,15 @@ def _typed(value, kind: type, path: str):
         raise ValidationError(
             f"{path}: expected {kind.__name__}, got {_json_type(value)}"
         )
-    if kind is float and not math.isfinite(value):
-        raise ValidationError(f"{path}: expected a finite float, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValidationError(
+                f"{path}: expected a finite float, got an integer too large for a float"
+            ) from None
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}: expected a finite float, got {value!r}")
     return kind(value)
 
 

@@ -7,12 +7,12 @@ inflated occupancy grid with per-axis weighted step costs.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     EmptySurface,
@@ -22,7 +22,7 @@ from .errors import (
     UnreachableStandoff,
 )
 from .geometry import PointCloud
-from .polygons import rect_intersects_polygon
+from .polygons import rects_intersect_polygon
 from .segmentation import PlanarSurface, plane_basis
 
 
@@ -103,6 +103,8 @@ class OccupancyGrid:
     """Uniform voxel grid with an occupied flag per cell.
 
     World-to-index mapping is exact floor arithmetic against ``origin``.
+    :attr:`occupied_centers` is computed on first use, so the flags must not
+    change after it has been read.
     """
 
     origin: np.ndarray
@@ -121,14 +123,23 @@ class OccupancyGrid:
     def dims(self) -> tuple[int, int, int]:
         return self.occupied.shape
 
-    def world_to_index(self, point: np.ndarray) -> tuple[int, int, int]:
-        idx = np.floor(
-            (np.asarray(point, dtype=float) - self.origin) / self.voxel_edge
+    def world_to_indices(self, points: np.ndarray) -> np.ndarray:
+        """Integer voxel indices of ``(..., 3)`` world points."""
+        return np.floor(
+            (np.asarray(points, dtype=float) - self.origin) / self.voxel_edge
         ).astype(int)
-        return int(idx[0]), int(idx[1]), int(idx[2])
+
+    def world_to_index(self, point: np.ndarray) -> tuple[int, int, int]:
+        return tuple(self.world_to_indices(point).tolist())
 
     def index_to_center(self, index) -> np.ndarray:
+        """World centers of ``(..., 3)`` voxel indices."""
         return self.origin + (np.asarray(index, dtype=float) + 0.5) * self.voxel_edge
+
+    @functools.cached_property
+    def occupied_centers(self) -> np.ndarray:
+        """(M, 3) centers of the occupied voxels, in row-major voxel order."""
+        return self.index_to_center(np.argwhere(self.occupied))
 
     def in_bounds(self, index) -> bool:
         return all(0 <= index[i] < self.occupied.shape[i] for i in range(3))
@@ -157,14 +168,24 @@ def build_occupancy(
 
 def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
     """Mark every voxel whose center lies within ``radius`` of an occupied
-    voxel center as occupied (so the vehicle can be planned as a point)."""
+    voxel center as occupied (so the vehicle can be planned as a point).
+
+    The dilation ORs the grid shifted by each voxel offset of the ball, with
+    cells beyond the grid counting as free."""
+    occupied = grid.occupied
     reach = int(math.floor(radius / grid.voxel_edge))
-    if reach == 0 or not grid.occupied.any():
-        return OccupancyGrid(grid.origin.copy(), grid.voxel_edge, grid.occupied.copy())
+    if reach == 0 or not occupied.any():
+        return OccupancyGrid(grid.origin.copy(), grid.voxel_edge, occupied.copy())
     rng = np.arange(-reach, reach + 1)
     dx, dy, dz = np.meshgrid(rng, rng, rng, indexing="ij")
     ball = (dx**2 + dy**2 + dz**2) * grid.voxel_edge**2 <= radius**2
-    dilated = ndimage.binary_dilation(grid.occupied, structure=ball)
+    dilated = np.zeros_like(occupied)
+    dims = occupied.shape
+    for offset in (np.argwhere(ball) - reach).tolist():
+        # dilated[v] |= occupied[v + offset] wherever both voxels are in the grid.
+        dst = tuple(slice(max(0, -d), max(0, n - d)) for d, n in zip(offset, dims))
+        src = tuple(slice(max(0, d), max(0, n + d)) for d, n in zip(offset, dims))
+        dilated[dst] |= occupied[src]
     return OccupancyGrid(grid.origin.copy(), grid.voxel_edge, dilated)
 
 
@@ -175,6 +196,15 @@ _NEIGHBOR_OFFSETS = [
     for dz in (-1, 0, 1)
     if (dx, dy, dz) != (0, 0, 0)
 ]
+
+
+@functools.lru_cache(maxsize=16)
+def _steps(ny: int, nz: int, weights: AStarWeights) -> tuple:
+    """(flat index offset, dx, dy, dz, step cost) of each of the 26 neighbours."""
+    return tuple(
+        ((dx * ny + dy) * nz + dz, dx, dy, dz, weights.step_cost(dx, dy, dz))
+        for dx, dy, dz in _NEIGHBOR_OFFSETS
+    )
 
 
 def astar(
@@ -188,7 +218,9 @@ def astar(
     A step to offset (dx, dy, dz) costs a1*dx^2 + a2*dy^2 + a3*dz^2.
     The heuristic min(a) * Chebyshev distance never exceeds the remaining
     cost (every step closes each axis gap by at most one at cost >= min(a)),
-    so returned paths are optimal. Ties pop in lexicographic voxel order.
+    so returned paths are optimal. Ties pop in lexicographic voxel order:
+    the search keys voxels by their row-major flat index (x*ny + y)*nz + z,
+    which orders in-bounds voxels lexicographically.
 
     Raises:
         StartOrGoalOccupied, NoPath.
@@ -202,44 +234,46 @@ def astar(
             raise StartOrGoalOccupied(f"{label} voxel {v} is occupied")
 
     a_min = min(weights.a1, weights.a2, weights.a3)
-
-    def heuristic(v):
-        return a_min * max(
-            abs(v[0] - goal[0]), abs(v[1] - goal[1]), abs(v[2] - goal[2])
-        )
-
-    occupied = grid.occupied
-    nx, ny, nz = occupied.shape
-    g_score = {start: 0.0}
+    nx, ny, nz = grid.dims
+    nyz = ny * nz
+    occupied = grid.occupied.tobytes()
+    steps = _steps(ny, nz, weights)
+    gx, gy, gz = goal
+    goal_key = (gx * ny + gy) * nz + gz
+    sx, sy, sz = start
+    start_key = (sx * ny + sy) * nz + sz
+    g_score = {start_key: 0.0}
     came_from: dict = {}
-    open_heap = [(heuristic(start), start)]
+    open_heap = [(a_min * max(abs(sx - gx), abs(sy - gy), abs(sz - gz)), start_key)]
     closed = set()
 
     while open_heap:
         _, current = heapq.heappop(open_heap)
         if current in closed:
             continue
-        if current == goal:
+        if current == goal_key:
             path = [current]
             while current in came_from:
                 current = came_from[current]
                 path.append(current)
-            return path[::-1]
+            return [(k // nyz, k // nz % ny, k % nz) for k in reversed(path)]
         closed.add(current)
-        cx, cy, cz = current
+        cx, rest = divmod(current, nyz)
+        cy, cz = divmod(rest, nz)
         base = g_score[current]
-        for dx, dy, dz in _NEIGHBOR_OFFSETS:
+        for step, dx, dy, dz, cost in steps:
             vx, vy, vz = cx + dx, cy + dy, cz + dz
             if not (0 <= vx < nx and 0 <= vy < ny and 0 <= vz < nz):
                 continue
-            if occupied[vx, vy, vz]:
+            neighbor = current + step
+            if occupied[neighbor]:
                 continue
-            neighbor = (vx, vy, vz)
-            tentative = base + weights.step_cost(dx, dy, dz)
+            tentative = base + cost
             if tentative < g_score.get(neighbor, math.inf):
                 g_score[neighbor] = tentative
                 came_from[neighbor] = current
-                heapq.heappush(open_heap, (tentative + heuristic(neighbor), neighbor))
+                h = a_min * max(abs(vx - gx), abs(vy - gy), abs(vz - gz))
+                heapq.heappush(open_heap, (tentative + h, neighbor))
 
     raise NoPath(f"no free path from {start} to {goal}")
 
@@ -283,10 +317,11 @@ def _pick_side(
     With a grid, the side whose standoff slab holds fewer occupied voxel
     centers wins; ties (and no grid) go to the normal side.
     """
-    if grid is None or not grid.occupied.any():
+    if grid is None:
         return 1.0
-    idx = np.argwhere(grid.occupied)
-    centers = grid.origin + (idx + 0.5) * grid.voxel_edge
+    centers = grid.occupied_centers
+    if len(centers) == 0:
+        return 1.0
     sd = surface.model.signed_distance(centers)
     band = standoff + grid.voxel_edge
     pos = int(np.count_nonzero((sd > 0.25 * grid.voxel_edge) & (sd <= band)))
@@ -305,9 +340,11 @@ def plan_coverage(
     Photo centers tile the boundary's bounding rectangle in the plane basis
     with step ``cfg.footprint_width * (1 - cfg.overlap)`` along rows and
     ``cfg.footprint_height`` across rows; cells whose footprint misses the
-    boundary polygon are dropped. Rows alternate direction. Each stop stands
-    at :func:`standoff_distance` on the side of the plane that ``grid``
-    shows to be freer (the normal side without a grid).
+    boundary polygon are dropped. Each lattice row is tested against the
+    polygon in one pass of :func:`~scanplan.polygons.rects_intersect_polygon`.
+    Rows alternate direction. Each stop stands at :func:`standoff_distance`
+    on the side of the plane that ``grid`` shows to be freer (the normal side
+    without a grid).
 
     Raises:
         EmptySurface: degenerate boundary.
@@ -333,22 +370,26 @@ def plan_coverage(
     n_u = 1 if extent[0] <= w else 1 + math.ceil((extent[0] - w) / step_u - 1e-9)
     n_v = 1 if extent[1] <= h else 1 + math.ceil((extent[1] - h) / step_v - 1e-9)
 
-    stops: list[StopPoint] = []
+    cols = np.arange(n_u)
+    cu = lo[0] + w / 2.0 + cols * step_u
+    u_min, u_max = cu - w / 2.0, cu + w / 2.0
+    cells: list[tuple[int, int]] = []
+    centers: list[np.ndarray] = []
     for row in range(n_v):
         cv = lo[1] + h / 2.0 + row * step_v
-        cols = range(n_u) if row % 2 == 0 else range(n_u - 1, -1, -1)
-        for col in cols:
-            cu = lo[0] + w / 2.0 + col * step_u
-            rect_min = np.array([cu - w / 2.0, cv - h / 2.0])
-            rect_max = np.array([cu + w / 2.0, cv + h / 2.0])
-            if not rect_intersects_polygon(rect_min, rect_max, poly2d):
-                continue
-            on_plane = basis.to_world(np.array([cu, cv]))
-            position = on_plane + standoff * outward
-            stops.append(StopPoint(position, -outward, row, col))
-    if not stops:
+        rect_min = np.stack([u_min, np.full(n_u, cv - h / 2.0)], axis=1)
+        rect_max = np.stack([u_max, np.full(n_u, cv + h / 2.0)], axis=1)
+        hit = rects_intersect_polygon(rect_min, rect_max, poly2d)
+        kept = cols[hit] if row % 2 == 0 else cols[hit][::-1]
+        cells.extend((row, col) for col in kept.tolist())
+        centers.append(np.stack([cu[kept], np.full(len(kept), cv)], axis=1))
+    if not cells:
         raise EmptySurface("no photo footprint intersects the boundary")
-    return stops
+    positions = basis.to_world(np.concatenate(centers)) + standoff * outward
+    return [
+        StopPoint(position, -outward, row, col)
+        for position, (row, col) in zip(positions, cells)
+    ]
 
 
 @dataclass(frozen=True)
@@ -375,18 +416,21 @@ def generate_waypoints(
     """
     if not stops:
         raise ValueError("need at least one stop point")
-    voxels = []
-    for i, stop in enumerate(stops):
-        v = grid.world_to_index(stop.position)
-        if not grid.in_bounds(v):
+    indices = grid.world_to_indices([stop.position for stop in stops])
+    inside = np.all((indices >= 0) & (indices < grid.dims), axis=1)
+    blocked = ~inside
+    blocked[inside] = grid.occupied[tuple(indices[inside].T)]
+    if blocked.any():
+        i = int(np.argmax(blocked))
+        if not inside[i]:
             raise StopPointBlocked(
-                f"stop {i}: stop position {stop.position} is outside the grid"
+                f"stop {i}: stop position {stops[i].position} is outside the grid"
             )
-        if grid.occupied[v]:
-            raise StopPointBlocked(
-                f"stop {i}: stop voxel {v} is occupied after inflation"
-            )
-        voxels.append(v)
+        raise StopPointBlocked(
+            f"stop {i}: stop voxel {tuple(indices[i].tolist())} is occupied "
+            "after inflation"
+        )
+    voxels = [tuple(v) for v in indices.tolist()]
 
     chain = [voxels[0]]
     legs = []
@@ -399,5 +443,4 @@ def generate_waypoints(
         legs.append(leg)
         leg_costs.append(path_cost(leg, weights))
         chain.extend(leg[1:])
-    waypoints = np.array([grid.index_to_center(v) for v in chain])
-    return FlightPlan(list(stops), waypoints, legs, leg_costs)
+    return FlightPlan(list(stops), grid.index_to_center(chain), legs, leg_costs)

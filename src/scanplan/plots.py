@@ -24,6 +24,9 @@ def render_svg(
 ) -> None:
     """Render a 2D projection (top: x-y, elevation: x-z) to an SVG file.
 
+    Pixel coordinates are computed for a whole point group at once and
+    printed with two decimals, the text of ``f"{value:.2f}"``.
+
     Args:
         cloud: optional PointCloud scattered as grey dots (strided down to a
             plotting budget).
@@ -51,12 +54,10 @@ def render_svg(
     lo, hi = lo - pad, hi + pad
     scale = size / (hi - lo).max()
 
-    def sx(x):
-        return (x - lo[0]) * scale
-
-    def sy(y):
-        # SVG y grows downward.
-        return (hi[1] - y) * scale
+    def screen(points):
+        """Pixel coordinates as Python float pairs; SVG y grows downward."""
+        return zip(((points[:, 0] - lo[0]) * scale).tolist(),
+                   ((hi[1] - points[:, 1]) * scale).tolist())
 
     w = (hi[0] - lo[0]) * scale
     h = (hi[1] - lo[1]) * scale
@@ -66,19 +67,16 @@ def render_svg(
         f'<rect width="{w:.1f}" height="{h:.1f}" fill="white"/>',
     ]
     if pts2d is not None:
-        for p in pts2d:
-            out.append(
-                f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="1" '
-                'fill="#888888"/>'
-            )
+        out.extend('<circle cx="%.2f" cy="%.2f" r="1" fill="#888888"/>' % xy
+                   for xy in screen(pts2d))
     for poly in poly2d:
-        coords = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in poly)
+        coords = " ".join("%.2f,%.2f" % xy for xy in screen(poly))
         out.append(
             f'<polygon points="{coords}" fill="none" stroke="#2255cc" '
             'stroke-width="1.5"/>'
         )
     for line in line2d:
-        coords = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in line)
+        coords = " ".join("%.2f,%.2f" % xy for xy in screen(line))
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="#cc3322" '
             'stroke-width="1"/>'

@@ -1,4 +1,11 @@
-"""Planar polygon predicates shared by segmentation, planning and editing."""
+"""Planar polygon predicates shared by segmentation, planning and editing.
+
+The predicates broadcast over many rectangles or edge pairs at once: the
+coverage lattice tests every footprint of a lattice row against the boundary
+in one pass, and the simplicity check tests every edge pair in one pass. The
+floating-point operations are those of the one-at-a-time textbook forms, in
+the same order, so the booleans are the same as theirs.
+"""
 
 from __future__ import annotations
 
@@ -12,69 +19,40 @@ def shoelace_area(polygon: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def point_in_polygon(point: np.ndarray, polygon: np.ndarray) -> bool:
-    """Even-odd membership test; boundary points count as inside.
+def _orient(p, q, r) -> np.ndarray:
+    """Sign (-1, 0 or 1) of the turn p -> q -> r, broadcast over leading axes."""
+    v = (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
+        q[..., 1] - p[..., 1]
+    ) * (r[..., 0] - p[..., 0])
+    return (v > 0).astype(np.int8) - (v < 0)
 
-    Works for any simple polygon, convex or not, so manually edited
-    boundaries need no special casing.
+
+def _in_box(p, q, r) -> np.ndarray:
+    """True where r lies in the bounding box of segment p-q."""
+    return (
+        (np.minimum(p[..., 0], q[..., 0]) <= r[..., 0])
+        & (r[..., 0] <= np.maximum(p[..., 0], q[..., 0]))
+        & (np.minimum(p[..., 1], q[..., 1]) <= r[..., 1])
+        & (r[..., 1] <= np.maximum(p[..., 1], q[..., 1]))
+    )
+
+
+def segments_intersect(a0, a1, b0, b1) -> np.ndarray:
+    """True where closed segments a0-a1 and b0-b1 share a point.
+
+    Endpoints are ``(..., 2)`` arrays that broadcast against each other.
     """
-    x, y = float(point[0]), float(point[1])
-    p = np.asarray(polygon, dtype=float)
-    n = len(p)
-    inside = False
-    for i in range(n):
-        x1, y1 = p[i]
-        x2, y2 = p[(i + 1) % n]
-        # On-edge check (within a tiny band) counts as inside.
-        if _on_segment(x, y, x1, y1, x2, y2):
-            return True
-        if (y1 > y) != (y2 > y):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < x_cross:
-                inside = not inside
-    return inside
-
-
-def _on_segment(x, y, x1, y1, x2, y2, tol=1e-12) -> bool:
-    cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-    seg2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
-    if cross * cross > tol * max(seg2, tol):
-        return False
-    dot = (x - x1) * (x2 - x1) + (y - y1) * (y2 - y1)
-    return -tol <= dot <= seg2 + tol
-
-
-def segments_intersect(a0, a1, b0, b1) -> bool:
-    """True when closed segments a0-a1 and b0-b1 share a point."""
-    def orient(p, q, r):
-        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        if v > 0:
-            return 1
-        if v < 0:
-            return -1
-        return 0
-
-    def on_seg(p, q, r):
-        return (
-            min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
-        )
-
-    o1 = orient(a0, a1, b0)
-    o2 = orient(a0, a1, b1)
-    o3 = orient(b0, b1, a0)
-    o4 = orient(b0, b1, a1)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_seg(a0, a1, b0):
-        return True
-    if o2 == 0 and on_seg(a0, a1, b1):
-        return True
-    if o3 == 0 and on_seg(b0, b1, a0):
-        return True
-    if o4 == 0 and on_seg(b0, b1, a1):
-        return True
-    return False
+    o1 = _orient(a0, a1, b0)
+    o2 = _orient(a0, a1, b1)
+    o3 = _orient(b0, b1, a0)
+    o4 = _orient(b0, b1, a1)
+    return (
+        ((o1 != o2) & (o3 != o4))
+        | ((o1 == 0) & _in_box(a0, a1, b0))
+        | ((o2 == 0) & _in_box(a0, a1, b1))
+        | ((o3 == 0) & _in_box(b0, b1, a0))
+        | ((o4 == 0) & _in_box(b0, b1, a1))
+    )
 
 
 def polygon_is_simple(polygon: np.ndarray) -> bool:
@@ -83,39 +61,69 @@ def polygon_is_simple(polygon: np.ndarray) -> bool:
     n = len(p)
     if n < 3:
         return False
-    edges = [(p[i], p[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if segments_intersect(edges[i][0], edges[i][1], edges[j][0], edges[j][1]):
-                return False
-    return True
+    i, j = np.triu_indices(n, 1)
+    apart = ((j + 1) % n != i) & ((i + 1) % n != j)
+    i, j = i[apart], j[apart]
+    q = np.roll(p, -1, axis=0)
+    return not segments_intersect(p[i], q[i], p[j], q[j]).any()
 
 
-def rect_intersects_polygon(
+def _inside_or_on(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
+    """Even-odd membership of ``(..., 2)`` points; boundary points count as inside.
+
+    Works for any simple polygon, convex or not, so manually edited
+    boundaries need no special casing.
+    """
+    x1, y1 = polygon[:, 0], polygon[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    # Per-edge terms as Python floats: ``d ** 2`` on a float calls C pow,
+    # which can round differently from the multiply that ``array ** 2`` uses.
+    seg2 = np.array([
+        (bx - ax) ** 2 + (by - ay) ** 2
+        for ax, ay, bx, by in zip(x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist())
+    ])
+    tol = 1e-12
+    cross_limit = tol * np.maximum(seg2, tol)
+    x = points[..., 0, None]
+    y = points[..., 1, None]
+    cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+    dot = (x - x1) * (x2 - x1) + (y - y1) * (y2 - y1)
+    on_edge = ~(cross * cross > cross_limit) & (-tol <= dot) & (dot <= seg2 + tol)
+    straddles = (y1 > y) != (y2 > y)
+    # A level edge straddles no point, so its division by zero is never used.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crosses = straddles & (x < x1 + (y - y1) * (x2 - x1) / (y2 - y1))
+    return on_edge.any(axis=-1) | (np.count_nonzero(crosses, axis=-1) % 2 == 1)
+
+
+def rects_intersect_polygon(
     rect_min: np.ndarray, rect_max: np.ndarray, polygon: np.ndarray
-) -> bool:
-    """True when the axis-aligned rectangle and the polygon share any point."""
+) -> np.ndarray:
+    """Per rectangle, True when the closed axis-aligned rectangle and the
+    polygon share any point.
+
+    ``rect_min`` and ``rect_max`` are (R, 2) corner arrays. A rectangle hits
+    when a polygon vertex lies in it, a corner lies in or on the polygon, or
+    an edge of it meets a polygon edge; each test runs only on the rectangles
+    the previous ones left undecided.
+    """
     p = np.asarray(polygon, dtype=float)
-    xmin, ymin = rect_min
-    xmax, ymax = rect_max
-    if np.any((p[:, 0] >= xmin) & (p[:, 0] <= xmax)
-              & (p[:, 1] >= ymin) & (p[:, 1] <= ymax)):
-        return True
-    corners = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
-    if any(point_in_polygon(np.array(c), p) for c in corners):
-        return True
-    rect_edges = [
-        (corners[0], corners[1]),
-        (corners[1], corners[2]),
-        (corners[2], corners[3]),
-        (corners[3], corners[0]),
-    ]
-    n = len(p)
-    for i in range(n):
-        e0, e1 = p[i], p[(i + 1) % n]
-        for r0, r1 in rect_edges:
-            if segments_intersect(e0, e1, r0, r1):
-                return True
-    return False
+    lo = np.asarray(rect_min, dtype=float)
+    hi = np.asarray(rect_max, dtype=float)
+    hit = (
+        (p[:, 0] >= lo[:, 0, None]) & (p[:, 0] <= hi[:, 0, None])
+        & (p[:, 1] >= lo[:, 1, None]) & (p[:, 1] <= hi[:, 1, None])
+    ).any(axis=1)
+    corners = np.stack(
+        [lo, np.stack([hi[:, 0], lo[:, 1]], axis=1),
+         hi, np.stack([lo[:, 0], hi[:, 1]], axis=1)],
+        axis=1,
+    )
+    open_ = ~hit
+    hit[open_] = _inside_or_on(corners[open_], p).any(axis=1)
+    open_ = ~hit
+    c = corners[open_][:, :, None, :]
+    hit[open_] = segments_intersect(
+        p, np.roll(p, -1, axis=0), c, np.roll(c, -1, axis=1)
+    ).any(axis=(1, 2))
+    return hit

@@ -83,6 +83,12 @@ class RansacConfig:
             raise ValueError("distance_threshold must be > 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.min_inliers < 1:
+            raise ValueError("min_inliers must be >= 1")
+        if self.min_area < 0:
+            raise ValueError("min_area must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)

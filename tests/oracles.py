@@ -1,11 +1,12 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive: linear scans, union-find over the
-full distance matrix, gift wrapping, Dijkstra without a heuristic. None of
-it shares code with the package under test.
+full distance matrix, gift wrapping, Dijkstra without a heuristic, one
+polygon edge at a time. None of it shares code with the package under test.
 """
 
 import heapq
+import math
 
 import numpy as np
 
@@ -170,3 +171,214 @@ def _points_in_poly(points, poly) -> np.ndarray:
             crosses = x < x1 + (y - y1) * (x2 - x1) / (y2 - y1)
         inside ^= straddles & crosses
     return inside
+
+
+def point_in_polygon(point, polygon) -> bool:
+    """Even-odd membership test, one edge at a time; boundary points count
+    as inside."""
+    x, y = float(point[0]), float(point[1])
+    p = np.asarray(polygon, dtype=float)
+    n = len(p)
+    inside = False
+    for i in range(n):
+        x1, y1 = p[i]
+        x2, y2 = p[(i + 1) % n]
+        # On-edge check (within a tiny band) counts as inside.
+        if _on_segment(x, y, x1, y1, x2, y2):
+            return True
+        if (y1 > y) != (y2 > y):
+            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < x_cross:
+                inside = not inside
+    return inside
+
+
+def _on_segment(x, y, x1, y1, x2, y2, tol=1e-12) -> bool:
+    cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+    seg2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
+    if cross * cross > tol * max(seg2, tol):
+        return False
+    dot = (x - x1) * (x2 - x1) + (y - y1) * (y2 - y1)
+    return -tol <= dot <= seg2 + tol
+
+
+def segments_intersect(a0, a1, b0, b1) -> bool:
+    """True when closed segments a0-a1 and b0-b1 share a point."""
+    def orient(p, q, r):
+        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        if v > 0:
+            return 1
+        if v < 0:
+            return -1
+        return 0
+
+    def on_seg(p, q, r):
+        return (
+            min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
+        )
+
+    o1 = orient(a0, a1, b0)
+    o2 = orient(a0, a1, b1)
+    o3 = orient(b0, b1, a0)
+    o4 = orient(b0, b1, a1)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and on_seg(a0, a1, b0):
+        return True
+    if o2 == 0 and on_seg(a0, a1, b1):
+        return True
+    if o3 == 0 and on_seg(b0, b1, a0):
+        return True
+    if o4 == 0 and on_seg(b0, b1, a1):
+        return True
+    return False
+
+
+def polygon_is_simple(polygon) -> bool:
+    """True when no two non-adjacent edges intersect, pair by pair."""
+    p = np.asarray(polygon, dtype=float)
+    n = len(p)
+    if n < 3:
+        return False
+    edges = [(p[i], p[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            if segments_intersect(edges[i][0], edges[i][1], edges[j][0], edges[j][1]):
+                return False
+    return True
+
+
+def rect_intersects_polygon(rect_min, rect_max, polygon) -> bool:
+    """True when the closed axis-aligned rectangle and the polygon share any
+    point: a vertex inside the rectangle, a corner in or on the polygon, or
+    two crossing edges."""
+    p = np.asarray(polygon, dtype=float)
+    xmin, ymin = rect_min
+    xmax, ymax = rect_max
+    if np.any((p[:, 0] >= xmin) & (p[:, 0] <= xmax)
+              & (p[:, 1] >= ymin) & (p[:, 1] <= ymax)):
+        return True
+    corners = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
+    if any(point_in_polygon(np.array(c), p) for c in corners):
+        return True
+    n = len(p)
+    for i in range(n):
+        e0, e1 = p[i], p[(i + 1) % n]
+        for k in range(4):
+            if segments_intersect(e0, e1, corners[k], corners[(k + 1) % 4]):
+                return True
+    return False
+
+
+_NEIGHBOR_OFFSETS = [
+    (dx, dy, dz)
+    for dx in (-1, 0, 1)
+    for dy in (-1, 0, 1)
+    for dz in (-1, 0, 1)
+    if (dx, dy, dz) != (0, 0, 0)
+]
+
+
+def tuple_key_astar(occupied: np.ndarray, start, goal, weights=(1.0, 1.0, 1.0)):
+    """A* keyed by voxel tuples, the step cost and heuristic recomputed per
+    neighbour; ties pop in lexicographic voxel order. None when unreachable."""
+    a1, a2, a3 = weights
+    a_min = min(weights)
+    start, goal = tuple(start), tuple(goal)
+
+    def heuristic(v):
+        return a_min * max(
+            abs(v[0] - goal[0]), abs(v[1] - goal[1]), abs(v[2] - goal[2])
+        )
+
+    nx, ny, nz = occupied.shape
+    g_score = {start: 0.0}
+    came_from: dict = {}
+    open_heap = [(heuristic(start), start)]
+    closed = set()
+    while open_heap:
+        _, current = heapq.heappop(open_heap)
+        if current in closed:
+            continue
+        if current == goal:
+            path = [current]
+            while current in came_from:
+                current = came_from[current]
+                path.append(current)
+            return path[::-1]
+        closed.add(current)
+        cx, cy, cz = current
+        base = g_score[current]
+        for dx, dy, dz in _NEIGHBOR_OFFSETS:
+            vx, vy, vz = cx + dx, cy + dy, cz + dz
+            if not (0 <= vx < nx and 0 <= vy < ny and 0 <= vz < nz):
+                continue
+            if occupied[vx, vy, vz]:
+                continue
+            neighbor = (vx, vy, vz)
+            tentative = base + (a1 * dx * dx + a2 * dy * dy + a3 * dz * dz)
+            if tentative < g_score.get(neighbor, math.inf):
+                g_score[neighbor] = tentative
+                came_from[neighbor] = current
+                heapq.heappush(open_heap, (tentative + heuristic(neighbor), neighbor))
+    return None
+
+
+def render_svg_per_point(cloud=None, polygons=(), polylines=(), view="top", size=800):
+    """SVG text with every coordinate mapped and formatted one point at a time."""
+    ax, ay = {"top": (0, 1), "elevation": (0, 2)}[view]
+    pts2d = None
+    if cloud is not None and len(cloud) > 0:
+        stride = max(1, len(cloud) // 20000)
+        pts2d = cloud.points[::stride][:, (ax, ay)]
+    poly2d = [np.asarray(p, dtype=float)[:, (ax, ay)] for p in polygons]
+    line2d = [np.asarray(p, dtype=float)[:, (ax, ay)] for p in polylines]
+    groups = ([] if pts2d is None else [pts2d]) + poly2d + line2d
+    if groups:
+        allpts = np.vstack(groups)
+        lo = allpts.min(axis=0)
+        hi = allpts.max(axis=0)
+    else:
+        lo = np.zeros(2)
+        hi = np.ones(2)
+    span = np.maximum(hi - lo, 1e-6)
+    pad = 0.05 * span.max()
+    lo, hi = lo - pad, hi + pad
+    scale = size / (hi - lo).max()
+
+    def sx(x):
+        return (x - lo[0]) * scale
+
+    def sy(y):
+        return (hi[1] - y) * scale
+
+    w = (hi[0] - lo[0]) * scale
+    h = (hi[1] - lo[1]) * scale
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.1f}" '
+        f'height="{h:.1f}" viewBox="0 0 {w:.1f} {h:.1f}">',
+        f'<rect width="{w:.1f}" height="{h:.1f}" fill="white"/>',
+    ]
+    if pts2d is not None:
+        for p in pts2d:
+            out.append(
+                f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="1" '
+                'fill="#888888"/>'
+            )
+    for poly in poly2d:
+        coords = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in poly)
+        out.append(
+            f'<polygon points="{coords}" fill="none" stroke="#2255cc" '
+            'stroke-width="1.5"/>'
+        )
+    for line in line2d:
+        coords = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in line)
+        out.append(
+            f'<polyline points="{coords}" fill="none" stroke="#cc3322" '
+            'stroke-width="1"/>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -1,11 +1,15 @@
 """The command line end to end, called in-process through ``cli.main``."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scanplan
 from scanplan.artifacts import read_cloud
 from scanplan.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
 from scanplan.ingest import LaserScan, write_scan_log
@@ -216,6 +220,10 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
      (*_run_with_config({"icp": {"rotation_locked": True}}),
       "unknown key(s) rotation_locked"),
      (*_run_with_config({"ransac": {"max_area": 40.0}}), "unknown key(s) max_area"),
+     (*_run_with_config({"ransac": {"min_area": 10**400}}),
+      "ransac.min_area: expected a finite float, got an integer too large for a float"),
+     ({}, ["segment", "--input", "{tmp}/cloud.xyz", "--out", "{tmp}/surfaces.json",
+           "--min-area", "-5"], "min_area must be >= 0"),
      ({"stations.json": {"stations": [
          {"cloud": "cloud.xyz", "translation": [0.0, 0.0, 0.0]}]}},
       ["register", "--stations", "{tmp}/stations.json", "--out", "{tmp}/merged.xyz"],
@@ -273,6 +281,7 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
     ids=["top_level", "nested", "removed_field", "string_for_int",
          "null_for_float", "float_for_int", "list_for_section",
          "removed_camera_field", "removed_icp_field", "removed_ransac_field",
+         "huge_int_for_float", "segment_negative_min_area",
          "station_without_rotation", "station_number_for_cloud",
          "station_two_row_rotation", "plane_without_d", "plane_null_area",
          "plane_nan_d", "boundary_file_without_boundary", "boundary_null_coordinate",
@@ -301,8 +310,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, files, argv, message):
      "config.planning: footprint dimensions must be > 0"),
     ({"planning": {"overlap": 1.0}}, "config.planning: overlap must be in [0, 1)"),
     ({"surface_cluster_eps": -1}, "config: surface_cluster_eps must be > 0"),
+    ({"ransac": {"min_inliers": -3}}, "config.ransac: min_inliers must be >= 1"),
+    ({"ransac": {"min_area": -5}}, "config.ransac: min_area must be >= 0"),
+    ({"ransac": {"rng_seed": -1}}, "config.ransac: rng_seed must be >= 0"),
 ], ids=["negative_inflate_radius", "zero_footprint", "full_overlap",
-        "negative_cluster_eps"])
+        "negative_cluster_eps", "negative_min_inliers", "negative_min_area",
+        "negative_rng_seed"])
 def test_config_value_out_of_range_exits_2_before_any_stage(
         deck, tmp_path, capsys, config, message):
     # A value the config rejects ends the run before a stage writes anything,
@@ -315,3 +328,12 @@ def test_config_value_out_of_range_exits_2_before_any_stage(
                  "--input", str(cloud), "--out", str(out)]) == EXIT_VALIDATION
     assert f"validation error: {message}" in capsys.readouterr().err
     assert list(out.rglob("*")) == []
+
+
+def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
+    # scipy.ndimage costs tens of milliseconds of start-up on every command.
+    code = "import sys, scanplan.cli; print('scipy.ndimage' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(scanplan.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "False"

@@ -26,7 +26,7 @@ from scanplan.planning import (
 )
 from scanplan.segmentation import PlanarSurface, PlaneModel
 
-from oracles import dijkstra_grid
+from oracles import dijkstra_grid, tuple_key_astar
 
 
 def rect_surface(width, height, z=0.0):
@@ -182,19 +182,31 @@ def test_inflate_single_voxel_ball():
     assert np.array_equal(out.occupied, expected)
 
 
+def _brute_force_inflate(occ, edge, radius):
+    occupied_idx = np.argwhere(occ)
+    expected = np.zeros_like(occ)
+    for idx in np.ndindex(occ.shape):
+        for o in occupied_idx:
+            if np.linalg.norm((np.array(idx) - o) * edge) <= radius:
+                expected[idx] = True
+                break
+    return expected
+
+
 def test_inflate_brute_force_random(rng):
     occ = rng.random((8, 8, 8)) < 0.1
     grid = OccupancyGrid(np.zeros(3), 0.5, occ)
     radius = 0.8
     out = inflate(grid, radius)
-    occupied_idx = np.argwhere(occ)
-    expected = np.zeros_like(occ)
-    for idx in np.ndindex(occ.shape):
-        for o in occupied_idx:
-            if np.linalg.norm((np.array(idx) - o) * 0.5) <= radius:
-                expected[idx] = True
-                break
-    assert np.array_equal(out.occupied, expected)
+    assert np.array_equal(out.occupied, _brute_force_inflate(occ, 0.5, radius))
+
+
+def test_inflate_brute_force_grid_thinner_than_the_ball(rng):
+    # The ball reaches 3 voxels, past both ends of the 2-voxel axis.
+    occ = rng.random((2, 5, 9)) < 0.15
+    occ[1, 2, 4] = True
+    out = inflate(OccupancyGrid(np.zeros(3), 0.5, occ), 1.6)
+    assert np.array_equal(out.occupied, _brute_force_inflate(occ, 0.5, 1.6))
 
 
 def test_inflate_all_occupied_unchanged():
@@ -270,6 +282,28 @@ def test_astar_matches_dijkstra_random_grids(rng):
             assert max(abs(a[i] - b[i]) for i in range(3)) == 1
 
 
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0, 2.0, 1.5)],
+                         ids=["uniform", "weighted"])
+def test_astar_returns_the_tuple_keyed_path(rng, weights):
+    # Uniform weights give many equal-cost paths, so any change in the order
+    # ties pop in would show as a different path.
+    for shape in [(7, 9, 5), (12, 4, 8), (1, 10, 10), (9, 1, 1)]:
+        for _ in range(12):
+            occ = rng.random(shape) < rng.uniform(0.0, 0.35)
+            free = np.argwhere(~occ)
+            if len(free) == 0:
+                continue
+            start = tuple(free[rng.integers(len(free))].tolist())
+            goal = tuple(free[rng.integers(len(free))].tolist())
+            want = tuple_key_astar(occ, start, goal, weights)
+            grid = OccupancyGrid(np.zeros(3), 1.0, occ)
+            if want is None:
+                with pytest.raises(NoPath):
+                    astar(grid, start, goal, AStarWeights(*weights))
+            else:
+                assert astar(grid, start, goal, AStarWeights(*weights)) == want
+
+
 def test_astar_weight_scaling_invariance(rng):
     occ = rng.random((10, 10, 10)) < 0.2
     free = np.argwhere(~occ)
@@ -331,6 +365,20 @@ def test_generate_waypoints_blocked_stop():
     blocked = _stop_at(grid, (2, 2, 2))
     with pytest.raises(StopPointBlocked):
         generate_waypoints([blocked], grid)
+
+
+def test_generate_waypoints_names_the_first_bad_stop():
+    occ = np.zeros((5, 5, 5), dtype=bool)
+    occ[2, 2, 2] = occ[3, 3, 3] = True
+    grid = OccupancyGrid(np.zeros(3), 1.0, occ)
+    free, outside = _stop_at(grid, (0, 0, 0)), _stop_at(grid, (0, 0, 7))
+    blocked, also_blocked = _stop_at(grid, (2, 2, 2)), _stop_at(grid, (3, 3, 3))
+    with pytest.raises(StopPointBlocked,
+                       match=r"^stop 1: stop voxel \(2, 2, 2\) is occupied after inflation$"):
+        generate_waypoints([free, blocked, outside, also_blocked], grid)
+    with pytest.raises(StopPointBlocked,
+                       match=r"^stop 2: stop position \[0.5 0.5 7.5\] is outside the grid$"):
+        generate_waypoints([free, free, outside, blocked], grid)
 
 
 def _stop_at(grid, index):

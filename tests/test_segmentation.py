@@ -20,7 +20,12 @@ from scanplan.segmentation import (
     surface_area,
 )
 
-from oracles import edge_test_hull, gift_wrap_hull, monte_carlo_polygon_area
+from oracles import (
+    edge_test_hull,
+    gift_wrap_hull,
+    monte_carlo_polygon_area,
+    point_in_polygon,
+)
 
 
 def plane_with_clutter(rng, n_plane=500, clutter_frac=0.05):
@@ -350,7 +355,5 @@ def test_extract_inliers_inside_boundary(rng):
     surface = surfaces[0]
     coords, basis = project_to_plane(cloud.points[surface.inliers], surface.model)
     hull2d = basis.to_plane(surface.boundary)
-    from scanplan.polygons import point_in_polygon
-
     for c in coords[:: max(1, len(coords) // 100)]:
         assert point_in_polygon(c, hull2d)
