@@ -3,6 +3,13 @@
 Cloud files are ASCII ``x y z [tag]`` lines under a 2-line header (count,
 comment). Floats are written with repr so every file round-trips bit-exact;
 two runs with the same seeds produce byte-identical artifacts.
+
+A cloud file is written a block of ``_WRITE_BLOCK_ROWS`` rows at a time, and
+its lines are parsed ``_READ_BLOCK_ROWS`` at a time, so besides the cloud's
+own arrays (and, when reading, the file's text and lines) only one block's
+text and tokens are alive: never a Python object per value. The blocks do
+not change a byte written or a value read, since each row is formatted, and
+each line parsed, on its own.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, fields, is_dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +29,7 @@ from .errors import (
     SelfIntersectingPolygon,
     ValidationError,
 )
-from .geometry import PointCloud, Pose
+from .geometry import PointCloud, Pose, format_rows
 from .planning import FlightPlan
 from .polygons import polygon_is_simple, shoelace_area
 from .segmentation import PlanarSurface, PlaneModel, project_to_plane
@@ -29,53 +37,98 @@ from .segmentation import PlanarSurface, PlaneModel, project_to_plane
 SCHEMA_VERSION = 1
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# The cloud files' blocks (see the module docstring).
+_WRITE_BLOCK_ROWS = 4096
+_READ_BLOCK_ROWS = 4096
 
 
 # --- point clouds -----------------------------------------------------------
 
 def write_cloud(path, cloud: PointCloud, comment: str = "x y z [tag]") -> None:
-    lines = [str(len(cloud)), f"# {comment}"]
-    if cloud.sources is None:
-        for p in cloud.points:
-            lines.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-    else:
-        for p, tag in zip(cloud.points, cloud.sources):
-            lines.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])} {int(tag)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write the header, then the rows a block at a time."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{len(cloud)}\n# {comment}\n")
+        for start in range(0, len(cloud), _WRITE_BLOCK_ROWS):
+            block = cloud.points[start:start + _WRITE_BLOCK_ROWS].tolist()
+            if cloud.sources is not None:
+                tags = cloud.sources[start:start + _WRITE_BLOCK_ROWS].tolist()
+                block = [(*p, tag) for p, tag in zip(block, tags)]
+            fh.write(format_rows(block))
 
 
 def read_cloud(path) -> PointCloud:
-    text = Path(path).read_text(encoding="ascii").splitlines()
-    if len(text) < 2:
+    """Read a cloud file, parsing its lines a block at a time.
+
+    Lines are split by ``str.splitlines``; blank lines are skipped. A data
+    line is ``x y z`` or ``x y z tag``, and the tags cover every point or
+    none.
+
+    Raises:
+        MalformedRecord: a short header, a bad count, a line of the wrong
+            width, a bad coordinate or tag (naming the line), a count that
+            does not match the rows, or tags on only some rows.
+        ValueError: a non-finite coordinate (from :class:`PointCloud`).
+    """
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    if len(lines) < 2:
         raise MalformedRecord("cloud file needs a 2-line header")
     try:
-        count = int(text[0].strip())
+        count = int(lines[0].strip())
     except ValueError:
-        raise MalformedRecord(f"bad point count {text[0]!r}", line=1) from None
-    pts = []
-    tags = []
-    for line_no, line in enumerate(text[2:], start=3):
-        if not line.strip():
-            continue
+        raise MalformedRecord(f"bad point count {lines[0]!r}", line=1) from None
+    blocks = [_parse_rows(lines[start:start + _READ_BLOCK_ROWS], start + 1)
+              for start in range(2, len(lines), _READ_BLOCK_ROWS)]
+    held = sum(len(xyz) for xyz, _ in blocks)
+    tagged = sum(len(tags) for _, tags in blocks)
+    if held != count:
+        raise MalformedRecord(f"header promises {count} points, file holds {held}")
+    if tagged and tagged != held:
+        raise MalformedRecord("source tags must cover every point or none")
+    points = np.concatenate([xyz for xyz, _ in blocks]) if blocks else np.zeros((0, 3))
+    tags = np.concatenate([block_tags for _, block_tags in blocks]) if tagged else None
+    return PointCloud(points, tags)
+
+
+def _parse_rows(lines: list[str], first_line_no: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 3) coordinates of a block's data rows and the tags of its
+    tagged rows.
+
+    A block whose rows all have 3, or all have 4, tokens is converted in one
+    numpy call per column kind. Otherwise, or when that fails, the rows are
+    converted one by one, which names the first bad line. Both convert a
+    token as ``float`` or ``int`` of it would, except that a tag must fit
+    an int64.
+    """
+    rows = [tokens for tokens in map(str.split, lines) if tokens]
+    widths = set(map(len, rows))
+    if widths in ({3}, {4}):
+        values = list(chain.from_iterable(rows))
+        tag_tokens = []
+        if widths == {4}:
+            tag_tokens = values[3::4]
+            del values[3::4]
+        try:
+            return (np.array(values, dtype=float).reshape(-1, 3),
+                    np.array(tag_tokens, dtype=np.int64))
+        except (ValueError, OverflowError):
+            pass  # the row-by-row pass names the bad line
+    coords, tags = [], []
+    for line_no, line in enumerate(lines, start=first_line_no):
         tokens = line.split()
+        if not tokens:
+            continue
         if len(tokens) not in (3, 4):
             raise MalformedRecord("expected 'x y z [tag]'", line=line_no)
         try:
-            pts.append([float(tokens[0]), float(tokens[1]), float(tokens[2])])
+            coords.append(np.array(tokens[:3], dtype=float))
         except ValueError:
             raise MalformedRecord("bad coordinate", line=line_no) from None
-        if len(tokens) == 4:
-            tags.append(int(tokens[3]))
-    if len(pts) != count:
-        raise MalformedRecord(
-            f"header promises {count} points, file holds {len(pts)}"
-        )
-    if tags and len(tags) != len(pts):
-        raise MalformedRecord("source tags must cover every point or none")
-    cloud_pts = np.array(pts) if pts else np.zeros((0, 3))
-    return PointCloud(cloud_pts, np.array(tags) if tags else None)
+        try:
+            tags.extend(np.array(tokens[3:], dtype=np.int64))
+        except (ValueError, OverflowError):
+            raise MalformedRecord(f"bad source tag {tokens[3]!r}",
+                                  line=line_no) from None
+    return np.array(coords).reshape(-1, 3), np.array(tags, dtype=np.int64)
 
 
 # --- surfaces ----------------------------------------------------------------
@@ -173,8 +226,8 @@ def write_plans(path, entries: list[dict]) -> None:
 
 
 def write_waypoints_csv(path, plan: FlightPlan) -> None:
-    lines = [f"{_fmt(w[0])},{_fmt(w[1])},{_fmt(w[2])}" for w in plan.waypoints]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = np.asarray(plan.waypoints, dtype=float).tolist()
+    Path(path).write_text(format_rows(rows, ","), encoding="ascii")
 
 
 # --- stations (multi-cloud registration input) ------------------------------------

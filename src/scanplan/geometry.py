@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -215,3 +216,18 @@ def concat_clouds(clouds, retag: bool = False) -> PointCloud:
     else:
         src = None
     return PointCloud(pts, src)
+
+
+def format_rows(rows, sep: str = " ") -> str:
+    """One text line per row, its values joined by ``sep``.
+
+    The rows share one width and hold Python floats and ints, as
+    ``ndarray.tolist()`` gives them; each value is printed with repr, whose
+    shortest round-trip digits read back bit-exact. (Under numpy 2 the repr
+    of a numpy scalar is "np.float64(...)", so numpy values must not reach
+    here.)
+    """
+    if not rows:
+        return ""
+    line = sep.join(["%r"] * len(rows[0])) + "\n"
+    return (line * len(rows)) % tuple(chain.from_iterable(rows))

@@ -46,6 +46,7 @@ from .geometry import (
     DEFAULT_ARC_LIMIT,
     PointCloud,
     Pose,
+    format_rows,
     horizontal_polar_to_local_arrays,
     polar_to_local_arrays,
     scan_bearings,
@@ -116,6 +117,19 @@ def _parse_float(token: str, line_no: int, what: str) -> float:
     return value
 
 
+def _parse_floats(tokens: list[str], line_no: int, what: str) -> np.ndarray:
+    """``tokens`` as floats in one numpy call, which converts each token as
+    ``float`` does; the token-by-token pass runs only to name a bad or NaN
+    token."""
+    try:
+        values = np.array(tokens, dtype=float)
+        if not np.isnan(values).any():
+            return values
+    except ValueError:
+        pass
+    return np.array([_parse_float(tok, line_no, what) for tok in tokens])
+
+
 def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
     """Read and validate a scan log.
 
@@ -163,9 +177,7 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
                 t = _parse_float(tokens[1], line_no, "timestamp")
                 if t < 0:
                     raise MalformedRecord("timestamp must be >= 0", line=line_no)
-                ranges = np.array(
-                    [_parse_float(tok, line_no, "range") for tok in tokens[2:]]
-                )
+                ranges = _parse_floats(tokens[2:], line_no, "range")
                 if np.any(ranges < 0):
                     raise MalformedRecord("negative range reading", line=line_no)
                 last_bearing = header["angle_min"] + header["angle_inc"] * (len(ranges) - 1)
@@ -181,10 +193,9 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
                         "IMU record needs a timestamp and 9 matrix entries", line=line_no
                     )
                 t = _parse_float(tokens[1], line_no, "timestamp")
-                entries = [_parse_float(tok, line_no, "rotation entry")
-                           for tok in tokens[2:]]
+                entries = _parse_floats(tokens[2:], line_no, "rotation entry")
                 try:
-                    sample = ImuSample(t, np.array(entries).reshape(3, 3))
+                    sample = ImuSample(t, entries.reshape(3, 3))
                 except ValueError as err:
                     raise MalformedRecord(str(err), line=line_no) from None
                 imu.append(sample)
@@ -224,11 +235,8 @@ def write_scan_log(path, log: ScanLog) -> None:
         fh.write(f"# angle_inc {float(log.angle_inc)!r}\n")
         fh.write(f"# range_max {float(log.range_max)!r}\n")
         for tag, t, rec in records:
-            if tag == "I":
-                vals = " ".join(repr(float(v)) for v in rec.rotation.ravel())
-            else:
-                vals = " ".join(repr(float(v)) for v in rec.ranges)
-            fh.write(f"{tag} {float(t)!r} {vals}\n")
+            values = rec.rotation.ravel() if tag == "I" else rec.ranges
+            fh.write(f"{tag} {float(t)!r} {format_rows([values.tolist()])}")
 
 
 def local_points(log: ScanLog, scan: LaserScan, to_local) -> np.ndarray:

@@ -5,7 +5,10 @@ the pipeline relies on: nearest-neighbor ties break to the lowest point
 index, and radius searches are closed balls (distance <= r), so results are
 deterministic and reproducible across runs. k-nearest queries run on every
 core; each row's answer is independent of how the rows are split across
-threads, so the output does not depend on the core count.
+threads, so the output does not depend on the core count. For the same
+reason a caller may query the rows in blocks and get the same rows, bit for
+bit, as from one query: :func:`scanplan.preprocess.neighbor_mean_distances`
+does, so that its temporaries are (block, k) rather than (N, k).
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class KdTree:
         if k == 1:
             dist = dist[:, None]
             idx = idx[:, None]
-        return idx.astype(np.int64), dist
+        return idx.astype(np.int64, copy=False), dist
 
     def pairs_within_radius(self, radius: float) -> np.ndarray:
         """Every pair of indexed points at distance <= radius.

@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive: linear scans, union-find over the
 full distance matrix, gift wrapping, Dijkstra without a heuristic, one
-polygon edge at a time. None of it shares code with the package under test.
+polygon edge at a time, one value of a file at a time. None of it shares
+code with the package under test.
 """
 
 import heapq
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -382,3 +384,93 @@ def render_svg_per_point(cloud=None, polygons=(), polylines=(), view="top", size
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _fmt(value) -> str:
+    return repr(float(value))
+
+
+def write_cloud_per_value(path, points, sources=None, comment="x y z [tag]"):
+    """A cloud file built as one list of lines, each value formatted alone."""
+    lines = [str(len(points)), f"# {comment}"]
+    if sources is None:
+        for p in points:
+            lines.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
+    else:
+        for p, tag in zip(points, sources):
+            lines.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])} {int(tag)}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def write_waypoints_csv_per_value(path, waypoints):
+    lines = [f"{_fmt(w[0])},{_fmt(w[1])},{_fmt(w[2])}" for w in waypoints]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def write_scan_log_per_value(path, log):
+    """A scan log written one record and one value at a time."""
+    records = (
+        [("V", s.timestamp, s) for s in log.vertical]
+        + [("H", s.timestamp, s) for s in log.horizontal]
+        + [("I", s.timestamp, s) for s in log.imu]
+    )
+    order = {"V": 0, "H": 1, "I": 2}
+    records.sort(key=lambda r: (r[1], order[r[0]]))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# angle_min {float(log.angle_min)!r}\n")
+        fh.write(f"# angle_inc {float(log.angle_inc)!r}\n")
+        fh.write(f"# range_max {float(log.range_max)!r}\n")
+        for tag, t, rec in records:
+            values = rec.rotation.ravel() if tag == "I" else rec.ranges
+            vals = " ".join(repr(float(v)) for v in values)
+            fh.write(f"{tag} {float(t)!r} {vals}\n")
+
+
+class Malformed(Exception):
+    """A malformed cloud file: the reason and the 1-based line, or None."""
+
+    def __init__(self, reason, line=None):
+        super().__init__(reason, line)
+        self.reason = reason
+        self.line = line
+
+
+def read_cloud_whole_text(path):
+    """A cloud file read as one text, one line and one value at a time.
+
+    Returns (points (N, 3), tags (N,) or None); raises Malformed. A tag is
+    read by ``int`` and must fit an int64.
+    """
+    text = Path(path).read_text(encoding="ascii").splitlines()
+    if len(text) < 2:
+        raise Malformed("cloud file needs a 2-line header")
+    try:
+        count = int(text[0].strip())
+    except ValueError:
+        raise Malformed(f"bad point count {text[0]!r}", line=1) from None
+    pts = []
+    tags = []
+    for line_no, line in enumerate(text[2:], start=3):
+        if not line.strip():
+            continue
+        tokens = line.split()
+        if len(tokens) not in (3, 4):
+            raise Malformed("expected 'x y z [tag]'", line=line_no)
+        try:
+            pts.append([float(tokens[0]), float(tokens[1]), float(tokens[2])])
+        except ValueError:
+            raise Malformed("bad coordinate", line=line_no) from None
+        if len(tokens) == 4:
+            try:
+                tag = int(tokens[3])
+            except ValueError:
+                tag = None
+            if tag is None or not -2**63 <= tag < 2**63:
+                raise Malformed(f"bad source tag {tokens[3]!r}", line=line_no)
+            tags.append(tag)
+    if len(pts) != count:
+        raise Malformed(f"header promises {count} points, file holds {len(pts)}")
+    if tags and len(tags) != len(pts):
+        raise Malformed("source tags must cover every point or none")
+    points = np.array(pts) if pts else np.zeros((0, 3))
+    return points, np.array(tags, dtype=np.int64) if tags else None

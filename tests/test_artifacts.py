@@ -1,8 +1,11 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from scanplan import artifacts
 from scanplan.artifacts import (
     export_boundary,
     import_boundary,
@@ -12,11 +15,19 @@ from scanplan.artifacts import (
     write_cloud,
     write_stations,
     write_surfaces,
+    write_waypoints_csv,
 )
 from scanplan.errors import MalformedRecord, NonPlanarEdit, SelfIntersectingPolygon
 from scanplan.geometry import PointCloud, Pose, rotation_about_z
-from scanplan.planning import CameraSpec, PlanningConfig, plan_coverage
+from scanplan.planning import CameraSpec, FlightPlan, PlanningConfig, plan_coverage
 from scanplan.segmentation import PlanarSurface, PlaneModel
+
+from oracles import (
+    Malformed,
+    read_cloud_whole_text,
+    write_cloud_per_value,
+    write_waypoints_csv_per_value,
+)
 
 
 def test_cloud_round_trip_bit_exact(tmp_path, rng):
@@ -44,6 +55,195 @@ def test_cloud_empty_round_trip(tmp_path):
     path = tmp_path / "empty.xyz"
     write_cloud(path, PointCloud.empty())
     assert len(read_cloud(path)) == 0
+
+
+# Values whose repr is easy to get wrong: signed zero, the extremes of the
+# exponent range, a subnormal, and integers held as floats.
+EDGE_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1.0, -2.0,
+               0.1, 1 / 3, 123456789.0, 2.0**53]
+
+
+def _edge_cloud(rng, n, tagged):
+    """n points: EDGE_FLOATS first, then values spread over 11 decades."""
+    spread = rng.normal(size=3 * n) * 10.0 ** rng.integers(-5, 6, 3 * n)
+    points = np.concatenate([EDGE_FLOATS, spread])[: 3 * n].reshape(n, 3)
+    tags = None
+    if tagged:
+        tags = rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64)
+        tags[: min(n, 3)] = [0, -1, 2**63 - 1][: min(n, 3)]
+    return PointCloud(points, tags)
+
+
+@pytest.mark.parametrize("tagged", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 4, 5, 9, 100])
+def test_write_cloud_bytes_equal_the_per_value_writer(
+        tmp_path, rng, monkeypatch, n, tagged):
+    # With blocks of 4 rows, n = 4 is one full block and n = 5 one row more.
+    monkeypatch.setattr(artifacts, "_WRITE_BLOCK_ROWS", 4)
+    cloud = _edge_cloud(rng, n, tagged)
+    write_cloud(tmp_path / "new.xyz", cloud, comment="a comment")
+    write_cloud_per_value(tmp_path / "old.xyz", cloud.points, cloud.sources, "a comment")
+    assert (tmp_path / "new.xyz").read_bytes() == (tmp_path / "old.xyz").read_bytes()
+
+
+def test_write_cloud_default_block_bytes_equal_the_per_value_writer(tmp_path, rng):
+    n = artifacts._WRITE_BLOCK_ROWS + 1
+    cloud = _edge_cloud(rng, n, True)
+    write_cloud(tmp_path / "new.xyz", cloud)
+    write_cloud_per_value(tmp_path / "old.xyz", cloud.points, cloud.sources)
+    assert (tmp_path / "new.xyz").read_bytes() == (tmp_path / "old.xyz").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_waypoints_csv_bytes_equal_the_per_value_writer(tmp_path, rng, n):
+    waypoints = rng.permutation(np.array(EDGE_FLOATS * 12))[: 3 * n].reshape(n, 3)
+    plan = FlightPlan([], waypoints, [], [])
+    write_waypoints_csv(tmp_path / "new.csv", plan)
+    write_waypoints_csv_per_value(tmp_path / "old.csv", waypoints)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+HEADER = "3\n# comment\n"
+ROWS = "1 2 3\n-0.0 1e-300 1e300\n4.5 5.5 6.5\n"
+TAGGED = "1 2 3 0\n4 5 6 +7\n7 8 9 1_0\n"
+
+# Cloud files at the edges of the format; each is read by the block reader
+# and by the line-by-line reference, with the default blocks and with blocks
+# of one and two lines, and both must agree on the values or on the error.
+EDGE_FILES = {
+    "plain": HEADER + ROWS,
+    "tagged": HEADER + TAGGED,
+    "no_final_newline": HEADER + ROWS.rstrip("\n"),
+    "blank_and_space_lines": "3\n# c\n\n  \n1 2 3\n\t\n4 5 6\n \n7 8 9\n\n",
+    "crlf": (HEADER + TAGGED).replace("\n", "\r\n"),
+    "lone_cr": (HEADER + ROWS).replace("\n", "\r"),
+    "form_feed_and_vt": "3\f# c\n1 2 3\x0b4 5 6\f7 8 9\n",
+    "file_group_record_separators": "3\x1c# c\x1d1 2 3\x1e4 5 6\n7 8 9\n",
+    "unit_separator_is_whitespace": "2\n# c\n1\x1f2 3\n4 5\x1f6\n",
+    "tabs_and_padding": "  2 \n#\n\t1\t2\t3 \n 4  5  6\n",
+    "float_spellings": "3\n# c\n1_0 +1e-3 .5\n5. -0 1E+2\n  0 +0.0 2\n",
+    "empty_cloud": "0\n# c\n",
+    "empty_cloud_with_blanks": "0\n# c\n\n \n",
+    "count_signs": "+2\n# c\n1 2 3\n4 5 6\n",
+    "count_padding_and_underscore": " 1_0 \n# c\n" + "1 2 3\n" * 10,
+    "no_lines": "",
+    "one_line": "3\n",
+    "header_only_no_newline": "0\n# c",
+    "bad_count": "three\n# c\n1 2 3\n",
+    "count_too_high": HEADER.replace("3", "4", 1) + ROWS,
+    "count_too_low": HEADER.replace("3", "2", 1) + ROWS,
+    "count_negative": "-1\n# c\n",
+    "count_huge": "1000000000000000000000\n# c\n1 2 3\n",
+    "two_tokens": HEADER + "1 2 3\n4 5\n6 7 8\n",
+    "five_tokens": HEADER + "1 2 3\n4 5 6 7 8\n6 7 8\n",
+    "bad_coordinate": HEADER + "1 2 3\n4 x 6\n7 8 9\n",
+    "bad_coordinate_and_tag": HEADER + "1 2 3 0\n4 x 6 y\n7 8 9 1\n",
+    "hex_coordinate": HEADER + "1 2 3\n0x10 5 6\n7 8 9\n",
+    "bad_tag": HEADER + "1 2 3 0\n1 1 0 x\n7 8 9 1\n",
+    "float_tag": HEADER + "1 2 3 0\n1 1 0 1.5\n7 8 9 1\n",
+    "tag_past_int64": HEADER + "1 2 3 0\n1 1 0 9223372036854775808\n7 8 9 1\n",
+    "tag_below_int64": HEADER + "1 2 3 0\n1 1 0 -9223372036854775809\n7 8 9 1\n",
+    "int64_extremes": "2\n# c\n1 2 3 9223372036854775807\n4 5 6 -9223372036854775808\n",
+    "mixed_tags": HEADER + "1 2 3 0\n4 5 6\n7 8 9 1\n",
+    "mixed_tags_and_bad_count": HEADER.replace("3", "5", 1) + "1 2 3 0\n4 5 6\n7 8 9 1\n",
+    "mixed_tags_then_bad_line": HEADER + "1 2 3 0\n4 5 6\n7 8 9 1\n1 2\n",
+    "two_bad_lines": HEADER + "1 2 3\n1 2\n4 x 6\n",
+    "bad_line_and_bad_count": "9\n# c\n1 2 3\n4 x 6\n",
+    "nan_coordinate": HEADER + "1 2 3\nnan 5 6\n7 8 9\n",
+    "inf_coordinate": HEADER + "1 2 3\n4 -Infinity 6\n7 8 9\n",
+    "overflow_to_inf": HEADER + "1 2 3\n4 1e400 6\n7 8 9\n",
+    "non_ascii": HEADER + "1 2 3\n4 5 6\xe9\n7 8 9\n",
+}
+
+
+def _read(reader, path):
+    try:
+        return reader(path)
+    except (MalformedRecord, Malformed) as err:
+        return ("error", err.reason, err.line)
+    except ValueError:  # a non-ASCII byte, or a non-finite point
+        return ("value error",)
+
+
+def _read_reference(path):
+    got = _read(read_cloud_whole_text, path)
+    if isinstance(got[0], str):
+        return got
+    points, tags = got
+    if not np.all(np.isfinite(points)):
+        return ("value error",)
+    return points, tags
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 2])
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_read_cloud_matches_the_whole_text_reader(
+        tmp_path, monkeypatch, name, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(artifacts, "_READ_BLOCK_ROWS", block_rows)
+    path = tmp_path / "cloud.xyz"
+    path.write_bytes(EDGE_FILES[name].encode("latin-1"))
+    want = _read_reference(path)
+    got = _read(read_cloud, path)
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    assert isinstance(got, PointCloud)
+    assert got.points.tobytes() == np.asarray(want[0], dtype=float).tobytes()
+    if want[1] is None:
+        assert got.sources is None
+    else:
+        assert got.sources.dtype == np.int64
+        assert np.array_equal(got.sources, want[1])
+
+
+def test_read_cloud_bad_tag_names_the_line(tmp_path):
+    path = tmp_path / "cloud.xyz"
+    path.write_text(EDGE_FILES["bad_tag"], encoding="ascii")
+    with pytest.raises(MalformedRecord, match=r"^line 4: bad source tag 'x'$"):
+        read_cloud(path)
+
+
+@pytest.mark.parametrize("tagged", [False, True])
+def test_read_cloud_many_blocks_matches_the_whole_text_reader(
+        tmp_path, rng, monkeypatch, tagged):
+    # 40 lines per block, and errors planted past the first blocks.
+    monkeypatch.setattr(artifacts, "_READ_BLOCK_ROWS", 40)
+    cloud = _edge_cloud(rng, 1000, tagged)
+    path = tmp_path / "cloud.xyz"
+    write_cloud_per_value(path, cloud.points, cloud.sources)
+    got = read_cloud(path)
+    assert got.points.tobytes() == cloud.points.tobytes()
+    if tagged:
+        assert np.array_equal(got.sources, cloud.sources)
+    else:
+        assert got.sources is None
+    lines = path.read_text(encoding="ascii").splitlines()
+    for line_no, bad in [(700, "1 2"), (701, "1 2 y" + " 0" * tagged),
+                         (998, "1 2 3 z" if tagged else "1 2 3 4 5")]:
+        broken = lines.copy()
+        broken[line_no - 1] = bad
+        path.write_text("\n".join(broken) + "\n", encoding="ascii")
+        assert _read(read_cloud, path) == _read_reference(path)
+        assert _read(read_cloud, path)[2] == line_no
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_cloud_from_a_pipe(tmp_path, rng):
+    # A pipe reports size 0, yet every row must be read.
+    cloud = _edge_cloud(rng, 300, True)
+    write_cloud(tmp_path / "cloud.xyz", cloud)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(
+        target=pipe.write_bytes, args=((tmp_path / "cloud.xyz").read_bytes(),))
+    writer.start()
+    try:
+        got = read_cloud(pipe)
+    finally:
+        writer.join()
+    assert got.points.tobytes() == cloud.points.tobytes()
+    assert np.array_equal(got.sources, cloud.sources)
 
 
 def square_surface(width=4.0, height=3.0):

@@ -330,6 +330,15 @@ def test_config_value_out_of_range_exits_2_before_any_stage(
     assert list(out.rglob("*")) == []
 
 
+def test_bad_source_tag_exits_2_naming_the_line(tmp_path, capsys):
+    cloud = tmp_path / "cloud.xyz"
+    cloud.write_text("2\n# x y z [tag]\n0 0 0 0\n1 1 0 x\n", encoding="ascii")
+    capsys.readouterr()
+    assert main(["filter", "--input", str(cloud),
+                 "--out", str(tmp_path / "out.xyz")]) == EXIT_VALIDATION
+    assert "validation error: line 4: bad source tag 'x'" in capsys.readouterr().err
+
+
 def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
     # scipy.ndimage costs tens of milliseconds of start-up on every command.
     code = "import sys, scanplan.cli; print('scipy.ndimage' in sys.modules)"

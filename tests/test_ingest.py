@@ -29,6 +29,8 @@ from scanplan.simulate import (
     true_pose_track,
 )
 
+from oracles import write_scan_log_per_value
+
 HEADER = "# angle_min -2.356194490192345\n# angle_inc 0.004363323129985824\n# range_max 30.0\n"
 IDENTITY = "1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0"
 
@@ -142,6 +144,61 @@ def test_parse_header_after_first_record(tmp_path):
     with pytest.raises(MalformedRecord) as err:
         parse_scan_log(path)
     assert err.value.line == 6
+
+
+# Spellings that float() reads (and the parser must too) next to ones it
+# rejects; every range record is parsed in one call, or token by token only
+# to name the bad token.
+GOOD_RANGES = ["1_0", "+1e-3", ".5", "5.", "-0", "1E+2", "inf", "Infinity",
+               "1e400", "1e-400", "0"]
+
+
+def test_parse_range_spellings_read_as_float_reads_them(tmp_path):
+    path = tmp_path / "scan.log"
+    path.write_text(HEADER + f"I 0.0 {IDENTITY}\nV 0.0 {' '.join(GOOD_RANGES)}\n",
+                    encoding="ascii")
+    ranges = parse_scan_log(path).vertical[0].ranges
+    assert ranges.tobytes() == np.array([float(t) for t in GOOD_RANGES]).tobytes()
+
+
+@pytest.mark.parametrize("tokens, message", [
+    ("1.0 x 2.0 nan", "bad range 'x'"),
+    ("1.0 nan 2.0 x", "range is NaN"),
+    ("1.0 0x10 2.0", "bad range '0x10'"),
+    ("1.0 -nan", "range is NaN"),
+    ("1.0 -2.0 x", "bad range 'x'"),
+    ("1.0 -2.0 3.0", "negative range reading"),
+])
+def test_parse_bad_range_names_the_line_and_first_bad_token(tmp_path, tokens, message):
+    path = tmp_path / "scan.log"
+    path.write_text(HEADER + f"I 0.0 {IDENTITY}\nV 0.0 1.0\nH 0.1 {tokens}\n",
+                    encoding="ascii")
+    with pytest.raises(MalformedRecord) as err:
+        parse_scan_log(path)
+    assert (err.value.line, err.value.reason) == (6, message)
+
+
+def test_parse_bad_rotation_entry_names_the_token(tmp_path):
+    path = tmp_path / "scan.log"
+    path.write_text(HEADER + "I 0.0 1.0 0.0 0.0 0.0 one 0.0 0.0 0.0 1.0\n", encoding="ascii")
+    with pytest.raises(MalformedRecord) as err:
+        parse_scan_log(path)
+    assert (err.value.line, err.value.reason) == (4, "bad rotation entry 'one'")
+
+
+def test_write_scan_log_bytes_equal_the_per_value_writer(tmp_path):
+    log = simulate_yaw_scan(
+        open_walls(), station=(0.1, -0.2, 0.0), n_scans=6,
+        yaw_span=math.radians(30.0), drift_per_scan=(0.01, 0.0, 0.0),
+        device=DeviceParams(angle_inc=math.radians(1.0), rays_per_scan=271),
+        range_noise=0.005, seed=3,
+    )
+    edge = np.array([-0.0, 0.0, 1e-300, 1e300, 5e-324, 2.0**53, 0.1])
+    log.vertical[0] = LaserScan(log.vertical[0].timestamp, edge)
+    log.horizontal[1] = LaserScan(log.horizontal[1].timestamp, np.zeros(0))
+    write_scan_log(tmp_path / "new.log", log)
+    write_scan_log_per_value(tmp_path / "old.log", log)
+    assert (tmp_path / "new.log").read_bytes() == (tmp_path / "old.log").read_bytes()
 
 
 def test_write_read_round_trip(tmp_path):

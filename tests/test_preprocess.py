@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from scanplan import preprocess
 from scanplan.errors import CloudTooSmall
 from scanplan.geometry import PointCloud
 from scanplan.preprocess import (
     OutlierFilterConfig,
     VoxelGridConfig,
+    neighbor_mean_distances,
     remove_statistical_outliers,
     voxel_downsample,
 )
+from scanplan.spatial import KdTree
 
 
 def unit_grid_10():
@@ -88,6 +93,45 @@ def test_filter_requires_enough_points():
             PointCloud(np.zeros((5, 3)) + np.arange(5)[:, None]),
             OutlierFilterConfig(k_neighbors=5),
         )
+
+
+def _one_query_means(points, k_neighbors):
+    _, dists = KdTree(points).knearest(points, k=k_neighbors + 1)
+    return dists[:, 1:].mean(axis=1)
+
+
+@pytest.mark.parametrize("n", [49, 50, 51, 101, 1000])
+def test_blocked_means_equal_one_query_bit_for_bit(rng, monkeypatch, n):
+    # k = 5 queries 6 neighbors of 16 bytes: a budget of 50 rows, so n = 49,
+    # 50 and 51 are below one block, one block and one block + 1.
+    monkeypatch.setattr(preprocess, "_KNN_BLOCK_BYTES", 50 * 16 * 6)
+    points = rng.normal(size=(n, 3))
+    means = neighbor_mean_distances(PointCloud(points), 5)
+    assert means.tobytes() == _one_query_means(points, 5).tobytes()
+
+
+def test_default_blocks_equal_one_query_bit_for_bit(rng):
+    rows = preprocess._KNN_BLOCK_BYTES // (16 * 51)
+    points = np.round(rng.uniform(0.0, 3.0, size=(rows + 1, 3)), 1)  # many ties
+    means = neighbor_mean_distances(PointCloud(points), 50)
+    assert means.tobytes() == _one_query_means(points, 50).tobytes()
+
+
+def _traced_peak(n, rng):
+    cloud = PointCloud(rng.normal(size=(n, 3)))
+    tracemalloc.start()
+    try:
+        neighbor_mean_distances(cloud, 50)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_neighbor_means_memory_grows_with_the_cloud_not_with_k(rng):
+    # One query of every row holds 51 distances and indices per point,
+    # about 1,224 bytes; the blocks leave the tree and the (N,) result.
+    growth = (_traced_peak(40_000, rng) - _traced_peak(20_000, rng)) / 20_000
+    assert growth <= 100
 
 
 def test_voxel_two_points_merge_to_centroid():
