@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -94,17 +94,23 @@ class PoseTrack:
     """(timestamp, Pose) pairs with strictly increasing timestamps."""
 
     entries: list
+    _by_time: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ts = [t for t, _ in self.entries]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise UnsortedTimestamps("pose track timestamps must strictly increase")
+        # A NaN stamp equals no timestamp, so it gets no key (a dict would
+        # still find the very same NaN object).
+        object.__setattr__(
+            self, "_by_time", {t: pose for t, pose in self.entries if t == t}
+        )
 
     def pose_at(self, timestamp: float) -> Pose:
-        for t, pose in self.entries:
-            if t == timestamp:
-                return pose
-        raise MissingPose(timestamp)
+        pose = self._by_time.get(timestamp)
+        if pose is None:
+            raise MissingPose(timestamp)
+        return pose
 
 
 def _parse_float(token: str, line_no: int, what: str) -> float:
@@ -250,9 +256,22 @@ def local_points(log: ScanLog, scan: LaserScan, to_local) -> np.ndarray:
 
 
 def _nearest_sample(timestamps: np.ndarray, t: float) -> int:
-    """Index of the time-nearest sample; earlier sample wins ties."""
-    diffs = np.abs(timestamps - t)
-    return int(np.argmin(diffs))
+    """Index of the time-nearest sample; earlier sample wins ties.
+
+    ``timestamps`` must increase. The rounded |timestamps - t| never rises
+    up to the first sample at or after t and never falls from it on, so
+    the first minimum is that sample or the one before it. Rounding can
+    give samples before that one the same difference (far from t), and
+    the walk back then takes the first of them, as an argmin would.
+    """
+    i = int(np.searchsorted(timestamps, t))
+    if i > 0 and (i == len(timestamps)
+                  or abs(timestamps[i - 1] - t) <= abs(timestamps[i] - t)):
+        i -= 1
+        best = abs(timestamps[i] - t)
+        while i > 0 and abs(timestamps[i - 1] - t) == best:
+            i -= 1
+    return i
 
 
 def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> PoseTrack:

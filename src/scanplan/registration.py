@@ -6,6 +6,14 @@ hands it horizontal scans already rotated into a common frame, and all that
 is left to recover is how far the platform moved between them. The 3D path
 fits a full rigid motion with a Kabsch fit to merge station clouds, after
 an axis-aligned-box overlap prediction seeded by the recorded poses.
+
+The loop warm-starts its correspondences (after Greenspan & Godin, 3DIM
+2001, and Nüchter et al., 3DIM 2007): a source point is sent to the
+kd-tree again only when it has moved far enough, against the gap between
+its nearest and second-nearest target points, that its nearest neighbour
+may have changed. The test is exact, rounding included, so the pairs are
+those of a query of every point on every iteration, and the poses are the
+same to the bit (see ``_icp``).
 """
 
 from __future__ import annotations
@@ -19,6 +27,10 @@ from .geometry import PointCloud, Pose, concat_clouds, transform_cloud
 from .spatial import KdTree
 
 _DIVERGENCE_STREAK = 3
+# Relative rounding bound of the warm-start guard in _icp. A distance computed
+# in d dimensions is within (d/2 + 2) * 2**-53 of itself, relatively; the
+# guard needs about twice that of e + R + S, and this is 64 * 2**-53.
+_ROUNDING = 32 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,8 @@ class IcpConfig:
             raise ValueError("convergence_eps must be > 0")
         if not self.max_correspondence_dist > 0:
             raise ValueError("max_correspondence_dist must be > 0")
+        if self.min_pairs < 1:
+            raise ValueError("min_pairs must be >= 1")
 
 
 def _kabsch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,6 +70,20 @@ def _kabsch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fix[-1] = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag(fix) @ u.T
     return rot, q_mean - rot @ p_mean
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row lengths of ``v``, rounded as cKDTree rounds its distances: the
+    squares summed over the axis in order, then one square root."""
+    return np.sqrt((v ** 2).sum(axis=1))
+
+
+def _kept(dist: np.ndarray, runner_up: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Rows whose kept target is still their unique nearest: the distance
+    to it, plus a bound on rounding, is below the runner-up distance at the
+    anchor less the shift from the anchor (see ``_icp``)."""
+    tol = _ROUNDING * (dist + runner_up + shift)
+    return dist + tol < runner_up - shift
 
 
 def _icp(
@@ -73,15 +101,40 @@ def _icp(
     (``rot`` None) the fit is the translation mean(q) - mean(p), which one
     pair determines; with one, a Kabsch fit moves both and needs 3 pairs
     (DegenerateGeometry below that). The errors are those of the aligners.
+
+    Correspondences are warm-started. Each source row keeps the position it
+    was last queried at (its anchor), the nearest target index, and the
+    runner-up distance R from that query. After the row has moved by S from
+    its anchor, every other target point is at least R - S away (triangle
+    inequality). So when e, the row's distance to its kept target, satisfies
+    e + tol < R - S, the kept index is still the unique nearest, and e,
+    computed as cKDTree computes it, is the distance the tree would return:
+    the row skips the query. Rows that were tied at their anchor have R
+    equal to their distance and never pass. ``tol`` covers the rounding of
+    e, R and S, each a few ulps of itself; a float difference rounds
+    relative to its result, not to the coordinates, so the bound holds as
+    well for clouds a million metres from the origin. Every other row is
+    queried again and re-anchored. The pairs, and so the fits, residuals
+    and errors, are those of querying every row on every iteration.
     """
     if len(src) == 0 or len(tgt) == 0:
         raise IcpDiverged("empty point set")
     tree = KdTree(tgt)
     prev_residual = None
     grow_streak = 0
+    anchor = None
 
     for _ in range(cfg.max_iterations):
-        idx, dist = tree.nearest(src + trans if rot is None else src @ rot.T + trans)
+        moved = src + trans if rot is None else src @ rot.T + trans
+        if anchor is None:
+            anchor = moved
+            idx, dist, runner_up = tree.nearest(moved)
+        else:
+            dist = _norms(tgt[idx] - moved)
+            stale = np.nonzero(~_kept(dist, runner_up, _norms(moved - anchor)))[0]
+            if len(stale):
+                anchor[stale] = moved[stale]
+                idx[stale], dist[stale], runner_up[stale] = tree.nearest(moved[stale])
         mask = dist <= cfg.max_correspondence_dist
         n_pairs = int(mask.sum())
         if n_pairs == 0:

@@ -28,14 +28,20 @@ class KdTree:
     def __len__(self) -> int:
         return len(self._points)
 
-    def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest indexed point for each query; ties go to the lowest index.
 
         Args:
             queries: (M, d) or (d,) query coordinates.
 
         Returns:
-            (indices, distances), each shaped like the leading query dims.
+            (indices, distances, runner-up distances), each shaped like the
+            leading query dims. The runner-up is the second-smallest distance
+            from the query to any indexed point (``inf`` for a 1-point tree);
+            it equals the distance when the nearest point is tied. Every
+            other indexed point lies at least that far from the query, which
+            lets :mod:`scanplan.registration` tell when a moved query must
+            keep its neighbour without asking the tree again.
         """
         q = np.asarray(queries, dtype=float)
         single = q.ndim == 1
@@ -43,20 +49,22 @@ class KdTree:
         if len(self._points) == 1:
             dist = np.linalg.norm(q - self._points[0], axis=1)
             idx = np.zeros(len(q), dtype=np.int64)
+            runner_up = np.full(len(q), np.inf)
         else:
             d2, i2 = self._tree.query(q, k=2)
             idx = i2[:, 0].astype(np.int64)
             dist = d2[:, 0]
+            runner_up = d2[:, 1]
             # Exact distance ties are rare outside synthetic grids; resolve
             # them by enumerating the tied set and taking the lowest index.
-            tied = np.nonzero(d2[:, 1] <= d2[:, 0])[0]
+            tied = np.nonzero(runner_up <= dist)[0]
             for row in tied:
                 ball = self._tree.query_ball_point(q[row], r=dist[row])
                 if ball:
                     idx[row] = min(ball)
         if single:
-            return idx[0], dist[0]
-        return idx, dist
+            return idx[0], dist[0], runner_up[0]
+        return idx, dist, runner_up
 
     def knearest(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest points per query, by increasing distance.

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: linear scans, union-find over the
 full distance matrix, gift wrapping, Dijkstra without a heuristic, one
 polygon edge at a time, one value of a file at a time. None of it shares
-code with the package under test.
+code with the package under test, except :func:`cold_icp`, the ICP loop
+without its warm start: it runs the package's kd-tree and Kabsch fit, so
+that it checks the warm start alone.
 """
 
 import heapq
@@ -12,12 +14,22 @@ from pathlib import Path
 
 import numpy as np
 
+from scanplan.errors import DegenerateGeometry, IcpDiverged, InsufficientOverlap
+from scanplan.registration import _kabsch
+from scanplan.spatial import KdTree
+
 
 def linear_nearest(points: np.ndarray, query: np.ndarray) -> tuple[int, float]:
     """Exhaustive nearest neighbor; ties resolve to the lowest index."""
     d = np.linalg.norm(points - query, axis=1)
     idx = int(np.argmin(d))  # argmin returns the first (lowest) index on ties
     return idx, float(d[idx])
+
+
+def linear_runner_up(points: np.ndarray, query: np.ndarray) -> float:
+    """Second-smallest distance from the query to any point; inf for one point."""
+    d = np.sort(np.linalg.norm(points - query, axis=1))
+    return float(d[1]) if len(d) > 1 else math.inf
 
 
 def linear_radius(points: np.ndarray, query: np.ndarray, radius: float) -> list[int]:
@@ -474,3 +486,57 @@ def read_cloud_whole_text(path):
         raise Malformed("source tags must cover every point or none")
     points = np.array(pts) if pts else np.zeros((0, 3))
     return points, np.array(tags, dtype=np.int64) if tags else None
+
+
+def cold_icp(src, tgt, rot, trans, cfg):
+    """Point-to-point ICP that queries the kd-tree for every source row on
+    every iteration; otherwise the loop of ``registration._icp``."""
+    if len(src) == 0 or len(tgt) == 0:
+        raise IcpDiverged("empty point set")
+    tree = KdTree(tgt)
+    prev_residual = None
+    grow_streak = 0
+    for _ in range(cfg.max_iterations):
+        idx, dist, _ = tree.nearest(src + trans if rot is None else src @ rot.T + trans)
+        mask = dist <= cfg.max_correspondence_dist
+        n_pairs = int(mask.sum())
+        if n_pairs == 0:
+            raise IcpDiverged("no correspondences within max_correspondence_dist")
+        if rot is not None and n_pairs < 3:
+            raise DegenerateGeometry(f"only {n_pairs} corresponding points")
+        if n_pairs < cfg.min_pairs:
+            raise InsufficientOverlap(
+                f"only {n_pairs} matched pairs, need {cfg.min_pairs}"
+            )
+        residual = float(dist[mask].mean())
+        p = src[mask]
+        q = tgt[idx[mask]]
+        if rot is None:
+            trans = q.mean(axis=0) - p.mean(axis=0)
+        else:
+            rot, trans = _kabsch(p, q)
+        if prev_residual is not None:
+            if residual > prev_residual:
+                grow_streak += 1
+                if grow_streak >= 3:
+                    raise IcpDiverged("mean residual grew for 3 consecutive iterations")
+            else:
+                grow_streak = 0
+            if abs(prev_residual - residual) < cfg.convergence_eps:
+                break
+        prev_residual = residual
+    return rot, trans
+
+
+def linear_pose_at(entries, timestamp):
+    """The pose of the entry whose timestamp equals ``timestamp``, found by a
+    linear scan; None when there is none."""
+    for t, pose in entries:
+        if t == timestamp:
+            return pose
+    return None
+
+
+def argmin_nearest_sample(timestamps, t):
+    """Index of the smallest |timestamps - t|; the earliest wins ties."""
+    return int(np.argmin(np.abs(timestamps - t)))

@@ -313,9 +313,10 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, files, argv, message):
     ({"ransac": {"min_inliers": -3}}, "config.ransac: min_inliers must be >= 1"),
     ({"ransac": {"min_area": -5}}, "config.ransac: min_area must be >= 0"),
     ({"ransac": {"rng_seed": -1}}, "config.ransac: rng_seed must be >= 0"),
+    ({"icp": {"min_pairs": -3}}, "config.icp: min_pairs must be >= 1"),
 ], ids=["negative_inflate_radius", "zero_footprint", "full_overlap",
         "negative_cluster_eps", "negative_min_inliers", "negative_min_area",
-        "negative_rng_seed"])
+        "negative_rng_seed", "negative_min_pairs"])
 def test_config_value_out_of_range_exits_2_before_any_stage(
         deck, tmp_path, capsys, config, message):
     # A value the config rejects ends the run before a stage writes anything,

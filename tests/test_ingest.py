@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scanplan.errors import (
     EmptyLog,
@@ -14,6 +15,7 @@ from scanplan.ingest import (
     LaserScan,
     PoseTrack,
     ScanLog,
+    _nearest_sample,
     build_cloud,
     estimate_pose_track,
     local_points,
@@ -29,7 +31,7 @@ from scanplan.simulate import (
     true_pose_track,
 )
 
-from oracles import write_scan_log_per_value
+from oracles import argmin_nearest_sample, linear_pose_at, write_scan_log_per_value
 
 HEADER = "# angle_min -2.356194490192345\n# angle_inc 0.004363323129985824\n# range_max 30.0\n"
 IDENTITY = "1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0"
@@ -353,3 +355,56 @@ def test_full_yaw_room_reconstruction_with_truth_track():
 def test_pose_track_timestamps_strictly_increasing():
     with pytest.raises(UnsortedTimestamps):
         PoseTrack([(0.0, Pose.identity()), (0.0, Pose.identity())])
+
+
+# Stamps within 1e300 of zero keep every difference finite.
+stamp_floats = st.floats(-1e300, 1e300)
+stamp_lists = st.lists(stamp_floats, min_size=1, max_size=40, unique=True).map(sorted)
+
+
+def probe_times(stamps):
+    """Each stamp, each midpoint between neighbours, and points past both ends."""
+    mids = [a / 2 + b / 2 for a, b in zip(stamps, stamps[1:])]
+    return stamps + mids + [stamps[0] - 1.0, stamps[-1] + 1.0, 0.0, -0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(stamps=stamp_lists)
+def test_pose_at_matches_linear_scan(stamps):
+    poses = [Pose(np.eye(3), np.array([float(i), 0.0, 0.0])) for i in range(len(stamps))]
+    entries = list(zip(np.array(stamps), poses))
+    track = PoseTrack(entries)
+    for t in probe_times(stamps):
+        want = linear_pose_at(entries, t)
+        if want is None:
+            with pytest.raises(MissingPose):
+                track.pose_at(t)
+        else:
+            assert track.pose_at(t) is want
+
+
+def test_pose_at_finds_no_nan_stamp():
+    nan = float("nan")
+    track = PoseTrack([(0.0, Pose.identity()), (nan, Pose.identity())])
+    with pytest.raises(MissingPose):
+        track.pose_at(nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stamps=stamp_lists, extra=stamp_floats)
+def test_nearest_sample_matches_argmin(stamps, extra):
+    ts = np.array(stamps)
+    for t in probe_times(stamps) + [extra]:
+        assert _nearest_sample(ts, t) == argmin_nearest_sample(ts, t)
+
+
+def test_nearest_sample_ties_go_to_the_earlier_sample():
+    ts = np.array([0.0, 1.0, 2.0, 4.0])
+    assert _nearest_sample(ts, 0.5) == 0
+    assert _nearest_sample(ts, 3.0) == 2
+    assert _nearest_sample(ts, 9.0) == 3
+    assert _nearest_sample(ts, -9.0) == 0
+    # Far from t, two distinct stamps round to the same difference; the
+    # earlier one wins, as in an argmin over all differences.
+    ts = np.array([1.0, np.nextafter(1.0, 2.0), 3e20])
+    assert _nearest_sample(ts, 1e20) == argmin_nearest_sample(ts, 1e20) == 0

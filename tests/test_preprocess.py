@@ -186,7 +186,7 @@ def test_voxel_points_stay_inside_their_cube(rng):
     from scanplan.spatial import KdTree
 
     tree = KdTree(pts)
-    _, dist = tree.nearest(out.points)
+    _, dist, _ = tree.nearest(out.points)
     assert np.all(dist <= leaf * np.sqrt(3) / 2 + 1e-12)
 
 
