@@ -30,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from .geometry import (
     DEFAULT_ARC_LIMIT,
     PointCloud,
     Pose,
-    format_rows,
+    format_table,
     horizontal_polar_to_local_arrays,
     polar_to_local_arrays,
     scan_bearings,
@@ -55,6 +56,9 @@ from .geometry import (
 from .registration import IcpConfig, icp_align_2d
 
 logger = logging.getLogger(__name__)
+
+# write_scan_log's blocks: about this many values are formatted at a time.
+_WRITE_BLOCK_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -91,20 +95,24 @@ class ScanLog:
 
 @dataclass(frozen=True)
 class PoseTrack:
-    """(timestamp, Pose) pairs with strictly increasing timestamps."""
+    """(timestamp, Pose) pairs with strictly increasing timestamps.
+
+    Raises:
+        UnsortedTimestamps: a NaN timestamp (it would order against none and
+            no lookup could reach it), or timestamps that do not strictly
+            increase.
+    """
 
     entries: list
     _by_time: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ts = [t for t, _ in self.entries]
+        if any(math.isnan(t) for t in ts):
+            raise UnsortedTimestamps("pose track timestamps must not be NaN")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise UnsortedTimestamps("pose track timestamps must strictly increase")
-        # A NaN stamp equals no timestamp, so it gets no key (a dict would
-        # still find the very same NaN object).
-        object.__setattr__(
-            self, "_by_time", {t: pose for t, pose in self.entries if t == t}
-        )
+        object.__setattr__(self, "_by_time", dict(self.entries))
 
     def pose_at(self, timestamp: float) -> Pose:
         pose = self._by_time.get(timestamp)
@@ -225,24 +233,46 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
 
 
 def write_scan_log(path, log: ScanLog) -> None:
-    """Serialize a ScanLog in the format parse_scan_log reads (lossless)."""
+    """Serialize a ScanLog in the format parse_scan_log reads (lossless).
+
+    Numbers are printed as :mod:`scanplan.artifacts` sets out. The records
+    are written in blocks of about ``_WRITE_BLOCK_VALUES`` values; within a
+    block, the records of one width are formatted together.
+    """
     records = (
-        [("V", s.timestamp, s) for s in log.vertical]
-        + [("H", s.timestamp, s) for s in log.horizontal]
-        + [("I", s.timestamp, s) for s in log.imu]
+        [("V", s.timestamp, s.ranges) for s in log.vertical]
+        + [("H", s.timestamp, s.ranges) for s in log.horizontal]
+        + [("I", s.timestamp, s.rotation.ravel()) for s in log.imu]
     )
     # Stable interleave by time; stream order V < H < I on equal stamps.
     order = {"V": 0, "H": 1, "I": 2}
     records.sort(key=lambda r: (r[1], order[r[0]]))
+    sizes = np.cumsum([1 + len(values) for _, _, values in records], dtype=np.int64)
+    block_of = sizes // _WRITE_BLOCK_VALUES
     with open(path, "w", encoding="ascii") as fh:
-        # repr(float(v)): under numpy 2 the repr of a numpy scalar is
-        # "np.float64(...)", which the parser rejects.
+        # Every number is printed as scanplan.artifacts sets out: repr's
+        # characters. float(v) first: under numpy 2 the repr of a numpy
+        # scalar is "np.float64(...)", which the parser rejects.
         fh.write(f"# angle_min {float(log.angle_min)!r}\n")
         fh.write(f"# angle_inc {float(log.angle_inc)!r}\n")
         fh.write(f"# range_max {float(log.range_max)!r}\n")
-        for tag, t, rec in records:
-            values = rec.rotation.ravel() if tag == "I" else rec.ranges
-            fh.write(f"{tag} {float(t)!r} {format_rows([values.tolist()])}")
+        for _, block in groupby(range(len(records)), key=block_of.__getitem__):
+            fh.write(_format_records([records[i] for i in block]))
+
+
+def _format_records(records: list) -> str:
+    """The lines of (tag, timestamp, values) records; the values of the
+    records of one width are formatted together."""
+    lines = [""] * len(records)
+    by_width: dict[int, list[int]] = {}
+    for i, (_, _, values) in enumerate(records):
+        by_width.setdefault(len(values), []).append(i)
+    for rows in by_width.values():
+        text = format_table(np.stack([records[i][2] for i in rows]))
+        for i, line in zip(rows, text.splitlines(keepends=True)):
+            lines[i] = line
+    return "".join(f"{tag} {float(t)!r} {line}"
+                   for (tag, t, _), line in zip(records, lines))
 
 
 def local_points(log: ScanLog, scan: LaserScan, to_local) -> np.ndarray:
@@ -345,4 +375,4 @@ def build_cloud(log: ScanLog, track: PoseTrack) -> PointCloud:
         logger.info("build_cloud dropped %d invalid/out-of-range returns", dropped)
     if not parts:
         return PointCloud.empty()
-    return PointCloud(np.vstack(parts), np.concatenate(tags))
+    return PointCloud._own(np.vstack(parts), np.concatenate(tags))

@@ -69,7 +69,11 @@ class PlanningConfig:
 
 @dataclass(frozen=True)
 class StopPoint:
-    """A pause position with the camera facing the surface."""
+    """A pause position with the camera facing the surface.
+
+    ``facing`` is the camera's unit direction, as given: it is not normalised
+    again.
+    """
 
     position: np.ndarray
     facing: np.ndarray
@@ -78,8 +82,7 @@ class StopPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        f = np.asarray(self.facing, dtype=float)
-        object.__setattr__(self, "facing", f / np.linalg.norm(f))
+        object.__setattr__(self, "facing", np.asarray(self.facing, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -386,8 +389,11 @@ def plan_coverage(
     if not cells:
         raise EmptySurface("no photo footprint intersects the boundary")
     positions = basis.to_world(np.concatenate(centers)) + standoff * outward
+    # One unit facing, read-only, shared by every stop of the surface.
+    facing = -outward / np.linalg.norm(-outward)
+    facing.setflags(write=False)
     return [
-        StopPoint(position, -outward, row, col)
+        StopPoint(position, facing, row, col)
         for position, (row, col) in zip(positions, cells)
     ]
 

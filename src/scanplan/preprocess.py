@@ -133,4 +133,4 @@ def voxel_downsample(
     for rank in range(int(counts.max())):
         live = np.nonzero(counts > rank)[0]
         sums[live] += pts_sorted[starts[live] + rank]
-    return PointCloud(sums / counts[:, None])
+    return PointCloud._own(sums / counts[:, None])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, IcpDiverged, InsufficientOverlap, NoOverlap
-from .geometry import PointCloud, Pose, concat_clouds, transform_cloud
+from .geometry import PointCloud, Pose
 from .spatial import KdTree
 
 _DIVERGENCE_STREAK = 3
@@ -247,30 +247,36 @@ def register_clouds(
     station is aligned against the merged cloud so far: predicted-overlap
     subsets feed a 3D ICP seeded by the recorded pose, and the refined pose
     places the full station cloud. No points are dropped.
+
+    The merged cloud is filled in place, station by station; the ICP of
+    station k sees the stations before it as a read-only view.
     """
     if not stations:
         raise ValueError("register_clouds needs at least one station")
-    merged_parts: list[PointCloud] = []
-    first_cloud, first_pose = stations[0]
-    merged_parts.append(transform_cloud(first_pose, first_cloud))
-
-    for k, (cloud, recorded) in enumerate(stations[1:], start=1):
-        merged = concat_clouds(merged_parts)
-        try:
-            idx_merged, idx_src = predict_overlap(
-                merged, cloud, Pose.identity(), recorded,
-                margin=cfg.max_correspondence_dist,
-            )
-            tgt = merged.select(idx_merged)
-            src = cloud.select(idx_src)
-            if len(tgt) == 0 or len(src) == 0:
-                raise NoOverlap("empty overlap subset")
-        except NoOverlap:
-            tgt, src = merged, cloud
-        try:
-            refined = icp_align_3d(src, tgt, init=recorded, cfg=cfg)
-        except (IcpDiverged, InsufficientOverlap) as err:
-            raise type(err)(f"station {k}: {err}") from err
-        merged_parts.append(transform_cloud(refined, cloud))
-
-    return concat_clouds(merged_parts, retag=True)
+    total = sum(len(cloud) for cloud, _ in stations)
+    points = np.empty((total, 3))
+    sources = np.empty(total, dtype=np.int64)
+    end = 0
+    for k, (cloud, recorded) in enumerate(stations):
+        pose = recorded
+        if k:
+            merged = PointCloud._own(points[:end])
+            try:
+                idx_merged, idx_src = predict_overlap(
+                    merged, cloud, Pose.identity(), recorded,
+                    margin=cfg.max_correspondence_dist,
+                )
+                tgt = merged.select(idx_merged)
+                src = cloud.select(idx_src)
+                if len(tgt) == 0 or len(src) == 0:
+                    raise NoOverlap("empty overlap subset")
+            except NoOverlap:
+                tgt, src = merged, cloud
+            try:
+                pose = icp_align_3d(src, tgt, init=recorded, cfg=cfg)
+            except (IcpDiverged, InsufficientOverlap) as err:
+                raise type(err)(f"station {k}: {err}") from err
+        points[end:end + len(cloud)] = pose.apply(cloud.points)
+        sources[end:end + len(cloud)] = k
+        end += len(cloud)
+    return PointCloud._own(points, sources)

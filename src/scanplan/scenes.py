@@ -165,7 +165,7 @@ def generate_scene(spec: SceneSpec, seed: int = 0) -> PointCloud:
     parts = [p.sample(spec.density, spec.noise_sigma, rng) for p in spec.primitives]
     if not parts:
         return PointCloud.empty()
-    return PointCloud(np.vstack(parts))
+    return PointCloud._own(np.vstack(parts))
 
 
 def preset_scene(name: str, density: float = 100.0, noise_sigma: float = 0.0) -> SceneSpec:

@@ -306,7 +306,7 @@ def extract_surfaces(
     round_index = 0
 
     while len(active) >= max(3, cfg.min_inliers):
-        working = PointCloud(pts_all[active])
+        working = PointCloud._own(pts_all[active])
         try:
             model, local_inliers = ransac_plane(
                 working,
@@ -340,5 +340,5 @@ def extract_surfaces(
     remainder_idx = np.sort(
         np.concatenate([active] + rejected) if rejected else active
     )
-    remainder = PointCloud(pts_all[remainder_idx], sources=remainder_idx)
+    remainder = PointCloud._own(pts_all[remainder_idx], remainder_idx)
     return surfaces, remainder

@@ -10,6 +10,7 @@ that it checks the warm start alone.
 
 import heapq
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,20 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def format_rows(rows, sep: str = " ") -> str:
+    """One text line per row, its values joined by ``sep``, each printed by
+    ``%r``.
+
+    The rows share one width and hold Python floats and ints, as
+    ``ndarray.tolist()`` gives them. (Under numpy 2 the repr of a numpy
+    scalar is "np.float64(...)", so numpy values must not reach here.)
+    """
+    if not rows:
+        return ""
+    line = sep.join(["%r"] * len(rows[0])) + "\n"
+    return (line * len(rows)) % tuple(chain.from_iterable(rows))
+
+
 def write_cloud_per_value(path, points, sources=None, comment="x y z [tag]"):
     """A cloud file built as one list of lines, each value formatted alone."""
     lines = [str(len(points)), f"# {comment}"]
@@ -526,6 +541,31 @@ def cold_icp(src, tgt, rot, trans, cfg):
                 break
         prev_residual = residual
     return rot, trans
+
+
+def register_clouds_by_concat(stations, cfg):
+    """register_clouds as it was: the merged cloud is concatenated anew for
+    every station, then once more with the station tags. It runs the
+    package's overlap prediction and ICP."""
+    from scanplan.errors import NoOverlap
+    from scanplan.geometry import Pose, concat_clouds, transform_cloud
+    from scanplan.registration import icp_align_3d, predict_overlap
+
+    first_cloud, first_pose = stations[0]
+    parts = [transform_cloud(first_pose, first_cloud)]
+    for cloud, recorded in stations[1:]:
+        merged = concat_clouds(parts)
+        try:
+            idx_merged, idx_src = predict_overlap(
+                merged, cloud, Pose.identity(), recorded,
+                margin=cfg.max_correspondence_dist)
+            tgt, src = merged.select(idx_merged), cloud.select(idx_src)
+            if len(tgt) == 0 or len(src) == 0:
+                raise NoOverlap("empty overlap subset")
+        except NoOverlap:
+            tgt, src = merged, cloud
+        parts.append(transform_cloud(icp_align_3d(src, tgt, init=recorded, cfg=cfg), cloud))
+    return concat_clouds(parts, retag=True)
 
 
 def linear_pose_at(entries, timestamp):

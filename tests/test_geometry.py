@@ -14,6 +14,7 @@ from scanplan.geometry import (
     transform_cloud,
     validate_rotation,
 )
+from scanplan.preprocess import voxel_downsample
 
 
 def test_polar_to_local_unit_range_zero_bearing():
@@ -128,3 +129,27 @@ def test_concat_clouds_retag():
     merged = concat_clouds([a, b], retag=True)
     assert np.array_equal(merged.sources, [0, 0, 1, 1, 1])
     assert len(merged) == 5
+
+
+def test_cloud_copies_the_callers_arrays(rng):
+    points, tags = rng.normal(size=(5, 3)), np.arange(5)
+    cloud = PointCloud(points, tags)
+    points[0], tags[0] = 9.0, 9
+    assert cloud.points[0, 0] != 9.0 and cloud.sources[0] == 0
+    assert not cloud.points.flags.writeable and not cloud.sources.flags.writeable
+
+
+def test_derived_clouds_are_read_only_values(rng):
+    cloud = PointCloud(rng.normal(size=(6, 3)), np.arange(6))
+    pose = Pose(rotation_about_z(0.3), np.array([1.0, 2.0, 3.0]))
+    derived = [cloud.select([4, 0, 2]), concat_clouds([cloud, cloud]),
+               concat_clouds([cloud, cloud], retag=True),
+               transform_cloud(pose, cloud), voxel_downsample(cloud)]
+    for d in derived:
+        with pytest.raises(ValueError):
+            d.points[0, 0] = 1.0
+        assert d.sources is None or not d.sources.flags.writeable
+        assert not np.shares_memory(d.points, cloud.points)
+    assert np.array_equal(derived[0].points, cloud.points[[4, 0, 2]])
+    assert np.array_equal(derived[0].sources, [4, 0, 2])
+    assert np.array_equal(derived[3].points, pose.apply(cloud.points))

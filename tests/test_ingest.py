@@ -384,10 +384,20 @@ def test_pose_at_matches_linear_scan(stamps):
 
 
 def test_pose_at_finds_no_nan_stamp():
+    # No track holds a NaN stamp, so no lookup can miss one.
     nan = float("nan")
-    track = PoseTrack([(0.0, Pose.identity()), (nan, Pose.identity())])
+    with pytest.raises(UnsortedTimestamps, match="NaN"):
+        PoseTrack([(0.0, Pose.identity()), (nan, Pose.identity())])
+    track = PoseTrack([(0.0, Pose.identity())])
     with pytest.raises(MissingPose):
         track.pose_at(nan)
+
+
+@pytest.mark.parametrize("stamps", [[math.nan], [math.nan, 1.0], [0.0, math.nan, 2.0],
+                                    [0.0, 1.0, math.nan]])
+def test_pose_track_rejects_a_nan_stamp(stamps):
+    with pytest.raises(UnsortedTimestamps, match="NaN"):
+        PoseTrack([(t, Pose.identity()) for t in stamps])
 
 
 @settings(max_examples=200, deadline=None)

@@ -86,6 +86,20 @@ def test_coverage_exact_tiling_serpentine():
         assert np.allclose(s.facing, [0, 0, -1])
 
 
+def test_coverage_stops_share_one_unit_facing():
+    surface = rect_surface(3.0, 2.0)
+    tilted = PlanarSurface(PlaneModel(0.0, 0.6, 0.8, 0.0), surface.inliers,
+                           surface.boundary @ np.array([[1, 0, 0], [0, 0.8, -0.6],
+                                                        [0, 0.6, 0.8]]).T,
+                           surface.area)
+    stops = plan_coverage(tilted, footprint(0.6, 0.4, 0.2), WIDE_CAMERA)
+    facing = stops[0].facing
+    assert all(s.facing is facing for s in stops)
+    assert not facing.flags.writeable
+    assert np.allclose(facing, [0.0, -0.6, -0.8])
+    assert np.linalg.norm(facing) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_coverage_deck_count_matches_formula():
     cfg = footprint(0.6, 0.4, 0.2)
     stops = plan_coverage(rect_surface(22.0, 10.0), cfg, WIDE_CAMERA)

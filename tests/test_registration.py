@@ -21,7 +21,7 @@ from scanplan.registration import (
 )
 from scanplan.spatial import KdTree
 
-from oracles import cold_icp
+from oracles import cold_icp, register_clouds_by_concat
 
 
 def ring_2d(n=120, radius=3.0):
@@ -207,6 +207,21 @@ def test_register_preserves_point_count(rng):
     merged = register_clouds(clouds, IcpConfig(min_pairs=3))
     assert len(merged) == 100
     assert np.array_equal(np.unique(merged.sources), [0, 1])
+
+
+def test_register_fills_the_merged_cloud_as_the_concatenation_did():
+    # Three stations, each later one seen from a recorded pose a few cm and
+    # a few tenths of a degree off.
+    shells = [cube_cloud(np.random.default_rng(k), n=1200, half=1.0) for k in range(3)]
+    stations = [(shells[0], Pose.identity()),
+                (shells[1], Pose(rotation_about_z(0.004), np.array([0.03, -0.02, 0.01]))),
+                (shells[2], Pose(rotation_about_z(-0.003), np.array([-0.02, 0.0, 0.02])))]
+    cfg = IcpConfig(max_iterations=60, max_correspondence_dist=0.1, min_pairs=3)
+    merged = register_clouds(stations, cfg)
+    want = register_clouds_by_concat(stations, cfg)
+    assert np.array_equal(merged.points, want.points)
+    assert np.array_equal(merged.sources, want.sources)
+    assert not merged.points.flags.writeable and not merged.sources.flags.writeable
 
 
 # --- warm-started correspondences against the cold loop ---------------------
