@@ -32,10 +32,8 @@ from .errors import (
 from .geometry import (
     PointCloud,
     Pose,
-    concat_clouds,
     polar_to_local_arrays,
     rotation_about_z,
-    transform_cloud,
     validate_rotation,
 )
 from .ingest import (

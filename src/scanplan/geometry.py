@@ -129,17 +129,6 @@ class Pose:
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
 
-    def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rt, -(rt @ self.translation))
-
-    def compose(self, other: "Pose") -> "Pose":
-        """Pose applying ``other`` first, then ``self``."""
-        return Pose(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -203,32 +192,6 @@ class PointCloud:
         if len(self) == 0:
             raise ValueError("empty cloud has no bounds")
         return self.points.min(axis=0), self.points.max(axis=0)
-
-
-def transform_cloud(pose: Pose, cloud: PointCloud) -> PointCloud:
-    """Apply a pose to every point; order and source tags are preserved."""
-    return PointCloud._own(pose.apply(cloud.points), cloud.sources)
-
-
-def concat_clouds(clouds, retag: bool = False) -> PointCloud:
-    """Concatenate clouds in order.
-
-    With ``retag`` each input cloud's points get its list position as source
-    tag; otherwise existing tags are kept when every input has them.
-    """
-    clouds = list(clouds)
-    if not clouds:
-        return PointCloud.empty()
-    pts = np.vstack([c.points for c in clouds])
-    if retag:
-        src = np.concatenate(
-            [np.full(len(c), i, dtype=np.int64) for i, c in enumerate(clouds)]
-        )
-    elif all(c.sources is not None for c in clouds):
-        src = np.concatenate([c.sources for c in clouds])
-    else:
-        src = None
-    return PointCloud._own(pts, src)
 
 
 # --- number text ---------------------------------------------------------------

@@ -6,8 +6,9 @@ Each stage is one function (``ingest_log``, ``filter_cloud``,
 writes the same bytes as one run. Every stage persists its artifact, so
 stages can be re-run in isolation from the files. All randomness is seeded
 through the config; two runs with the same config produce byte-identical
-artifacts. Per-stage wall times are reported on the returned result (and by
-the CLI on stdout), never written into artifacts.
+artifacts. Per-stage wall times and the process's peak resident memory at
+the end of each stage are reported on the returned result (and by the CLI
+on stdout), never written into artifacts.
 
 A config is checked once, when it is built: each config type's
 ``__post_init__`` rejects a bad value, so a bad config file fails before
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import resource
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -83,9 +85,6 @@ class PipelineConfig:
             data = {k: v for k, v in data.items() if k != "version"}
         return artifacts.dataclass_from_json(PipelineConfig, data, "config")
 
-    def save(self, path) -> None:
-        artifacts.write_json(path, self.to_dict())
-
     @staticmethod
     def load(path) -> "PipelineConfig":
         return PipelineConfig.from_dict(
@@ -100,10 +99,12 @@ class PipelineResult:
     timings: dict               # stage -> seconds
     counts: dict                # stage -> headline number
     failures: list              # (stage, message)
+    peak_rss_mb: dict = field(default_factory=dict)  # stage -> MB at its end
 
 
 class _Stage:
-    """Context helper recording wall time per stage, and its StageError.
+    """Context helper recording wall time per stage, the process's peak RSS
+    when it ends, and its StageError.
 
     The error still propagates: it ends the pipeline, and the artifacts
     written so far stay.
@@ -119,6 +120,10 @@ class _Stage:
 
     def __exit__(self, exc_type, exc, tb):
         self.result.timings[self.name] = time.perf_counter() - self.t0
+        # ru_maxrss is in KiB on Linux.
+        self.result.peak_rss_mb[self.name] = (
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        )
         if isinstance(exc, StageError):
             self.result.failures.append((self.name, str(exc)))
             self.result.status = 3
@@ -283,12 +288,17 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
 
 
 def format_timings(result: PipelineResult) -> str:
+    """One line per stage: wall time, share of the total, the process's peak
+    RSS when the stage ended, and the stage's headline count."""
     total = sum(result.timings.values())
     lines = ["stage timings:"]
     for stage, seconds in result.timings.items():
         share = (100.0 * seconds / total) if total > 0 else 0.0
         headline = result.counts.get(stage)
         extra = f" ({headline})" if headline is not None else ""
-        lines.append(f"  {stage:<10} {seconds:8.3f} s  {share:5.1f}%{extra}")
+        peak = result.peak_rss_mb[stage]
+        lines.append(
+            f"  {stage:<10} {seconds:8.3f} s  {share:5.1f}%  peak {peak:6.1f} MB{extra}"
+        )
     lines.append(f"  {'total':<10} {total:8.3f} s")
     return "\n".join(lines)

@@ -132,9 +132,6 @@ class OccupancyGrid:
             (np.asarray(points, dtype=float) - self.origin) / self.voxel_edge
         ).astype(int)
 
-    def world_to_index(self, point: np.ndarray) -> tuple[int, int, int]:
-        return tuple(self.world_to_indices(point).tolist())
-
     def index_to_center(self, index) -> np.ndarray:
         """World centers of ``(..., 3)`` voxel indices."""
         return self.origin + (np.asarray(index, dtype=float) + 0.5) * self.voxel_edge

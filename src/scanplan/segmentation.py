@@ -4,7 +4,11 @@ Planes are pulled out of the cloud one at a time. Each candidate is trimmed
 to its largest radius-connected component (detached coplanar patches would
 otherwise stretch the boundary), bounded by the convex hull of the projected
 inliers, and accepted only when its hull area reaches the configured
-minimum.
+minimum. An accepted plane gives up only that component, so coplanar
+pieces elsewhere get rounds of their own; a rejected plane gives up all of
+its inliers, so a plane that yields only slivers costs one round, not one
+per sliver (Schnabel, Wahl & Klein, "Efficient RANSAC for point-cloud shape
+detection", CGF 2007, also take a found shape's points out of the pool).
 """
 
 from __future__ import annotations
@@ -235,16 +239,52 @@ def project_to_plane(
     return basis.to_plane(points), basis
 
 
+# Directions whose extreme points span the hull pre-filter's polygon, in
+# counter-clockwise order.
+_OCTANTS = np.array(
+    [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]], dtype=float
+)
+# Relative slack on a computed cross product, far above its rounding error.
+_CROSS_MARGIN = 1e-9
+
+
+def _drop_interior(pts: np.ndarray) -> np.ndarray:
+    """``pts`` less those strictly inside the polygon of their extreme points
+    along ``_OCTANTS``.
+
+    A point strictly left of every edge of that closed polygon is wound
+    round by it, so it lies inside the convex hull of the polygon's corners,
+    which are points of the set: it is no hull vertex. A point is dropped
+    only when each edge's cross product exceeds ``_CROSS_MARGIN`` of its
+    terms' size, so rounding never drops a point on or near the hull.
+    """
+    if len(pts) == 0:
+        return pts
+    corners = pts[np.argmax(pts @ _OCTANTS.T, axis=0)]
+    corners = corners[np.any(corners != np.roll(corners, 1, axis=0), axis=1)]
+    if len(corners) < 3:
+        return pts
+    inside = np.ones(len(pts), dtype=bool)
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        lhs = (b[0] - a[0]) * (pts[:, 1] - a[1])
+        rhs = (b[1] - a[1]) * (pts[:, 0] - a[0])
+        inside &= lhs - rhs > _CROSS_MARGIN * (np.abs(lhs) + np.abs(rhs))
+    return pts[~inside]
+
+
 def convex_hull_2d(points2d: np.ndarray) -> np.ndarray:
     """Convex hull by monotone chain, counter-clockwise, collinear-free.
 
     Starts at the lexicographically smallest point, so the output is
-    invariant under input permutation.
+    invariant under input permutation. The points strictly inside the
+    polygon of the extreme points along eight directions are dropped before
+    the chain runs (:func:`_drop_interior`).
 
     Raises:
         DegenerateGeometry: fewer than 3 distinct points or all collinear.
     """
-    pts = np.unique(np.asarray(points2d, dtype=float).reshape(-1, 2), axis=0)
+    pts = np.asarray(points2d, dtype=float).reshape(-1, 2)
+    pts = np.unique(_drop_interior(pts), axis=0)
     if len(pts) < 3:
         raise DegenerateGeometry("hull needs at least 3 distinct points")
 
@@ -269,12 +309,6 @@ def convex_hull_2d(points2d: np.ndarray) -> np.ndarray:
     return hull
 
 
-def surface_area(surface: PlanarSurface) -> float:
-    """Area of the boundary polygon via the shoelace rule in the plane basis."""
-    coords, _ = project_to_plane(surface.boundary, surface.model)
-    return abs(shoelace_area(coords))
-
-
 def _boundary_and_area(pts: np.ndarray, model: PlaneModel) -> tuple[np.ndarray, float]:
     coords, basis = project_to_plane(pts, model)
     hull2d = convex_hull_2d(coords)
@@ -290,9 +324,13 @@ def extract_surfaces(
 
     Loop: fit a plane, trim its inliers to the largest ``cluster_eps``
     component, bound and measure it, and accept it when the area is at least
-    ``min_area``. The trimmed component is removed from the working
-    cloud whether accepted or not (rejected ones end up in the remainder);
-    the loop exits when no further plane reaches ``min_inliers``.
+    ``min_area``. An accepted plane takes only that component out of the
+    working cloud; a rejected one (a degenerate component, or one below
+    ``min_area``) takes out every inlier of the plane, and they all end up
+    in the remainder. The loop exits when no further plane reaches
+    ``min_inliers``. The components come from
+    :func:`~scanplan.clustering.euclidean_cluster`, strip by strip, so no
+    round holds the radius graph of its whole inlier set.
 
     Returns:
         (surfaces, remainder). Surface inlier indices refer to the input
@@ -331,10 +369,12 @@ def extract_surfaces(
 
         if boundary is not None and area >= cfg.min_area:
             surfaces.append(PlanarSurface(model, component, boundary, area))
+            taken = largest
         else:
-            rejected.append(component)
+            taken = local_inliers
+            rejected.append(active[taken])
         keep_mask = np.ones(len(active), dtype=bool)
-        keep_mask[largest] = False
+        keep_mask[taken] = False
         active = active[keep_mask]
 
     remainder_idx = np.sort(

@@ -543,12 +543,36 @@ def cold_icp(src, tgt, rot, trans, cfg):
     return rot, trans
 
 
+def transform_cloud(pose, cloud):
+    """A cloud with a pose applied to every point; order and source tags
+    are kept."""
+    from scanplan.geometry import PointCloud
+
+    return PointCloud(pose.apply(cloud.points), cloud.sources)
+
+
+def concat_clouds(clouds, retag: bool = False):
+    """Clouds concatenated in order. With ``retag`` each cloud's points get
+    its list position as their tag; otherwise tags are kept when every
+    cloud has them."""
+    from scanplan.geometry import PointCloud
+
+    pts = np.vstack([c.points for c in clouds])
+    if retag:
+        src = np.concatenate([np.full(len(c), i) for i, c in enumerate(clouds)])
+    elif all(c.sources is not None for c in clouds):
+        src = np.concatenate([c.sources for c in clouds])
+    else:
+        src = None
+    return PointCloud(pts, src)
+
+
 def register_clouds_by_concat(stations, cfg):
     """register_clouds as it was: the merged cloud is concatenated anew for
     every station, then once more with the station tags. It runs the
     package's overlap prediction and ICP."""
     from scanplan.errors import NoOverlap
-    from scanplan.geometry import Pose, concat_clouds, transform_cloud
+    from scanplan.geometry import Pose
     from scanplan.registration import icp_align_3d, predict_overlap
 
     first_cloud, first_pose = stations[0]

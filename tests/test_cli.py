@@ -87,6 +87,18 @@ def test_stage_verbs_match_run(deck, tmp_path):
     assert {name: got.get(name) for name in expected} == expected
 
 
+def test_run_prints_the_peak_rss_after_each_stage(deck, tmp_path, capsys):
+    cloud, _ = deck
+    capsys.readouterr()
+    assert main(["run", "--input", str(cloud), "--out", str(tmp_path / "run")]) == EXIT_OK
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if " peak " in line]
+    assert [row[0] for row in rows] == [
+        "register", "filter", "segment", "cluster", "plan", "render"]
+    peaks = [float(row[row.index("peak") + 1]) for row in rows]
+    assert 0 < peaks[0] and peaks == sorted(peaks)
+
+
 def test_two_runs_write_identical_directories(deck, tmp_path):
     cloud, out = deck
     again = tmp_path / "again"

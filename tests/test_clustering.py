@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from scanplan import clustering
 from scanplan.clustering import (
     Cluster,
     ClusterConfig,
     euclidean_cluster,
 )
 from scanplan.geometry import PointCloud
+from scanplan.scenes import generate_scene, preset_scene
+from scanplan.segmentation import extract_surfaces
+from scanplan.spatial import KdTree
 
 from oracles import ordered_clusters, unionfind_clusters
 
@@ -111,3 +115,105 @@ def test_cluster_validation():
         Cluster(np.array([], dtype=int))
     with pytest.raises(ValueError):
         Cluster(np.array([1, 1, 2]))
+
+
+def partition(labels) -> set:
+    """The sets of indices that share a label."""
+    groups: dict = {}
+    for i, label in enumerate(np.asarray(labels).tolist()):
+        groups.setdefault(label, set()).add(i)
+    return {frozenset(g) for g in groups.values()}
+
+
+STRIP = 8
+
+
+def _strip_edge_chain(n, step):
+    """n points along the x axis, ``step`` apart: with the step at the
+    radius, every strip edge cuts a pair at the radius."""
+    pts = np.zeros((n, 3))
+    pts[:, 0] = np.arange(n) * step
+    return pts
+
+
+@pytest.mark.parametrize("case", [
+    "chain_at_radius", "chain_just_past_radius", "all_keys_equal",
+    "single_strip", "strip_less_one", "strip_size", "strip_plus_one", "blobs",
+    "dense_tail",
+])
+def test_strip_labels_match_unionfind_oracle(rng, monkeypatch, case):
+    monkeypatch.setattr(clustering, "_STRIP_ROWS", STRIP)
+    radius = 0.25
+    if case == "chain_at_radius":
+        # 0.25 is exact in binary, so both predicates see the same distance.
+        pts = _strip_edge_chain(5 * STRIP + 3, radius)
+    elif case == "chain_just_past_radius":
+        # Links an ulp past the radius: rounding keeps some and cuts others.
+        pts = _strip_edge_chain(3 * STRIP, np.nextafter(radius, 1.0))
+    elif case == "all_keys_equal":
+        pts = np.tile([[1.0, 2.0, 3.0]], (3 * STRIP, 1))
+    elif case == "single_strip":
+        pts = rng.uniform(0, 1, size=(STRIP - 3, 3))
+    elif case in ("strip_less_one", "strip_size", "strip_plus_one"):
+        n = STRIP + {"strip_less_one": -1, "strip_size": 0, "strip_plus_one": 1}[case]
+        pts = rng.uniform(0, 0.6, size=(n, 3))
+        pts[:, 0] *= 4.0
+    elif case == "blobs":
+        pts = np.vstack([rng.normal(c, 0.1, size=(15, 3)) for c in (0.0, 0.7, 2.0)]
+                        + [rng.uniform(-1, 3, size=(40, 3))])
+    else:
+        # A sparse chain, then a tight blob whose first strip reaches the
+        # last point, so the strips after it are skipped.
+        chain = _strip_edge_chain(2 * STRIP, 1.0)
+        pts = np.vstack([chain, rng.uniform(0, 0.1, size=(3 * STRIP, 3)) + [40.0, 0, 0]])
+    rows = pts[rng.permutation(len(pts))]
+    labels = clustering._component_labels(rows, radius)
+    assert partition(labels) == set(unionfind_clusters(rows, radius))
+    assert sorted(set(labels.tolist())) == list(range(labels.max() + 1))
+
+
+def test_strip_labels_match_one_query_where_rounding_decides(rng, monkeypatch):
+    # Far from the origin, and at a radius that binary cannot hold, some
+    # pairs sit within an ulp of the radius. The strips must find the
+    # components that one query of every point finds, whatever rounding
+    # decides for each pair.
+    monkeypatch.setattr(clustering, "_STRIP_ROWS", STRIP)
+    radius = 0.3
+    for offset in (0.0, 5e5, -3e6):
+        pts = np.zeros((12 * STRIP, 3))
+        pts[:, 0] = offset + np.arange(len(pts)) * radius
+        pts[:, 1] = rng.choice([0.0, 1e-9, -1e-9], len(pts))
+        pts = pts[rng.permutation(len(pts))]
+        want = partition(clustering._radius_labels(pts, radius))
+        assert partition(clustering._component_labels(pts, radius)) == want
+
+
+def test_segment_pair_queries_stay_within_one_extended_strip(monkeypatch):
+    # No pair query of the segment stage holds more points than one strip
+    # and the densest slab of the radius's width along the clustered set's
+    # widest axis, though the first planes' inliers are several strips each.
+    cloud = generate_scene(preset_scene("crossed_planes", 200.0, 0.01), seed=0)
+    eps = 0.3
+    calls = []
+    real_pairs = KdTree.pairs_within_radius
+    real_cluster = clustering.euclidean_cluster
+
+    def counting_pairs(self, radius):
+        calls[-1][2].append(len(self))
+        return real_pairs(self, radius)
+
+    def counting_cluster(part, cfg):
+        pts = part.points
+        keys = np.sort(pts[:, np.argmax(np.ptp(pts, axis=0))])
+        ends = np.searchsorted(keys, keys + cfg.radius * (1 + 1e-6), side="right")
+        slab = int((ends - np.arange(len(keys))).max())
+        calls.append((len(part), clustering._STRIP_ROWS + slab, []))
+        return real_cluster(part, cfg)
+
+    monkeypatch.setattr(KdTree, "pairs_within_radius", counting_pairs)
+    monkeypatch.setattr("scanplan.segmentation.euclidean_cluster", counting_cluster)
+    surfaces, _ = extract_surfaces(cloud, cluster_eps=eps)
+    assert surfaces
+    assert sum(n > bound for n, bound, _ in calls) >= 2
+    for n, bound, queried in calls:
+        assert max(queried) <= min(n, bound)

@@ -11,12 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scanplan import artifacts, ingest
-from scanplan.geometry import concat_clouds, format_table
+from scanplan.geometry import format_table
 from scanplan.ingest import write_scan_log
 from scanplan.scenes import generate_scene, preset_scene
 from scanplan.simulate import DeviceParams, simulate_yaw_scan
 
-from oracles import format_rows, write_cloud_per_value, write_scan_log_per_value
+from oracles import (
+    concat_clouds,
+    format_rows,
+    write_cloud_per_value,
+    write_scan_log_per_value,
+)
 
 INT64 = np.iinfo(np.int64)
 

@@ -6,12 +6,10 @@ import pytest
 from scanplan.geometry import (
     PointCloud,
     Pose,
-    concat_clouds,
     horizontal_polar_to_local_arrays,
     polar_to_local_arrays,
     rotation_about_z,
     scan_bearings,
-    transform_cloud,
     validate_rotation,
 )
 from scanplan.preprocess import voxel_downsample
@@ -76,28 +74,6 @@ def test_transform_preserves_distances(rng):
     )
 
 
-def test_transform_cloud_identity_and_translation():
-    cloud = PointCloud(np.array([[0.0, 0.0, 0.0]]))
-    assert np.allclose(transform_cloud(Pose.identity(), cloud).points, cloud.points)
-    moved = transform_cloud(Pose(np.eye(3), [1.0, 0.0, 0.0]), cloud)
-    assert np.allclose(moved.points, [[1.0, 0.0, 0.0]])
-
-
-def test_transform_cloud_inverse_round_trip(rng):
-    pose = Pose(rotation_about_z(1.2), np.array([0.3, -0.7, 2.0]))
-    cloud = PointCloud(rng.normal(size=(100, 3)), sources=np.arange(100))
-    back = transform_cloud(pose.inverse(), transform_cloud(pose, cloud))
-    assert np.allclose(back.points, cloud.points, atol=1e-9)
-    assert np.array_equal(back.sources, cloud.sources)
-
-
-def test_compose_matches_sequential_application(rng):
-    a = Pose(rotation_about_z(0.4), np.array([1.0, 0.0, 0.0]))
-    b = Pose(rotation_about_z(-1.1), np.array([0.0, 2.0, -1.0]))
-    pts = rng.normal(size=(10, 3))
-    assert np.allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-12)
-
-
 def test_validate_rotation_rejects_non_orthonormal():
     bad = np.eye(3)
     bad[0, 0] = 1.0 + 1e-6
@@ -123,14 +99,6 @@ def test_cloud_sources_must_cover_all_points():
         PointCloud(np.zeros((3, 3)), sources=np.array([0, 1]))
 
 
-def test_concat_clouds_retag():
-    a = PointCloud(np.zeros((2, 3)))
-    b = PointCloud(np.ones((3, 3)))
-    merged = concat_clouds([a, b], retag=True)
-    assert np.array_equal(merged.sources, [0, 0, 1, 1, 1])
-    assert len(merged) == 5
-
-
 def test_cloud_copies_the_callers_arrays(rng):
     points, tags = rng.normal(size=(5, 3)), np.arange(5)
     cloud = PointCloud(points, tags)
@@ -141,10 +109,7 @@ def test_cloud_copies_the_callers_arrays(rng):
 
 def test_derived_clouds_are_read_only_values(rng):
     cloud = PointCloud(rng.normal(size=(6, 3)), np.arange(6))
-    pose = Pose(rotation_about_z(0.3), np.array([1.0, 2.0, 3.0]))
-    derived = [cloud.select([4, 0, 2]), concat_clouds([cloud, cloud]),
-               concat_clouds([cloud, cloud], retag=True),
-               transform_cloud(pose, cloud), voxel_downsample(cloud)]
+    derived = [cloud.select([4, 0, 2]), voxel_downsample(cloud)]
     for d in derived:
         with pytest.raises(ValueError):
             d.points[0, 0] = 1.0
@@ -152,4 +117,3 @@ def test_derived_clouds_are_read_only_values(rng):
         assert not np.shares_memory(d.points, cloud.points)
     assert np.array_equal(derived[0].points, cloud.points[[4, 0, 2]])
     assert np.array_equal(derived[0].sources, [4, 0, 2])
-    assert np.array_equal(derived[3].points, pose.apply(cloud.points))

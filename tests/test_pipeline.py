@@ -1,5 +1,6 @@
 import pytest
 
+from scanplan import artifacts
 from scanplan.pipeline import PipelineConfig
 from scanplan.planning import CameraSpec
 from scanplan.registration import IcpConfig
@@ -17,7 +18,7 @@ from scanplan.segmentation import RansacConfig
 ], ids=["defaults", "changed"])
 def test_config_round_trips_through_its_file_form(tmp_path, cfg):
     path = tmp_path / "config.json"
-    cfg.save(path)
+    artifacts.write_json(path, cfg.to_dict())
     assert PipelineConfig.load(path) == cfg
 
 

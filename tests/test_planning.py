@@ -158,7 +158,7 @@ def test_build_occupancy_single_point():
     grid = build_occupancy(PointCloud(np.array([[1.0, 2.0, 3.0]])), 0.5, 1.0)
     assert int(grid.occupied.sum()) == 1
     occupied_idx = tuple(np.argwhere(grid.occupied)[0])
-    assert occupied_idx == grid.world_to_index([1.0, 2.0, 3.0])
+    assert occupied_idx == tuple(grid.world_to_indices([1.0, 2.0, 3.0]).tolist())
 
 
 def test_build_occupancy_plane_slab_count(rng):
@@ -351,11 +351,9 @@ def test_generate_waypoints_obstacle_free_lattice():
     plan = generate_waypoints(stops, grid)
     assert len(plan.legs) == len(stops) - 1
     # Every waypoint voxel is free; consecutive waypoints are neighbors.
-    for w in plan.waypoints:
-        assert not grid.occupied[grid.world_to_index(w)]
-    idx = [grid.world_to_index(w) for w in plan.waypoints]
-    for a, b in zip(idx, idx[1:]):
-        assert max(abs(a[i] - b[i]) for i in range(3)) <= 1
+    idx = grid.world_to_indices(np.asarray(plan.waypoints))
+    assert not grid.occupied[tuple(idx.T)].any()
+    assert np.abs(np.diff(idx, axis=0)).max() <= 1
 
 
 def test_generate_waypoints_routes_through_gap():

@@ -10,7 +10,7 @@ from scanplan.errors import (
     InsufficientOverlap,
     NoOverlap,
 )
-from scanplan.geometry import PointCloud, Pose, rotation_about_z, transform_cloud
+from scanplan.geometry import PointCloud, Pose, rotation_about_z
 from scanplan.registration import (
     IcpConfig,
     _kept,
@@ -21,7 +21,7 @@ from scanplan.registration import (
 )
 from scanplan.spatial import KdTree
 
-from oracles import cold_icp, register_clouds_by_concat
+from oracles import cold_icp, register_clouds_by_concat, transform_cloud
 
 
 def ring_2d(n=120, radius=3.0):

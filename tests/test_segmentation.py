@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from scanplan import segmentation
 from scanplan.errors import DegenerateGeometry, NoPlaneFound
 from scanplan.geometry import PointCloud
+from scanplan.scenes import generate_scene, preset_scene
 from scanplan.segmentation import (
-    PlanarSurface,
     PlaneModel,
     RansacConfig,
     convex_hull_2d,
@@ -17,7 +18,7 @@ from scanplan.segmentation import (
     project_to_plane,
     ransac_plane,
     refine_plane,
-    surface_area,
+    _boundary_and_area,
 )
 
 from oracles import (
@@ -206,6 +207,43 @@ def test_gift_wrap_agrees_with_edge_test_oracle(rng):
         assert {tuple(v) for v in gift_wrap_hull(pts)} == edge_test_hull(pts)
 
 
+def _hull_sets(rng):
+    """Point sets where a hull pre-filter could go wrong: lattices,
+    duplicates, points on the hull's edges, a circle far from the origin,
+    quantised y, and near-collinear strips."""
+    grid = np.array([[i, j] for i in range(7) for j in range(5)], float) * 0.25
+    yield grid
+    yield np.vstack([grid, grid[::3]])
+    t = rng.uniform(0.0, 1.0, 200)
+    edges = np.concatenate([np.stack([t, 0 * t], 1), np.stack([1 + 0 * t, t], 1),
+                            np.stack([t, 1 + 0 * t], 1), np.stack([0 * t, t], 1)])
+    yield np.vstack([edges, rng.uniform(0, 1, size=(200, 2))])
+    angles = rng.uniform(0.0, 2 * math.pi, 300)
+    yield 1e6 + 5.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    quantised = rng.uniform(-3, 3, size=(300, 2))
+    quantised[:, 1] = np.round(quantised[:, 1], 1)
+    yield quantised
+    yield rng.normal(0.0, 1.0, size=(300, 2)) * [1e-6, 1e3] + [5e5, -3e6]
+    for _ in range(20):
+        yield rng.uniform(-5, 5, size=(int(rng.integers(3, 300)), 2))
+
+
+def test_hull_prefilter_keeps_the_chains_hull(rng, monkeypatch):
+    # The hull with the interior pre-filter is the chain's own hull over
+    # every point, bit for bit, and the gift-wrap oracle's vertex set.
+    sets = list(_hull_sets(rng))
+    got = [convex_hull_2d(pts) for pts in sets]
+    monkeypatch.setattr(segmentation, "_drop_interior", lambda pts: pts)
+    for pts, hull in zip(sets, got):
+        assert hull.tobytes() == convex_hull_2d(pts).tobytes()
+        assert {tuple(v) for v in hull} == {tuple(v) for v in gift_wrap_hull(pts)}
+
+
+def test_hull_prefilter_drops_most_of_a_plane(rng):
+    pts = rng.uniform(0, 1, size=(2000, 2)) * [20.0, 11.0]
+    assert len(segmentation._drop_interior(pts)) < 0.1 * len(pts)
+
+
 def test_hull_permutation_invariant(rng):
     pts = rng.uniform(0, 1, size=(100, 2))
     hull_a = convex_hull_2d(pts)
@@ -227,22 +265,18 @@ def test_hull_collinear_degenerate():
 
 def test_surface_area_rectangle():
     model = PlaneModel(0.0, 0.0, 1.0, 0.0)
-    boundary = np.array([
-        [0.0, 0, 0], [2.0, 0, 0], [2.0, 3, 0], [0.0, 3, 0],
-    ])
-    surface = PlanarSurface(model, np.arange(4), boundary, 6.0)
-    assert surface_area(surface) == pytest.approx(6.0)
+    corners = np.array([[0.0, 0, 0], [2.0, 0, 0], [2.0, 3, 0], [0.0, 3, 0]])
+    inner = np.array([[1.0, 1, 0], [0.5, 2.5, 0]])
+    boundary, area = _boundary_and_area(np.vstack([inner, corners]), model)
+    assert area == pytest.approx(6.0)
+    assert {tuple(p) for p in boundary.tolist()} == {tuple(p) for p in corners.tolist()}
 
 
 def test_surface_area_matches_monte_carlo(rng):
     pts2d = rng.uniform(-2, 2, size=(40, 2))
-    hull = convex_hull_2d(pts2d)
     model = PlaneModel(0.0, 0.0, 1.0, 0.0)
-    basis = plane_basis(model)
-    boundary = basis.to_world(hull)
-    surface = PlanarSurface(model, np.arange(len(hull)), boundary, 0.0)
-    area = surface_area(surface)
-    mc = monte_carlo_polygon_area(hull, 200_000, rng)
+    boundary, area = _boundary_and_area(plane_basis(model).to_world(pts2d), model)
+    mc = monte_carlo_polygon_area(boundary[:, :2], 200_000, rng)
     assert area == pytest.approx(mc, rel=0.01)
 
 
@@ -357,3 +391,46 @@ def test_extract_inliers_inside_boundary(rng):
     hull2d = basis.to_plane(surface.boundary)
     for c in coords[:: max(1, len(coords) // 100)]:
         assert point_in_polygon(c, hull2d)
+
+
+def count_ransac_calls(monkeypatch) -> list:
+    calls = []
+    real = segmentation.ransac_plane
+
+    def counting(cloud, cfg):
+        calls.append(len(cloud))
+        return real(cloud, cfg)
+
+    monkeypatch.setattr(segmentation, "ransac_plane", counting)
+    return calls
+
+
+def test_extract_rejected_plane_gives_up_every_inlier(monkeypatch):
+    # Plane z = 0 is a 0.5 m lattice: at cluster_eps 0.3 each of its points
+    # is a component of its own, so the plane is rejected. Plane x = 10 is a
+    # 0.25 m lattice above it that meets the first plane's x = 10 column at
+    # 0.25 m. The rejected plane gives up all of its points, so the second
+    # plane cannot claim that column, and two rounds do all the work.
+    ij = np.array([[i, j] for i in range(41) for j in range(41)], float) * 0.5
+    sparse = np.column_stack([ij, np.zeros(len(ij))])
+    jk = np.array([[j, k] for j in range(81) for k in range(17)], float) * 0.25
+    dense = np.column_stack([np.full(len(jk), 10.0), jk[:, 0], 0.25 + jk[:, 1]])
+    cloud = PointCloud(np.vstack([sparse, dense]))
+    calls = count_ransac_calls(monkeypatch)
+    surfaces, remainder = extract_surfaces(
+        cloud, RansacConfig(min_inliers=100, min_area=2.0), cluster_eps=0.3
+    )
+    assert calls == [len(cloud), len(dense)]
+    assert len(surfaces) == 1
+    assert surfaces[0].inliers.tolist() == list(range(len(sparse), len(cloud)))
+    assert remainder.sources.tolist() == list(range(len(sparse)))
+
+
+def test_extract_sparse_deck_costs_one_round_per_plane(monkeypatch):
+    # At 5 pts/m² the deck's points are further apart than cluster_eps, so
+    # its plane yields only slivers; rejecting it takes out all its points.
+    cloud = generate_scene(preset_scene("deck", 5.0, 0.01), seed=0)
+    calls = count_ransac_calls(monkeypatch)
+    surfaces, remainder = extract_surfaces(cloud)
+    assert len(calls) <= 2
+    assert surfaces == [] and len(remainder) == len(cloud)
