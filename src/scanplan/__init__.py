@@ -15,8 +15,6 @@ from .errors import (
     IcpDiverged,
     InsufficientOverlap,
     MalformedRecord,
-    MissingPose,
-    NoOverlap,
     NoPath,
     NoPlaneFound,
     NonPlanarEdit,
@@ -39,7 +37,6 @@ from .geometry import (
 from .ingest import (
     ImuSample,
     LaserScan,
-    PoseTrack,
     ScanLog,
     build_cloud,
     estimate_pose_track,

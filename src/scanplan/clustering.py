@@ -97,11 +97,6 @@ def _radius_labels(points: np.ndarray, radius: float) -> np.ndarray:
 def _component_labels(points: np.ndarray, radius: float) -> np.ndarray:
     """Component label of each point in the closed-``radius`` graph, strip by
     strip (see the module docstring): 0 up to the component count less one.
-
-    When the first extended strip already holds every point (a cloud of at
-    most ``_STRIP_ROWS`` points, or one whose keys all lie within the radius
-    of the first strip's last key, such as all keys equal), the labels come
-    from one pair query over all points.
     """
     n = len(points)
     keys = points[:, int(np.argmax(np.ptp(points, axis=0)))]
@@ -110,8 +105,6 @@ def _component_labels(points: np.ndarray, radius: float) -> np.ndarray:
     reach = radius + _KEY_MARGIN * (radius + max(abs(keys[0]), abs(keys[-1])))
     last = np.minimum(np.arange(_STRIP_ROWS, n + _STRIP_ROWS, _STRIP_ROWS), n) - 1
     stops = np.searchsorted(keys, keys[last] + reach, side="right")
-    if stops[0] == n:
-        return _radius_labels(points, radius)
     members, heads = [], []
     for start, stop in zip(range(0, n, _STRIP_ROWS), stops):
         strip = order[start:stop]

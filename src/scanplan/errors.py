@@ -31,12 +31,6 @@ class EmptyLog(ValidationError):
     pass
 
 
-class MissingPose(StageError):
-    def __init__(self, timestamp):
-        self.timestamp = timestamp
-        super().__init__(f"no pose for scan timestamp {timestamp!r}")
-
-
 # --- registration ---------------------------------------------------------
 
 class IcpDiverged(StageError):
@@ -44,10 +38,6 @@ class IcpDiverged(StageError):
 
 
 class InsufficientOverlap(StageError):
-    pass
-
-
-class NoOverlap(StageError):
     pass
 
 

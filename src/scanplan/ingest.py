@@ -22,16 +22,19 @@ The IMU owns the rotation channel of the pose track: each pose takes the
 nearest IMU sample, untouched. The translation channel chains 2D scan
 matching between consecutive horizontal scans, each first rotated by its
 IMU sample so that only a translation is fitted. The vertical component
-stays 0 (a horizontal scanner cannot observe it).
+stays 0 (a horizontal scanner cannot observe it). The track is a list of
+poses, one per vertical scan in ``log.vertical`` order, and
+:func:`build_cloud` pairs scans and poses by that order, not by timestamp;
+the parser's checks (no NaN stamp, strictly increasing per stream) are the
+only ones the stamps get.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
-from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +43,6 @@ from .errors import (
     IcpDiverged,
     InsufficientOverlap,
     MalformedRecord,
-    MissingPose,
     UnsortedTimestamps,
 )
 from .geometry import (
@@ -91,34 +93,6 @@ class ScanLog:
     angle_min: float
     angle_inc: float
     range_max: float
-
-
-@dataclass(frozen=True)
-class PoseTrack:
-    """(timestamp, Pose) pairs with strictly increasing timestamps.
-
-    Raises:
-        UnsortedTimestamps: a NaN timestamp (it would order against none and
-            no lookup could reach it), or timestamps that do not strictly
-            increase.
-    """
-
-    entries: list
-    _by_time: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ts = [t for t, _ in self.entries]
-        if any(math.isnan(t) for t in ts):
-            raise UnsortedTimestamps("pose track timestamps must not be NaN")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise UnsortedTimestamps("pose track timestamps must strictly increase")
-        object.__setattr__(self, "_by_time", dict(self.entries))
-
-    def pose_at(self, timestamp: float) -> Pose:
-        pose = self._by_time.get(timestamp)
-        if pose is None:
-            raise MissingPose(timestamp)
-        return pose
 
 
 def _parse_float(token: str, line_no: int, what: str) -> float:
@@ -304,8 +278,9 @@ def _nearest_sample(timestamps: np.ndarray, t: float) -> int:
     return i
 
 
-def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> PoseTrack:
-    """Pose per vertical-scan timestamp: IMU rotation + chained 2D scan matching.
+def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> list[Pose]:
+    """The pose of each vertical scan, in ``log.vertical`` order: IMU
+    rotation + chained 2D scan matching.
 
     Consecutive horizontal scans are pre-rotated by their IMU attitude and
     aligned translation-only; the increments accumulate into the horizontal
@@ -341,30 +316,27 @@ def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> PoseT
         cumulative[i] = cumulative[i - 1] + delta
         prev_points = cur_points
 
-    entries = []
+    poses = []
     for scan in log.vertical:
-        rotation = imu_for(scan.timestamp)
         xy = cumulative[_nearest_sample(h_ts, scan.timestamp)]
-        entries.append(
-            (scan.timestamp, Pose(rotation, np.array([xy[0], xy[1], 0.0])))
-        )
-    return PoseTrack(entries)
+        poses.append(Pose(imu_for(scan.timestamp), np.array([xy[0], xy[1], 0.0])))
+    return poses
 
 
-def build_cloud(log: ScanLog, track: PoseTrack) -> PointCloud:
-    """Map every valid vertical-scan return through its scan pose.
+def build_cloud(log: ScanLog, poses: list[Pose]) -> PointCloud:
+    """Map every valid vertical-scan return through its scan pose, the
+    ``poses`` entry at the scan's index in ``log.vertical``.
 
     Invalid readings (see :func:`local_points`) are dropped; the drop count
     is logged. Output points carry the vertical scan index as source tag.
 
     Raises:
-        MissingPose: the track lacks a vertical-scan timestamp.
+        ValueError: ``poses`` does not hold one pose per vertical scan.
     """
     parts = []
     tags = []
     dropped = 0
-    for scan_index, scan in enumerate(log.vertical):
-        pose = track.pose_at(scan.timestamp)
+    for scan_index, (scan, pose) in enumerate(zip(log.vertical, poses, strict=True)):
         local = local_points(log, scan, polar_to_local_arrays)
         dropped += len(scan.ranges) - len(local)
         if not len(local):

@@ -6,8 +6,6 @@ libraries embed ids and metadata that break bit-identical comparisons).
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 _VIEWS = {"top": (0, 1), "elevation": (0, 2)}
@@ -61,25 +59,27 @@ def render_svg(
 
     w = (hi[0] - lo[0]) * scale
     h = (hi[1] - lo[1]) * scale
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.1f}" '
-        f'height="{h:.1f}" viewBox="0 0 {w:.1f} {h:.1f}">',
-        f'<rect width="{w:.1f}" height="{h:.1f}" fill="white"/>',
-    ]
-    if pts2d is not None:
-        out.extend('<circle cx="%.2f" cy="%.2f" r="1" fill="#888888"/>' % xy
-                   for xy in screen(pts2d))
-    for poly in poly2d:
-        coords = " ".join("%.2f,%.2f" % xy for xy in screen(poly))
-        out.append(
-            f'<polygon points="{coords}" fill="none" stroke="#2255cc" '
-            'stroke-width="1.5"/>'
+    # Each line goes straight into the file: the whole text of a 20,000-dot
+    # scatter is never held at once.
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.1f}" '
+            f'height="{h:.1f}" viewBox="0 0 {w:.1f} {h:.1f}">\n'
+            f'<rect width="{w:.1f}" height="{h:.1f}" fill="white"/>\n'
         )
-    for line in line2d:
-        coords = " ".join("%.2f,%.2f" % xy for xy in screen(line))
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="#cc3322" '
-            'stroke-width="1"/>'
-        )
-    out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
+        if pts2d is not None:
+            fh.writelines('<circle cx="%.2f" cy="%.2f" r="1" fill="#888888"/>\n' % xy
+                          for xy in screen(pts2d))
+        for poly in poly2d:
+            coords = " ".join("%.2f,%.2f" % xy for xy in screen(poly))
+            fh.write(
+                f'<polygon points="{coords}" fill="none" stroke="#2255cc" '
+                'stroke-width="1.5"/>\n'
+            )
+        for line in line2d:
+            coords = " ".join("%.2f,%.2f" % xy for xy in screen(line))
+            fh.write(
+                f'<polyline points="{coords}" fill="none" stroke="#cc3322" '
+                'stroke-width="1"/>\n'
+            )
+        fh.write("</svg>\n")

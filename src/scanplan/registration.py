@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, IcpDiverged, InsufficientOverlap, NoOverlap
+from .errors import DegenerateGeometry, IcpDiverged, InsufficientOverlap
 from .geometry import PointCloud, Pose
 from .spatial import KdTree
 
@@ -209,27 +209,27 @@ def icp_align_3d(
 
 
 def predict_overlap(
-    a: PointCloud,
-    b: PointCloud,
-    pose_a: Pose,
-    pose_b: Pose,
+    merged: PointCloud,
+    cloud: PointCloud,
+    pose: Pose,
     margin: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of each cloud's points inside the posed bounding-box overlap.
+    """Indices of the points of ``merged`` and of ``cloud`` (placed with its
+    recorded ``pose``) inside the overlap of their axis-aligned bounding
+    boxes, dilated by ``margin``.
 
-    Both clouds are placed with their recorded poses; the overlap region is
-    the intersection of the two axis-aligned bounding boxes, dilated by
-    ``margin``. Raises NoOverlap when the boxes are separated by more than
-    ``margin`` on some axis (callers fall back to the full clouds).
+    Both arrays are empty when a cloud is empty or the boxes lie more than
+    ``margin`` apart on some axis.
     """
-    if len(a) == 0 or len(b) == 0:
-        raise NoOverlap("empty cloud")
-    ga = pose_a.apply(a.points)
-    gb = pose_b.apply(b.points)
+    none = np.zeros(0, dtype=np.int64)
+    if len(merged) == 0 or len(cloud) == 0:
+        return none, none
+    ga = merged.points
+    gb = pose.apply(cloud.points)
     lo = np.maximum(ga.min(axis=0), gb.min(axis=0))
     hi = np.minimum(ga.max(axis=0), gb.max(axis=0))
     if np.any(lo - hi > margin):
-        raise NoOverlap("bounding boxes separated by more than the margin")
+        return none, none
     lo = lo - margin
     hi = hi + margin
     in_a = np.all((ga >= lo) & (ga <= hi), axis=1)
@@ -245,8 +245,9 @@ def register_clouds(
 
     Station 0 (placed with its recorded pose) is the reference. Each later
     station is aligned against the merged cloud so far: predicted-overlap
-    subsets feed a 3D ICP seeded by the recorded pose, and the refined pose
-    places the full station cloud. No points are dropped.
+    subsets feed a 3D ICP seeded by the recorded pose (the whole clouds
+    when either subset is empty), and the refined pose places the full
+    station cloud. No points are dropped.
 
     The merged cloud is filled in place, station by station; the ICP of
     station k sees the stations before it as a read-only view.
@@ -261,16 +262,11 @@ def register_clouds(
         pose = recorded
         if k:
             merged = PointCloud._own(points[:end])
-            try:
-                idx_merged, idx_src = predict_overlap(
-                    merged, cloud, Pose.identity(), recorded,
-                    margin=cfg.max_correspondence_dist,
-                )
-                tgt = merged.select(idx_merged)
-                src = cloud.select(idx_src)
-                if len(tgt) == 0 or len(src) == 0:
-                    raise NoOverlap("empty overlap subset")
-            except NoOverlap:
+            idx_merged, idx_src = predict_overlap(
+                merged, cloud, recorded, margin=cfg.max_correspondence_dist)
+            if len(idx_merged) and len(idx_src):
+                tgt, src = merged.select(idx_merged), cloud.select(idx_src)
+            else:
                 tgt, src = merged, cloud
             try:
                 pose = icp_align_3d(src, tgt, init=recorded, cfg=cfg)

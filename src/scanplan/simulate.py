@@ -85,12 +85,11 @@ def scan_truth(
     return truth
 
 
-def true_pose_track(truth: list[dict]) -> list[tuple[float, Pose]]:
-    return [
-        (rec["timestamp"],
-         Pose(rotation_about_z(rec["yaw"]), np.asarray(rec["position"])))
-        for rec in truth
-    ]
+def true_pose_track(truth: list[dict]) -> list[Pose]:
+    """The true pose of each scan of :func:`scan_truth`, in scan order: the
+    track :func:`scanplan.ingest.build_cloud` takes for the simulated log."""
+    return [Pose(rotation_about_z(rec["yaw"]), np.asarray(rec["position"]))
+            for rec in truth]
 
 
 def simulate_yaw_scan(

@@ -571,34 +571,20 @@ def register_clouds_by_concat(stations, cfg):
     """register_clouds as it was: the merged cloud is concatenated anew for
     every station, then once more with the station tags. It runs the
     package's overlap prediction and ICP."""
-    from scanplan.errors import NoOverlap
-    from scanplan.geometry import Pose
     from scanplan.registration import icp_align_3d, predict_overlap
 
     first_cloud, first_pose = stations[0]
     parts = [transform_cloud(first_pose, first_cloud)]
     for cloud, recorded in stations[1:]:
         merged = concat_clouds(parts)
-        try:
-            idx_merged, idx_src = predict_overlap(
-                merged, cloud, Pose.identity(), recorded,
-                margin=cfg.max_correspondence_dist)
+        idx_merged, idx_src = predict_overlap(
+            merged, cloud, recorded, margin=cfg.max_correspondence_dist)
+        if len(idx_merged) and len(idx_src):
             tgt, src = merged.select(idx_merged), cloud.select(idx_src)
-            if len(tgt) == 0 or len(src) == 0:
-                raise NoOverlap("empty overlap subset")
-        except NoOverlap:
+        else:
             tgt, src = merged, cloud
         parts.append(transform_cloud(icp_align_3d(src, tgt, init=recorded, cfg=cfg), cloud))
     return concat_clouds(parts, retag=True)
-
-
-def linear_pose_at(entries, timestamp):
-    """The pose of the entry whose timestamp equals ``timestamp``, found by a
-    linear scan; None when there is none."""
-    for t, pose in entries:
-        if t == timestamp:
-            return pose
-    return None
 
 
 def argmin_nearest_sample(timestamps, t):

@@ -343,6 +343,16 @@ def test_config_value_out_of_range_exits_2_before_any_stage(
     assert list(out.rglob("*")) == []
 
 
+def test_nan_timestamp_exits_2_naming_the_line(tmp_path, capsys):
+    log = tmp_path / "nan.log"
+    log.write_text("# angle_min -0.1\n# angle_inc 0.1\n# range_max 30.0\n"
+                   "I 0.0 1 0 0 0 1 0 0 0 1\nV 0.0 1.0 2.0 3.0\nH nan 1.0 2.0 3.0\n",
+                   encoding="ascii")
+    capsys.readouterr()
+    assert main(["run", "--input", str(log), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "validation error: line 6: timestamp is NaN" in capsys.readouterr().err
+
+
 def test_bad_source_tag_exits_2_naming_the_line(tmp_path, capsys):
     cloud = tmp_path / "cloud.xyz"
     cloud.write_text("2\n# x y z [tag]\n0 0 0 0\n1 1 0 x\n", encoding="ascii")

@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scanplan.errors import (
     EmptyLog,
     MalformedRecord,
-    MissingPose,
     UnsortedTimestamps,
 )
 from scanplan.geometry import Pose, polar_to_local_arrays
 from scanplan.ingest import (
     LaserScan,
-    PoseTrack,
     ScanLog,
     _nearest_sample,
     build_cloud,
@@ -31,7 +29,7 @@ from scanplan.simulate import (
     true_pose_track,
 )
 
-from oracles import argmin_nearest_sample, linear_pose_at, write_scan_log_per_value
+from oracles import argmin_nearest_sample, write_scan_log_per_value
 
 HEADER = "# angle_min -2.356194490192345\n# angle_inc 0.004363323129985824\n# range_max 30.0\n"
 IDENTITY = "1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0"
@@ -180,6 +178,16 @@ def test_parse_bad_range_names_the_line_and_first_bad_token(tmp_path, tokens, me
     assert (err.value.line, err.value.reason) == (6, message)
 
 
+@pytest.mark.parametrize("record", ["V nan 1.0", "H NaN 1.0 2.0", f"I -nan {IDENTITY}"])
+def test_parse_nan_timestamp_names_the_line(tmp_path, record):
+    # The parser is the one guard: no later stage checks a stamp again.
+    path = tmp_path / "scan.log"
+    path.write_text(HEADER + f"I 0.0 {IDENTITY}\nV 0.0 1.0\n{record}\n", encoding="ascii")
+    with pytest.raises(MalformedRecord) as err:
+        parse_scan_log(path)
+    assert (err.value.line, err.value.reason) == (6, "timestamp is NaN")
+
+
 def test_parse_bad_rotation_entry_names_the_token(tmp_path):
     path = tmp_path / "scan.log"
     path.write_text(HEADER + "I 0.0 1.0 0.0 0.0 0.0 one 0.0 0.0 0.0 1.0\n", encoding="ascii")
@@ -237,9 +245,8 @@ def test_in_memory_log_matches_its_file_round_trip(tmp_path):
 
     track = estimate_pose_track(log, IcpConfig())
     track_back = estimate_pose_track(back, IcpConfig())
-    assert len(track.entries) == len(track_back.entries)
-    for (t, pose), (t_back, pose_back) in zip(track.entries, track_back.entries):
-        assert t == t_back
+    assert len(track) == len(track_back) == len(log.vertical)
+    for pose, pose_back in zip(track, track_back):
         assert pose.translation.tobytes() == pose_back.translation.tobytes()
         assert pose.rotation.tobytes() == pose_back.rotation.tobytes()
     cloud = build_cloud(log, track)
@@ -252,16 +259,16 @@ def test_pose_track_stationary_zero_translation():
     log = simulate_yaw_scan(open_walls(), n_scans=10, yaw_span=0.0,
                             device=fine_device())
     track = estimate_pose_track(log, IcpConfig())
-    for _, pose in track.entries:
+    for pose in track:
         assert np.linalg.norm(pose.translation) <= 1e-6
-    assert np.allclose(track.entries[0][1].rotation, np.eye(3))
+    assert np.allclose(track[0].rotation, np.eye(3))
 
 
 def test_pose_track_pure_yaw_zero_translation():
     log = simulate_yaw_scan(open_walls(), n_scans=24,
                             yaw_span=math.radians(60.0), device=fine_device())
     track = estimate_pose_track(log, IcpConfig())
-    for _, pose in track.entries:
+    for pose in track:
         assert np.linalg.norm(pose.translation) <= 1e-3
 
 
@@ -273,7 +280,7 @@ def test_pose_track_recovers_drift():
     track = estimate_pose_track(log, IcpConfig())
     truth = scan_truth((0.0, 0.0, 0.0), n, yaw_span=math.radians(60.0),
                        drift_per_scan=drift)
-    recovered = track.entries[-1][1].translation
+    recovered = track[-1].translation
     expected = np.asarray(truth[-1]["position"])
     assert np.linalg.norm(recovered - expected) <= 0.1 * np.linalg.norm(expected)
 
@@ -283,8 +290,9 @@ def test_pose_track_rotations_passthrough():
                             device=fine_device())
     track = estimate_pose_track(log, IcpConfig())
     imu_by_t = {s.timestamp: s.rotation for s in log.imu}
-    for t, pose in track.entries:
-        assert np.array_equal(pose.rotation, imu_by_t[t])
+    assert len(track) == len(log.vertical)
+    for scan, pose in zip(log.vertical, track):
+        assert np.array_equal(pose.rotation, imu_by_t[scan.timestamp])
 
 
 def test_pose_track_needs_two_horizontal_scans():
@@ -297,8 +305,7 @@ def test_pose_track_needs_two_horizontal_scans():
 def test_build_cloud_single_scan_identity_pose():
     scan = LaserScan(0.0, np.array([1.0, 2.0]))
     log = ScanLog([scan], [], [], -0.1, 0.2, 30.0)
-    track = PoseTrack([(0.0, Pose.identity())])
-    cloud = build_cloud(log, track)
+    cloud = build_cloud(log, [Pose.identity()])
     assert len(cloud) == 2
     expected = [[-1.0 * math.cos(-0.1), 0.0, -1.0 * math.sin(-0.1)],
                 [-2.0 * math.cos(0.1), 0.0, -2.0 * math.sin(0.1)]]
@@ -308,15 +315,18 @@ def test_build_cloud_single_scan_identity_pose():
 
 def test_build_cloud_empty_vertical_scans():
     log = ScanLog([], [], [], 0.0, 0.1, 30.0)
-    cloud = build_cloud(log, PoseTrack([]))
+    cloud = build_cloud(log, [])
     assert len(cloud) == 0
 
 
 def test_build_cloud_missing_pose():
-    scan = LaserScan(5.0, np.array([1.0]))
-    log = ScanLog([scan], [], [], 0.0, 0.1, 30.0)
-    with pytest.raises(MissingPose):
-        build_cloud(log, PoseTrack([(0.0, Pose.identity())]))
+    # Scans and poses pair by index, so a track one pose short or one long
+    # is refused rather than paired out of step.
+    scans = [LaserScan(0.0, np.array([1.0])), LaserScan(5.0, np.array([1.0]))]
+    log = ScanLog(scans, [], [], 0.0, 0.1, 30.0)
+    for n_poses in (1, 3):
+        with pytest.raises(ValueError):
+            build_cloud(log, [Pose.identity()] * n_poses)
 
 
 def test_build_cloud_size_equals_valid_points():
@@ -340,8 +350,7 @@ def test_full_yaw_room_reconstruction_with_truth_track():
                             yaw_span=2.0 * math.pi, device=dev,
                             range_noise=noise, seed=5)
     truth = scan_truth((0.0, 0.0, 1.5), 72, yaw_span=2.0 * math.pi)
-    track = PoseTrack(true_pose_track(truth))
-    cloud = build_cloud(log, track)
+    cloud = build_cloud(log, true_pose_track(truth))
     assert len(cloud) > 3000
     p = cloud.points
     wall_dist = np.minimum.reduce([
@@ -350,11 +359,6 @@ def test_full_yaw_room_reconstruction_with_truth_track():
     ])
     rms = float(np.sqrt(np.mean(wall_dist**2)))
     assert rms <= 2.0 * noise
-
-
-def test_pose_track_timestamps_strictly_increasing():
-    with pytest.raises(UnsortedTimestamps):
-        PoseTrack([(0.0, Pose.identity()), (0.0, Pose.identity())])
 
 
 # Stamps within 1e300 of zero keep every difference finite.
@@ -366,38 +370,6 @@ def probe_times(stamps):
     """Each stamp, each midpoint between neighbours, and points past both ends."""
     mids = [a / 2 + b / 2 for a, b in zip(stamps, stamps[1:])]
     return stamps + mids + [stamps[0] - 1.0, stamps[-1] + 1.0, 0.0, -0.0]
-
-
-@settings(max_examples=200, deadline=None)
-@given(stamps=stamp_lists)
-def test_pose_at_matches_linear_scan(stamps):
-    poses = [Pose(np.eye(3), np.array([float(i), 0.0, 0.0])) for i in range(len(stamps))]
-    entries = list(zip(np.array(stamps), poses))
-    track = PoseTrack(entries)
-    for t in probe_times(stamps):
-        want = linear_pose_at(entries, t)
-        if want is None:
-            with pytest.raises(MissingPose):
-                track.pose_at(t)
-        else:
-            assert track.pose_at(t) is want
-
-
-def test_pose_at_finds_no_nan_stamp():
-    # No track holds a NaN stamp, so no lookup can miss one.
-    nan = float("nan")
-    with pytest.raises(UnsortedTimestamps, match="NaN"):
-        PoseTrack([(0.0, Pose.identity()), (nan, Pose.identity())])
-    track = PoseTrack([(0.0, Pose.identity())])
-    with pytest.raises(MissingPose):
-        track.pose_at(nan)
-
-
-@pytest.mark.parametrize("stamps", [[math.nan], [math.nan, 1.0], [0.0, math.nan, 2.0],
-                                    [0.0, 1.0, math.nan]])
-def test_pose_track_rejects_a_nan_stamp(stamps):
-    with pytest.raises(UnsortedTimestamps, match="NaN"):
-        PoseTrack([(t, Pose.identity()) for t in stamps])
 
 
 @settings(max_examples=200, deadline=None)

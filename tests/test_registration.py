@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scanplan import registration
 from scanplan.errors import (
     DegenerateGeometry,
     IcpDiverged,
     InsufficientOverlap,
-    NoOverlap,
 )
 from scanplan.geometry import PointCloud, Pose, rotation_about_z
 from scanplan.registration import (
@@ -139,22 +139,23 @@ def test_icp3d_tiny_overlap_degenerate():
 
 def test_predict_overlap_identical_clouds(rng):
     cloud = PointCloud(rng.uniform(0, 1, size=(100, 3)))
-    ia, ib = predict_overlap(cloud, cloud, Pose.identity(), Pose.identity(), 0.1)
+    ia, ib = predict_overlap(cloud, cloud, Pose.identity(), 0.1)
     assert len(ia) == len(ib) == 100
 
 
-def test_predict_overlap_disjoint_raises(rng):
+def test_predict_overlap_disjoint_is_empty(rng):
     a = PointCloud(rng.uniform(0, 1, size=(50, 3)))
     b = PointCloud(rng.uniform(5, 6, size=(50, 3)))
-    with pytest.raises(NoOverlap):
-        predict_overlap(a, b, Pose.identity(), Pose.identity(), 0.5)
+    for args in ((a, b), (a, PointCloud.empty()), (PointCloud.empty(), b)):
+        ia, ib = predict_overlap(*args, Pose.identity(), 0.5)
+        assert len(ia) == len(ib) == 0
 
 
 def test_predict_overlap_slab(rng):
     # Unit cubes overlapping in a 0.5-wide slab; margin 0 keeps slab points.
     a = PointCloud(rng.uniform(0, 1, size=(400, 3)))
     b = PointCloud(rng.uniform(0, 1, size=(400, 3)) + np.array([0.5, 0.0, 0.0]))
-    ia, ib = predict_overlap(a, b, Pose.identity(), Pose.identity(), 0.0)
+    ia, ib = predict_overlap(a, b, Pose.identity(), 0.0)
     lo = np.array([0.5, 0.0, 0.0])
     hi = np.array([1.0, 1.0, 1.0])
     lo = np.maximum(lo, np.maximum(a.points.min(0), b.points.min(0)))
@@ -222,6 +223,58 @@ def test_register_fills_the_merged_cloud_as_the_concatenation_did():
     assert np.array_equal(merged.points, want.points)
     assert np.array_equal(merged.sources, want.sources)
     assert not merged.points.flags.writeable and not merged.sources.flags.writeable
+
+
+def l_shaped_station(rng):
+    """Two unit blocks at opposite ends of a 6 m box whose corner at the
+    origin holds no point."""
+    return PointCloud(np.vstack([rng.uniform(0, 1, size=(30, 3)) + [0.0, 5.0, 0.0],
+                                 rng.uniform(0, 1, size=(30, 3)) + [5.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("case", ["boxes_apart", "empty_subset"])
+def test_register_falls_back_to_the_full_clouds(rng, monkeypatch, case):
+    # With no predicted overlap, the recorded pose seeds an ICP of the two
+    # whole clouds: station 1's box lies 2 m past station 0's, beyond the
+    # 0.5 m reach, or the boxes meet where station 1 has no point.
+    a = PointCloud(rng.uniform(0, 1, size=(40, 3)))
+    if case == "boxes_apart":
+        b, recorded = (PointCloud(rng.uniform(0, 1, size=(60, 3))),
+                       Pose(rotation_about_z(0.1), np.array([3.0, 0.0, 0.0])))
+    else:
+        b, recorded = l_shaped_station(rng), Pose.identity()
+    stations = [(a, Pose.identity()), (b, recorded)]
+    cfg = IcpConfig(max_correspondence_dist=0.5, min_pairs=3)
+    handed = []
+
+    def recording_icp(source, target, init, cfg):
+        handed.append((len(source), len(target)))
+        return init
+
+    monkeypatch.setattr(registration, "icp_align_3d", recording_icp)
+    merged = register_clouds(stations, cfg)
+    assert handed == [(len(b), len(a))]
+    assert np.array_equal(merged.points, np.vstack([a.points, recorded.apply(b.points)]))
+    assert np.array_equal(merged.sources, [0] * len(a) + [1] * len(b))
+    want = register_clouds_by_concat(stations, cfg)
+    assert np.array_equal(merged.points, want.points)
+    assert np.array_equal(merged.sources, want.sources)
+
+
+@pytest.mark.parametrize("case", ["boxes_apart", "empty_subset"])
+def test_full_cloud_fallback_finds_no_pair_within_reach(rng, case):
+    # A point within reach of the merged cloud lies inside both boxes dilated
+    # by the reach, and so does its partner; so where no overlap is predicted,
+    # the whole clouds hold no pair either, and the station fails.
+    a = PointCloud(rng.uniform(0, 1, size=(40, 3)))
+    if case == "boxes_apart":
+        b, recorded = (PointCloud(rng.uniform(0, 1, size=(60, 3))),
+                       Pose(np.eye(3), np.array([0.0, 0.0, 1.6])))
+    else:
+        b, recorded = l_shaped_station(rng), Pose.identity()
+    with pytest.raises(IcpDiverged, match="station 1: no correspondences"):
+        register_clouds([(a, Pose.identity()), (b, recorded)],
+                        IcpConfig(max_correspondence_dist=0.5, min_pairs=3))
 
 
 # --- warm-started correspondences against the cold loop ---------------------
