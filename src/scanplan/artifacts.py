@@ -17,16 +17,19 @@ shortest candidates that both read back (repr's tie rule picks one), and
 to ``str`` tags outside [0, 10**18): 0.4 % of the values or fewer in the
 bench workloads' files.
 
-A cloud file is written a block of ``_WRITE_BLOCK_ROWS`` rows at a time, and
-its lines are parsed ``_READ_BLOCK_ROWS`` at a time, so besides the cloud's
-own arrays (and, when reading, the file's text and lines) only one block's
-text and tokens are alive: never a Python object per value. The blocks do
-not change a byte written or a value read, since each row is formatted, and
-each line parsed, on its own.
+A cloud file is written a block of ``_WRITE_BLOCK_ROWS`` rows at a time, so
+besides the cloud's own arrays only one block's text is alive. A cloud file
+is read from its bytes: when its body holds only the characters that
+:func:`write_cloud` writes, numpy's C parser converts it in one pass, so
+besides the bytes and the cloud's arrays no Python object per line or value
+is made. Any other file is decoded and parsed ``_READ_BLOCK_ROWS`` lines at
+a time, the path that names a bad line. Neither the blocks nor the choice
+of path change a byte written or a value read.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import MISSING, fields, is_dataclass
@@ -68,19 +71,80 @@ def write_cloud(path, cloud: PointCloud, comment: str = "x y z [tag]") -> None:
 
 
 def read_cloud(path) -> PointCloud:
-    """Read a cloud file, parsing its lines a block at a time.
+    """Read a cloud file: in one numpy parse when it is as :func:`write_cloud`
+    writes it, else a block of lines at a time.
 
     Lines are split by ``str.splitlines``; blank lines are skipped. A data
     line is ``x y z`` or ``x y z tag``, and the tags cover every point or
-    none.
+    none. The file is read once, so it may be a pipe.
 
     Raises:
         MalformedRecord: a short header, a bad count, a line of the wrong
             width, a bad coordinate or tag (naming the line), a count that
             does not match the rows, or tags on only some rows.
-        ValueError: a non-finite coordinate (from :class:`PointCloud`).
+        ValueError: a non-ASCII byte, or a non-finite coordinate (from
+            :class:`PointCloud`).
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    data = Path(path).read_bytes()
+    parsed = _parse_canonical(data)
+    if parsed is None:
+        parsed = _parse_lines(data.decode("ascii").splitlines())
+    return PointCloud._own(*parsed)
+
+
+# The bytes of the rows that write_cloud writes, and the record of a tagged row.
+_CANONICAL_BODY = b"0123456789.-+eE \n"
+_TAGGED_ROW = np.dtype([("xyz", float, 3), ("tag", np.int64)])
+
+
+def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """A cloud file's points and tags converted by ``np.loadtxt`` in one pass,
+    or None when the file takes :func:`_parse_lines`.
+
+    The pass takes a file as :func:`write_cloud` writes it: two header lines
+    ended by the file's first two ``\\n`` with no other line break in them,
+    a count that parses, a body of ``_CANONICAL_BODY`` bytes alone whose
+    first line is a row of 3 or 4 tokens, and as many rows as the count, all
+    of that width. Within these bytes numpy converts a token as ``float`` or
+    ``int`` does, or fails. Any other file, or a failed conversion, gives
+    None, and :func:`_parse_lines` then names the error or gives the values.
+    """
+    end = data.find(b"\n", data.find(b"\n") + 1) + 1
+    header = data[:end]
+    if not end or not header.isascii():
+        return None
+    text = header.decode("ascii")
+    lines = text.splitlines()
+    # Only the header may hold bytes outside _CANONICAL_BODY.
+    if (lines != text.split("\n")[:2]
+            or data.translate(None, _CANONICAL_BODY)
+            != header.translate(None, _CANONICAL_BODY)):
+        return None
+    try:
+        count = int(lines[0].strip())
+    except ValueError:
+        return None
+    if end == len(data):
+        return (np.zeros((0, 3)), None) if count == 0 else None
+    stop = data.find(b"\n", end)
+    width = len((data[end:stop] if stop >= 0 else data[end:]).split())
+    if width not in (3, 4):
+        return None
+    dtype, ndmin = (float, 2) if width == 3 else (_TAGGED_ROW, 1)
+    try:
+        rows = np.loadtxt(io.BytesIO(data), dtype=dtype, comments=None,
+                          skiprows=2, ndmin=ndmin)
+    except ValueError:
+        return None
+    if len(rows) != count:
+        return None
+    if width == 3:
+        return rows, None
+    return np.ascontiguousarray(rows["xyz"]), rows["tag"].copy()
+
+
+def _parse_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
+    """A cloud file's points and tags from its lines, a block at a time."""
     if len(lines) < 2:
         raise MalformedRecord("cloud file needs a 2-line header")
     try:
@@ -97,7 +161,7 @@ def read_cloud(path) -> PointCloud:
         raise MalformedRecord("source tags must cover every point or none")
     points = np.concatenate([xyz for xyz, _ in blocks]) if blocks else np.zeros((0, 3))
     tags = np.concatenate([block_tags for _, block_tags in blocks]) if tagged else None
-    return PointCloud._own(points, tags)
+    return points, tags
 
 
 def _parse_rows(lines: list[str], first_line_no: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,10 +393,13 @@ def import_boundary(
 
 
 def write_json(path, data: dict) -> None:
-    """The one JSON form of every file written: sorted keys, indent 1, ASCII."""
-    Path(path).write_text(
-        json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="ascii"
-    )
+    """The one JSON form of every file written: sorted keys, indent 1, ASCII.
+
+    The text is streamed into the file, never held whole.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def dataclass_from_json(cls, values, where: str):

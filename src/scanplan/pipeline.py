@@ -222,17 +222,22 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
     planned, and the result carries status 3 with the failure list.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     result = PipelineResult(0, {}, {}, {}, [])
     input_path = Path(input_path)
 
     try:
         with _Stage(result, "register"):
             path = out / "registered.xyz"
+            # The input is read before out_dir is made, so a malformed one
+            # leaves no directory behind.
             if input_path.suffix in (".log", ".txt"):
-                cloud = ingest_log(parse_scan_log(input_path), cfg, path)
+                log = parse_scan_log(input_path)
+                out.mkdir(parents=True, exist_ok=True)
+                cloud = ingest_log(log, cfg, path)
+                del log  # not held through the later stages
             else:
                 cloud = artifacts.read_cloud(input_path)
+                out.mkdir(parents=True, exist_ok=True)
                 artifacts.write_cloud(path, cloud)
             result.artifacts["registered"] = path
             result.counts["register"] = len(cloud)

@@ -245,9 +245,13 @@ def register_clouds(
 
     Station 0 (placed with its recorded pose) is the reference. Each later
     station is aligned against the merged cloud so far: predicted-overlap
-    subsets feed a 3D ICP seeded by the recorded pose (the whole clouds
-    when either subset is empty), and the refined pose places the full
-    station cloud. No points are dropped.
+    subsets feed a 3D ICP seeded by the recorded pose, and the refined pose
+    places the full station cloud. No points are dropped.
+
+    A pair within ``max_correspondence_dist`` lies inside both bounding boxes
+    dilated by that reach, so a station whose predicted-overlap subset, or
+    the merged cloud's, is empty has no pair within reach: it raises
+    IcpDiverged at once.
 
     The merged cloud is filled in place, station by station; the ICP of
     station k sees the stations before it as a read-only view.
@@ -264,12 +268,13 @@ def register_clouds(
             merged = PointCloud._own(points[:end])
             idx_merged, idx_src = predict_overlap(
                 merged, cloud, recorded, margin=cfg.max_correspondence_dist)
-            if len(idx_merged) and len(idx_src):
-                tgt, src = merged.select(idx_merged), cloud.select(idx_src)
-            else:
-                tgt, src = merged, cloud
+            if not (len(idx_merged) and len(idx_src)):
+                raise IcpDiverged(
+                    f"station {k}: no point lies within max_correspondence_dist "
+                    "of the merged cloud")
             try:
-                pose = icp_align_3d(src, tgt, init=recorded, cfg=cfg)
+                pose = icp_align_3d(cloud.select(idx_src), merged.select(idx_merged),
+                                    init=recorded, cfg=cfg)
             except (IcpDiverged, InsufficientOverlap) as err:
                 raise type(err)(f"station {k}: {err}") from err
         points[end:end + len(cloud)] = pose.apply(cloud.points)

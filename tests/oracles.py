@@ -579,11 +579,9 @@ def register_clouds_by_concat(stations, cfg):
         merged = concat_clouds(parts)
         idx_merged, idx_src = predict_overlap(
             merged, cloud, recorded, margin=cfg.max_correspondence_dist)
-        if len(idx_merged) and len(idx_src):
-            tgt, src = merged.select(idx_merged), cloud.select(idx_src)
-        else:
-            tgt, src = merged, cloud
-        parts.append(transform_cloud(icp_align_3d(src, tgt, init=recorded, cfg=cfg), cloud))
+        pose = icp_align_3d(cloud.select(idx_src), merged.select(idx_merged),
+                            init=recorded, cfg=cfg)
+        parts.append(transform_cloud(pose, cloud))
     return concat_clouds(parts, retag=True)
 
 

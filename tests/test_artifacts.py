@@ -1,9 +1,14 @@
 import json
 import os
+import tempfile
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scanplan import artifacts
 from scanplan.artifacts import (
@@ -244,6 +249,64 @@ def test_read_cloud_from_a_pipe(tmp_path, rng):
         writer.join()
     assert got.points.tobytes() == cloud.points.tobytes()
     assert np.array_equal(got.sources, cloud.sources)
+
+
+# Clouds as write_cloud writes them: any finite coordinates, with repr's
+# edge spellings (signed zero, the least subnormal, the first exponent-form
+# magnitude) drawn often, and tags over all of int64 or none.
+_coordinates = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5])
+_tags = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1, 0])
+
+
+@st.composite
+def _written_clouds(draw):
+    n = draw(st.integers(0, 30))
+    points = draw(hnp.arrays(float, (n, 3), elements=_coordinates))
+    tags = draw(st.none() | hnp.arrays(np.int64, n, elements=_tags))
+    return PointCloud(points, tags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=_written_clouds())
+@example(cloud=PointCloud.empty())
+@example(cloud=PointCloud([[-0.0, 5e-324, 1e16], [1e-4, -1e300, 0.1]],
+                          sources=[-(2**63), 2**63 - 1]))
+def test_read_cloud_takes_every_written_cloud_in_one_pass(cloud):
+    # The line-by-line path refuses, so a cloud that came back went through
+    # the one numpy parse, and came back bit for bit. A file of no rows has
+    # no tags.
+    def refuse(lines):
+        raise AssertionError("a written cloud fell back to the line-by-line path")
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(artifacts, "_parse_lines", refuse)
+        path = Path(tmp) / "cloud.xyz"
+        write_cloud(path, cloud)
+        got = read_cloud(path)
+    assert got.points.shape == cloud.points.shape
+    assert got.points.tobytes() == cloud.points.tobytes()
+    if cloud.sources is None or len(cloud) == 0:
+        assert got.sources is None
+    else:
+        assert got.sources.dtype == np.int64
+        assert got.sources.tobytes() == cloud.sources.tobytes()
+
+
+@pytest.mark.parametrize("tagged", [False, True])
+def test_read_cloud_peak_memory_stays_under_three_times_the_file(tmp_path, rng, tagged):
+    # A Python object per line or value would cost several times the file.
+    cloud = PointCloud(rng.normal(size=(10_000, 3)) * 10.0,
+                       rng.integers(0, 4, 10_000) if tagged else None)
+    path = tmp_path / "cloud.xyz"
+    write_cloud(path, cloud)
+    tracemalloc.start()
+    try:
+        read_cloud(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size
 
 
 def square_surface(width=4.0, height=3.0):

@@ -351,6 +351,16 @@ def test_nan_timestamp_exits_2_naming_the_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--input", str(log), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert "validation error: line 6: timestamp is NaN" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_cloud_exits_2_and_makes_no_output_dir(tmp_path, capsys):
+    cloud = tmp_path / "cloud.xyz"
+    cloud.write_text("2\n# x y z [tag]\n0 0 0\n1 x 0\n", encoding="ascii")
+    capsys.readouterr()
+    assert main(["run", "--input", str(cloud), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "validation error: line 4: bad coordinate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_source_tag_exits_2_naming_the_line(tmp_path, capsys):

@@ -233,48 +233,28 @@ def l_shaped_station(rng):
 
 
 @pytest.mark.parametrize("case", ["boxes_apart", "empty_subset"])
-def test_register_falls_back_to_the_full_clouds(rng, monkeypatch, case):
-    # With no predicted overlap, the recorded pose seeds an ICP of the two
-    # whole clouds: station 1's box lies 2 m past station 0's, beyond the
-    # 0.5 m reach, or the boxes meet where station 1 has no point.
-    a = PointCloud(rng.uniform(0, 1, size=(40, 3)))
-    if case == "boxes_apart":
-        b, recorded = (PointCloud(rng.uniform(0, 1, size=(60, 3))),
-                       Pose(rotation_about_z(0.1), np.array([3.0, 0.0, 0.0])))
-    else:
-        b, recorded = l_shaped_station(rng), Pose.identity()
-    stations = [(a, Pose.identity()), (b, recorded)]
-    cfg = IcpConfig(max_correspondence_dist=0.5, min_pairs=3)
-    handed = []
-
-    def recording_icp(source, target, init, cfg):
-        handed.append((len(source), len(target)))
-        return init
-
-    monkeypatch.setattr(registration, "icp_align_3d", recording_icp)
-    merged = register_clouds(stations, cfg)
-    assert handed == [(len(b), len(a))]
-    assert np.array_equal(merged.points, np.vstack([a.points, recorded.apply(b.points)]))
-    assert np.array_equal(merged.sources, [0] * len(a) + [1] * len(b))
-    want = register_clouds_by_concat(stations, cfg)
-    assert np.array_equal(merged.points, want.points)
-    assert np.array_equal(merged.sources, want.sources)
-
-
-@pytest.mark.parametrize("case", ["boxes_apart", "empty_subset"])
-def test_full_cloud_fallback_finds_no_pair_within_reach(rng, case):
+def test_full_cloud_fallback_finds_no_pair_within_reach(rng, monkeypatch, case):
     # A point within reach of the merged cloud lies inside both boxes dilated
     # by the reach, and so does its partner; so where no overlap is predicted,
-    # the whole clouds hold no pair either, and the station fails.
+    # the whole clouds hold no pair either, and the station fails before any
+    # ICP: station 1's box lies 0.6 m past station 0's at a 0.5 m reach, or
+    # the boxes meet where station 1 has no point.
     a = PointCloud(rng.uniform(0, 1, size=(40, 3)))
     if case == "boxes_apart":
         b, recorded = (PointCloud(rng.uniform(0, 1, size=(60, 3))),
                        Pose(np.eye(3), np.array([0.0, 0.0, 1.6])))
     else:
         b, recorded = l_shaped_station(rng), Pose.identity()
-    with pytest.raises(IcpDiverged, match="station 1: no correspondences"):
-        register_clouds([(a, Pose.identity()), (b, recorded)],
-                        IcpConfig(max_correspondence_dist=0.5, min_pairs=3))
+    cfg = IcpConfig(max_correspondence_dist=0.5, min_pairs=3)
+    gaps = np.linalg.norm(a.points[:, None] - recorded.apply(b.points)[None], axis=2)
+    assert gaps.min() > cfg.max_correspondence_dist
+    handed = []
+    monkeypatch.setattr(registration, "icp_align_3d",
+                        lambda source, target, init, cfg: handed.append(1))
+    with pytest.raises(IcpDiverged, match="^station 1: no point lies within "
+                       "max_correspondence_dist of the merged cloud$"):
+        register_clouds([(a, Pose.identity()), (b, recorded)], cfg)
+    assert handed == []
 
 
 # --- warm-started correspondences against the cold loop ---------------------
