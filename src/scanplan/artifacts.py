@@ -22,9 +22,10 @@ besides the cloud's own arrays only one block's text is alive. A cloud file
 is read from its bytes: when its body holds only the characters that
 :func:`write_cloud` writes, numpy's C parser converts it in one pass, so
 besides the bytes and the cloud's arrays no Python object per line or value
-is made. Any other file is decoded and parsed ``_READ_BLOCK_ROWS`` lines at
-a time, the path that names a bad line. Neither the blocks nor the choice
-of path change a byte written or a value read.
+is made. Every file that :func:`write_cloud` writes takes that pass. Any
+other file (CRLF line ends, blank lines, a bad line) is decoded and read one
+line at a time, the path that names a bad line. Neither the blocks nor the
+choice of path change a byte written or a value read.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from __future__ import annotations
 import io
 import json
 import math
+from array import array
 from dataclasses import MISSING, fields, is_dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +54,8 @@ from .segmentation import PlanarSurface, PlaneModel, project_to_plane
 SCHEMA_VERSION = 1
 
 
-# The cloud files' blocks (see the module docstring).
+# The rows of a cloud file written at a time (see the module docstring).
 _WRITE_BLOCK_ROWS = 4096
-_READ_BLOCK_ROWS = 4096
 
 
 # --- point clouds -----------------------------------------------------------
@@ -72,7 +72,7 @@ def write_cloud(path, cloud: PointCloud, comment: str = "x y z [tag]") -> None:
 
 def read_cloud(path) -> PointCloud:
     """Read a cloud file: in one numpy parse when it is as :func:`write_cloud`
-    writes it, else a block of lines at a time.
+    writes it, else one line at a time.
 
     Lines are split by ``str.splitlines``; blank lines are skipped. A data
     line is ``x y z`` or ``x y z tag``, and the tags cover every point or
@@ -144,66 +144,38 @@ def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray | None] | None
 
 
 def _parse_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
-    """A cloud file's points and tags from its lines, a block at a time."""
+    """A cloud file's points and tags from its lines, one line at a time, by
+    ``float`` and ``int`` (a tag must fit an int64); names the first bad line."""
     if len(lines) < 2:
         raise MalformedRecord("cloud file needs a 2-line header")
     try:
         count = int(lines[0].strip())
     except ValueError:
         raise MalformedRecord(f"bad point count {lines[0]!r}", line=1) from None
-    blocks = [_parse_rows(lines[start:start + _READ_BLOCK_ROWS], start + 1)
-              for start in range(2, len(lines), _READ_BLOCK_ROWS)]
-    held = sum(len(xyz) for xyz, _ in blocks)
-    tagged = sum(len(tags) for _, tags in blocks)
-    if held != count:
-        raise MalformedRecord(f"header promises {count} points, file holds {held}")
-    if tagged and tagged != held:
-        raise MalformedRecord("source tags must cover every point or none")
-    points = np.concatenate([xyz for xyz, _ in blocks]) if blocks else np.zeros((0, 3))
-    tags = np.concatenate([block_tags for _, block_tags in blocks]) if tagged else None
-    return points, tags
-
-
-def _parse_rows(lines: list[str], first_line_no: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, 3) coordinates of a block's data rows and the tags of its
-    tagged rows.
-
-    A block whose rows all have 3, or all have 4, tokens is converted in one
-    numpy call per column kind. Otherwise, or when that fails, the rows are
-    converted one by one, which names the first bad line. Both convert a
-    token as ``float`` or ``int`` of it would, except that a tag must fit
-    an int64.
-    """
-    rows = [tokens for tokens in map(str.split, lines) if tokens]
-    widths = set(map(len, rows))
-    if widths in ({3}, {4}):
-        values = list(chain.from_iterable(rows))
-        tag_tokens = []
-        if widths == {4}:
-            tag_tokens = values[3::4]
-            del values[3::4]
-        try:
-            return (np.array(values, dtype=float).reshape(-1, 3),
-                    np.array(tag_tokens, dtype=np.int64))
-        except (ValueError, OverflowError):
-            pass  # the row-by-row pass names the bad line
-    coords, tags = [], []
-    for line_no, line in enumerate(lines, start=first_line_no):
+    coords, tags = array("d"), array("q")
+    for line_no, line in enumerate(lines[2:], start=3):
         tokens = line.split()
         if not tokens:
             continue
         if len(tokens) not in (3, 4):
             raise MalformedRecord("expected 'x y z [tag]'", line=line_no)
         try:
-            coords.append(np.array(tokens[:3], dtype=float))
+            coords.extend(map(float, tokens[:3]))
         except ValueError:
             raise MalformedRecord("bad coordinate", line=line_no) from None
-        try:
-            tags.extend(np.array(tokens[3:], dtype=np.int64))
-        except (ValueError, OverflowError):
-            raise MalformedRecord(f"bad source tag {tokens[3]!r}",
-                                  line=line_no) from None
-    return np.array(coords).reshape(-1, 3), np.array(tags, dtype=np.int64)
+        if len(tokens) == 4:
+            try:
+                tags.append(int(tokens[3]))
+            except (ValueError, OverflowError):
+                raise MalformedRecord(f"bad source tag {tokens[3]!r}",
+                                      line=line_no) from None
+    held = len(coords) // 3
+    if held != count:
+        raise MalformedRecord(f"header promises {count} points, file holds {held}")
+    if tags and len(tags) != held:
+        raise MalformedRecord("source tags must cover every point or none")
+    return (np.frombuffer(coords).reshape(-1, 3),
+            np.frombuffer(tags, dtype=np.int64) if tags else None)
 
 
 # --- surfaces ----------------------------------------------------------------

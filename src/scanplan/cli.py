@@ -19,7 +19,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import StageError, ValidationError
-from .ingest import parse_scan_log, write_scan_log
+from .ingest import estimate_pose_track, parse_scan_log, write_scan_log
 from .pipeline import (
     PipelineConfig,
     cluster_cloud,
@@ -108,7 +108,7 @@ def cmd_simulate(args) -> int:
 def cmd_ingest(args) -> int:
     cfg = _load_config(args)
     log = parse_scan_log(args.input)
-    cloud = ingest_log(log, cfg, args.out)
+    cloud = ingest_log(log, estimate_pose_track(log, cfg.icp), args.out)
     print(f"built {len(cloud)} points from {len(log.vertical)} vertical scans")
     return EXIT_OK
 

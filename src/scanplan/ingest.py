@@ -34,7 +34,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -58,10 +57,6 @@ from .geometry import (
 from .registration import IcpConfig, icp_align_2d
 
 logger = logging.getLogger(__name__)
-
-# write_scan_log's blocks: about this many values are formatted at a time.
-_WRITE_BLOCK_VALUES = 16384
-
 
 @dataclass(frozen=True)
 class LaserScan:
@@ -123,9 +118,10 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
 
     Raises:
         MalformedRecord: unknown record type, bad number, negative range,
-            implied bearing outside the detection arc, missing header, a
-            header line after the first record, or no IMU sample at or
-            before the first scan.
+            implied bearing outside the detection arc, an ``angle_inc`` or
+            ``range_max`` that is not > 0, a header key missing at the first
+            scan record, a header line after the first record, or no IMU
+            sample at or before the first scan.
         UnsortedTimestamps: a stream's timestamps fail to strictly increase.
         EmptyLog: no scan records at all.
     """
@@ -147,18 +143,19 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
                             f"header line '# {parts[0]} ...' after the first record",
                             line=line_no,
                         )
-                    header[parts[0]] = _parse_float(parts[1], line_no, parts[0])
+                    value = _parse_float(parts[1], line_no, parts[0])
+                    if parts[0] != "angle_min" and not value > 0:
+                        raise MalformedRecord(f"{parts[0]} must be > 0", line=line_no)
+                    header[parts[0]] = value
                 continue
             tokens = line.split()
             tag = tokens[0]
             if tag in ("V", "H"):
-                for key in ("angle_min", "angle_inc", "range_max"):
-                    if key not in header:
-                        raise MalformedRecord(
-                            f"scan record before header line '# {key} ...'", line=line_no
-                        )
-                if header["angle_inc"] <= 0:
-                    raise MalformedRecord("angle_inc must be > 0", line=line_no)
+                if not vertical and not horizontal and len(header) < 3:
+                    key = next(k for k in ("angle_min", "angle_inc", "range_max")
+                               if k not in header)
+                    raise MalformedRecord(f"scan record before header line '# {key} ...'",
+                                          line=line_no)
                 if len(tokens) < 3:
                     raise MalformedRecord("scan record needs a timestamp and ranges",
                                           line=line_no)
@@ -209,44 +206,23 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
 def write_scan_log(path, log: ScanLog) -> None:
     """Serialize a ScanLog in the format parse_scan_log reads (lossless).
 
-    Numbers are printed as :mod:`scanplan.artifacts` sets out. The records
-    are written in blocks of about ``_WRITE_BLOCK_VALUES`` values; within a
-    block, the records of one width are formatted together.
+    Numbers are printed as :mod:`scanplan.artifacts` sets out, one
+    :func:`~scanplan.geometry.format_table` call per record.
     """
-    records = (
+    # Stable interleave by time; stream order V < H < I on equal stamps.
+    records = sorted(
         [("V", s.timestamp, s.ranges) for s in log.vertical]
         + [("H", s.timestamp, s.ranges) for s in log.horizontal]
-        + [("I", s.timestamp, s.rotation.ravel()) for s in log.imu]
-    )
-    # Stable interleave by time; stream order V < H < I on equal stamps.
-    order = {"V": 0, "H": 1, "I": 2}
-    records.sort(key=lambda r: (r[1], order[r[0]]))
-    sizes = np.cumsum([1 + len(values) for _, _, values in records], dtype=np.int64)
-    block_of = sizes // _WRITE_BLOCK_VALUES
+        + [("I", s.timestamp, s.rotation.ravel()) for s in log.imu],
+        key=lambda r: (r[1], "VHI".index(r[0])))
     with open(path, "w", encoding="ascii") as fh:
-        # Every number is printed as scanplan.artifacts sets out: repr's
-        # characters. float(v) first: under numpy 2 the repr of a numpy
-        # scalar is "np.float64(...)", which the parser rejects.
+        # float(v) first: under numpy 2 the repr of a numpy scalar is
+        # "np.float64(...)", which the parser rejects.
         fh.write(f"# angle_min {float(log.angle_min)!r}\n")
         fh.write(f"# angle_inc {float(log.angle_inc)!r}\n")
         fh.write(f"# range_max {float(log.range_max)!r}\n")
-        for _, block in groupby(range(len(records)), key=block_of.__getitem__):
-            fh.write(_format_records([records[i] for i in block]))
-
-
-def _format_records(records: list) -> str:
-    """The lines of (tag, timestamp, values) records; the values of the
-    records of one width are formatted together."""
-    lines = [""] * len(records)
-    by_width: dict[int, list[int]] = {}
-    for i, (_, _, values) in enumerate(records):
-        by_width.setdefault(len(values), []).append(i)
-    for rows in by_width.values():
-        text = format_table(np.stack([records[i][2] for i in rows]))
-        for i, line in zip(rows, text.splitlines(keepends=True)):
-            lines[i] = line
-    return "".join(f"{tag} {float(t)!r} {line}"
-                   for (tag, t, _), line in zip(records, lines))
+        for tag, t, values in records:
+            fh.write(f"{tag} {float(t)!r} {format_table(values[None])}")
 
 
 def local_points(log: ScanLog, scan: LaserScan, to_local) -> np.ndarray:

@@ -21,13 +21,13 @@ import json
 import logging
 import resource
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import artifacts, plots
 from .clustering import Cluster, ClusterConfig, euclidean_cluster
 from .errors import StageError
-from .geometry import PointCloud
+from .geometry import PointCloud, Pose
 from .ingest import ScanLog, build_cloud, estimate_pose_track, parse_scan_log
 from .planning import (
     AStarWeights,
@@ -68,14 +68,10 @@ class PipelineConfig:
         if not self.surface_cluster_eps > 0:
             raise ValueError("surface_cluster_eps must be > 0")
 
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["version"] = 1
-        return data
-
     @staticmethod
     def from_dict(data: dict) -> "PipelineConfig":
-        """Inverse of :meth:`to_dict`; missing keys take their defaults.
+        """A config from its JSON object (``dataclasses.asdict`` of one, and an
+        optional ``version`` key); missing keys take their defaults.
 
         Raises:
             ValidationError: a key the format does not have, a value of the
@@ -133,9 +129,9 @@ class _Stage:
 # One function per stage, shared by run_pipeline and the CLI verbs: each
 # takes its input in memory, writes its artifact and returns its result.
 
-def ingest_log(log: ScanLog, cfg: PipelineConfig, out) -> PointCloud:
-    """Pose-track a scan log, map its vertical scans into a cloud, write ``out``."""
-    cloud = build_cloud(log, estimate_pose_track(log, cfg.icp))
+def ingest_log(log: ScanLog, poses: list[Pose], out) -> PointCloud:
+    """Map a scan log's vertical scans through ``poses`` into a cloud, write ``out``."""
+    cloud = build_cloud(log, poses)
     artifacts.write_cloud(out, cloud)
     return cloud
 
@@ -228,12 +224,13 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
     try:
         with _Stage(result, "register"):
             path = out / "registered.xyz"
-            # The input is read before out_dir is made, so a malformed one
-            # leaves no directory behind.
+            # The input is read, and a log pose-tracked, before out_dir is
+            # made, so an input that cannot be used leaves no directory behind.
             if input_path.suffix in (".log", ".txt"):
                 log = parse_scan_log(input_path)
+                poses = estimate_pose_track(log, cfg.icp)
                 out.mkdir(parents=True, exist_ok=True)
-                cloud = ingest_log(log, cfg, path)
+                cloud = ingest_log(log, poses, path)
                 del log  # not held through the later stages
             else:
                 cloud = artifacts.read_cloud(input_path)

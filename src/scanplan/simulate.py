@@ -39,6 +39,13 @@ class DeviceParams:
     rays_per_scan: int = 1081
     scan_period: float = 0.025
 
+    def __post_init__(self):
+        if not self.rays_per_scan >= 1:
+            raise ValueError(f"rays_per_scan must be >= 1, got {self.rays_per_scan}")
+        for name in ("angle_inc", "range_max", "scan_period"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+
 
 def _cast(origin: np.ndarray, dirs: np.ndarray,
           rects: list[RectanglePrimitive], range_max: float) -> np.ndarray:
@@ -110,7 +117,14 @@ def simulate_yaw_scan(
     exact ground-truth yaw rotation; optional translation drift accumulates
     per scan. Ground truth for scoring comes from :func:`scan_truth` with the
     same arguments.
+
+    Raises ValueError for ``n_scans`` < 1, a negative or infinite
+    ``range_noise``, or bearings past the detection arc.
     """
+    if not n_scans >= 1:
+        raise ValueError(f"n_scans must be >= 1, got {n_scans}")
+    if not 0 <= range_noise < math.inf:
+        raise ValueError(f"range_noise must be finite and >= 0, got {range_noise}")
     rng = np.random.default_rng(seed)
     rects = scene.rectangles()
     bearings = scan_bearings(device.angle_min, device.angle_inc, device.rays_per_scan)

@@ -112,9 +112,9 @@ HEADER = "3\n# comment\n"
 ROWS = "1 2 3\n-0.0 1e-300 1e300\n4.5 5.5 6.5\n"
 TAGGED = "1 2 3 0\n4 5 6 +7\n7 8 9 1_0\n"
 
-# Cloud files at the edges of the format; each is read by the block reader
-# and by the line-by-line reference, with the default blocks and with blocks
-# of one and two lines, and both must agree on the values or on the error.
+# Cloud files at the edges of the format; each is read by read_cloud and by
+# the line-by-line reference, whole and cut short by one or two bytes as an
+# interrupted write leaves it, and both must agree on the values or on the error.
 EDGE_FILES = {
     "plain": HEADER + ROWS,
     "tagged": HEADER + TAGGED,
@@ -180,14 +180,12 @@ def _read_reference(path):
     return points, tags
 
 
-@pytest.mark.parametrize("block_rows", [None, 1, 2])
+@pytest.mark.parametrize("cut", [None, 1, 2])
 @pytest.mark.parametrize("name", sorted(EDGE_FILES))
-def test_read_cloud_matches_the_whole_text_reader(
-        tmp_path, monkeypatch, name, block_rows):
-    if block_rows is not None:
-        monkeypatch.setattr(artifacts, "_READ_BLOCK_ROWS", block_rows)
+def test_read_cloud_matches_the_whole_text_reader(tmp_path, name, cut):
+    data = EDGE_FILES[name].encode("latin-1")
     path = tmp_path / "cloud.xyz"
-    path.write_bytes(EDGE_FILES[name].encode("latin-1"))
+    path.write_bytes(data[:-cut] if cut else data)
     want = _read_reference(path)
     got = _read(read_cloud, path)
     if isinstance(want[0], str):
@@ -210,10 +208,8 @@ def test_read_cloud_bad_tag_names_the_line(tmp_path):
 
 
 @pytest.mark.parametrize("tagged", [False, True])
-def test_read_cloud_many_blocks_matches_the_whole_text_reader(
-        tmp_path, rng, monkeypatch, tagged):
-    # 40 lines per block, and errors planted past the first blocks.
-    monkeypatch.setattr(artifacts, "_READ_BLOCK_ROWS", 40)
+def test_read_cloud_long_file_matches_the_whole_text_reader(tmp_path, rng, tagged):
+    # Errors planted deep in a 1,000-row file are named by their line.
     cloud = _edge_cloud(rng, 1000, tagged)
     path = tmp_path / "cloud.xyz"
     write_cloud_per_value(path, cloud.points, cloud.sources)

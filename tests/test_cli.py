@@ -354,6 +354,52 @@ def test_nan_timestamp_exits_2_naming_the_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, line", [
+    ("range_max", "0", 3), ("range_max", "-10", 3), ("angle_inc", "0", 2)])
+def test_nonpositive_header_value_exits_2_naming_its_line(
+        tmp_path, capsys, key, value, line):
+    header = {"angle_min": "-0.1", "angle_inc": "0.1", "range_max": "30.0", key: value}
+    log = tmp_path / "bad.log"
+    log.write_text("".join(f"# {k} {v}\n" for k, v in header.items())
+                   + "I 0.0 1 0 0 0 1 0 0 0 1\nV 0.0 1.0 2.0 3.0\nH 0.0 1.0 2.0 3.0\n",
+                   encoding="ascii")
+    capsys.readouterr()
+    assert main(["run", "--input", str(log), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert (f"validation error: line {line}: {key} must be > 0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_log_that_cannot_be_pose_tracked_exits_2_and_makes_no_output_dir(
+        tmp_path, capsys):
+    log = tmp_path / "one.log"
+    assert main(["simulate", "--preset", "room", "--scans", "1",
+                 "--out", str(log)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", "--input", str(log), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert ("validation error: pose-track estimation needs at least 2 horizontal scans"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--rays-per-scan", "0"], "rays_per_scan must be >= 1, got 0"),
+    (["--rays-per-scan", "-5"], "rays_per_scan must be >= 1, got -5"),
+    (["--angular-resolution-deg", "0"], "angle_inc must be > 0, got 0.0"),
+    (["--scans", "0"], "n_scans must be >= 1, got 0"),
+    (["--scans", "-3"], "n_scans must be >= 1, got -3"),
+    (["--range-noise", "-0.1"], "range_noise must be finite and >= 0, got -0.1"),
+    (["--range-noise", "inf"], "range_noise must be finite and >= 0, got inf"),
+], ids=["zero_rays", "negative_rays", "zero_resolution", "zero_scans",
+        "negative_scans", "negative_noise", "infinite_noise"])
+def test_simulate_value_it_cannot_take_exits_2(tmp_path, capsys, extra, message):
+    log = tmp_path / "sweep.log"
+    capsys.readouterr()
+    assert main(["simulate", "--preset", "room", *extra, "--out", str(log)]) == EXIT_VALIDATION
+    assert f"validation error: {message}" in capsys.readouterr().err
+    assert not log.exists()
+
+
 def test_malformed_cloud_exits_2_and_makes_no_output_dir(tmp_path, capsys):
     cloud = tmp_path / "cloud.xyz"
     cloud.write_text("2\n# x y z [tag]\n0 0 0\n1 x 0\n", encoding="ascii")

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scanplan import artifacts, ingest
-from scanplan.geometry import format_table
-from scanplan.ingest import write_scan_log
+from scanplan import artifacts
+from scanplan.geometry import format_table, rotation_about_z
+from scanplan.ingest import ImuSample, LaserScan, ScanLog, write_scan_log
 from scanplan.scenes import generate_scene, preset_scene
 from scanplan.simulate import DeviceParams, simulate_yaw_scan
 
@@ -162,15 +162,22 @@ ROOM_LOG = simulate_yaw_scan(
 )
 
 
-@pytest.mark.parametrize("block", ["1 value", "one block", "one block + 1"])
-def test_room_log_bytes(tmp_path, monkeypatch, block):
-    # A block closes when the running count of values (a record's own, and
-    # one for its stamp) passes a multiple of _WRITE_BLOCK_VALUES.
-    records = ROOM_LOG.vertical + ROOM_LOG.horizontal
-    total = sum(1 + len(s.ranges) for s in records) + 10 * len(ROOM_LOG.imu)
-    values = {"1 value": 1, "one block": total + 1, "one block + 1": total}[block]
-    monkeypatch.setattr(ingest, "_WRITE_BLOCK_VALUES", values)
-    write_scan_log(tmp_path / "new.log", ROOM_LOG)
-    write_scan_log_per_value(tmp_path / "old.log", ROOM_LOG)
-    assert (tmp_path / "new.log").read_bytes() == (tmp_path / "old.log").read_bytes()
+# A log whose V, H and I records have three widths, with repr's edge
+# spellings and a stamp that all three streams share.
+_EDGE = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3, 2.0**53]
+LOGS = {
+    "room": ROOM_LOG,
+    "three_widths": ScanLog(
+        [LaserScan(0.0, _EDGE[:5]), LaserScan(0.5, _EDGE[2:])],
+        [LaserScan(0.0, _EDGE[:2]), LaserScan(0.25, _EDGE[5:])],
+        [ImuSample(0.0, np.eye(3)), ImuSample(0.5, rotation_about_z(1 / 3))],
+        -0.0, 1e-5, 30.0,
+    ),
+}
 
+
+@pytest.mark.parametrize("name", sorted(LOGS))
+def test_room_log_bytes(tmp_path, name):
+    write_scan_log(tmp_path / "new.log", LOGS[name])
+    write_scan_log_per_value(tmp_path / "old.log", LOGS[name])
+    assert (tmp_path / "new.log").read_bytes() == (tmp_path / "old.log").read_bytes()

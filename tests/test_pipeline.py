@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from scanplan import artifacts
@@ -18,12 +20,12 @@ from scanplan.segmentation import RansacConfig
 ], ids=["defaults", "changed"])
 def test_config_round_trips_through_its_file_form(tmp_path, cfg):
     path = tmp_path / "config.json"
-    artifacts.write_json(path, cfg.to_dict())
+    artifacts.write_json(path, asdict(cfg))
     assert PipelineConfig.load(path) == cfg
 
 
 def test_config_file_form_of_max_area_and_fields_of_view():
-    data = PipelineConfig().to_dict()
+    data = asdict(PipelineConfig())
     assert data["camera"] == {"fov_h_deg": 24.0, "fov_v_deg": 20.0, "max_standoff": 10.0}
 
 
