@@ -18,6 +18,14 @@ reading is a valid return when 0 < range <= range_max. Other readings (0
 marks a no-return) stay in the record as written and are skipped by every
 consumer.
 
+After its header a log is read a block of lines at a time. A block of
+records spelled as :func:`write_scan_log` spells them is converted by one
+``np.loadtxt`` pass per line width and checked by vector tests; any other
+block is read line by line, with the same values and the same error on the
+same line. A block's scans are rows of one array, so a log is held in a few
+large arrays rather than one small one per scan, and dropping it gives the
+memory back to the OS instead of leaving it in malloc's heap.
+
 The IMU owns the rotation channel of the pose track: each pose takes the
 nearest IMU sample, untouched. The translation channel chains 2D scan
 matching between consecutive horizontal scans, each first rotated by its
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +122,143 @@ def _parse_floats(tokens: list[str], line_no: int, what: str) -> np.ndarray:
     return np.array([_parse_float(tok, line_no, what) for tok in tokens])
 
 
+def _outside_arc(header: dict, n_ranges: int, arc_limit: float) -> bool:
+    """Whether a scan of ``n_ranges`` rays has a bearing outside the arc."""
+    last_bearing = header["angle_min"] + header["angle_inc"] * (n_ranges - 1)
+    return (abs(header["angle_min"]) > arc_limit + 1e-12
+            or abs(last_bearing) > arc_limit + 1e-12)
+
+
+def _parse_line(line_no: int, raw: str, header: dict, streams: tuple,
+                arc_limit: float) -> None:
+    """Check one log line and add it to ``header`` or to its stream of
+    ``streams`` (vertical, horizontal, imu)."""
+    vertical, horizontal, imu = streams
+    line = raw.strip()
+    if not line:
+        return
+    if line.startswith("#"):
+        parts = line[1:].split()
+        if len(parts) == 2 and parts[0] in ("angle_min", "angle_inc", "range_max"):
+            if vertical or horizontal or imu:
+                raise MalformedRecord(
+                    f"header line '# {parts[0]} ...' after the first record",
+                    line=line_no,
+                )
+            value = _parse_float(parts[1], line_no, parts[0])
+            if parts[0] != "angle_min" and not value > 0:
+                raise MalformedRecord(f"{parts[0]} must be > 0", line=line_no)
+            header[parts[0]] = value
+        return
+    tokens = line.split()
+    tag = tokens[0]
+    if tag in ("V", "H"):
+        if not vertical and not horizontal and len(header) < 3:
+            key = next(k for k in ("angle_min", "angle_inc", "range_max")
+                       if k not in header)
+            raise MalformedRecord(f"scan record before header line '# {key} ...'",
+                                  line=line_no)
+        if len(tokens) < 3:
+            raise MalformedRecord("scan record needs a timestamp and ranges",
+                                  line=line_no)
+        t = _parse_float(tokens[1], line_no, "timestamp")
+        if t < 0:
+            raise MalformedRecord("timestamp must be >= 0", line=line_no)
+        ranges = _parse_floats(tokens[2:], line_no, "range")
+        if np.any(ranges < 0):
+            raise MalformedRecord("negative range reading", line=line_no)
+        if _outside_arc(header, len(ranges), arc_limit):
+            raise MalformedRecord(
+                f"implied bearing outside the +-{arc_limit:.6f} rad arc",
+                line=line_no,
+            )
+        (vertical if tag == "V" else horizontal).append(LaserScan(t, ranges))
+    elif tag == "I":
+        if len(tokens) != 11:
+            raise MalformedRecord(
+                "IMU record needs a timestamp and 9 matrix entries", line=line_no
+            )
+        t = _parse_float(tokens[1], line_no, "timestamp")
+        entries = _parse_floats(tokens[2:], line_no, "rotation entry")
+        try:
+            sample = ImuSample(t, entries.reshape(3, 3))
+        except ValueError as err:
+            raise MalformedRecord(str(err), line=line_no) from None
+        imu.append(sample)
+    else:
+        raise MalformedRecord(f"unknown record type {tag!r}", line=line_no)
+
+
+# Lines after the header are read this many at a time. With 1081-ray scans
+# a block's table of scans is ~0.7 MB. On the 360-scan room log, blocks of
+# 112 to 256 lines took ~3.2 MB off the peak memory of `scanplan run`;
+# blocks of 48 and 64, whose tables stay in malloc's heap, took 0 and 1.7 MB.
+_READ_BLOCK_LINES = 128
+# Records are written this many at a time. format_table holds ~180 bytes of
+# temporaries per value: 128 records of 1081-ray scans took 16 MB to write,
+# 16 records take ~1 MB and write as fast.
+_WRITE_BLOCK_RECORDS = 16
+# The bytes of a block that _parse_block takes, and how each of its lines starts.
+_CANONICAL_LOG = b"0123456789.-+eE \nVHI"
+_RECORD_START = re.compile(r"[VHI] \S")
+
+
+def _parse_block(lines: list[str], header: dict, arc_limit: float):
+    """The (vertical, horizontal, imu) records of a block of log lines read
+    after the header, one ``np.loadtxt`` pass per line width, or None when
+    the block takes :func:`_parse_line`.
+
+    The pass takes a block of records alone: each line a tag, one space and
+    then numbers one space apart, in ``_CANONICAL_LOG`` bytes. Within these
+    bytes numpy converts a number as ``float`` does, or fails, and no number
+    is NaN. Each width's table then gets the line parser's checks as vector
+    tests (a scan's stamp and ranges >= 0, its width inside the arc), and
+    each IMU record the rotation check of :class:`ImuSample`. A block that
+    fails any of them gives None, and the line parser then names the first
+    bad line.
+    """
+    by_width: dict[int, list[int]] = {}
+    for k, line in enumerate(lines):
+        if (line.encode("ascii").translate(None, _CANONICAL_LOG)
+                or not _RECORD_START.match(line)):
+            return None
+        by_width.setdefault(line.count(" "), []).append(k)
+    records = [None] * len(lines)
+    for width, rows in by_width.items():
+        try:
+            table = np.loadtxt([lines[k][2:] for k in rows], comments=None, ndmin=2)
+        except ValueError:
+            return None
+        is_imu = np.array([lines[k][0] == "I" for k in rows])
+        if table.shape != (len(rows), width):
+            return None
+        if not is_imu.all() and (width < 2 or _outside_arc(header, width - 1, arc_limit)
+                                 or (table.min(axis=1)[~is_imu] < 0).any()):
+            return None
+        for k, t, values, imu in zip(rows, table[:, 0].tolist(), table[:, 1:],
+                                     is_imu.tolist()):
+            if not imu:
+                records[k] = LaserScan(t, values)
+                continue
+            try:
+                records[k] = ImuSample(t, values.reshape(3, 3))
+            except ValueError:
+                return None
+    streams: tuple[list, list, list] = ([], [], [])
+    for line, record in zip(lines, records):
+        streams["VHI".index(line[0])].append(record)
+    return streams
+
+
 def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
     """Read and validate a scan log.
+
+    The header lines are read one at a time and the rest in blocks of
+    ``_READ_BLOCK_LINES`` lines, each converted in one pass per line width
+    (:func:`_parse_block`) or, where that pass does not take it, line by
+    line. A block's scans share one array, large enough that malloc maps
+    it apart from its heap, so dropping the log gives its memory back to
+    the OS.
 
     Raises:
         MalformedRecord: unknown record type, bad number, negative range,
@@ -129,63 +273,38 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
     vertical: list[LaserScan] = []
     horizontal: list[LaserScan] = []
     imu: list[ImuSample] = []
+    streams = (vertical, horizontal, imu)
 
+    def take(first: int, lines: list[str]) -> None:
+        parsed = _parse_block(lines, header, arc_limit)
+        if parsed is None:
+            for line_no, raw in enumerate(lines, start=first):
+                _parse_line(line_no, raw, header, streams, arc_limit)
+        else:
+            for stream, records in zip(streams, parsed):
+                stream.extend(records)
+
+    block: list[str] = []
+    first = 1   # the line number of block[0]
     with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] in ("angle_min", "angle_inc", "range_max"):
-                    if vertical or horizontal or imu:
-                        raise MalformedRecord(
-                            f"header line '# {parts[0]} ...' after the first record",
-                            line=line_no,
-                        )
-                    value = _parse_float(parts[1], line_no, parts[0])
-                    if parts[0] != "angle_min" and not value > 0:
-                        raise MalformedRecord(f"{parts[0]} must be > 0", line=line_no)
-                    header[parts[0]] = value
-                continue
-            tokens = line.split()
-            tag = tokens[0]
-            if tag in ("V", "H"):
-                if not vertical and not horizontal and len(header) < 3:
-                    key = next(k for k in ("angle_min", "angle_inc", "range_max")
-                               if k not in header)
-                    raise MalformedRecord(f"scan record before header line '# {key} ...'",
-                                          line=line_no)
-                if len(tokens) < 3:
-                    raise MalformedRecord("scan record needs a timestamp and ranges",
-                                          line=line_no)
-                t = _parse_float(tokens[1], line_no, "timestamp")
-                if t < 0:
-                    raise MalformedRecord("timestamp must be >= 0", line=line_no)
-                ranges = _parse_floats(tokens[2:], line_no, "range")
-                if np.any(ranges < 0):
-                    raise MalformedRecord("negative range reading", line=line_no)
-                last_bearing = header["angle_min"] + header["angle_inc"] * (len(ranges) - 1)
-                if abs(header["angle_min"]) > arc_limit + 1e-12 or abs(last_bearing) > arc_limit + 1e-12:
-                    raise MalformedRecord(
-                        f"implied bearing outside the +-{arc_limit:.6f} rad arc",
-                        line=line_no,
-                    )
-                (vertical if tag == "V" else horizontal).append(LaserScan(t, ranges))
-            elif tag == "I":
-                if len(tokens) != 11:
-                    raise MalformedRecord(
-                        "IMU record needs a timestamp and 9 matrix entries", line=line_no
-                    )
-                t = _parse_float(tokens[1], line_no, "timestamp")
-                entries = _parse_floats(tokens[2:], line_no, "rotation entry")
-                try:
-                    sample = ImuSample(t, entries.reshape(3, 3))
-                except ValueError as err:
-                    raise MalformedRecord(str(err), line=line_no) from None
-                imu.append(sample)
-            else:
-                raise MalformedRecord(f"unknown record type {tag!r}", line=line_no)
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                if len(header) < 3:
+                    _parse_line(line_no, raw, header, streams, arc_limit)
+                    continue
+                if not block:
+                    first = line_no
+                block.append(raw)
+                if len(block) == _READ_BLOCK_LINES:
+                    take(first, block)
+                    block = []
+        except UnicodeDecodeError:
+            # The bad byte stops the read where a line-by-line read stops:
+            # the lines before it are checked first.
+            take(first, block)
+            raise
+    if block:
+        take(first, block)
 
     if not vertical and not horizontal:
         raise EmptyLog(f"{path} contains no scan records")
@@ -203,11 +322,29 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
     )
 
 
+def _format_block(records: list) -> str:
+    """The log lines of ``records`` (tag, stamp, values), one
+    :func:`~scanplan.geometry.format_table` call per width."""
+    lines = [""] * len(records)
+    by_width: dict[int, list[int]] = {}
+    for k, (_, _, values) in enumerate(records):
+        by_width.setdefault(len(values), []).append(k)
+    for width, rows in by_width.items():
+        table = np.empty((len(rows), width + 1))
+        table[:, 0] = [records[k][1] for k in rows]
+        table[:, 1:] = [records[k][2] for k in rows]
+        # A record with no values keeps the space after its stamp.
+        end = " \n" if width == 0 else "\n"
+        for k, line in zip(rows, format_table(table).splitlines()):
+            lines[k] = f"{records[k][0]} {line}{end}"
+    return "".join(lines)
+
+
 def write_scan_log(path, log: ScanLog) -> None:
     """Serialize a ScanLog in the format parse_scan_log reads (lossless).
 
-    Numbers are printed as :mod:`scanplan.artifacts` sets out, one
-    :func:`~scanplan.geometry.format_table` call per record.
+    Numbers are printed as :mod:`scanplan.artifacts` sets out, a block of
+    ``_WRITE_BLOCK_RECORDS`` records at a time (:func:`_format_block`).
     """
     # Stable interleave by time; stream order V < H < I on equal stamps.
     records = sorted(
@@ -221,8 +358,8 @@ def write_scan_log(path, log: ScanLog) -> None:
         fh.write(f"# angle_min {float(log.angle_min)!r}\n")
         fh.write(f"# angle_inc {float(log.angle_inc)!r}\n")
         fh.write(f"# range_max {float(log.range_max)!r}\n")
-        for tag, t, values in records:
-            fh.write(f"{tag} {float(t)!r} {format_table(values[None])}")
+        for start in range(0, len(records), _WRITE_BLOCK_RECORDS):
+            fh.write(_format_block(records[start:start + _WRITE_BLOCK_RECORDS]))
 
 
 def local_points(log: ScanLog, scan: LaserScan, to_local) -> np.ndarray:

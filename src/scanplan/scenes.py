@@ -150,8 +150,8 @@ class SceneSpec:
     def __post_init__(self):
         if not self.density > 0:
             raise ValueError("density must be > 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "primitives", tuple(self.primitives))
 
     def rectangles(self) -> list[RectanglePrimitive]:

@@ -119,12 +119,16 @@ def simulate_yaw_scan(
     same arguments.
 
     Raises ValueError for ``n_scans`` < 1, a negative or infinite
-    ``range_noise``, or bearings past the detection arc.
+    ``range_noise``, a non-finite ``station`` or ``drift_per_scan``, or
+    bearings past the detection arc.
     """
     if not n_scans >= 1:
         raise ValueError(f"n_scans must be >= 1, got {n_scans}")
     if not 0 <= range_noise < math.inf:
         raise ValueError(f"range_noise must be finite and >= 0, got {range_noise}")
+    for name, vector in (("station", station), ("drift_per_scan", drift_per_scan)):
+        if not np.isfinite(np.asarray(vector, dtype=float)).all():
+            raise ValueError(f"{name} must be finite, got {tuple(map(float, vector))}")
     rng = np.random.default_rng(seed)
     rects = scene.rectangles()
     bearings = scan_bearings(device.angle_min, device.angle_inc, device.rays_per_scan)

@@ -3,12 +3,15 @@
 Thin wrapper over scipy's cKDTree that pins down the semantics the rest of
 the pipeline relies on: nearest-neighbor ties break to the lowest point
 index, and radius searches are closed balls (distance <= r), so results are
-deterministic and reproducible across runs. k-nearest queries run on every
-core; each row's answer is independent of how the rows are split across
-threads, so the output does not depend on the core count. For the same
-reason a caller may query the rows in blocks and get the same rows, bit for
-bit, as from one query: :func:`scanplan.preprocess.neighbor_mean_distances`
-does, so that its temporaries are (block, k) rather than (N, k).
+deterministic and reproducible across runs. No answer depends on the
+tree's shape: a nearest-neighbor tie is resolved over the whole tied set,
+k-nearest callers use the distances alone, and pairs come in no particular
+order. k-nearest queries run on every core; each row's answer is
+independent of how the rows are split across threads, so the output does
+not depend on the core count. For the same reason a caller may query the
+rows in blocks and get the same rows, bit for bit, as from one query:
+:func:`scanplan.preprocess.neighbor_mean_distances` does, so that its
+temporaries are (block, k) rather than (N, k).
 """
 
 from __future__ import annotations
@@ -55,13 +58,19 @@ class KdTree:
             idx = i2[:, 0].astype(np.int64)
             dist = d2[:, 0]
             runner_up = d2[:, 1]
-            # Exact distance ties are rare outside synthetic grids; resolve
-            # them by enumerating the tied set and taking the lowest index.
-            tied = np.nonzero(runner_up <= dist)[0]
-            for row in tied:
-                ball = self._tree.query_ball_point(q[row], r=dist[row])
-                if ball:
-                    idx[row] = min(ball)
+            # Exact distance ties are rare outside grids and duplicated
+            # points; resolve them by enumerating the tied set and taking the
+            # lowest index. The ball is a little wider than the distance, as
+            # r**2 can round below a tied point's squared distance; a point
+            # in it ties when its distance, computed as the tree computes
+            # it, is the nearest distance.
+            for row in np.nonzero(runner_up <= dist)[0]:
+                ball = np.array(self._tree.query_ball_point(q[row], r=dist[row] * (1 + 1e-12)),
+                                dtype=np.int64)
+                d = np.sqrt(((self._points[ball] - q[row]) ** 2).sum(axis=1))
+                tied = ball[d == dist[row]]
+                if len(tied):
+                    idx[row] = tied.min()
         if single:
             return idx[0], dist[0], runner_up[0]
         return idx, dist, runner_up

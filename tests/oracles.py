@@ -38,6 +38,17 @@ def linear_radius(points: np.ndarray, query: np.ndarray, radius: float) -> list[
     return [int(i) for i in np.nonzero(d <= radius)[0]]
 
 
+def linear_knearest_distances(points: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest distances from the query to the points, increasing."""
+    return np.sort(np.linalg.norm(points - query, axis=1))[:k]
+
+
+def linear_pairs_within(points: np.ndarray, radius: float) -> list[tuple[int, int]]:
+    """Every index pair (i, j), i < j, at distance <= radius, in order."""
+    return [(i, j) for i in range(len(points))
+            for j in linear_radius(points, points[i], radius) if j > i]
+
+
 def unionfind_clusters(points: np.ndarray, eps: float) -> list[frozenset]:
     """Connected components of the closed eps-distance graph."""
     n = len(points)

@@ -390,14 +390,28 @@ def test_log_that_cannot_be_pose_tracked_exits_2_and_makes_no_output_dir(
     (["--scans", "-3"], "n_scans must be >= 1, got -3"),
     (["--range-noise", "-0.1"], "range_noise must be finite and >= 0, got -0.1"),
     (["--range-noise", "inf"], "range_noise must be finite and >= 0, got inf"),
+    (["--drift", "nan", "0", "0"], "drift_per_scan must be finite, got (nan, 0.0, 0.0)"),
+    (["--station", "0", "0", "inf"], "station must be finite, got (0.0, 0.0, inf)"),
 ], ids=["zero_rays", "negative_rays", "zero_resolution", "zero_scans",
-        "negative_scans", "negative_noise", "infinite_noise"])
+        "negative_scans", "negative_noise", "infinite_noise", "nan_drift",
+        "infinite_station"])
 def test_simulate_value_it_cannot_take_exits_2(tmp_path, capsys, extra, message):
     log = tmp_path / "sweep.log"
     capsys.readouterr()
     assert main(["simulate", "--preset", "room", *extra, "--out", str(log)]) == EXIT_VALIDATION
     assert f"validation error: {message}" in capsys.readouterr().err
-    assert not log.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+def test_generate_noise_it_cannot_take_exits_2(tmp_path, capsys, noise):
+    cloud = tmp_path / "scene.xyz"
+    capsys.readouterr()
+    assert main(["generate", "--preset", "deck", "--noise", noise,
+                 "--out", str(cloud)]) == EXIT_VALIDATION
+    assert (f"validation error: noise_sigma must be finite and >= 0, got {float(noise)}"
+            in capsys.readouterr().err)
+    assert not cloud.exists()
 
 
 def test_malformed_cloud_exits_2_and_makes_no_output_dir(tmp_path, capsys):

@@ -1,12 +1,19 @@
+import contextlib
 import math
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scanplan import ingest
 from scanplan.errors import (
     EmptyLog,
     MalformedRecord,
+    ScanPlanError,
     UnsortedTimestamps,
 )
 from scanplan.geometry import Pose, polar_to_local_arrays
@@ -194,6 +201,196 @@ def test_parse_bad_rotation_entry_names_the_token(tmp_path):
     with pytest.raises(MalformedRecord) as err:
         parse_scan_log(path)
     assert (err.value.line, err.value.reason) == (4, "bad rotation entry 'one'")
+
+
+# The block pass (ingest._parse_block) against the line parser alone. Either
+# way a file must give the same log, bit for bit, or the same error.
+
+def _record(rec, values):
+    t = rec.timestamp
+    return type(t), np.float64(t).tobytes(), values.dtype.str, values.shape, values.tobytes()
+
+
+def parse_outcome(path, block_pass=True):
+    """What parse_scan_log makes of a file: every value of the log, or the
+    error's type, message and line."""
+    with contextlib.ExitStack() as stack:
+        if not block_pass:
+            stack.enter_context(mock.patch.object(ingest, "_parse_block", lambda *a: None))
+        try:
+            log = parse_scan_log(path)
+        except (ScanPlanError, ValueError) as err:
+            return type(err), str(err), getattr(err, "line", None)
+    return (
+        [_record(s, s.ranges) for s in log.vertical],
+        [_record(s, s.ranges) for s in log.horizontal],
+        [_record(s, s.rotation) for s in log.imu],
+        np.array([log.angle_min, log.angle_inc, log.range_max]).tobytes(),
+    )
+
+
+def assert_block_pass_agrees(path, block_lines):
+    """The outcome of both parsers at ``block_lines`` lines per block, and
+    how many blocks the block pass took."""
+    taken = []
+
+    def spy(*args):
+        parsed = block_pass(*args)
+        taken.append(parsed is not None)
+        return parsed
+
+    block_pass = ingest._parse_block
+    with warnings.catch_warnings(), mock.patch.object(ingest, "_READ_BLOCK_LINES", block_lines):
+        warnings.simplefilter("error")
+        with mock.patch.object(ingest, "_parse_block", spy):
+            fast = parse_outcome(path)
+        assert fast == parse_outcome(path, block_pass=False)
+    return fast, sum(taken)
+
+
+SMALL_HEADER = "# angle_min -0.5\n# angle_inc 0.1\n# range_max 30.0\n"
+# Lines 4 to 11 after SMALL_HEADER; in blocks of 4 lines, 4-7 and 8-11.
+SMALL_RECORDS = [
+    f"I 0.0 {IDENTITY}", "V 0.0 1.0 2.0 3.0", "H 0.0 1.5 2.5 3.5", f"I 0.5 {IDENTITY}",
+    "V 0.5 1.0 2.0 3.0", "H 0.5 1.5 2.5 3.5", f"I 1.0 {IDENTITY}", "V 1.0 4.0 5.0 6.0",
+]
+BAD_ROTATION = "I 0.5 2.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0"
+
+
+@pytest.mark.parametrize("edits, error", [
+    ({4: "V 0.5 1.0 -2.0 3.0"}, (8, "negative range reading")),
+    ({3: BAD_ROTATION}, (7, "rotation not orthonormal: max |R^T R - I| = 3.000e+00")),
+    ({1: "V 0.0 -1.0", 3: BAD_ROTATION}, (5, "negative range reading")),
+    ({1: "V 0.0 1.0", 4: "V 0.5 1.0 2.0 3.0 4.0 5.0", 5: "H 0.5 1.0 2.0"}, None),
+    ({5: "# a note\nH 0.5 1.5 2.5 3.5"}, None),
+    ({5: "# angle_inc 0.2\nH 0.5 1.5 2.5 3.5"},
+     (9, "header line '# angle_inc ...' after the first record")),
+], ids=["first_of_block", "last_of_block", "scan_before_imu", "width_change",
+        "comment_mid_file", "header_mid_file"])
+def test_block_boundaries_give_the_line_parser_outcome(tmp_path, edits, error):
+    records = [edits.get(k, line) for k, line in enumerate(SMALL_RECORDS)]
+    path = tmp_path / "scan.log"
+    path.write_text(SMALL_HEADER + "\n".join(records) + "\n", encoding="ascii")
+    outcome, taken = assert_block_pass_agrees(path, 4)
+    if error is None:
+        assert isinstance(outcome, tuple) and len(outcome) == 4
+        assert taken >= 1
+    else:
+        assert outcome[0] is MalformedRecord and outcome[2] == error[0]
+        assert outcome[1] == f"line {error[0]}: {error[1]}"
+
+
+def test_bad_record_before_a_non_ascii_byte_is_named(tmp_path):
+    # Both lie in one block, 16 KB apart: the record is read first.
+    ranges = " ".join(["1.0"] * 1000)
+    lines = [f"I 0.0 {IDENTITY}", f"V 0.0 {ranges}", "V 0.1 -1.0"]
+    lines += [f"V {0.2 + k / 10} {ranges}" for k in range(4)] + ["V 1.0 \xe9"]
+    path = tmp_path / "scan.log"
+    path.write_bytes((HEADER + "\n".join(lines) + "\n").encode("latin-1"))
+    outcome, _ = assert_block_pass_agrees(path, ingest._READ_BLOCK_LINES)
+    assert outcome == (MalformedRecord, "line 6: negative range reading", 6)
+
+
+def test_a_room_log_is_held_in_a_few_arrays(tmp_path):
+    log = simulate_yaw_scan(
+        open_walls(), n_scans=360, yaw_span=math.radians(60.0),
+        device=DeviceParams(angle_inc=math.radians(1.0), rays_per_scan=181),
+        range_noise=0.005, seed=1,
+    )
+    path = tmp_path / "sweep.log"
+    write_scan_log(path, log)
+    back = parse_scan_log(path)
+    scans = back.vertical + back.horizontal
+    bases = {id(s.ranges.base) for s in scans if s.ranges.base is not None}
+    assert all(s.ranges.base is not None for s in scans)
+    assert len(bases) <= math.ceil(3 * 360 / ingest._READ_BLOCK_LINES) + 1
+    for a, b in zip(log.vertical + log.horizontal, scans):
+        assert a.ranges.tobytes() == b.ranges.tobytes()
+
+
+def _rotation_tokens(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return [repr(v) for v in (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)]
+
+
+# Tokens: canonical numbers most of the time, then spellings float reads
+# but the block pass does not take, then ones that make an error.
+range_tokens = st.one_of(
+    st.floats(0.0, 40.0).map(repr),
+    st.sampled_from(["0", "-0", "-0.0", "1e400", "1e-400", ".5", "5.", "+2", "1E+1",
+                     "1_0", "inf", "nan", "-1.5", "x", "1e", "--1", "1.5.2", "0x1"]),
+    st.text("0123456789.-+eE", min_size=1, max_size=5),
+)
+stamp_tokens = st.one_of(
+    st.floats(0.0, 100.0).map(repr),
+    st.sampled_from(["-1.0", "-0", "nan", "1e400", "t"]),
+)
+
+
+@st.composite
+def log_lines(draw):
+    kind = draw(st.sampled_from("VHIVHIVHI#X "))
+    if kind == "#":
+        return draw(st.sampled_from(["# note", "# angle_inc 0.1", "#"]))
+    if kind == " ":
+        return draw(st.sampled_from(["", "   ", "V", "H ", "I  "]))
+    stamp = draw(stamp_tokens)
+    if kind == "I":
+        tokens = _rotation_tokens(draw(st.floats(-3.0, 3.0)))
+        if draw(st.integers(0, 9)) == 0:
+            tokens[draw(st.integers(0, 8))] = draw(range_tokens)
+        tokens = tokens[:draw(st.sampled_from([9, 9, 9, 8]))]
+    else:
+        width = draw(st.sampled_from([1, 2, 3, 5, 30, 0]))
+        tokens = draw(st.lists(st.floats(0.0, 40.0).map(repr), min_size=width,
+                               max_size=width))
+        if tokens and draw(st.integers(0, 4)) == 0:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(range_tokens)
+    sep = draw(st.sampled_from([" ", " ", " ", "  ", "\t"]))
+    return sep.join([kind, stamp, *tokens]) + draw(st.sampled_from(["", "", " "]))
+
+
+@st.composite
+def log_files(draw):
+    header = SMALL_HEADER.splitlines()
+    if draw(st.integers(0, 9)) == 0:
+        del header[draw(st.integers(0, 2))]
+    body = draw(st.lists(log_lines(), max_size=24))
+    ends = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return ends.join(header + [f"I 0.0 {IDENTITY}"] + body) + ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=log_files(), block_lines=st.sampled_from([1, 2, 3, 5, 128]))
+def test_block_pass_matches_the_line_parser(text, block_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.log"
+        path.write_bytes(text.encode("ascii"))
+        assert_block_pass_agrees(path, block_lines)
+
+
+def test_block_pass_matches_the_line_parser_on_canonical_bytes(tmp_path):
+    # Lines of random bytes from the block pass's alphabet, among records
+    # that mostly convert, so that most blocks pass and some fail late.
+    rng = np.random.default_rng(7)
+    alphabet = np.array(list("0123456789.-+eE VHI"))
+    path = tmp_path / "scan.log"
+    taken = 0
+    for _ in range(300):
+        lines = [f"I 0.0 {IDENTITY}"]
+        for k in range(int(rng.integers(1, 16))):
+            if rng.random() < 0.1:
+                lines.append("".join(rng.choice(alphabet, int(rng.integers(1, 30)))))
+                continue
+            tag = str(rng.choice(list("VHI")))
+            values = (_rotation_tokens(0.1 * k) if tag == "I" else
+                      [repr(float(v)) for v in rng.uniform(0, 9, int(rng.integers(0, 6)))])
+            for j in np.nonzero(rng.random(len(values)) < 0.05)[0]:
+                values[j] = "".join(rng.choice(alphabet[:15], int(rng.integers(1, 5))))
+            lines.append(" ".join([tag, repr(0.5 * k), *values]))
+        path.write_text(SMALL_HEADER + "\n".join(lines) + "\n", encoding="ascii")
+        taken += assert_block_pass_agrees(path, int(rng.choice([1, 2, 4, 128])))[1]
+    assert taken > 300
 
 
 def test_write_scan_log_bytes_equal_the_per_value_writer(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,13 @@ from scipy.spatial import cKDTree
 
 from scanplan.spatial import KdTree
 
-from oracles import linear_nearest, linear_radius, linear_runner_up
+from oracles import (
+    linear_knearest_distances,
+    linear_nearest,
+    linear_pairs_within,
+    linear_radius,
+    linear_runner_up,
+)
 
 
 def test_nearest_matches_linear_scan(rng):
@@ -93,11 +100,38 @@ def test_within_radius_matches_linear_scan(rng):
     tree = KdTree(pts)
     for _ in range(10):
         r = rng.uniform(0.05, 0.3)
-        expected = [
-            (i, j) for i in range(len(pts))
-            for j in linear_radius(pts, pts[i], r) if j > i
-        ]
+        expected = linear_pairs_within(pts, r)
         assert sorted(map(tuple, tree.pairs_within_radius(r).tolist())) == expected
+
+
+# Point sets in shuffled order: no ties, every point five times, and an
+# integer grid, where half-integer queries and unit radii tie exactly.
+POINT_SETS = {
+    "random": lambda rng: rng.uniform(-5, 5, size=(300, 3)),
+    "duplicated": lambda rng: rng.permutation(
+        np.repeat(rng.uniform(-5, 5, size=(60, 3)), 5, axis=0)),
+    "grid": lambda rng: rng.permutation(
+        np.array(list(itertools.product(range(7), range(7), range(6))), dtype=float)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POINT_SETS))
+def test_tree_answers_as_the_linear_scan(rng, kind):
+    # The tree's shape is scipy's to choose; no answer may depend on it.
+    pts = POINT_SETS[kind](rng)
+    tree = KdTree(pts)
+    queries = np.vstack([pts[:40], np.round(rng.uniform(-1, 7, size=(60, 3)) * 2) / 2])
+    idx, dist, runner_up = tree.nearest(queries)
+    _, k_dist = tree.knearest(queries, k=8)
+    for q, i, d, r, kd in zip(queries, idx, dist, runner_up, k_dist):
+        oi, od = linear_nearest(pts, q)
+        assert i == oi
+        assert d == pytest.approx(od, abs=1e-12)
+        assert r == pytest.approx(linear_runner_up(pts, q), abs=1e-12)
+        assert kd == pytest.approx(linear_knearest_distances(pts, q, 8), abs=1e-12)
+    for radius in (0.5, 1.0, 1.5):
+        found = sorted(map(tuple, tree.pairs_within_radius(radius).tolist()))
+        assert found == linear_pairs_within(pts, radius)
 
 
 def test_knearest_shape_and_order(rng):
