@@ -1,21 +1,28 @@
 """Artifact file formats: clouds, surfaces, clusters, flight plans, stations.
 
 Cloud files are ASCII ``x y z [tag]`` lines under a 2-line header (count,
-comment). Every file round-trips bit-exact, and two runs with the same seeds
-produce byte-identical artifacts.
+comment). Every cloud lies on the 1 um grid (:class:`scanplan.geometry.PointCloud`),
+so its file reads back bit for bit, and two runs with the same seeds produce
+byte-identical artifacts.
 
 The number format of the text files (cloud files, the waypoint CSV and the
-scan log of :mod:`scanplan.ingest`) is Python's: a float as ``repr`` prints
-it, a tag as ``str`` does. repr gives the shortest digits that read back as
-the same float; 1e-4 <= |x| < 1e16 is positional with at least one digit
-after the point (``0.0001``, ``12.5``, ``1000000000000000.0``), any other
-magnitude takes exponent form (``1e-05``, ``1e+16``, ``5e-324``), and
-``-0.0`` keeps its sign. :func:`scanplan.geometry.format_table` prints these
-characters in numpy passes. It leaves to ``repr`` itself exponent-form
-magnitudes, powers of two, the values that lie exactly halfway between two
-shortest candidates that both read back (repr's tie rule picks one), and
-to ``str`` tags outside [0, 10**18): 0.4 % of the values or fewer in the
-bench workloads' files.
+scan log of :mod:`scanplan.ingest`):
+
+- coordinates, ranges and stamps are printed in metres or seconds with six
+  decimals, as ``"%.6f"`` prints them (``0.000000``, ``-1.250000``); a value
+  on the grid reads back as the same float, and a value off it (a waypoint,
+  a range not made by the simulator) is rounded to the nearest micrometre;
+- a cloud reaches at most +-2**51 um (about +-2.25e9 m) from the origin,
+  :data:`scanplan.geometry.GRID_LIMIT`; a file or a stage that goes further
+  is a ValueError;
+- the scan log's header values and IMU rotation entries are printed as
+  ``repr`` prints them, and read back exactly;
+- a tag is printed as ``str`` prints it;
+- a float that is not finite or has |x| >= 1e12, which no cloud holds, is
+  printed by ``repr``.
+
+:func:`scanplan.geometry.format_table` prints these characters in numpy
+passes.
 
 A cloud file is written a block of ``_WRITE_BLOCK_ROWS`` rows at a time, so
 besides the cloud's own arrays only one block's text is alive. A cloud file
@@ -60,10 +67,10 @@ _WRITE_BLOCK_ROWS = 4096
 
 # --- point clouds -----------------------------------------------------------
 
-def write_cloud(path, cloud: PointCloud, comment: str = "x y z [tag]") -> None:
+def write_cloud(path, cloud: PointCloud) -> None:
     """Write the header, then the rows a block at a time."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{len(cloud)}\n# {comment}\n")
+        fh.write(f"{len(cloud)}\n# x y z [tag]\n")
         for start in range(0, len(cloud), _WRITE_BLOCK_ROWS):
             rows = slice(start, start + _WRITE_BLOCK_ROWS)
             tags = None if cloud.sources is None else cloud.sources[rows]
@@ -82,8 +89,8 @@ def read_cloud(path) -> PointCloud:
         MalformedRecord: a short header, a bad count, a line of the wrong
             width, a bad coordinate or tag (naming the line), a count that
             does not match the rows, or tags on only some rows.
-        ValueError: a non-ASCII byte, or a non-finite coordinate (from
-            :class:`PointCloud`).
+        ValueError: a non-ASCII byte, or a coordinate that is not finite or
+            lies past the grid's reach (from :class:`PointCloud`).
     """
     data = Path(path).read_bytes()
     parsed = _parse_canonical(data)
@@ -93,7 +100,7 @@ def read_cloud(path) -> PointCloud:
 
 
 # The bytes of the rows that write_cloud writes, and the record of a tagged row.
-_CANONICAL_BODY = b"0123456789.-+eE \n"
+_CANONICAL_BODY = b"0123456789.- \n"
 _TAGGED_ROW = np.dtype([("xyz", float, 3), ("tag", np.int64)])
 
 
@@ -140,7 +147,8 @@ def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray | None] | None
         return None
     if width == 3:
         return rows, None
-    return np.ascontiguousarray(rows["xyz"]), rows["tag"].copy()
+    # The points and tags stay views of the one table: no copy of either.
+    return rows["xyz"], rows["tag"]
 
 
 def _parse_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray | None]:

@@ -59,6 +59,7 @@ from .geometry import (
     Pose,
     format_table,
     horizontal_polar_to_local_arrays,
+    outside_arc,
     polar_to_local_arrays,
     scan_bearings,
     validate_rotation,
@@ -122,15 +123,7 @@ def _parse_floats(tokens: list[str], line_no: int, what: str) -> np.ndarray:
     return np.array([_parse_float(tok, line_no, what) for tok in tokens])
 
 
-def _outside_arc(header: dict, n_ranges: int, arc_limit: float) -> bool:
-    """Whether a scan of ``n_ranges`` rays has a bearing outside the arc."""
-    last_bearing = header["angle_min"] + header["angle_inc"] * (n_ranges - 1)
-    return (abs(header["angle_min"]) > arc_limit + 1e-12
-            or abs(last_bearing) > arc_limit + 1e-12)
-
-
-def _parse_line(line_no: int, raw: str, header: dict, streams: tuple,
-                arc_limit: float) -> None:
+def _parse_line(line_no: int, raw: str, header: dict, streams: tuple) -> None:
     """Check one log line and add it to ``header`` or to its stream of
     ``streams`` (vertical, horizontal, imu)."""
     vertical, horizontal, imu = streams
@@ -167,9 +160,9 @@ def _parse_line(line_no: int, raw: str, header: dict, streams: tuple,
         ranges = _parse_floats(tokens[2:], line_no, "range")
         if np.any(ranges < 0):
             raise MalformedRecord("negative range reading", line=line_no)
-        if _outside_arc(header, len(ranges), arc_limit):
+        if outside_arc(header["angle_min"], header["angle_inc"], len(ranges)):
             raise MalformedRecord(
-                f"implied bearing outside the +-{arc_limit:.6f} rad arc",
+                f"implied bearing outside the +-{DEFAULT_ARC_LIMIT:.6f} rad arc",
                 line=line_no,
             )
         (vertical if tag == "V" else horizontal).append(LaserScan(t, ranges))
@@ -194,16 +187,16 @@ def _parse_line(line_no: int, raw: str, header: dict, streams: tuple,
 # 112 to 256 lines took ~3.2 MB off the peak memory of `scanplan run`;
 # blocks of 48 and 64, whose tables stay in malloc's heap, took 0 and 1.7 MB.
 _READ_BLOCK_LINES = 128
-# Records are written this many at a time. format_table holds ~180 bytes of
-# temporaries per value: 128 records of 1081-ray scans took 16 MB to write,
-# 16 records take ~1 MB and write as fast.
+# Records are written this many at a time. format_table holds ~120 bytes of
+# temporaries per value: 16 records of 1081-ray scans take ~2 MB, and 128
+# records, ~17 MB, wrote no faster.
 _WRITE_BLOCK_RECORDS = 16
 # The bytes of a block that _parse_block takes, and how each of its lines starts.
 _CANONICAL_LOG = b"0123456789.-+eE \nVHI"
 _RECORD_START = re.compile(r"[VHI] \S")
 
 
-def _parse_block(lines: list[str], header: dict, arc_limit: float):
+def _parse_block(lines: list[str], header: dict):
     """The (vertical, horizontal, imu) records of a block of log lines read
     after the header, one ``np.loadtxt`` pass per line width, or None when
     the block takes :func:`_parse_line`.
@@ -232,8 +225,10 @@ def _parse_block(lines: list[str], header: dict, arc_limit: float):
         is_imu = np.array([lines[k][0] == "I" for k in rows])
         if table.shape != (len(rows), width):
             return None
-        if not is_imu.all() and (width < 2 or _outside_arc(header, width - 1, arc_limit)
-                                 or (table.min(axis=1)[~is_imu] < 0).any()):
+        if not is_imu.all() and (
+                width < 2
+                or outside_arc(header["angle_min"], header["angle_inc"], width - 1)
+                or (table.min(axis=1)[~is_imu] < 0).any()):
             return None
         for k, t, values, imu in zip(rows, table[:, 0].tolist(), table[:, 1:],
                                      is_imu.tolist()):
@@ -250,7 +245,7 @@ def _parse_block(lines: list[str], header: dict, arc_limit: float):
     return streams
 
 
-def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
+def parse_scan_log(path) -> ScanLog:
     """Read and validate a scan log.
 
     The header lines are read one at a time and the rest in blocks of
@@ -276,10 +271,10 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
     streams = (vertical, horizontal, imu)
 
     def take(first: int, lines: list[str]) -> None:
-        parsed = _parse_block(lines, header, arc_limit)
+        parsed = _parse_block(lines, header)
         if parsed is None:
             for line_no, raw in enumerate(lines, start=first):
-                _parse_line(line_no, raw, header, streams, arc_limit)
+                _parse_line(line_no, raw, header, streams)
         else:
             for stream, records in zip(streams, parsed):
                 stream.extend(records)
@@ -290,7 +285,7 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
         try:
             for line_no, raw in enumerate(fh, start=1):
                 if len(header) < 3:
-                    _parse_line(line_no, raw, header, streams, arc_limit)
+                    _parse_line(line_no, raw, header, streams)
                     continue
                 if not block:
                     first = line_no
@@ -323,38 +318,44 @@ def parse_scan_log(path, arc_limit: float = DEFAULT_ARC_LIMIT) -> ScanLog:
 
 
 def _format_block(records: list) -> str:
-    """The log lines of ``records`` (tag, stamp, values), one
-    :func:`~scanplan.geometry.format_table` call per width."""
+    """The log lines of ``records`` (tag, stamp, values, tail): the stamp and
+    values by one :func:`~scanplan.geometry.format_table` call per width,
+    then the tail as it is."""
     lines = [""] * len(records)
     by_width: dict[int, list[int]] = {}
-    for k, (_, _, values) in enumerate(records):
-        by_width.setdefault(len(values), []).append(k)
+    for k, record in enumerate(records):
+        by_width.setdefault(len(record[2]), []).append(k)
     for width, rows in by_width.items():
         table = np.empty((len(rows), width + 1))
         table[:, 0] = [records[k][1] for k in rows]
         table[:, 1:] = [records[k][2] for k in rows]
-        # A record with no values keeps the space after its stamp.
-        end = " \n" if width == 0 else "\n"
         for k, line in zip(rows, format_table(table).splitlines()):
-            lines[k] = f"{records[k][0]} {line}{end}"
+            lines[k] = f"{records[k][0]} {line}{records[k][3]}\n"
     return "".join(lines)
 
 
 def write_scan_log(path, log: ScanLog) -> None:
-    """Serialize a ScanLog in the format parse_scan_log reads (lossless).
-
-    Numbers are printed as :mod:`scanplan.artifacts` sets out, a block of
+    """Serialize a ScanLog in the format parse_scan_log reads, a block of
     ``_WRITE_BLOCK_RECORDS`` records at a time (:func:`_format_block`).
+
+    Stamps and ranges are printed in seconds and metres with six decimals,
+    so they read back bit for bit when they lie on the 1 um grid, as the
+    simulator's do (:func:`scanplan.geometry.to_grid`). The header values
+    and the 9 entries of each IMU rotation are printed by ``repr`` and read
+    back exactly, as the rotation check of :class:`ImuSample` needs: the
+    number format of :mod:`scanplan.artifacts`.
     """
+    # A scan with no ranges keeps the space after its stamp. float(v) and
+    # tolist() first: under numpy 2 the repr of a numpy scalar is
+    # "np.float64(...)", which the parser rejects.
+    scans = [(tag, s.timestamp, s.ranges, "" if len(s.ranges) else " ")
+             for tag, stream in (("V", log.vertical), ("H", log.horizontal))
+             for s in stream]
+    imu = [("I", s.timestamp, (), " " + " ".join(map(repr, s.rotation.ravel().tolist())))
+           for s in log.imu]
     # Stable interleave by time; stream order V < H < I on equal stamps.
-    records = sorted(
-        [("V", s.timestamp, s.ranges) for s in log.vertical]
-        + [("H", s.timestamp, s.ranges) for s in log.horizontal]
-        + [("I", s.timestamp, s.rotation.ravel()) for s in log.imu],
-        key=lambda r: (r[1], "VHI".index(r[0])))
+    records = sorted(scans + imu, key=lambda r: (r[1], "VHI".index(r[0])))
     with open(path, "w", encoding="ascii") as fh:
-        # float(v) first: under numpy 2 the repr of a numpy scalar is
-        # "np.float64(...)", which the parser rejects.
         fh.write(f"# angle_min {float(log.angle_min)!r}\n")
         fh.write(f"# angle_inc {float(log.angle_inc)!r}\n")
         fh.write(f"# range_max {float(log.range_max)!r}\n")

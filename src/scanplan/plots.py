@@ -10,6 +10,7 @@ import numpy as np
 
 _VIEWS = {"top": (0, 1), "elevation": (0, 2)}
 _MAX_PLOTTED = 20000
+_SIZE = 800   # the longer side of the picture, in pixels
 
 
 def render_svg(
@@ -18,7 +19,6 @@ def render_svg(
     polygons=(),
     polylines=(),
     view: str = "top",
-    size: int = 800,
 ) -> None:
     """Render a 2D projection (top: x-y, elevation: x-z) to an SVG file.
 
@@ -50,7 +50,7 @@ def render_svg(
     span = np.maximum(hi - lo, 1e-6)
     pad = 0.05 * span.max()
     lo, hi = lo - pad, hi + pad
-    scale = size / (hi - lo).max()
+    scale = _SIZE / (hi - lo).max()
 
     def screen(points):
         """Pixel coordinates as Python float pairs; SVG y grows downward."""

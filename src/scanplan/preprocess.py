@@ -102,22 +102,18 @@ def remove_statistical_outliers(
 
 
 def voxel_downsample(
-    cloud: PointCloud,
-    cfg: VoxelGridConfig = VoxelGridConfig(),
-    anchor: np.ndarray | None = None,
+    cloud: PointCloud, cfg: VoxelGridConfig = VoxelGridConfig()
 ) -> PointCloud:
     """Replace each occupied voxel by the centroid of its points.
 
-    The grid is anchored at the cloud's minimum corner unless ``anchor`` is
-    given (a fixed anchor makes repeated application idempotent). Output is
-    ordered by voxel index, so the result is deterministic and independent
-    of input order. Source tags are dropped because points merge.
+    The grid is anchored at the cloud's minimum corner. Output is ordered by
+    voxel index, so the result is deterministic and independent of input
+    order. Source tags are dropped because points merge.
     """
     if len(cloud) == 0:
         return PointCloud.empty()
     pts = cloud.points
-    origin = pts.min(axis=0) if anchor is None else np.asarray(anchor, dtype=float)
-    idx = np.floor((pts - origin) / cfg.leaf_size).astype(np.int64)
+    idx = np.floor((pts - pts.min(axis=0)) / cfg.leaf_size).astype(np.int64)
 
     order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
     idx_sorted = idx[order]

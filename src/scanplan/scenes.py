@@ -148,8 +148,8 @@ class SceneSpec:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if not self.density > 0:
-            raise ValueError("density must be > 0")
+        if not 0 < self.density < math.inf:
+            raise ValueError(f"density must be > 0 and finite, got {self.density}")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "primitives", tuple(self.primitives))

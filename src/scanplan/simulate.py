@@ -17,9 +17,11 @@ from .geometry import (
     DEFAULT_ARC_LIMIT,
     Pose,
     horizontal_polar_to_local_arrays,
+    outside_arc,
     polar_to_local_arrays,
     rotation_about_z,
     scan_bearings,
+    to_grid,
 )
 from .ingest import ImuSample, LaserScan, ScanLog
 from .scenes import RectanglePrimitive, SceneSpec
@@ -73,7 +75,6 @@ def _cast(origin: np.ndarray, dirs: np.ndarray,
 def scan_truth(
     station,
     n_scans: int,
-    yaw_start: float = 0.0,
     yaw_span: float = 2.0 * math.pi,
     drift_per_scan=(0.0, 0.0, 0.0),
     scan_period: float = 0.025,
@@ -87,7 +88,7 @@ def scan_truth(
         truth.append({
             "timestamp": k * scan_period,
             "position": (station + k * drift).tolist(),
-            "yaw": yaw_start + k * step,
+            "yaw": k * step,
         })
     return truth
 
@@ -104,7 +105,6 @@ def simulate_yaw_scan(
     station=(0.0, 0.0, 0.0),
     device: DeviceParams = DeviceParams(),
     n_scans: int = 72,
-    yaw_start: float = 0.0,
     yaw_span: float = 2.0 * math.pi,
     drift_per_scan=(0.0, 0.0, 0.0),
     range_noise: float = 0.0,
@@ -113,9 +113,11 @@ def simulate_yaw_scan(
     """Simulate a yaw sweep and return the scan log.
 
     One vertical scan, one horizontal scan and one attitude sample are
-    emitted per step, all at the same timestamp. The attitude channel is the
-    exact ground-truth yaw rotation; optional translation drift accumulates
-    per scan. Ground truth for scoring comes from :func:`scan_truth` with the
+    emitted per step, all at the same timestamp. The stamps and ranges lie
+    on the 1 um grid (:func:`scanplan.geometry.to_grid`), so a written log
+    reads back as it was made. The attitude channel is the exact
+    ground-truth yaw rotation; optional translation drift accumulates per
+    scan. Ground truth for scoring comes from :func:`scan_truth` with the
     same arguments.
 
     Raises ValueError for ``n_scans`` < 1, a negative or infinite
@@ -131,9 +133,9 @@ def simulate_yaw_scan(
             raise ValueError(f"{name} must be finite, got {tuple(map(float, vector))}")
     rng = np.random.default_rng(seed)
     rects = scene.rectangles()
-    bearings = scan_bearings(device.angle_min, device.angle_inc, device.rays_per_scan)
-    if abs(bearings[-1]) > DEFAULT_ARC_LIMIT + 1e-9 or abs(bearings[0]) > DEFAULT_ARC_LIMIT + 1e-9:
+    if outside_arc(device.angle_min, device.angle_inc, device.rays_per_scan):
         raise ValueError("device bearings exceed the detection arc")
+    bearings = scan_bearings(device.angle_min, device.angle_inc, device.rays_per_scan)
 
     # Local unit ray directions: the returns of unit range in each scan plane.
     unit = np.ones_like(bearings)
@@ -143,9 +145,9 @@ def simulate_yaw_scan(
     vertical: list[LaserScan] = []
     horizontal: list[LaserScan] = []
     imu: list[ImuSample] = []
-    for rec in scan_truth(station, n_scans, yaw_start, yaw_span,
-                          drift_per_scan, device.scan_period):
-        t = rec["timestamp"]
+    truth = scan_truth(station, n_scans, yaw_span, drift_per_scan, device.scan_period)
+    stamps = to_grid(np.array([rec["timestamp"] for rec in truth])).tolist()
+    for t, rec in zip(stamps, truth):
         rot = rotation_about_z(rec["yaw"])
         pos = np.asarray(rec["position"])
         for dirs, out in ((vertical_dirs, vertical), (horizontal_dirs, horizontal)):
@@ -156,7 +158,7 @@ def simulate_yaw_scan(
                     hits, np.maximum(ranges + rng.normal(0, range_noise, len(ranges)),
                                      1e-6), ranges
                 )
-            out.append(LaserScan(t, ranges))
+            out.append(LaserScan(t, to_grid(ranges)))
         imu.append(ImuSample(t, rot))
 
     return ScanLog(vertical, horizontal, imu,

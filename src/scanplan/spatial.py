@@ -49,28 +49,24 @@ class KdTree:
         q = np.asarray(queries, dtype=float)
         single = q.ndim == 1
         q = np.atleast_2d(q)
-        if len(self._points) == 1:
-            dist = np.linalg.norm(q - self._points[0], axis=1)
-            idx = np.zeros(len(q), dtype=np.int64)
-            runner_up = np.full(len(q), np.inf)
-        else:
-            d2, i2 = self._tree.query(q, k=2)
-            idx = i2[:, 0].astype(np.int64)
-            dist = d2[:, 0]
-            runner_up = d2[:, 1]
-            # Exact distance ties are rare outside grids and duplicated
-            # points; resolve them by enumerating the tied set and taking the
-            # lowest index. The ball is a little wider than the distance, as
-            # r**2 can round below a tied point's squared distance; a point
-            # in it ties when its distance, computed as the tree computes
-            # it, is the nearest distance.
-            for row in np.nonzero(runner_up <= dist)[0]:
-                ball = np.array(self._tree.query_ball_point(q[row], r=dist[row] * (1 + 1e-12)),
-                                dtype=np.int64)
-                d = np.sqrt(((self._points[ball] - q[row]) ** 2).sum(axis=1))
-                tied = ball[d == dist[row]]
-                if len(tied):
-                    idx[row] = tied.min()
+        # On a 1-point tree the runner-up comes back as inf.
+        d2, i2 = self._tree.query(q, k=2)
+        idx = i2[:, 0].astype(np.int64)
+        dist = d2[:, 0]
+        runner_up = d2[:, 1]
+        # Exact distance ties are rare outside grids and duplicated points;
+        # resolve them by enumerating the tied set and taking the lowest
+        # index. The ball is a little wider than the distance, as r**2 can
+        # round below a tied point's squared distance; a point in it ties
+        # when its distance, computed as the tree computes it, is the
+        # nearest distance.
+        for row in np.nonzero(runner_up <= dist)[0]:
+            ball = np.array(self._tree.query_ball_point(q[row], r=dist[row] * (1 + 1e-12)),
+                            dtype=np.int64)
+            d = np.sqrt(((self._points[ball] - q[row]) ** 2).sum(axis=1))
+            tied = ball[d == dist[row]]
+            if len(tied):
+                idx[row] = tied.min()
         if single:
             return idx[0], dist[0], runner_up[0]
         return idx, dist, runner_up

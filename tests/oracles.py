@@ -10,7 +10,6 @@ that it checks the warm start alone.
 
 import heapq
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -410,43 +409,47 @@ def render_svg_per_point(cloud=None, polygons=(), polylines=(), view="top", size
     return "\n".join(out) + "\n"
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def fixed6(value) -> str:
+    """A float as the text files print it, from Python's own arithmetic: six
+    decimals of round(|v| * 1e6) after the sign of v, or repr when |v| >=
+    1e12 or v is not finite. On the 1 um grid this is "%.6f" % v."""
+    v = float(value)
+    if not abs(v) < 1e12:
+        return repr(v)
+    k = round(abs(v) * 1e6)   # the product rounds to a float, then half-even
+    return f"{'-' if math.copysign(1.0, v) < 0 else ''}{k // 10**6}.{k % 10**6:06d}"
+
+
+def to_grid_per_value(value) -> float:
+    """The nearest multiple of 1e-6 to a float, -0.0 made 0.0."""
+    return round(float(value) * 1e6) / 1e6 + 0.0
 
 
 def format_rows(rows, sep: str = " ") -> str:
-    """One text line per row, its values joined by ``sep``, each printed by
-    ``%r``.
-
-    The rows share one width and hold Python floats and ints, as
-    ``ndarray.tolist()`` gives them. (Under numpy 2 the repr of a numpy
-    scalar is "np.float64(...)", so numpy values must not reach here.)
-    """
-    if not rows:
-        return ""
-    line = sep.join(["%r"] * len(rows[0])) + "\n"
-    return (line * len(rows)) % tuple(chain.from_iterable(rows))
+    """One text line per row, its values joined by ``sep``: a float as
+    :func:`fixed6` prints it, an int by ``str``."""
+    return "".join(sep.join(str(v) if isinstance(v, int) else fixed6(v) for v in row) + "\n"
+                   for row in rows)
 
 
-def write_cloud_per_value(path, points, sources=None, comment="x y z [tag]"):
-    """A cloud file built as one list of lines, each value formatted alone."""
-    lines = [str(len(points)), f"# {comment}"]
-    if sources is None:
-        for p in points:
-            lines.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-    else:
-        for p, tag in zip(points, sources):
-            lines.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])} {int(tag)}")
+def write_cloud_per_value(path, points, sources=None):
+    """A cloud file built as one list of lines, each coordinate formatted
+    alone by "%.6f" (the points lie on the grid)."""
+    lines = [str(len(points)), "# x y z [tag]"]
+    for k, p in enumerate(points.tolist()):
+        tag = "" if sources is None else f" {int(sources[k])}"
+        lines.append(f"{'%.6f' % p[0]} {'%.6f' % p[1]} {'%.6f' % p[2]}{tag}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def write_waypoints_csv_per_value(path, waypoints):
-    lines = [f"{_fmt(w[0])},{_fmt(w[1])},{_fmt(w[2])}" for w in waypoints]
+    lines = [",".join(map(fixed6, w)) for w in np.asarray(waypoints).tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def write_scan_log_per_value(path, log):
-    """A scan log written one record and one value at a time."""
+    """A scan log written one record and one value at a time: stamps and
+    ranges by :func:`fixed6`, header values and rotation entries by repr."""
     records = (
         [("V", s.timestamp, s) for s in log.vertical]
         + [("H", s.timestamp, s) for s in log.horizontal]
@@ -459,9 +462,11 @@ def write_scan_log_per_value(path, log):
         fh.write(f"# angle_inc {float(log.angle_inc)!r}\n")
         fh.write(f"# range_max {float(log.range_max)!r}\n")
         for tag, t, rec in records:
-            values = rec.rotation.ravel() if tag == "I" else rec.ranges
-            vals = " ".join(repr(float(v)) for v in values)
-            fh.write(f"{tag} {float(t)!r} {vals}\n")
+            if tag == "I":
+                vals = " ".join(repr(float(v)) for v in rec.rotation.ravel())
+            else:
+                vals = " ".join(fixed6(v) for v in rec.ranges)
+            fh.write(f"{tag} {fixed6(t)} {vals}\n")
 
 
 class Malformed(Exception):

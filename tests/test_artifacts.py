@@ -23,13 +23,14 @@ from scanplan.artifacts import (
     write_waypoints_csv,
 )
 from scanplan.errors import MalformedRecord, NonPlanarEdit, SelfIntersectingPolygon
-from scanplan.geometry import PointCloud, Pose, rotation_about_z
+from scanplan.geometry import GRID_LIMIT, PointCloud, Pose, rotation_about_z
 from scanplan.planning import CameraSpec, FlightPlan, PlanningConfig, plan_coverage
 from scanplan.segmentation import PlanarSurface, PlaneModel
 
 from oracles import (
     Malformed,
     read_cloud_whole_text,
+    to_grid_per_value,
     write_cloud_per_value,
     write_waypoints_csv_per_value,
 )
@@ -62,10 +63,14 @@ def test_cloud_empty_round_trip(tmp_path):
     assert len(read_cloud(path)) == 0
 
 
-# Values whose repr is easy to get wrong: signed zero, the extremes of the
-# exponent range, a subnormal, and integers held as floats.
-EDGE_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1.0, -2.0,
-               0.1, 1 / 3, 123456789.0, 2.0**53]
+# Values whose six decimals are easy to get wrong: signed zero, values that
+# round to zero or by a tie, a carry into the next decade, the edges of the
+# grid and integers held as floats.
+EDGE_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, -4e-7, 0.0078125, 9.9999995,
+               GRID_LIMIT, -GRID_LIMIT, 1.0, -2.0, 0.1, 1 / 3, 123456789.0]
+# Waypoints are printed as they are, so their edges go on past the grid.
+PAST_THE_GRID = [float(np.nextafter(GRID_LIMIT, np.inf)), 9.0e9, 999999999999.9999,
+                 1e12, -1e300, 2.0**53]
 
 
 def _edge_cloud(rng, n, tagged):
@@ -86,8 +91,8 @@ def test_write_cloud_bytes_equal_the_per_value_writer(
     # With blocks of 4 rows, n = 4 is one full block and n = 5 one row more.
     monkeypatch.setattr(artifacts, "_WRITE_BLOCK_ROWS", 4)
     cloud = _edge_cloud(rng, n, tagged)
-    write_cloud(tmp_path / "new.xyz", cloud, comment="a comment")
-    write_cloud_per_value(tmp_path / "old.xyz", cloud.points, cloud.sources, "a comment")
+    write_cloud(tmp_path / "new.xyz", cloud)
+    write_cloud_per_value(tmp_path / "old.xyz", cloud.points, cloud.sources)
     assert (tmp_path / "new.xyz").read_bytes() == (tmp_path / "old.xyz").read_bytes()
 
 
@@ -101,7 +106,8 @@ def test_write_cloud_default_block_bytes_equal_the_per_value_writer(tmp_path, rn
 
 @pytest.mark.parametrize("n", [1, 2, 50])
 def test_waypoints_csv_bytes_equal_the_per_value_writer(tmp_path, rng, n):
-    waypoints = rng.permutation(np.array(EDGE_FLOATS * 12))[: 3 * n].reshape(n, 3)
+    waypoints = rng.permutation(np.array((EDGE_FLOATS + PAST_THE_GRID) * 12))
+    waypoints = waypoints[: 3 * n].reshape(n, 3)
     plan = FlightPlan([], waypoints, [], [])
     write_waypoints_csv(tmp_path / "new.csv", plan)
     write_waypoints_csv_per_value(tmp_path / "old.csv", waypoints)
@@ -109,7 +115,7 @@ def test_waypoints_csv_bytes_equal_the_per_value_writer(tmp_path, rng, n):
 
 
 HEADER = "3\n# comment\n"
-ROWS = "1 2 3\n-0.0 1e-300 1e300\n4.5 5.5 6.5\n"
+ROWS = "1 2 3\n-0.0 1e-300 1e+9\n4.5 5.5 6.5\n"
 TAGGED = "1 2 3 0\n4 5 6 +7\n7 8 9 1_0\n"
 
 # Cloud files at the edges of the format; each is read by read_cloud and by
@@ -157,6 +163,11 @@ EDGE_FILES = {
     "nan_coordinate": HEADER + "1 2 3\nnan 5 6\n7 8 9\n",
     "inf_coordinate": HEADER + "1 2 3\n4 -Infinity 6\n7 8 9\n",
     "overflow_to_inf": HEADER + "1 2 3\n4 1e400 6\n7 8 9\n",
+    "past_the_grid": HEADER + "1 2 3\n4 -1e300 6\n7 8 9\n",
+    "at_the_grid_edges": HEADER + "1 2 3\n2251799813.685248 -2251799813.685248 6\n"
+                         "7 8 -2251799813.6852475\n",
+    "just_past_the_grid": HEADER + "1 2 3\n4 5 6\n7 8 2251799813.685249\n",
+    "off_the_grid": HEADER + "0.0000005 0.0000015 -0.0000004\n4 5 6\n7 8 0.1234567\n",
     "non_ascii": HEADER + "1 2 3\n4 5 6\xe9\n7 8 9\n",
 }
 
@@ -166,18 +177,20 @@ def _read(reader, path):
         return reader(path)
     except (MalformedRecord, Malformed) as err:
         return ("error", err.reason, err.line)
-    except ValueError:  # a non-ASCII byte, or a non-finite point
+    except ValueError:  # a non-ASCII byte, or a point not finite or past the grid
         return ("value error",)
 
 
 def _read_reference(path):
+    """The whole-text reader's values, put on the grid point by point."""
     got = _read(read_cloud_whole_text, path)
     if isinstance(got[0], str):
         return got
     points, tags = got
-    if not np.all(np.isfinite(points)):
+    if not all(abs(v) <= GRID_LIMIT for v in points.ravel().tolist()):
         return ("value error",)
-    return points, tags
+    on_grid = [to_grid_per_value(v) for v in points.ravel().tolist()]
+    return np.array(on_grid).reshape(points.shape), tags
 
 
 @pytest.mark.parametrize("cut", [None, 1, 2])
@@ -247,11 +260,11 @@ def test_read_cloud_from_a_pipe(tmp_path, rng):
     assert np.array_equal(got.sources, cloud.sources)
 
 
-# Clouds as write_cloud writes them: any finite coordinates, with repr's
-# edge spellings (signed zero, the least subnormal, the first exponent-form
-# magnitude) drawn often, and tags over all of int64 or none.
-_coordinates = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [-0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5])
+# Clouds as write_cloud writes them: any coordinates inside the grid's reach,
+# with the edges (signed zero, the least subnormal, ties, the reach itself)
+# drawn often, and tags over all of int64 or none.
+_coordinates = st.floats(-GRID_LIMIT, GRID_LIMIT) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 5e-7, -1.5e-6, 0.0078125, GRID_LIMIT, -GRID_LIMIT])
 _tags = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1, 0])
 
 
@@ -266,7 +279,7 @@ def _written_clouds(draw):
 @settings(max_examples=200, deadline=None)
 @given(cloud=_written_clouds())
 @example(cloud=PointCloud.empty())
-@example(cloud=PointCloud([[-0.0, 5e-324, 1e16], [1e-4, -1e300, 0.1]],
+@example(cloud=PointCloud([[-0.0, 5e-324, GRID_LIMIT], [1e-4, -GRID_LIMIT, 0.1]],
                           sources=[-(2**63), 2**63 - 1]))
 def test_read_cloud_takes_every_written_cloud_in_one_pass(cloud):
     # The line-by-line path refuses, so a cloud that came back went through

@@ -392,9 +392,13 @@ def test_log_that_cannot_be_pose_tracked_exits_2_and_makes_no_output_dir(
     (["--range-noise", "inf"], "range_noise must be finite and >= 0, got inf"),
     (["--drift", "nan", "0", "0"], "drift_per_scan must be finite, got (nan, 0.0, 0.0)"),
     (["--station", "0", "0", "inf"], "station must be finite, got (0.0, 0.0, inf)"),
+    # The last bearing lies 9.4e-10 rad past the arc, which the log parser
+    # would refuse.
+    (["--scans", "4", "--angular-resolution-deg", "0.25000000005"],
+     "device bearings exceed the detection arc"),
 ], ids=["zero_rays", "negative_rays", "zero_resolution", "zero_scans",
         "negative_scans", "negative_noise", "infinite_noise", "nan_drift",
-        "infinite_station"])
+        "infinite_station", "bearing_past_the_arc"])
 def test_simulate_value_it_cannot_take_exits_2(tmp_path, capsys, extra, message):
     log = tmp_path / "sweep.log"
     capsys.readouterr()
@@ -410,6 +414,17 @@ def test_generate_noise_it_cannot_take_exits_2(tmp_path, capsys, noise):
     assert main(["generate", "--preset", "deck", "--noise", noise,
                  "--out", str(cloud)]) == EXIT_VALIDATION
     assert (f"validation error: noise_sigma must be finite and >= 0, got {float(noise)}"
+            in capsys.readouterr().err)
+    assert not cloud.exists()
+
+
+@pytest.mark.parametrize("density", ["inf", "nan", "0"])
+def test_generate_density_it_cannot_take_exits_2(tmp_path, capsys, density):
+    cloud = tmp_path / "scene.xyz"
+    capsys.readouterr()
+    assert main(["generate", "--preset", "surface", "--density", density,
+                 "--out", str(cloud)]) == EXIT_VALIDATION
+    assert (f"validation error: density must be > 0 and finite, got {float(density)}"
             in capsys.readouterr().err)
     assert not cloud.exists()
 

@@ -1,7 +1,8 @@
-"""format_table against repr, value by value and file by file.
+"""format_table against per-value oracles, value by value and file by file.
 
-The number format is repr's (str's for a tag), so every test compares the
-characters with those of a per-value ``%r`` join.
+A float is printed with six decimals, so every test compares the characters
+with those of :func:`oracles.fixed6`, which does the arithmetic one value at
+a time in Python, and, for values on the 1 um grid, with ``"%.6f"``.
 """
 
 import math
@@ -11,14 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scanplan import artifacts
-from scanplan.geometry import format_table, rotation_about_z
+from scanplan.geometry import GRID_LIMIT, format_table, rotation_about_z, to_grid
 from scanplan.ingest import ImuSample, LaserScan, ScanLog, write_scan_log
 from scanplan.scenes import generate_scene, preset_scene
 from scanplan.simulate import DeviceParams, simulate_yaw_scan
 
 from oracles import (
     concat_clouds,
+    fixed6,
     format_rows,
+    to_grid_per_value,
     write_cloud_per_value,
     write_scan_log_per_value,
 )
@@ -26,15 +29,28 @@ from oracles import (
 INT64 = np.iinfo(np.int64)
 
 
-def assert_prints_like_repr(values):
-    """Each value on a line of its own, as repr prints it."""
+def printed(values) -> list[str]:
+    """format_table's text of each value, on a line of its own."""
     values = np.asarray(values, dtype=float).ravel()
     got = format_table(values.reshape(-1, 1)).split("\n")
     assert got.pop() == ""
-    want = list(map(repr, values.tolist()))
-    bad = [(w, g) for g, w in zip(got, want) if g != w]
-    assert not bad, f"{len(bad)} of {len(want)} differ, e.g. (repr, got) {bad[:5]}"
-    assert len(got) == len(want)
+    assert len(got) == len(values)
+    return got
+
+
+def assert_prints_like(values, oracle):
+    values = np.asarray(values, dtype=float).ravel()
+    want = [oracle(v) for v in values.tolist()]
+    bad = [(w, g) for g, w in zip(printed(values), want) if g != w]
+    assert not bad, f"{len(bad)} of {len(want)} differ, e.g. (want, got) {bad[:5]}"
+
+
+def assert_on_grid_prints_as_percent_f(values):
+    """``values`` put on the grid print as "%.6f" prints them and read back."""
+    values = to_grid(np.array(values, dtype=float).ravel())
+    assert_prints_like(values, lambda v: "%.6f" % v)
+    back = np.array([float(t) for t in printed(values)])
+    assert back.tobytes() == values.tobytes()
 
 
 def neighbours(values, steps=2):
@@ -52,69 +68,83 @@ def neighbours(values, steps=2):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
 def test_any_finite_float(values):
-    assert_prints_like_repr(values)
+    assert_prints_like(values, fixed6)
 
 
 def test_random_bit_patterns(rng):
-    # Any of the 2**64 patterns, then patterns with a magnitude in about
-    # [1e-5, 1e17]: most of the first are printed by repr, most of the
-    # second are not.
-    assert_prints_like_repr(rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(float))
-    exponent = rng.integers(1023 - 17, 1023 + 57, 100_000, dtype=np.uint64) << np.uint64(52)
+    # Any of the 2**64 patterns (most print by repr: not finite, or past
+    # 1e12), then patterns with a magnitude in about [1e-8, 1e13].
+    assert_prints_like(rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(float), fixed6)
+    exponent = rng.integers(1023 - 27, 1023 + 44, 100_000, dtype=np.uint64) << np.uint64(52)
     mantissa = rng.integers(0, 2**52, 100_000, dtype=np.uint64)
     sign = rng.integers(0, 2, 100_000, dtype=np.uint64) << np.uint64(63)
-    assert_prints_like_repr((sign | exponent | mantissa).view(float))
+    assert_prints_like((sign | exponent | mantissa).view(float), fixed6)
+
+
+def test_on_grid_values_print_as_percent_f(rng):
+    assert_on_grid_prints_as_percent_f([0.0, -0.0, 1e-6, -1e-6, GRID_LIMIT, -GRID_LIMIT])
+    magnitudes = 10.0 ** rng.uniform(-7, math.log10(GRID_LIMIT), 200_000)
+    assert_on_grid_prints_as_percent_f(magnitudes * rng.choice([-1.0, 1.0], 200_000))
+    # Every step of the grid's top 2**51 - 100,000 to 2**51.
+    assert_on_grid_prints_as_percent_f(np.arange(2**51 - 100_000, 2**51 + 1) / 1e6)
+    # Past the grid the digits still hold whole metres exactly.
+    assert_prints_like([9.0e9, -9.0e9], lambda v: "%.6f" % v)
+
+
+def test_putting_on_the_grid_twice_changes_nothing(rng):
+    values = 10.0 ** rng.uniform(-8, math.log10(GRID_LIMIT), 200_000)
+    values *= rng.choice([-1.0, 1.0], 200_000)
+    once = to_grid(values.copy())
+    assert once.tolist() == [to_grid_per_value(v) for v in values.tolist()]
+    assert to_grid(once.copy()).tobytes() == once.tobytes()
+    assert not np.signbit(to_grid(np.array([-0.0, -4e-7]))).any()
 
 
 def test_noisy_coordinates(rng):
-    for scale in (1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0, 1e3, 1e6, 1e12, 1e15):
-        assert_prints_like_repr(rng.normal(0.0, scale, 5_000))
+    for scale in (1e-6, 1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0, 1e3, 1e6, 1e9):
+        noisy = rng.normal(0.0, scale, 5_000)
+        assert_prints_like(noisy, fixed6)
+        assert_on_grid_prints_as_percent_f(np.clip(noisy, -GRID_LIMIT, GRID_LIMIT))
 
 
 def test_signed_zero_and_non_finite():
-    assert_prints_like_repr([0.0, -0.0, math.inf, -math.inf, math.nan])
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    assert printed(values) == ["0.000000", "-0.000000", "inf", "-inf", "nan"]
+    assert_prints_like(values, lambda v: "%.6f" % v)
 
 
 def test_powers_of_two_and_ten_and_their_neighbours():
-    assert_prints_like_repr(neighbours(2.0 ** np.arange(-1074, 1024)))
-    assert_prints_like_repr(neighbours([float(f"1e{k}") for k in range(-323, 309)]))
-
-
-def test_shortest_forms_of_every_length(rng):
-    # A decimal of p digits reads as a float whose shortest form has at most
-    # p digits (and usually exactly p for p <= 15).
-    for p in range(1, 18):
-        digits = rng.integers(10 ** (p - 1), 10**p, 400, dtype=np.int64)
-        exponents = rng.integers(-8 - p, 20 - p, 400)
-        values = [float(f"{d}e{e}") for d, e in zip(digits.tolist(), exponents.tolist())]
-        assert_prints_like_repr(neighbours(values, steps=1))
+    assert_prints_like(neighbours(2.0 ** np.arange(-1074, 1024)), fixed6)
+    assert_prints_like(neighbours([float(f"1e{k}") for k in range(-323, 309)]), fixed6)
+    assert_on_grid_prints_as_percent_f(
+        neighbours([float(f"1e{k}") for k in range(-6, 10)] + list(2.0 ** np.arange(-20, 31))))
 
 
 def test_both_sides_of_the_positional_range():
-    # repr goes positional at 1e-4 and back to an exponent at 1e16.
-    edges = [1e-4, 1e16, 9.999999999999999e-05, 9999999999999998.0, 2.0**53]
-    assert_prints_like_repr(neighbours(edges, steps=8))
-    assert_prints_like_repr(neighbours(np.arange(2**53 - 64, 2**53 + 64, dtype=float)))
-    assert_prints_like_repr(neighbours(np.arange(1e16 - 64, 1e16 + 64, 2.0)))
+    # Six decimals up to 1e12, repr from there on; the grid ends earlier.
+    edges = neighbours([1e12, 999999999999.9999, GRID_LIMIT, 2.0**51 / 1e6], steps=8)
+    assert_prints_like(edges, fixed6)
+    assert printed([1e12, -1e12]) == ["1000000000000.0", "-1000000000000.0"]
+    # Past the grid the product is rounded: "%.6f" prints ...999878 here.
+    assert printed([999999999999.9999]) == ["999999999999.999872"]
 
 
 def test_roundings_that_carry_into_the_next_power_of_ten():
-    below = [float(f"1e{k}") for k in range(-5, 18)]
-    for _ in range(6):
-        below = np.nextafter(below, 0.0)
-        assert_prints_like_repr(below)
-    nines = [float("9" * p + f"e{e}") for p in range(1, 18) for e in range(-20, 16 - p)]
-    assert_prints_like_repr(neighbours(nines))
+    # Half a micrometre under a power of ten rounds up into the next decade.
+    below = [float(f"1e{k}") - 5e-7 for k in range(0, 10)]
+    assert printed(below[:3]) == ["1.000000", "10.000000", "100.000000"]
+    nines = [float("9" * p + f"e{e}") for p in range(1, 18) for e in range(-12, 12 - p)]
+    assert_prints_like(neighbours(nines), fixed6)
+    assert_prints_like(neighbours(below), fixed6)
 
 
 def test_exact_halves(rng):
-    # Odd multiples of a power of two have a finite decimal expansion whose
-    # last digit is 5: V lies halfway between two shorter candidates.
-    odd = 2 * rng.integers(0, 2**20, 20_000) + 1
-    values = odd * 2.0 ** rng.integers(-40, 30, 20_000).astype(float)
-    assert_prints_like_repr(values)
-    assert_prints_like_repr([0.5, 1.5, 2.5, 0.125, 8.0000152587890625,
-                             1e15 + 0.5, 2.0**52 + 0.5, 0.0001220703125])
+    # An odd multiple of 2**-7 is an odd number of half micrometres: the
+    # product is exact and ties, and rint and "%.6f" both go to the even.
+    odd = 2 * rng.integers(0, 2**40, 20_000) + 1
+    halves = odd * 2.0**-7
+    assert_prints_like(halves, lambda v: "%.6f" % v)
+    assert printed([0.0078125, 0.0234375, -0.0078125]) == ["0.007812", "0.023438", "-0.007812"]
 
 
 def test_int64_tags(rng):
@@ -130,7 +160,7 @@ def test_int64_tags(rng):
 @pytest.mark.parametrize("cols", [0, 1, 2, 3, 7])
 @pytest.mark.parametrize("sep", [" ", ","])
 def test_rows_and_separators(rng, cols, sep):
-    values = rng.normal(size=(5, cols)) * 10.0 ** rng.integers(-6, 18, (5, cols))
+    values = rng.normal(size=(5, cols)) * 10.0 ** rng.integers(-6, 14, (5, cols))
     assert format_table(values, sep=sep) == format_rows(values.tolist(), sep)
     assert format_table(values[:0]) == ""
 
@@ -162,8 +192,8 @@ ROOM_LOG = simulate_yaw_scan(
 )
 
 
-# A log whose V, H and I records have three widths, with repr's edge
-# spellings and a stamp that all three streams share.
+# A log whose V, H and I records have three widths, with values off the
+# grid and past the digits, and a stamp that all three streams share.
 _EDGE = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3, 2.0**53]
 LOGS = {
     "room": ROOM_LOG,

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scanplan.geometry import (
+    GRID_LIMIT,
     PointCloud,
     Pose,
     horizontal_polar_to_local_arrays,
@@ -13,6 +15,8 @@ from scanplan.geometry import (
     validate_rotation,
 )
 from scanplan.preprocess import voxel_downsample
+
+from oracles import to_grid_per_value
 
 
 def test_polar_to_local_unit_range_zero_bearing():
@@ -117,3 +121,37 @@ def test_derived_clouds_are_read_only_values(rng):
         assert not np.shares_memory(d.points, cloud.points)
     assert np.array_equal(derived[0].points, cloud.points[[4, 0, 2]])
     assert np.array_equal(derived[0].sources, [4, 0, 2])
+
+
+def test_a_cloud_holds_its_points_on_the_grid(rng):
+    points = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-7, 9, (300, 3))
+    points[:4, 0] = [-0.0, -4e-7, 5e-7, -GRID_LIMIT]
+    cloud = PointCloud(points)
+    want = [to_grid_per_value(v) for v in points.ravel().tolist()]
+    assert cloud.points.ravel().tolist() == want
+    assert not np.signbit(cloud.points[:3, 0]).any()
+
+
+@pytest.mark.parametrize("value", [np.nextafter(GRID_LIMIT, np.inf), -1e10, np.inf, np.nan])
+def test_a_cloud_past_the_grid_is_refused(value):
+    points = np.zeros((4, 3))
+    points[2, 1] = value
+    message = "non-finite" if not np.isfinite(value) else "past the"
+    with pytest.raises(ValueError, match=message):
+        PointCloud(points)
+
+
+def test_an_owned_array_goes_on_the_grid_in_place(rng):
+    # No copy of the array is made, whole or in part: the bound check reads
+    # the minimum and maximum, and rounding works in place.
+    points = rng.normal(size=(200_000, 3))
+    head = points[:100].ravel().tolist()
+    tracemalloc.start()
+    try:
+        cloud = PointCloud._own(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cloud.points is points and not points.flags.writeable
+    assert peak < 10_000
+    assert points[:100].ravel().tolist() == [to_grid_per_value(v) for v in head]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scanplan import plots
 from scanplan.geometry import PointCloud
 from scanplan.plots import render_svg
 
@@ -23,14 +24,14 @@ def _halves_cloud(rng):
 
 
 @pytest.mark.parametrize("view", ["top", "elevation"])
-def test_render_svg_matches_the_per_point_text(tmp_path, rng, view):
+def test_render_svg_matches_the_per_point_text(tmp_path, rng, monkeypatch, view):
     cloud = _halves_cloud(rng)
     polygon = np.array([[1.125, 1.375, 0.0], [9.875, 1.375, 0.5], [5.005, 9.625, -0.5]])
     polyline = np.array([[0.625, 10.375, 0.25], [2.675, 2.675, 0.125]])
     for size in (11, 800):
         path = tmp_path / f"{view}_{size}.svg"
-        render_svg(path, cloud=cloud, polygons=[polygon], polylines=[polyline],
-                   view=view, size=size)
+        monkeypatch.setattr(plots, "_SIZE", size)
+        render_svg(path, cloud=cloud, polygons=[polygon], polylines=[polyline], view=view)
         want = render_svg_per_point(cloud, [polygon], [polyline], view, size)
         assert path.read_text(encoding="ascii") == want
     if view == "top":

@@ -276,6 +276,7 @@ def assert_matches_cold_loop(src, tgt, cfg, init=None):
     else:
         def bits(pose):
             return pose.rotation.tobytes(), pose.translation.tobytes()
+        src, tgt = PointCloud(src).points, PointCloud(tgt).points   # on the grid
         got = _outcome(lambda: bits(icp_align_3d(
             PointCloud(src), PointCloud(tgt), init=init, cfg=cfg)))
         want = _outcome(lambda: bits(Pose(*cold_icp(

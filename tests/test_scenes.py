@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from scanplan.geometry import horizontal_polar_to_local_arrays, polar_to_local_arrays
+from scanplan.geometry import (
+    horizontal_polar_to_local_arrays,
+    polar_to_local_arrays,
+    to_grid,
+)
 from scanplan.ingest import local_points
 from scanplan.scenes import (
     BoxPrimitive,
@@ -69,10 +73,10 @@ def test_crossed_planes_samples_its_rectangles_in_order(seed):
              ((0, 0, 1), (0, 0, 1), 2.0, 2.0), ((0, 0, -1), (0, 0, -1), 2.0, 2.0),
              ((0, 0, 0), (0, 1, 0), 6.0, 6.0), ((0, 0, 0), (1, 0, 0), 6.0, 6.0)]
     rng = np.random.default_rng(seed)
-    expected = np.vstack([
+    expected = to_grid(np.vstack([
         RectanglePrimitive(tuple(map(float, c)), n, w, h).sample(400.0, 0.01, rng)
         for c, n, w, h in faces
-    ])
+    ]))
     cloud = generate_scene(preset_scene("crossed_planes", 400.0, 0.01), seed=seed)
     assert cloud.points.tobytes() == expected.tobytes()
 

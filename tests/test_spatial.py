@@ -104,14 +104,16 @@ def test_within_radius_matches_linear_scan(rng):
         assert sorted(map(tuple, tree.pairs_within_radius(r).tolist())) == expected
 
 
-# Point sets in shuffled order: no ties, every point five times, and an
-# integer grid, where half-integer queries and unit radii tie exactly.
+# Point sets in shuffled order: no ties, every point five times, an integer
+# grid, where half-integer queries and unit radii tie exactly, and one point,
+# whose runner-up distance is inf.
 POINT_SETS = {
     "random": lambda rng: rng.uniform(-5, 5, size=(300, 3)),
     "duplicated": lambda rng: rng.permutation(
         np.repeat(rng.uniform(-5, 5, size=(60, 3)), 5, axis=0)),
     "grid": lambda rng: rng.permutation(
         np.array(list(itertools.product(range(7), range(7), range(6))), dtype=float)),
+    "one_point": lambda rng: rng.uniform(-5, 5, size=(1, 3)),
 }
 
 
@@ -122,13 +124,14 @@ def test_tree_answers_as_the_linear_scan(rng, kind):
     tree = KdTree(pts)
     queries = np.vstack([pts[:40], np.round(rng.uniform(-1, 7, size=(60, 3)) * 2) / 2])
     idx, dist, runner_up = tree.nearest(queries)
-    _, k_dist = tree.knearest(queries, k=8)
+    k = min(8, len(pts))
+    _, k_dist = tree.knearest(queries, k=k)
     for q, i, d, r, kd in zip(queries, idx, dist, runner_up, k_dist):
         oi, od = linear_nearest(pts, q)
         assert i == oi
         assert d == pytest.approx(od, abs=1e-12)
         assert r == pytest.approx(linear_runner_up(pts, q), abs=1e-12)
-        assert kd == pytest.approx(linear_knearest_distances(pts, q, 8), abs=1e-12)
+        assert kd == pytest.approx(linear_knearest_distances(pts, q, k), abs=1e-12)
     for radius in (0.5, 1.0, 1.5):
         found = sorted(map(tuple, tree.pairs_within_radius(radius).tolist()))
         assert found == linear_pairs_within(pts, radius)

@@ -11,6 +11,18 @@ ROOT = PACKAGE.parents[1]
 # Names with no caller yet that a planned change will give one.
 NO_CALLER_YET = {"simulate.true_pose_track"}
 
+# Defaulted parameters that no call under src/ or bench/ passes, and why each stays.
+UNPASSED_DEFAULTS_KEPT = {
+    "simulate.simulate_yaw_scan.yaw_span":
+        "the ingest tests sweep part of a turn, past open walls and at a standstill",
+}
+
+
+def _sources():
+    """(path, parsed module) of every Python file under ``src/`` and ``bench/``."""
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
 
 def _referenced_names(node) -> set[str]:
     """The identifiers ``node`` uses: names, attributes, imported names, and
@@ -55,10 +67,10 @@ def unreferenced_definitions() -> set[str]:
     ``__init__`` exports. A method is named by its own name alone."""
     defined = set()
     users: dict[str, set] = {}
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py")):
+    for path, tree in _sources():
         if path == PACKAGE / "__init__.py":
             continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        for stmt in tree.body:
             parts = (_owned_parts(stmt, path.stem) if path.parent == PACKAGE
                      else [(None, stmt)])
             for owner, node in parts:
@@ -78,3 +90,61 @@ def test_every_package_definition_has_a_caller():
 def test_the_no_caller_allowlist_is_still_needed():
     # A listed name that gains a caller comes off the list.
     assert NO_CALLER_YET <= unreferenced_definitions()
+
+
+def _defaulted_parameters():
+    """(qualified parameter, name a call uses, position or None) for each
+    defaulted parameter of a package function or method; a position leaves
+    out ``self`` or ``cls``, and ``__init__`` is called by its class."""
+    for path, tree in _sources():
+        if path.parent != PACKAGE:
+            continue
+        functions = [(None, node) for node in tree.body]
+        functions += [(cls, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                      for node in cls.body]
+        for cls, func in functions:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            if func.name.startswith("__") and func.name != "__init__":
+                continue
+            owner = f"{path.stem}.{cls.name + '.' if cls else ''}{func.name}"
+            called_as = cls.name if func.name == "__init__" else func.name
+            positional = func.args.posonlyargs + func.args.args
+            if positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            first_default = len(positional) - len(func.args.defaults)
+            for k, arg in enumerate(positional[first_default:], start=first_default):
+                yield f"{owner}.{arg.arg}", called_as, k
+            for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+                if default is not None:
+                    yield f"{owner}.{arg.arg}", called_as, None
+
+
+def unpassed_defaults() -> set[str]:
+    """``module.function.parameter`` of each defaulted parameter that no
+    call under ``src/`` or ``bench/`` passes, by keyword or by position.
+    Calls are matched by the called name alone, and a call with ``*args``
+    or ``**kwargs`` passes every parameter."""
+    calls: dict[str, list] = {}
+    for _, tree in _sources():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            calls.setdefault(name, []).append(
+                (float("inf") if spread or None in keywords else len(node.args), keywords))
+    return {qual for qual, name, position in _defaulted_parameters()
+            if not any(qual.rpartition(".")[2] in keywords
+                       or position is not None and count > position
+                       for count, keywords in calls.get(name, ()))}
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    assert unpassed_defaults() - set(UNPASSED_DEFAULTS_KEPT) == set()
+
+
+def test_the_unpassed_default_allowlist_is_still_needed():
+    assert set(UNPASSED_DEFAULTS_KEPT) <= unpassed_defaults()
