@@ -6,7 +6,7 @@ the leftover points into obstacles, and generates collision-free coverage
 waypoints for photographing each surface.
 """
 
-from .clustering import Cluster, ClusterConfig, euclidean_cluster
+from .clustering import ClusterConfig, euclidean_cluster
 from .errors import (
     CloudTooSmall,
     DegenerateGeometry,

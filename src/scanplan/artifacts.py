@@ -46,7 +46,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import Cluster
 from .errors import (
     MalformedRecord,
     NonPlanarEdit,
@@ -237,19 +236,19 @@ def read_surfaces(path) -> list[PlanarSurface]:
 
 # --- clusters ------------------------------------------------------------------
 
-def clusters_to_dict(clusters: list[Cluster], cloud: PointCloud) -> dict:
+def clusters_to_dict(clusters: list[np.ndarray], cloud: PointCloud) -> dict:
     entries = []
     for c in clusters:
-        pts = cloud.points[c.indices]
+        pts = cloud.points[c]
         entries.append({
-            "indices": [int(i) for i in c.indices],
+            "indices": [int(i) for i in c],
             "bbox_min": [float(v) for v in pts.min(axis=0)],
             "bbox_max": [float(v) for v in pts.max(axis=0)],
         })
     return {"version": SCHEMA_VERSION, "clusters": entries}
 
 
-def write_clusters(path, clusters: list[Cluster], cloud: PointCloud) -> None:
+def write_clusters(path, clusters: list[np.ndarray], cloud: PointCloud) -> None:
     write_json(path, clusters_to_dict(clusters, cloud))
 
 

@@ -176,6 +176,8 @@ def cmd_run(args) -> int:
 def cmd_edit_boundary(args) -> int:
     cfg = _load_config(args)
     surfaces = artifacts.read_surfaces(args.surfaces)
+    if not surfaces:
+        raise ValidationError(f"{args.surfaces} holds no surfaces")
     if not 0 <= args.index < len(surfaces):
         raise ValidationError(
             f"surface index {args.index} out of range 0..{len(surfaces) - 1}"

@@ -4,10 +4,10 @@ Clusters are the connected components of the graph linking points within a
 radius of each other. The graph is never held whole: the points are sorted
 along their widest axis and cut into strips of ``_STRIP_ROWS`` points, and
 each strip is extended by every point whose key lies within the radius past
-the strip's last key. Per strip, one kd-tree pair query lists the strip's
-edges and a sparse-graph labelling finds its local components; each member
-then contributes one edge to its local component's first member, and one
-labelling of those O(n) edges gives the components.
+the strip's last key. One union-find forest over all the points, a single
+``parent`` array, takes the edges of one extended strip at a time from a
+kd-tree pair query; once the last strip is merged, each tree of the forest
+is one component.
 
 This is exact. Two points within the radius differ by at most the radius
 along the sort axis, so both lie in the extended strip of the lower one,
@@ -51,52 +51,33 @@ class ClusterConfig:
             raise ValueError("min_cluster_size must be >= 1")
 
 
-@dataclass(frozen=True)
-class Cluster:
-    indices: np.ndarray
+def _merge(parent: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
+    """Join the trees of every ``heads[i]``-``tails[i]`` edge in the forest
+    ``parent``, whose every entry must point at a root, and leave it so.
 
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError("cluster cannot be empty")
-        if len(np.unique(idx)) != len(idx):
-            raise ValueError("cluster indices must be unique")
-        object.__setattr__(self, "indices", np.sort(idx))
-
-    @classmethod
-    def _own(cls, indices: np.ndarray) -> "Cluster":
-        """A cluster of ``indices`` as they are, not checked or copied: for a
-        non-empty, sorted, unique int64 array just built by scanplan."""
-        cluster = object.__new__(cls)
-        object.__setattr__(cluster, "indices", indices)
-        return cluster
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def _graph_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Component label of each of ``n`` nodes of the undirected graph with
-    edges ``heads[i]``-``tails[i]``: 0 up to the component count less one."""
-    # Imported here: csgraph costs every verb import time and memory, and
-    # only the segment and cluster stages need it.
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    graph = coo_matrix((np.ones(len(heads), dtype=bool), (heads, tails)), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
-
-
-def _radius_labels(points: np.ndarray, radius: float) -> np.ndarray:
-    """Component labels of the closed-``radius`` graph of ``points``, by one
-    pair query over all of them."""
-    pairs = KdTree(points).pairs_within_radius(radius)
-    return _graph_labels(len(points), pairs[:, 0], pairs[:, 1])
+    Each round hooks the larger root of every edge still across two trees to
+    the smaller one, then pointer-jumps until every entry points at a root.
+    A hooked root's entry only falls, so the forest holds no cycle, and each
+    root is the smallest index of its tree.
+    """
+    while True:
+        heads, tails = parent[heads], parent[tails]
+        live = heads != tails
+        if not live.any():
+            return
+        heads, tails = heads[live], tails[live]
+        np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent[:] = jumped
 
 
 def _component_labels(points: np.ndarray, radius: float) -> np.ndarray:
     """Component label of each point in the closed-``radius`` graph, strip by
-    strip (see the module docstring): 0 up to the component count less one.
+    strip (see the module docstring): 0 up to the component count less one,
+    in the order of each component's smallest index.
     """
     n = len(points)
     keys = points[:, int(np.argmax(np.ptp(points, axis=0)))]
@@ -105,22 +86,21 @@ def _component_labels(points: np.ndarray, radius: float) -> np.ndarray:
     reach = radius + _KEY_MARGIN * (radius + max(abs(keys[0]), abs(keys[-1])))
     last = np.minimum(np.arange(_STRIP_ROWS, n + _STRIP_ROWS, _STRIP_ROWS), n) - 1
     stops = np.searchsorted(keys, keys[last] + reach, side="right")
-    members, heads = [], []
+    parent = np.arange(n)
     for start, stop in zip(range(0, n, _STRIP_ROWS), stops):
         strip = order[start:stop]
-        local = _radius_labels(points[strip], radius)
-        _, first = np.unique(local, return_index=True)
-        members.append(strip)
-        heads.append(strip[first[local]])
+        pairs = strip[KdTree(points[strip]).pairs_within_radius(radius)]
+        _merge(parent, pairs[:, 0], pairs[:, 1])
         if stop == n:
             break  # the later strips lie wholly inside this one
-    return _graph_labels(n, np.concatenate(members), np.concatenate(heads))
+    return np.unique(parent, return_inverse=True)[1]
 
 
 def euclidean_cluster(
     cloud: PointCloud, cfg: ClusterConfig = ClusterConfig()
-) -> list[Cluster]:
-    """Group points into radius-connected components.
+) -> list[np.ndarray]:
+    """Group points into radius-connected components, each a sorted int64
+    array of point indices.
 
     Neighbor search is a closed ball (distance <= radius). Every point lands
     in exactly one component; components below ``min_cluster_size`` are
@@ -139,4 +119,4 @@ def euclidean_cluster(
         for c in np.nonzero(sizes >= cfg.min_cluster_size)[0]
     ]
     kept.sort(key=lambda c: (-len(c), int(c[0])))
-    return [Cluster._own(c) for c in kept]
+    return kept

@@ -24,8 +24,10 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import artifacts, plots
-from .clustering import Cluster, ClusterConfig, euclidean_cluster
+from .clustering import ClusterConfig, euclidean_cluster
 from .errors import StageError
 from .geometry import PointCloud, Pose
 from .ingest import ScanLog, build_cloud, estimate_pose_track, parse_scan_log
@@ -91,7 +93,6 @@ class PipelineConfig:
 @dataclass
 class PipelineResult:
     status: int                 # 0 ok, 3 some stage failed
-    artifacts: dict             # name -> path
     timings: dict               # stage -> seconds
     counts: dict                # stage -> headline number
     failures: list              # (stage, message)
@@ -165,7 +166,7 @@ def segment_cloud(
     return surfaces, remainder
 
 
-def cluster_cloud(cloud: PointCloud, cfg: PipelineConfig, out) -> list[Cluster]:
+def cluster_cloud(cloud: PointCloud, cfg: PipelineConfig, out) -> list[np.ndarray]:
     """Cluster leftover points into obstacles and write them to ``out``."""
     clusters = euclidean_cluster(cloud, cfg.cluster)
     artifacts.write_clusters(out, clusters, cloud)
@@ -218,55 +219,43 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
     planned, and the result carries status 3 with the failure list.
     """
     out = Path(out_dir)
-    result = PipelineResult(0, {}, {}, {}, [])
+    result = PipelineResult(0, {}, {}, [])
     input_path = Path(input_path)
 
     try:
         with _Stage(result, "register"):
-            path = out / "registered.xyz"
             # The input is read, and a log pose-tracked, before out_dir is
             # made, so an input that cannot be used leaves no directory behind.
             if input_path.suffix in (".log", ".txt"):
                 log = parse_scan_log(input_path)
                 poses = estimate_pose_track(log, cfg.icp)
                 out.mkdir(parents=True, exist_ok=True)
-                cloud = ingest_log(log, poses, path)
+                cloud = ingest_log(log, poses, out / "registered.xyz")
                 del log  # not held through the later stages
             else:
                 cloud = artifacts.read_cloud(input_path)
                 out.mkdir(parents=True, exist_ok=True)
-                artifacts.write_cloud(path, cloud)
-            result.artifacts["registered"] = path
+                artifacts.write_cloud(out / "registered.xyz", cloud)
             result.counts["register"] = len(cloud)
 
         with _Stage(result, "filter"):
-            path = out / "filtered.xyz"
-            filtered, removed = filter_cloud(cloud, cfg, path)
-            result.artifacts["filtered"] = path
+            filtered, removed = filter_cloud(cloud, cfg, out / "filtered.xyz")
             result.counts["filter"] = len(filtered)
             logger.info("filter: %d -> %d points (%d outliers removed)",
                         len(cloud), len(filtered), removed)
 
         with _Stage(result, "segment"):
-            path = out / "surfaces.json"
-            surfaces, remainder = segment_cloud(filtered, cfg, path)
-            result.artifacts["surfaces"] = path
+            surfaces, remainder = segment_cloud(filtered, cfg, out / "surfaces.json")
             result.counts["segment"] = len(surfaces)
 
         with _Stage(result, "cluster"):
-            path = out / "clusters.json"
-            clusters = cluster_cloud(remainder, cfg, path)
-            result.artifacts["clusters"] = path
+            clusters = cluster_cloud(remainder, cfg, out / "clusters.json")
             result.counts["cluster"] = len(clusters)
 
         with _Stage(result, "plan"):
             path = out / "plan.json"
             entries, failures = plan_surfaces(filtered, surfaces, cfg, path)
-            planned = [e["surface_index"] for e in entries if e["status"] == "ok"]
-            for k in planned:
-                result.artifacts[f"plan_{k}_csv"] = out / f"plan_{k}.csv"
-            result.artifacts["plan"] = path
-            result.counts["plan"] = len(planned)
+            result.counts["plan"] = sum(e["status"] == "ok" for e in entries)
             result.failures.extend(("plan", message) for message in failures)
             if failures:
                 result.status = 3
@@ -278,12 +267,10 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
                 if e["status"] == "ok" and len(e["waypoints"]) > 1
             ]
             for view in ("top", "elevation"):
-                svg = out / f"scene_{view}.svg"
                 plots.render_svg(
-                    svg, cloud=filtered, polygons=boundaries, polylines=chains,
-                    view=view,
+                    out / f"scene_{view}.svg", cloud=filtered,
+                    polygons=boundaries, polylines=chains, view=view,
                 )
-                result.artifacts[f"scene_{view}"] = svg
     except StageError:
         pass  # recorded by _Stage
     return result

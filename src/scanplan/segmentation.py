@@ -359,7 +359,7 @@ def extract_surfaces(
             working.select(local_inliers),
             ClusterConfig(radius=cluster_eps, min_cluster_size=1),
         )
-        largest = local_inliers[clusters[0].indices]
+        largest = local_inliers[clusters[0]]
         component = active[largest]
 
         try:

@@ -48,9 +48,8 @@ def linear_pairs_within(points: np.ndarray, radius: float) -> list[tuple[int, in
             for j in linear_radius(points, points[i], radius) if j > i]
 
 
-def unionfind_clusters(points: np.ndarray, eps: float) -> list[frozenset]:
-    """Connected components of the closed eps-distance graph."""
-    n = len(points)
+def unionfind_components(n: int, pairs) -> list[frozenset]:
+    """Connected components of the graph on nodes 0..n-1 with edges ``pairs``."""
     parent = list(range(n))
 
     def find(a):
@@ -64,15 +63,21 @@ def unionfind_clusters(points: np.ndarray, eps: float) -> list[frozenset]:
         if ra != rb:
             parent[rb] = ra
 
-    d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] <= eps:
-                union(i, j)
+    for i, j in pairs:
+        union(int(i), int(j))
     groups: dict[int, set] = {}
     for i in range(n):
         groups.setdefault(find(i), set()).add(i)
     return [frozenset(g) for g in groups.values()]
+
+
+def unionfind_clusters(points: np.ndarray, eps: float) -> list[frozenset]:
+    """Connected components of the closed eps-distance graph."""
+    n = len(points)
+    d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    return unionfind_components(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if d[i, j] <= eps]
+    )
 
 
 def ordered_clusters(points: np.ndarray, eps: float, min_size: int) -> list[list[int]]:

@@ -447,6 +447,22 @@ def test_bad_source_tag_exits_2_naming_the_line(tmp_path, capsys):
     assert "validation error: line 4: bad source tag 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("planes, index, message", [
+    ([], 0, "surfaces.json holds no surfaces"),
+    ([_PLANE], 1, "surface index 1 out of range 0..0"),
+], ids=["no_surfaces", "index_past_the_last"])
+def test_edit_boundary_without_that_surface_exits_2(
+        tmp_path, capsys, planes, index, message):
+    surfaces = tmp_path / "surfaces.json"
+    surfaces.write_text(json.dumps({"planes": planes}), encoding="ascii")
+    boundary = tmp_path / "boundary.json"
+    capsys.readouterr()
+    assert main(["edit-boundary", "export", "--surfaces", str(surfaces),
+                 "--index", str(index), "--boundary", str(boundary)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not boundary.exists()
+
+
 def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
     # scipy.ndimage costs tens of milliseconds of start-up on every command.
     code = "import sys, scanplan.cli; print('scipy.ndimage' in sys.modules)"
@@ -454,3 +470,18 @@ def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_run_with_surfaces_leaves_scipy_sparse_csgraph_unloaded(deck, tmp_path):
+    # The segment and cluster stages label their components without
+    # scipy.sparse, whose csgraph package costs import time and memory.
+    cloud, _ = deck
+    out = tmp_path / "run"
+    code = ("import sys\nfrom scanplan.cli import main\n"
+            f"code = main(['run', '--input', {str(cloud)!r}, '--out', {str(out)!r}])\n"
+            "print(code, 'scipy.sparse.csgraph' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(scanplan.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert json.loads((out / "surfaces.json").read_text(encoding="ascii"))["planes"]
+    assert done.stdout.split()[-2:] == [str(EXIT_OK), "False"]

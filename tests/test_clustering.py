@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from scanplan import clustering
-from scanplan.clustering import (
-    Cluster,
-    ClusterConfig,
-    euclidean_cluster,
-)
+from scanplan.clustering import ClusterConfig, euclidean_cluster
 from scanplan.geometry import PointCloud
 from scanplan.scenes import generate_scene, preset_scene
 from scanplan.segmentation import extract_surfaces
 from scanplan.spatial import KdTree
 
-from oracles import ordered_clusters, unionfind_clusters
+from oracles import ordered_clusters, unionfind_clusters, unionfind_components
 
 
 def test_two_separated_blobs(rng):
@@ -24,7 +20,7 @@ def test_two_separated_blobs(rng):
     assert len(clusters) == 2
     assert len(clusters[0]) == 100 and len(clusters[1]) == 100
     # Ordering rule: equal sizes break ties by smallest member index.
-    assert clusters[0].indices.min() < clusters[1].indices.min()
+    assert clusters[0].min() < clusters[1].min()
 
 
 def test_chain_connectivity():
@@ -45,7 +41,7 @@ def test_clusters_match_unionfind_oracle(rng):
         got = euclidean_cluster(
             PointCloud(pts), ClusterConfig(radius=eps, min_cluster_size=1)
         )
-        got_sets = {frozenset(c.indices.tolist()) for c in got}
+        got_sets = {frozenset(c.tolist()) for c in got}
         oracle = set(unionfind_clusters(pts, eps))
         assert got_sets == oracle
 
@@ -70,7 +66,8 @@ def test_clusters_and_order_match_component_oracle(rng):
         got = euclidean_cluster(
             PointCloud(pts), ClusterConfig(radius=eps, min_cluster_size=min_size)
         )
-        assert [c.indices.tolist() for c in got] == ordered_clusters(pts, eps, min_size)
+        assert [c.tolist() for c in got] == ordered_clusters(pts, eps, min_size)
+        assert all(c.dtype == np.int64 for c in got)
     # The lattice run: 16, 9, 9 and 1 points, the 9s ordered by smallest index.
     assert sorted(len(c) for c in got) == [1, 9, 9, 16]
 
@@ -79,7 +76,7 @@ def test_partition_with_noise_filtering(rng):
     pts = rng.uniform(0, 5, size=(200, 3))
     cfg = ClusterConfig(radius=0.4, min_cluster_size=5)
     clusters = euclidean_cluster(PointCloud(pts), cfg)
-    all_indices = np.concatenate([c.indices for c in clusters]) if clusters else []
+    all_indices = np.concatenate(clusters) if clusters else []
     # Reported clusters are disjoint and respect the size floor.
     assert len(np.unique(all_indices)) == len(all_indices)
     assert all(len(c) >= 5 for c in clusters)
@@ -96,8 +93,8 @@ def test_permutation_invariance(rng):
     inverse = np.empty(120, dtype=int)
     inverse[perm] = np.arange(120)
     permuted = euclidean_cluster(PointCloud(pts[perm]), cfg)
-    base_sets = [frozenset(c.indices.tolist()) for c in base]
-    permuted_sets = [frozenset(perm[c.indices].tolist()) for c in permuted]
+    base_sets = [frozenset(c.tolist()) for c in base]
+    permuted_sets = [frozenset(perm[c].tolist()) for c in permuted]
     # The partition is permutation-invariant; the documented ordering rule
     # (ties by smallest member index) is index-relative, so compare as sets.
     assert set(base_sets) == set(permuted_sets)
@@ -108,13 +105,6 @@ def test_permutation_invariance(rng):
 
 def test_empty_cloud():
     assert euclidean_cluster(PointCloud.empty(), ClusterConfig()) == []
-
-
-def test_cluster_validation():
-    with pytest.raises(ValueError):
-        Cluster(np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        Cluster(np.array([1, 1, 2]))
 
 
 def partition(labels) -> set:
@@ -184,8 +174,53 @@ def test_strip_labels_match_one_query_where_rounding_decides(rng, monkeypatch):
         pts[:, 0] = offset + np.arange(len(pts)) * radius
         pts[:, 1] = rng.choice([0.0, 1e-9, -1e-9], len(pts))
         pts = pts[rng.permutation(len(pts))]
-        want = partition(clustering._radius_labels(pts, radius))
+        pairs = KdTree(pts).pairs_within_radius(radius)
+        want = set(unionfind_components(len(pts), pairs))
         assert partition(clustering._component_labels(pts, radius)) == want
+
+
+def _path_indexed(order):
+    """A path along the x axis whose k-th point has index ``order[k]``:
+    0.2 apart, so at radius 0.25 each point links only to its neighbours."""
+    pts = np.zeros((len(order), 3))
+    pts[order, 0] = np.arange(len(order)) * 0.2
+    return pts
+
+
+def _zigzag(n):
+    """0, n-1, 1, n-2, ...: every other point of the path is a local minimum."""
+    k = np.arange(n)
+    return np.where(k % 2 == 0, k // 2, n - 1 - k // 2)
+
+
+def _star(rng, length):
+    """Six paths out of a centre along +-x, +-y and +-z, 0.2 apart (0.28
+    between spokes), the centre last and the spoke points in random order."""
+    dirs = np.vstack([np.eye(3), -np.eye(3)])
+    steps = np.arange(1, length + 1)[:, None] * 0.2
+    arms = np.vstack([steps * d for d in dirs])
+    return np.vstack([arms[rng.permutation(len(arms))], np.zeros((1, 3))])
+
+
+@pytest.mark.parametrize("case", ["permuted_path", "zigzag_path", "star"])
+def test_union_find_rounds_across_strip_edges_match_the_oracle(rng, monkeypatch, case):
+    # Orderings whose trees take several hook-and-jump rounds to join, over
+    # paths that cross many strip edges at the small strip size.
+    monkeypatch.setattr(clustering, "_STRIP_ROWS", STRIP)
+    radius = 0.25
+    if case == "permuted_path":
+        pts = _path_indexed(rng.permutation(25 * STRIP))
+    elif case == "zigzag_path":
+        pts = _path_indexed(_zigzag(25 * STRIP + 1))
+    else:
+        pts = _star(rng, 4 * STRIP)
+    # A gap splits the set in two components.
+    pts = np.vstack([pts, pts + [100.0, 0.0, 0.0]])
+    labels = clustering._component_labels(pts, radius)
+    want = set(unionfind_components(len(pts), KdTree(pts).pairs_within_radius(radius)))
+    assert len(want) == 2
+    assert partition(labels) == want
+    assert sorted(set(labels.tolist())) == [0, 1]
 
 
 def test_segment_pair_queries_stay_within_one_extended_strip(monkeypatch):
