@@ -237,6 +237,9 @@ def read_surfaces(path) -> list[PlanarSurface]:
 # --- clusters ------------------------------------------------------------------
 
 def clusters_to_dict(clusters: list[np.ndarray], cloud: PointCloud) -> dict:
+    """Each cluster's ``indices`` into ``cloud``, the cluster stage's input,
+    and its bounding box. In ``run_pipeline`` that input is the segment
+    remainder, whose tags are the indices into the filtered cloud."""
     entries = []
     for c in clusters:
         pts = cloud.points[c]
@@ -270,13 +273,9 @@ def plan_to_dict(plan: FlightPlan) -> dict:
     }
 
 
-def plans_to_dict(entries: list[dict]) -> dict:
-    """Per-surface plan entries; failed surfaces carry status + error."""
-    return {"version": SCHEMA_VERSION, "plans": entries}
-
-
 def write_plans(path, entries: list[dict]) -> None:
-    write_json(path, plans_to_dict(entries))
+    """Per-surface plan entries; failed surfaces carry status + error."""
+    write_json(path, {"version": SCHEMA_VERSION, "plans": entries})
 
 
 def write_waypoints_csv(path, plan: FlightPlan) -> None:

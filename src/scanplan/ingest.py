@@ -336,7 +336,9 @@ def _format_block(records: list) -> str:
 
 def write_scan_log(path, log: ScanLog) -> None:
     """Serialize a ScanLog in the format parse_scan_log reads, a block of
-    ``_WRITE_BLOCK_RECORDS`` records at a time (:func:`_format_block`).
+    ``_WRITE_BLOCK_RECORDS`` records at a time (:func:`_format_block`). A
+    scan with no ranges, which the parser rejects, is a ValueError raised
+    before the file is opened.
 
     Stamps and ranges are printed in seconds and metres with six decimals,
     so they read back bit for bit when they lie on the 1 um grid, as the
@@ -345,12 +347,13 @@ def write_scan_log(path, log: ScanLog) -> None:
     back exactly, as the rotation check of :class:`ImuSample` needs: the
     number format of :mod:`scanplan.artifacts`.
     """
-    # A scan with no ranges keeps the space after its stamp. float(v) and
-    # tolist() first: under numpy 2 the repr of a numpy scalar is
-    # "np.float64(...)", which the parser rejects.
-    scans = [(tag, s.timestamp, s.ranges, "" if len(s.ranges) else " ")
-             for tag, stream in (("V", log.vertical), ("H", log.horizontal))
-             for s in stream]
+    streams = (("V", "vertical", log.vertical), ("H", "horizontal", log.horizontal))
+    for _, name, stream in streams:
+        if empty := [s.timestamp for s in stream if len(s.ranges) == 0]:
+            raise ValueError(f"{name} scan at {float(empty[0])!r} s has no ranges")
+    # float(v) and tolist() first: under numpy 2 the repr of a numpy scalar
+    # is "np.float64(...)", which the parser rejects.
+    scans = [(tag, s.timestamp, s.ranges, "") for tag, _, stream in streams for s in stream]
     imu = [("I", s.timestamp, (), " " + " ".join(map(repr, s.rotation.ravel().tolist())))
            for s in log.imu]
     # Stable interleave by time; stream order V < H < I on equal stamps.

@@ -1,7 +1,7 @@
 """Coverage stop-point generation and collision-free waypoint search.
 
 A surface is photographed from a lattice of standoff positions ordered in a
-serpentine sweep; the legs between consecutive stops are found by A* over an
+serpentine sweep; consecutive stops are joined by A* paths over an
 inflated occupancy grid with per-axis weighted step costs.
 """
 
@@ -106,8 +106,6 @@ class OccupancyGrid:
     """Uniform voxel grid with an occupied flag per cell.
 
     World-to-index mapping is exact floor arithmetic against ``origin``.
-    :attr:`occupied_centers` is computed on first use, so the flags must not
-    change after it has been read.
     """
 
     origin: np.ndarray
@@ -135,11 +133,6 @@ class OccupancyGrid:
     def index_to_center(self, index) -> np.ndarray:
         """World centers of ``(..., 3)`` voxel indices."""
         return self.origin + (np.asarray(index, dtype=float) + 0.5) * self.voxel_edge
-
-    @functools.cached_property
-    def occupied_centers(self) -> np.ndarray:
-        """(M, 3) centers of the occupied voxels, in row-major voxel order."""
-        return self.index_to_center(np.argwhere(self.occupied))
 
     def in_bounds(self, index) -> bool:
         return all(0 <= index[i] < self.occupied.shape[i] for i in range(3))
@@ -319,7 +312,7 @@ def _pick_side(
     """
     if grid is None:
         return 1.0
-    centers = grid.occupied_centers
+    centers = grid.index_to_center(np.argwhere(grid.occupied))
     if len(centers) == 0:
         return 1.0
     sd = surface.model.signed_distance(centers)
@@ -401,7 +394,6 @@ class FlightPlan:
 
     stops: list
     waypoints: np.ndarray
-    legs: list          # per-leg voxel index paths
     leg_costs: list
 
 
@@ -410,7 +402,7 @@ def generate_waypoints(
     grid: OccupancyGrid,
     weights: AStarWeights = AStarWeights(),
 ) -> FlightPlan:
-    """Thread the coverage stops with A* legs over the inflated grid.
+    """Thread the coverage stops with A* paths over the inflated grid.
 
     Raises:
         StopPointBlocked: a stop's voxel is occupied after inflation (the
@@ -436,14 +428,12 @@ def generate_waypoints(
     voxels = [tuple(v) for v in indices.tolist()]
 
     chain = [voxels[0]]
-    legs = []
     leg_costs = []
     for i in range(len(voxels) - 1):
         try:
             leg = astar(grid, voxels[i], voxels[i + 1], weights)
         except NoPath as err:
             raise NoPath(f"leg {i}: {err}") from err
-        legs.append(leg)
         leg_costs.append(path_cost(leg, weights))
         chain.extend(leg[1:])
-    return FlightPlan(list(stops), grid.index_to_center(chain), legs, leg_costs)
+    return FlightPlan(list(stops), grid.index_to_center(chain), leg_costs)

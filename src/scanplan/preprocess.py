@@ -121,12 +121,8 @@ def voxel_downsample(
     boundaries = np.nonzero(np.any(np.diff(idx_sorted, axis=0) != 0, axis=1))[0] + 1
     starts = np.concatenate(([0], boundaries))
     counts = np.diff(np.concatenate((starts, [len(pts_sorted)])))
-    # One pass per rank within a voxel (not per voxel): pass r adds each
-    # voxel's r-th point. Starting from +0.0 and adding in order matches the
-    # sequential sum numpy's mean(axis=0) does; np.add.reduceat rounds
-    # differently.
-    sums = np.zeros((len(starts), pts.shape[1]))
-    for rank in range(int(counts.max())):
-        live = np.nonzero(counts > rank)[0]
-        sums[live] += pts_sorted[starts[live] + rank]
+    # bincount adds each voxel's points to +0.0 in row order, the sequential
+    # sum numpy's mean(axis=0) does; np.add.reduceat rounds differently.
+    voxel = np.repeat(np.arange(len(starts)), counts)
+    sums = np.stack([np.bincount(voxel, weights=axis) for axis in pts_sorted.T], axis=1)
     return PointCloud._own(sums / counts[:, None])

@@ -5,8 +5,8 @@ to its largest radius-connected component (detached coplanar patches would
 otherwise stretch the boundary), bounded by the convex hull of the projected
 inliers, and accepted only when its hull area reaches the configured
 minimum. An accepted plane gives up only that component, so coplanar
-pieces elsewhere get rounds of their own; a rejected plane gives up all of
-its inliers, so a plane that yields only slivers costs one round, not one
+pieces elsewhere get rounds of their own; a plane that fails gives up all
+of its inliers, so a plane that yields only slivers costs one round, not one
 per sliver (Schnabel, Wahl & Klein, "Efficient RANSAC for point-cloud shape
 detection", CGF 2007, also take a found shape's points out of the pool).
 """
@@ -325,7 +325,7 @@ def extract_surfaces(
     Loop: fit a plane, trim its inliers to the largest ``cluster_eps``
     component, bound and measure it, and accept it when the area is at least
     ``min_area``. An accepted plane takes only that component out of the
-    working cloud; a rejected one (a degenerate component, or one below
+    working cloud; a failed one (a degenerate component, or one below
     ``min_area``) takes out every inlier of the plane, and they all end up
     in the remainder. The loop exits when no further plane reaches
     ``min_inliers``. The components come from
@@ -339,7 +339,7 @@ def extract_surfaces(
     """
     surfaces: list[PlanarSurface] = []
     active = np.arange(len(cloud), dtype=np.int64)
-    rejected: list[np.ndarray] = []
+    in_surface = np.zeros(len(cloud), dtype=bool)
     pts_all = cloud.points
     round_index = 0
 
@@ -369,16 +369,12 @@ def extract_surfaces(
 
         if boundary is not None and area >= cfg.min_area:
             surfaces.append(PlanarSurface(model, component, boundary, area))
+            in_surface[component] = True
             taken = largest
         else:
             taken = local_inliers
-            rejected.append(active[taken])
-        keep_mask = np.ones(len(active), dtype=bool)
-        keep_mask[taken] = False
-        active = active[keep_mask]
+        active = np.delete(active, taken)
 
-    remainder_idx = np.sort(
-        np.concatenate([active] + rejected) if rejected else active
-    )
+    remainder_idx = np.flatnonzero(~in_surface)
     remainder = PointCloud._own(pts_all[remainder_idx], remainder_idx)
     return surfaces, remainder

@@ -35,20 +35,18 @@ class KdTree:
         """Nearest indexed point for each query; ties go to the lowest index.
 
         Args:
-            queries: (M, d) or (d,) query coordinates.
+            queries: (M, d) query coordinates.
 
         Returns:
-            (indices, distances, runner-up distances), each shaped like the
-            leading query dims. The runner-up is the second-smallest distance
-            from the query to any indexed point (``inf`` for a 1-point tree);
-            it equals the distance when the nearest point is tied. Every
-            other indexed point lies at least that far from the query, which
-            lets :mod:`scanplan.registration` tell when a moved query must
-            keep its neighbour without asking the tree again.
+            (indices, distances, runner-up distances), each (M,). The
+            runner-up is the second-smallest distance from the query to any
+            indexed point (``inf`` for a 1-point tree); it equals the
+            distance when the nearest point is tied. Every other indexed
+            point lies at least that far from the query, which lets
+            :mod:`scanplan.registration` tell when a moved query must keep
+            its neighbour without asking the tree again.
         """
         q = np.asarray(queries, dtype=float)
-        single = q.ndim == 1
-        q = np.atleast_2d(q)
         # On a 1-point tree the runner-up comes back as inf.
         d2, i2 = self._tree.query(q, k=2)
         idx = i2[:, 0].astype(np.int64)
@@ -67,8 +65,6 @@ class KdTree:
             tied = ball[d == dist[row]]
             if len(tied):
                 idx[row] = tied.min()
-        if single:
-            return idx[0], dist[0], runner_up[0]
         return idx, dist, runner_up
 
     def knearest(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

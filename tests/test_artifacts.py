@@ -108,7 +108,7 @@ def test_write_cloud_default_block_bytes_equal_the_per_value_writer(tmp_path, rn
 def test_waypoints_csv_bytes_equal_the_per_value_writer(tmp_path, rng, n):
     waypoints = rng.permutation(np.array((EDGE_FLOATS + PAST_THE_GRID) * 12))
     waypoints = waypoints[: 3 * n].reshape(n, 3)
-    plan = FlightPlan([], waypoints, [], [])
+    plan = FlightPlan([], waypoints, [])
     write_waypoints_csv(tmp_path / "new.csv", plan)
     write_waypoints_csv_per_value(tmp_path / "old.csv", waypoints)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

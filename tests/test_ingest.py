@@ -402,10 +402,23 @@ def test_write_scan_log_bytes_equal_the_per_value_writer(tmp_path):
     )
     edge = np.array([-0.0, 0.0, 1e-300, 1e300, 5e-324, 2.0**53, 0.1])
     log.vertical[0] = LaserScan(log.vertical[0].timestamp, edge)
-    log.horizontal[1] = LaserScan(log.horizontal[1].timestamp, np.zeros(0))
     write_scan_log(tmp_path / "new.log", log)
     write_scan_log_per_value(tmp_path / "old.log", log)
     assert (tmp_path / "new.log").read_bytes() == (tmp_path / "old.log").read_bytes()
+
+
+@pytest.mark.parametrize("stream", ["vertical", "horizontal"])
+def test_write_scan_log_refuses_a_scan_with_no_ranges(tmp_path, stream):
+    # The parser rejects a scan record without ranges, so the writer must
+    # not make one.
+    log = simulate_yaw_scan(open_walls(), station=(0.0, 0.0, 0.0), n_scans=4,
+                            yaw_span=math.radians(10.0), seed=0)
+    scans = getattr(log, stream)
+    scans[1] = LaserScan(0.125, np.zeros(0))
+    path = tmp_path / "empty.log"
+    with pytest.raises(ValueError, match=rf"^{stream} scan at 0\.125 s has no ranges$"):
+        write_scan_log(path, log)
+    assert not path.exists()
 
 
 def test_write_read_round_trip(tmp_path):

@@ -349,7 +349,7 @@ def test_generate_waypoints_obstacle_free_lattice():
     camera = CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0)
     stops = plan_coverage(surface, cfg, camera, grid=grid)
     plan = generate_waypoints(stops, grid)
-    assert len(plan.legs) == len(stops) - 1
+    assert len(plan.leg_costs) == len(stops) - 1
     # Every waypoint voxel is free; consecutive waypoints are neighbors.
     idx = grid.world_to_indices(np.asarray(plan.waypoints))
     assert not grid.occupied[tuple(idx.T)].any()
@@ -367,7 +367,8 @@ def test_generate_waypoints_routes_through_gap():
     plan = generate_waypoints([stop_a, stop_b], grid)
     oracle = dijkstra_grid(occ, (2, 5, 2), (8, 5, 2))
     assert plan.leg_costs[0] == pytest.approx(oracle)
-    assert (5, 5, 2) in plan.legs[0]
+    chain = grid.world_to_indices(np.asarray(plan.waypoints)).tolist()
+    assert [5, 5, 2] in chain
 
 
 def test_generate_waypoints_blocked_stop():

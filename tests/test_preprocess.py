@@ -167,6 +167,25 @@ def test_voxel_centroids_equal_per_voxel_mean_bit_for_bit(rng):
     assert out.points.tobytes() == expected.tobytes()
 
 
+def test_voxel_centroid_of_a_dense_voxel_sums_in_input_order(rng, monkeypatch):
+    # 1,500 shuffled points in voxel (0, 0, 0) next to single-point voxels.
+    # The grid snap is switched off for the output, so a centroid summed in
+    # any other order than the input's cannot hide behind the 1 um rounding.
+    dense = np.vstack([np.zeros((1, 3)), rng.uniform(0.0, 0.99, size=(1499, 3))])
+    singles = np.array([[5.5, 0.5, 0.5], [0.5, 3.5, 0.5], [2.5, 2.5, 2.5], [0.5, 0.5, 7.5]])
+    pts = PointCloud(np.vstack([dense, singles])[rng.permutation(1504)]).points
+    in_dense = np.all(pts < 1.0, axis=1)
+    dense_mean = pts[in_dense].mean(axis=0)
+    # Summed in sorted order the mean rounds differently, so the check bites.
+    assert dense_mean.tobytes() != np.sort(pts[in_dense], axis=0).mean(axis=0).tobytes()
+    expected = np.vstack([dense_mean, pts[~in_dense]])
+    expected = expected[np.lexsort(np.floor(expected).T[::-1])]
+
+    monkeypatch.setattr("scanplan.geometry.to_grid", lambda a: a)
+    out = voxel_downsample(PointCloud._own(pts.copy()), VoxelGridConfig(leaf_size=1.0))
+    assert out.points.tobytes() == expected.tobytes()
+
+
 def test_voxel_sparse_cloud_unchanged(rng):
     # Points on a lattice with spacing > leaf: one point per voxel.
     pts = unit_grid_10() * 3.0

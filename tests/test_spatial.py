@@ -34,10 +34,10 @@ def test_nearest_tie_breaks_to_lowest_index():
     # A grid makes exact ties: the query sits midway between two points.
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 5.0]])
     tree = KdTree(pts)
-    idx, dist, runner_up = tree.nearest(np.array([1.0, 0.0]))
-    assert idx == 0
-    assert dist == pytest.approx(1.0)
-    assert runner_up == dist
+    idx, dist, runner_up = tree.nearest(np.array([[1.0, 0.0]]))
+    assert idx.tolist() == [0]
+    assert dist[0] == pytest.approx(1.0)
+    assert runner_up[0] == dist[0]
 
 
 def test_nearest_on_lattice_ties(rng):
@@ -62,10 +62,10 @@ def test_nearest_on_lattice_ties(rng):
 
 def test_single_point_tree():
     tree = KdTree(np.array([[1.0, 2.0, 3.0]]))
-    idx, dist, runner_up = tree.nearest(np.array([1.0, 2.0, 4.0]))
-    assert idx == 0
-    assert dist == pytest.approx(1.0)
-    assert runner_up == math.inf
+    idx, dist, runner_up = tree.nearest(np.array([[1.0, 2.0, 4.0]]))
+    assert idx.tolist() == [0]
+    assert dist[0] == pytest.approx(1.0)
+    assert runner_up[0] == math.inf
     _, _, runner_up = tree.nearest(np.zeros((4, 3)))
     assert np.all(runner_up == math.inf)
 

@@ -17,6 +17,9 @@ UNPASSED_DEFAULTS_KEPT = {
         "the ingest tests sweep part of a turn, past open walls and at a standstill",
 }
 
+# Dataclass fields that no code under src/ or bench/ reads, and why each stays.
+UNREAD_FIELDS_KEPT: dict[str, str] = {}
+
 
 def _sources():
     """(path, parsed module) of every Python file under ``src/`` and ``bench/``."""
@@ -63,13 +66,11 @@ def _owned_parts(stmt, module: str):
 def unreferenced_definitions() -> set[str]:
     """``module.name`` of each module-level function and class of the package,
     and ``module.Class.method`` of each method, that no code under ``src/``
-    or ``bench/`` names, outside its own definition and the package's
-    ``__init__`` exports. A method is named by its own name alone."""
+    or ``bench/`` names outside its own definition. A method is named by its
+    own name alone."""
     defined = set()
     users: dict[str, set] = {}
     for path, tree in _sources():
-        if path == PACKAGE / "__init__.py":
-            continue
         for stmt in tree.body:
             parts = (_owned_parts(stmt, path.stem) if path.parent == PACKAGE
                      else [(None, stmt)])
@@ -148,3 +149,50 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 
 def test_the_unpassed_default_allowlist_is_still_needed():
     assert set(UNPASSED_DEFAULTS_KEPT) <= unpassed_defaults()
+
+
+def test_the_package_root_binds_only_its_version():
+    # Python code imports the stage modules; the root re-exports nothing.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.alias):
+            bound.add(node.asname or node.name.partition(".")[0])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert "__version__" in bound
+    assert {name for name in bound
+            if not (name.startswith("__") and name.endswith("__"))} == set()
+
+
+def _is_dataclass_decorator(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else node
+    return getattr(func, "id", getattr(func, "attr", None)) == "dataclass"
+
+
+def unread_fields() -> set[str]:
+    """``module.Class.field`` of each dataclass field of the package that no
+    code under ``src/`` or ``bench/`` reads as an attribute. A field is read
+    by its own name alone, on any object."""
+    fields = {}
+    read = set()
+    for path, tree in _sources():
+        if path.parent == PACKAGE:
+            for cls in tree.body:
+                if (isinstance(cls, ast.ClassDef)
+                        and any(map(_is_dataclass_decorator, cls.decorator_list))):
+                    for stmt in cls.body:
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                            fields[f"{path.stem}.{cls.name}.{stmt.target.id}"] = stmt.target.id
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {qual for qual, name in fields.items() if name not in read}
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    unread = unread_fields()
+    assert unread - set(UNREAD_FIELDS_KEPT) == set()
+    # A listed field that gains a reader comes off the list.
+    assert set(UNREAD_FIELDS_KEPT) <= unread
