@@ -8,24 +8,22 @@ byte-identical artifacts.
 The number format of the text files (cloud files, the waypoint CSV and the
 scan log of :mod:`scanplan.ingest`):
 
-- coordinates, ranges and stamps are printed in metres or seconds with six
-  decimals, as ``"%.6f"`` prints them (``0.000000``, ``-1.250000``); a value
-  on the grid reads back as the same float, and a value off it (a waypoint,
-  a range not made by the simulator) is rounded to the nearest micrometre;
+- every coordinate, range and stamp is printed in metres or seconds as
+  ``"%.6f"`` prints it (:data:`scanplan.geometry.FLOAT_FORMAT`):
+  ``0.000000``, ``-1.250000``, and ``inf`` and ``nan`` for values that are
+  not finite. A value on the grid reads back as the same float; a value off
+  it (a waypoint, a range not made by the simulator) is rounded to the
+  nearest micrometre;
 - a cloud reaches at most +-2**51 um (about +-2.25e9 m) from the origin,
   :data:`scanplan.geometry.GRID_LIMIT`; a file or a stage that goes further
   is a ValueError;
 - the scan log's header values and IMU rotation entries are printed as
   ``repr`` prints them, and read back exactly;
-- a tag is printed as ``str`` prints it;
-- a float that is not finite or has |x| >= 1e12, which no cloud holds, is
-  printed by ``repr``.
+- a tag is printed as ``str`` prints it.
 
-:func:`scanplan.geometry.format_table` prints these characters in numpy
-passes.
-
-A cloud file is written a block of ``_WRITE_BLOCK_ROWS`` rows at a time, so
-besides the cloud's own arrays only one block's text is alive. A cloud file
+A cloud file is written a block of ``_WRITE_BLOCK_ROWS`` rows at a time
+(:func:`scanplan.geometry.format_table`), so besides the cloud's own arrays
+only one block's values and text are alive as Python objects. A cloud file
 is read from its bytes: when its body holds only the characters that
 :func:`write_cloud` writes, numpy's C parser converts it in one pass, so
 besides the bytes and the cloud's arrays no Python object per line or value

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -145,9 +146,10 @@ class Pose:
 # grid of 1 um, 5,000 times below the smallest noise of any scene. For k up
 # to 2**51, k / 1e6 as a float lies within k * 2**-53 <= 0.25 steps of k, and
 # the product with 1e6 rounds to a float less than 0.5 from k, so rint gives k back:
-# putting a value on the grid twice changes nothing, and its six decimals
-# read back bit for bit. The grid ends at 2**51 um (about 2.25e9 m); past it
-# the product can round halfway, and rint can land on k +- 1.
+# putting a value on the grid twice changes nothing. The float lies less than
+# half a micrometre from k um, so "%.6f" prints k um, which reads back as the
+# same float. The grid ends at 2**51 um (about 2.25e9 m); past it the product
+# can round halfway, and rint can land on k +- 1.
 GRID_LIMIT = 2.0**51 / 1e6
 
 
@@ -233,108 +235,23 @@ class PointCloud:
 
 # --- number text ---------------------------------------------------------------
 #
-# format_table prints the numbers of the artifact files (the format is set
-# out in scanplan.artifacts) in numpy passes: a float as rint(|v| * 1e6),
-# the integer's digits with a '.' six from the end, which for a value on the
-# grid is the text of "%.6f". Each cell's text is laid out in a fixed-width
-# byte row, the bytes around it are NUL, and a block's rows are joined by
-# dropping the NULs. A value the row cannot hold (not finite, or |v| >= 1e12)
-# is printed by repr.
-
-# The magnitudes whose micrometres fit the 18 digits of a row.
-_FIXED_LIMIT = 1e12
-_INT_POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
-
-# A cell's row of _ROW bytes holds an integer's 18 digits from byte 6 on.
-# A float's '.' goes in before byte _DOT, six digits from the end, and its
-# separator after them; a tag's separator follows its digits. The bytes
-# before a cell's text are cleared.
-_ROW = 28
-_DOT = 18
-
-
-def _digit_quads() -> np.ndarray:
-    """The strings "0000" to "9999", 4 bytes each, as uint32 words."""
-    quads = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
-    for i in range(4):
-        digit = np.arange(10, dtype=np.uint8) + ord("0")
-        quads[..., i] = digit.reshape((10,) + (1,) * (3 - i))
-    return quads.view(np.uint32).ravel()
-
-
-_QUADS = _digit_quads()
-
-
-def _digit_rows(v: np.ndarray) -> bytearray:
-    """The rows of each v in [0, 10**18), one after the other: 4 NUL bytes,
-    "00", the 18 zero-padded digits of v and 4 NUL bytes."""
-    rows = bytearray(len(v) * _ROW)
-    words = np.frombuffer(rows, dtype=np.uint32).reshape(len(v), _ROW // 4)
-    high = v // 10**8
-    low = v - high * 10**8
-    head = high // 10**8                # "00" and the first 2 digits
-    high -= head * 10**8
-    for col, quad in enumerate((head, high // 10**4, high % 10**4,
-                                low // 10**4, low % 10**4), start=1):
-        np.take(_QUADS, quad, out=words[:, col], mode="clip")
-    return rows
+# Every coordinate, range and stamp of a text artifact (the format is set out
+# in scanplan.artifacts) is printed as FLOAT_FORMAT prints it. A value on the
+# grid reads back bit for bit; inf and nan print as "inf" and "nan".
+FLOAT_FORMAT = "%.6f"
 
 
 def format_table(values: np.ndarray, tags: np.ndarray | None = None,
                  sep: str = " ") -> str:
     """One text line per row of ``values`` (n, c), its numbers joined by
-    ``sep`` (one character); ``tags`` (n,) adds an integer last column.
-
-    A float is printed with six decimals, from rint(|v| * 1e6) and the sign
-    bit of v: for a value on the grid that is the text of ``"%.6f"``, which
-    reads back bit for bit. A float that is not finite or has |v| >= 1e12 is
-    printed by ``repr``, and a tag as ``str`` prints it: the number format of
-    :mod:`scanplan.artifacts`.
-    """
+    ``sep``: each float as :data:`FLOAT_FORMAT` prints it, and ``tags`` (n,),
+    when given, as an integer last column."""
     values = np.asarray(values, dtype=float)
     n, width = values.shape
-    cols = width + (tags is not None)
-    if cols == 0:
-        return "\n" * n
-    v = values.ravel()
-    fc = np.arange(v.size)          # the cell of each value
+    columns = [values[:, j].tolist() for j in range(width)]
+    formats = [FLOAT_FORMAT] * width
     if tags is not None:
-        fc += fc // width
-    mag = np.abs(v)
-    by_repr = ~(mag < _FIXED_LIMIT)
-    repr_cells = fc[by_repr]
-    texts = list(map(repr, v[by_repr].tolist()))
-    mag[by_repr] = 0.0
-    mag *= 1e6
-    np.rint(mag, out=mag)
-
-    # Each cell's digits; the first byte of its text, where a float keeps
-    # its units digit; and its row, the '.' and separator written in.
-    num = np.zeros((n, cols), dtype=np.int64)
-    num[:, :width] = mag.reshape(n, width)
-    if tags is not None:
-        tags = np.asarray(tags, dtype=np.int64)
-        small = (tags >= 0) & (tags < _INT_POW10[18])
-        num[:, width] = np.where(small, tags, 0)
-        tag_cells = np.arange(width, n * cols, cols)[~small]
-        repr_cells = np.concatenate([repr_cells, tag_cells])
-        texts += map(str, tags[~small].tolist())
-    first = (_DOT + 5) - np.searchsorted(_INT_POW10[1:18], num, "right")
-    np.minimum(first[:, :width], _DOT - 1, out=first[:, :width])
-    rows = _digit_rows(num.ravel())
-    cells = np.frombuffer(rows, dtype=np.uint8).reshape(n, cols, _ROW)
-    floats = cells[:, :width]
-    floats[..., _DOT + 1:] = floats[..., _DOT:-1]
-    floats[..., _DOT] = ord(".")
-    cells *= np.arange(_ROW) >= first[..., None]
-    minus = fc[np.signbit(v)]
-    cells.reshape(-1, _ROW)[minus, first.ravel()[minus] - 1] = ord("-")
-    cells[:, :width, _DOT + 7] = ord(sep)
-    cells[:, width:, _DOT + 6] = ord(sep)
-    cells[:, -1, _DOT + 7 - (tags is not None)] = ord("\n")
-    if texts:
-        ends = sep * (cols - 1) + "\n"
-        np.frombuffer(rows, dtype=np.uint8).reshape(-1, _ROW)[repr_cells] = np.array(
-            [t + ends[c % cols] for t, c in zip(texts, repr_cells.tolist())],
-            dtype=f"S{_ROW}").view(np.uint8).reshape(-1, _ROW)
-    return rows.translate(None, b"\0").decode("ascii")
+        columns.append(np.asarray(tags, dtype=np.int64).tolist())
+        formats.append("%d")
+    line = sep.join(formats) + "\n"
+    return (line * n) % tuple(chain.from_iterable(zip(*columns)))

@@ -55,9 +55,9 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_ARC_LIMIT,
+    FLOAT_FORMAT,
     PointCloud,
     Pose,
-    format_table,
     horizontal_polar_to_local_arrays,
     outside_arc,
     polar_to_local_arrays,
@@ -139,6 +139,8 @@ def _parse_line(line_no: int, raw: str, header: dict, streams: tuple) -> None:
                     line=line_no,
                 )
             value = _parse_float(parts[1], line_no, parts[0])
+            if not math.isfinite(value):
+                raise MalformedRecord(f"{parts[0]} must be finite", line=line_no)
             if parts[0] != "angle_min" and not value > 0:
                 raise MalformedRecord(f"{parts[0]} must be > 0", line=line_no)
             header[parts[0]] = value
@@ -187,10 +189,6 @@ def _parse_line(line_no: int, raw: str, header: dict, streams: tuple) -> None:
 # 112 to 256 lines took ~3.2 MB off the peak memory of `scanplan run`;
 # blocks of 48 and 64, whose tables stay in malloc's heap, took 0 and 1.7 MB.
 _READ_BLOCK_LINES = 128
-# Records are written this many at a time. format_table holds ~120 bytes of
-# temporaries per value: 16 records of 1081-ray scans take ~2 MB, and 128
-# records, ~17 MB, wrote no faster.
-_WRITE_BLOCK_RECORDS = 16
 # The bytes of a block that _parse_block takes, and how each of its lines starts.
 _CANONICAL_LOG = b"0123456789.-+eE \nVHI"
 _RECORD_START = re.compile(r"[VHI] \S")
@@ -257,10 +255,11 @@ def parse_scan_log(path) -> ScanLog:
 
     Raises:
         MalformedRecord: unknown record type, bad number, negative range,
-            implied bearing outside the detection arc, an ``angle_inc`` or
-            ``range_max`` that is not > 0, a header key missing at the first
-            scan record, a header line after the first record, or no IMU
-            sample at or before the first scan.
+            implied bearing outside the detection arc, a header value that
+            is not finite, an ``angle_inc`` or ``range_max`` that is not
+            > 0, a header key missing at the first scan record, a header
+            line after the first record, or no IMU sample at or before the
+            first scan.
         UnsortedTimestamps: a stream's timestamps fail to strictly increase.
         EmptyLog: no scan records at all.
     """
@@ -317,53 +316,40 @@ def parse_scan_log(path) -> ScanLog:
     )
 
 
-def _format_block(records: list) -> str:
-    """The log lines of ``records`` (tag, stamp, values, tail): the stamp and
-    values by one :func:`~scanplan.geometry.format_table` call per width,
-    then the tail as it is."""
-    lines = [""] * len(records)
-    by_width: dict[int, list[int]] = {}
-    for k, record in enumerate(records):
-        by_width.setdefault(len(record[2]), []).append(k)
-    for width, rows in by_width.items():
-        table = np.empty((len(rows), width + 1))
-        table[:, 0] = [records[k][1] for k in rows]
-        table[:, 1:] = [records[k][2] for k in rows]
-        for k, line in zip(rows, format_table(table).splitlines()):
-            lines[k] = f"{records[k][0]} {line}{records[k][3]}\n"
-    return "".join(lines)
-
-
 def write_scan_log(path, log: ScanLog) -> None:
-    """Serialize a ScanLog in the format parse_scan_log reads, a block of
-    ``_WRITE_BLOCK_RECORDS`` records at a time (:func:`_format_block`). A
-    scan with no ranges, which the parser rejects, is a ValueError raised
-    before the file is opened.
+    """Serialize a ScanLog in the format parse_scan_log reads, one record at
+    a time. A scan with no ranges, which the parser rejects, is a ValueError
+    raised before the file is opened.
 
-    Stamps and ranges are printed in seconds and metres with six decimals,
-    so they read back bit for bit when they lie on the 1 um grid, as the
-    simulator's do (:func:`scanplan.geometry.to_grid`). The header values
-    and the 9 entries of each IMU rotation are printed by ``repr`` and read
-    back exactly, as the rotation check of :class:`ImuSample` needs: the
-    number format of :mod:`scanplan.artifacts`.
+    Stamps and ranges are printed in seconds and metres as
+    :data:`~scanplan.geometry.FLOAT_FORMAT` (``"%.6f"``) prints them, so they
+    read back bit for bit when they lie on the 1 um grid, as the simulator's
+    do (:func:`scanplan.geometry.to_grid`). The header values and the 9
+    entries of each IMU rotation are printed by ``repr`` and read back
+    exactly, as the rotation check of :class:`ImuSample` needs: the number
+    format of :mod:`scanplan.artifacts`.
     """
     streams = (("V", "vertical", log.vertical), ("H", "horizontal", log.horizontal))
     for _, name, stream in streams:
         if empty := [s.timestamp for s in stream if len(s.ranges) == 0]:
             raise ValueError(f"{name} scan at {float(empty[0])!r} s has no ranges")
-    # float(v) and tolist() first: under numpy 2 the repr of a numpy scalar
-    # is "np.float64(...)", which the parser rejects.
-    scans = [(tag, s.timestamp, s.ranges, "") for tag, _, stream in streams for s in stream]
-    imu = [("I", s.timestamp, (), " " + " ".join(map(repr, s.rotation.ravel().tolist())))
-           for s in log.imu]
+    records = [(tag, s) for tag, _, stream in streams for s in stream]
+    records += [("I", s) for s in log.imu]
     # Stable interleave by time; stream order V < H < I on equal stamps.
-    records = sorted(scans + imu, key=lambda r: (r[1], "VHI".index(r[0])))
+    records.sort(key=lambda r: (r[1].timestamp, "VHI".index(r[0])))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# angle_min {float(log.angle_min)!r}\n")
         fh.write(f"# angle_inc {float(log.angle_inc)!r}\n")
         fh.write(f"# range_max {float(log.range_max)!r}\n")
-        for start in range(0, len(records), _WRITE_BLOCK_RECORDS):
-            fh.write(_format_block(records[start:start + _WRITE_BLOCK_RECORDS]))
+        for tag, record in records:
+            if tag == "I":
+                # tolist() first: under numpy 2 the repr of a numpy scalar
+                # is "np.float64(...)", which the parser rejects.
+                values = " ".join(map(repr, record.rotation.ravel().tolist()))
+            else:
+                ranges = record.ranges.tolist()
+                values = " ".join([FLOAT_FORMAT] * len(ranges)) % tuple(ranges)
+            fh.write(f"{tag} {FLOAT_FORMAT % record.timestamp} {values}\n")
 
 
 def local_points(log: ScanLog, scan: LaserScan, to_local) -> np.ndarray:

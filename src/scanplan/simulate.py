@@ -44,9 +44,12 @@ class DeviceParams:
     def __post_init__(self):
         if not self.rays_per_scan >= 1:
             raise ValueError(f"rays_per_scan must be >= 1, got {self.rays_per_scan}")
-        for name in ("angle_inc", "range_max", "scan_period"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("angle_min", "angle_inc", "range_max", "scan_period"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name != "angle_min" and not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
 
 def _cast(origin: np.ndarray, dirs: np.ndarray,

@@ -68,19 +68,16 @@ class KdTree:
         return idx, dist, runner_up
 
     def knearest(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """k nearest points per query, by increasing distance.
+        """k nearest points per query of a (M, d) batch, by increasing distance.
 
-        Returns (indices, distances), each (M, k). No tie-break guarantee
+        Returns (indices, distances), each (M, k) for k >= 2 (scipy drops
+        the k axis at k = 1, which no caller asks for). No tie-break guarantee
         beyond scipy's distance ordering; use :meth:`nearest` when the
         lowest-index rule matters.
         """
-        q = np.atleast_2d(np.asarray(queries, dtype=float))
         if k > len(self._points):
             raise ValueError(f"k={k} exceeds the {len(self._points)} indexed points")
-        dist, idx = self._tree.query(q, k=k, workers=-1)
-        if k == 1:
-            dist = dist[:, None]
-            idx = idx[:, None]
+        dist, idx = self._tree.query(np.asarray(queries, dtype=float), k=k, workers=-1)
         return idx.astype(np.int64, copy=False), dist
 
     def pairs_within_radius(self, radius: float) -> np.ndarray:

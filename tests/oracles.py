@@ -415,14 +415,8 @@ def render_svg_per_point(cloud=None, polygons=(), polylines=(), view="top", size
 
 
 def fixed6(value) -> str:
-    """A float as the text files print it, from Python's own arithmetic: six
-    decimals of round(|v| * 1e6) after the sign of v, or repr when |v| >=
-    1e12 or v is not finite. On the 1 um grid this is "%.6f" % v."""
-    v = float(value)
-    if not abs(v) < 1e12:
-        return repr(v)
-    k = round(abs(v) * 1e6)   # the product rounds to a float, then half-even
-    return f"{'-' if math.copysign(1.0, v) < 0 else ''}{k // 10**6}.{k % 10**6:06d}"
+    """A float as the text files print it: ``"%.6f" % value``."""
+    return "%.6f" % float(value)
 
 
 def to_grid_per_value(value) -> float:

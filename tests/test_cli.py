@@ -386,6 +386,8 @@ def test_log_that_cannot_be_pose_tracked_exits_2_and_makes_no_output_dir(
     (["--rays-per-scan", "0"], "rays_per_scan must be >= 1, got 0"),
     (["--rays-per-scan", "-5"], "rays_per_scan must be >= 1, got -5"),
     (["--angular-resolution-deg", "0"], "angle_inc must be > 0, got 0.0"),
+    (["--angular-resolution-deg", "inf"], "angle_inc must be finite, got inf"),
+    (["--angular-resolution-deg", "nan"], "angle_inc must be finite, got nan"),
     (["--scans", "0"], "n_scans must be >= 1, got 0"),
     (["--scans", "-3"], "n_scans must be >= 1, got -3"),
     (["--range-noise", "-0.1"], "range_noise must be finite and >= 0, got -0.1"),
@@ -396,7 +398,8 @@ def test_log_that_cannot_be_pose_tracked_exits_2_and_makes_no_output_dir(
     # would refuse.
     (["--scans", "4", "--angular-resolution-deg", "0.25000000005"],
      "device bearings exceed the detection arc"),
-], ids=["zero_rays", "negative_rays", "zero_resolution", "zero_scans",
+], ids=["zero_rays", "negative_rays", "zero_resolution", "infinite_resolution",
+        "nan_resolution", "zero_scans",
         "negative_scans", "negative_noise", "infinite_noise", "nan_drift",
         "infinite_station", "bearing_past_the_arc"])
 def test_simulate_value_it_cannot_take_exits_2(tmp_path, capsys, extra, message):

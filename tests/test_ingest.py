@@ -153,6 +153,28 @@ def test_parse_header_after_first_record(tmp_path):
     assert err.value.line == 6
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["angle_min", "angle_inc", "range_max", "scan_period"])
+def test_device_values_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        DeviceParams(**{name: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("angle_inc", "inf"), ("range_max", "inf"), ("range_max", "Infinity"),
+    ("range_max", "1e400"), ("angle_min", "-inf"),
+])
+def test_parse_infinite_header_value_names_the_line(tmp_path, key, value):
+    header = {"angle_min": "-0.5", "angle_inc": "0.1", "range_max": "30.0", key: value}
+    path = tmp_path / "scan.log"
+    path.write_text("".join(f"# {k} {v}\n" for k, v in header.items())
+                    + f"I 0.0 {IDENTITY}\nV 0.0 1.0\n", encoding="ascii")
+    with pytest.raises(MalformedRecord) as err:
+        parse_scan_log(path)
+    assert (err.value.line, err.value.reason) == (
+        list(header).index(key) + 1, f"{key} must be finite")
+
+
 # Spellings that float() reads (and the parser must too) next to ones it
 # rejects; every range record is parsed in one call, or token by token only
 # to name the bad token.

@@ -124,14 +124,18 @@ def test_tree_answers_as_the_linear_scan(rng, kind):
     tree = KdTree(pts)
     queries = np.vstack([pts[:40], np.round(rng.uniform(-1, 7, size=(60, 3)) * 2) / 2])
     idx, dist, runner_up = tree.nearest(queries)
-    k = min(8, len(pts))
-    _, k_dist = tree.knearest(queries, k=k)
-    for q, i, d, r, kd in zip(queries, idx, dist, runner_up, k_dist):
+    for q, i, d, r in zip(queries, idx, dist, runner_up):
         oi, od = linear_nearest(pts, q)
         assert i == oi
         assert d == pytest.approx(od, abs=1e-12)
         assert r == pytest.approx(linear_runner_up(pts, q), abs=1e-12)
-        assert kd == pytest.approx(linear_knearest_distances(pts, q, k), abs=1e-12)
+    if len(pts) < 8:
+        with pytest.raises(ValueError, match="k=8 exceeds the 1 indexed points"):
+            tree.knearest(queries, k=8)
+    else:
+        _, k_dist = tree.knearest(queries, k=8)
+        for q, kd in zip(queries, k_dist):
+            assert kd == pytest.approx(linear_knearest_distances(pts, q, 8), abs=1e-12)
     for radius in (0.5, 1.0, 1.5):
         found = sorted(map(tuple, tree.pairs_within_radius(radius).tolist()))
         assert found == linear_pairs_within(pts, radius)

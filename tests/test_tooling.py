@@ -28,13 +28,14 @@ def _sources():
 
 
 def _referenced_names(node) -> set[str]:
-    """The identifiers ``node`` uses: names, attributes, imported names, and
-    string constants (the bench tracer names the functions and methods it
-    wraps by string; a dotted string names its last part)."""
+    """The identifiers ``node`` reads: loaded names, attributes, imported
+    names, and string constants (the bench tracer names the functions and
+    methods it wraps by string; a dotted string names its last part)."""
     found = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            found.add(sub.id)
+            if isinstance(sub.ctx, ast.Load):
+                found.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             found.add(sub.attr)
         elif isinstance(sub, ast.alias):
@@ -91,6 +92,43 @@ def test_every_package_definition_has_a_caller():
 def test_the_no_caller_allowlist_is_still_needed():
     # A listed name that gains a caller comes off the list.
     assert NO_CALLER_YET <= unreferenced_definitions()
+
+
+def _bound_names(stmt) -> list[str]:
+    """The names a top-level statement binds by assignment or import, apart
+    from dunders and ``from __future__`` imports."""
+    if isinstance(stmt, ast.Assign):
+        names = [n.id for t in stmt.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    elif isinstance(stmt, ast.Import) or (
+            isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"):
+        names = [a.asname or a.name.partition(".")[0] for a in stmt.names]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def unread_module_names() -> set[str]:
+    """``module.name`` of each name a package module binds at its top level
+    by assignment or import that no code under ``src/`` or ``bench/`` reads
+    outside the statement that binds it. A name is read by its own name
+    alone, in any module."""
+    bound = {}
+    readers: dict[str, set] = {}
+    for path, tree in _sources():
+        for k, stmt in enumerate(tree.body):
+            if path.parent == PACKAGE:
+                for name in _bound_names(stmt):
+                    bound[f"{path.stem}.{name}"] = (name, (path, k))
+            for name in _referenced_names(stmt):
+                readers.setdefault(name, set()).add((path, k))
+    return {qual for qual, (name, where) in bound.items()
+            if not readers.get(name, set()) - {where}}
+
+
+def test_every_module_level_name_is_read_somewhere():
+    assert unread_module_names() == set()
 
 
 def _defaulted_parameters():
