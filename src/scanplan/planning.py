@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import logging
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ from .errors import (
 from .geometry import PointCloud
 from .polygons import rects_intersect_polygon
 from .segmentation import PlanarSurface, plane_basis
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -397,12 +400,59 @@ class FlightPlan:
     leg_costs: list
 
 
+def _search_box(shift, cost: float, a_min: float) -> list[tuple[int, int]]:
+    """Per axis, the [lo, hi) offsets from a leg's start of every voxel that
+    :func:`astar` can read on a leg of displacement ``shift`` (goal - start)
+    and optimal cost ``cost``.
+
+    A* (Hart, Nilsson & Raphael, IEEE TSSC 1968) expands only voxels n with
+    g(n) + h(n) <= cost, where h(n) = a_min * Chebyshev(n, goal). A step
+    moves each axis by at most one and costs at least a_min per axis it
+    moves, so g(n) >= a_min * L1(start, n). Let n lie e voxels outside the
+    start-goal span on axis i, and write D_j = |shift_j|. Axis i alone gives
+    a_min * (D_i + 2e) <= cost; axis i of L1 with axis j of L1 and of h
+    gives a_min * (e + D_j) <= cost for each other axis j. The search reads
+    the 26 neighbours of the voxels it expands, one voxel further out, and
+    one more voxel of padding keeps float rounding of the summed step costs
+    from shrinking the box.
+    """
+    span = cost / a_min
+    gaps = [abs(d) for d in shift]
+    box = []
+    for i, d in enumerate(shift):
+        other = max(gaps[:i] + gaps[i + 1:])
+        reach = int(max(0.0, min((span - gaps[i]) / 2, span - other))) + 2
+        box.append((min(0, d) - reach, max(0, d) + reach + 1))
+    return box
+
+
+def _box_is_free(grid: OccupancyGrid, start, box) -> bool:
+    """True when ``box`` (see :func:`_search_box`) placed at ``start`` lies
+    inside the grid and holds no occupied voxel."""
+    slices = []
+    for s, (lo, hi), n in zip(start, box, grid.occupied.shape):
+        if s + lo < 0 or s + hi > n:
+            return False
+        slices.append(slice(s + lo, s + hi))
+    return not grid.occupied[tuple(slices)].any()
+
+
 def generate_waypoints(
     stops: list[StopPoint],
     grid: OccupancyGrid,
     weights: AStarWeights = AStarWeights(),
 ) -> FlightPlan:
     """Thread the coverage stops with A* paths over the inflated grid.
+
+    A coverage lattice repeats a few stop-to-stop displacements many times,
+    so a leg is searched only once per displacement in free space: when a
+    searched leg's search box (:func:`_search_box`) is inside the grid
+    and free, a later leg with the same displacement and a free box of its
+    own takes that path moved to its start, with that cost, and skips
+    :func:`astar`. The result is the leg's own search result, bit for bit:
+    inside free boxes both searches read the same free voxels, their heap
+    keys (f, flat index) differ by a constant in the index and so order
+    alike, and they pop the same voxels in the same order.
 
     Raises:
         StopPointBlocked: a stop's voxel is occupied after inflation (the
@@ -425,15 +475,34 @@ def generate_waypoints(
             f"stop {i}: stop voxel {tuple(indices[i].tolist())} is occupied "
             "after inflation"
         )
-    voxels = [tuple(v) for v in indices.tolist()]
 
-    chain = [voxels[0]]
+    voxels = indices.tolist()
+    a_min = min(weights.a1, weights.a2, weights.a3)
+    # Displacement -> (path after the start, cost, search box), relative to
+    # the start of the first leg with that displacement, when its box was free.
+    known: dict = {}
+    chain = [indices[:1]]
     leg_costs = []
-    for i in range(len(voxels) - 1):
-        try:
-            leg = astar(grid, voxels[i], voxels[i + 1], weights)
-        except NoPath as err:
-            raise NoPath(f"leg {i}: {err}") from err
-        leg_costs.append(path_cost(leg, weights))
-        chain.extend(leg[1:])
-    return FlightPlan(list(stops), grid.index_to_center(chain), leg_costs)
+    searched = 0
+    for i, (start, goal) in enumerate(zip(voxels, voxels[1:])):
+        shift = (goal[0] - start[0], goal[1] - start[1], goal[2] - start[2])
+        hit = known.get(shift)
+        if hit is not None and _box_is_free(grid, start, hit[2]):
+            tail, cost, _ = hit
+        else:
+            try:
+                leg = astar(grid, start, goal, weights)
+            except NoPath as err:
+                raise NoPath(f"leg {i}: {err}") from err
+            searched += 1
+            cost = path_cost(leg, weights)
+            tail = np.asarray(leg[1:]).reshape(-1, 3) - start
+            if hit is None:
+                box = _search_box(shift, cost, a_min)
+                if _box_is_free(grid, start, box):
+                    known[shift] = (tail, cost, box)
+        leg_costs.append(cost)
+        chain.append(tail + start)
+    logger.info("waypoints: %d legs, %d searched, %d reused",
+                len(leg_costs), searched, len(leg_costs) - searched)
+    return FlightPlan(list(stops), grid.index_to_center(np.concatenate(chain)), leg_costs)

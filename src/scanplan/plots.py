@@ -6,11 +6,15 @@ libraries embed ids and metadata that break bit-identical comparisons).
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 _VIEWS = {"top": (0, 1), "elevation": (0, 2)}
 _MAX_PLOTTED = 20000
 _SIZE = 800   # the longer side of the picture, in pixels
+_BLOCK_DOTS = 4096
+_DOT = '<circle cx="%.2f" cy="%.2f" r="1" fill="#888888"/>\n'
 
 
 def render_svg(
@@ -22,8 +26,9 @@ def render_svg(
 ) -> None:
     """Render a 2D projection (top: x-y, elevation: x-z) to an SVG file.
 
-    Pixel coordinates are computed for a whole point group at once and
-    printed with two decimals, the text of ``f"{value:.2f}"``.
+    Pixel coordinates are computed for a whole point group, or a block of
+    the scatter, at once and printed with two decimals, the text of
+    ``f"{value:.2f}"``.
 
     Args:
         cloud: optional PointCloud scattered as grey dots (strided down to a
@@ -59,8 +64,9 @@ def render_svg(
 
     w = (hi[0] - lo[0]) * scale
     h = (hi[1] - lo[1]) * scale
-    # Each line goes straight into the file: the whole text of a 20,000-dot
-    # scatter is never held at once.
+    # The scatter goes into the file a block of dots at a time, each block
+    # formatted by one % operation: the whole text of a 20,000-dot scatter
+    # is never held at once.
     with open(path, "w", encoding="ascii") as fh:
         fh.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.1f}" '
@@ -68,8 +74,9 @@ def render_svg(
             f'<rect width="{w:.1f}" height="{h:.1f}" fill="white"/>\n'
         )
         if pts2d is not None:
-            fh.writelines('<circle cx="%.2f" cy="%.2f" r="1" fill="#888888"/>\n' % xy
-                          for xy in screen(pts2d))
+            for start in range(0, len(pts2d), _BLOCK_DOTS):
+                block = pts2d[start:start + _BLOCK_DOTS]
+                fh.write((_DOT * len(block)) % tuple(chain.from_iterable(screen(block))))
         for poly in poly2d:
             coords = " ".join("%.2f,%.2f" % xy for xy in screen(poly))
             fh.write(

@@ -5,7 +5,9 @@ full distance matrix, gift wrapping, Dijkstra without a heuristic, one
 polygon edge at a time, one value of a file at a time. None of it shares
 code with the package under test, except :func:`cold_icp`, the ICP loop
 without its warm start: it runs the package's kd-tree and Kabsch fit, so
-that it checks the warm start alone.
+that it checks the warm start alone, and :func:`chained_astar_waypoints`,
+the waypoint chain with one :func:`scanplan.planning.astar` search per leg,
+so that it checks the reuse of searched legs alone.
 """
 
 import heapq
@@ -14,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from scanplan.errors import DegenerateGeometry, IcpDiverged, InsufficientOverlap
+from scanplan.errors import (
+    DegenerateGeometry,
+    IcpDiverged,
+    InsufficientOverlap,
+    NoPath,
+    StopPointBlocked,
+)
+from scanplan.planning import AStarWeights, astar, path_cost
 from scanplan.registration import _kabsch
 from scanplan.spatial import KdTree
 
@@ -355,6 +364,31 @@ def tuple_key_astar(occupied: np.ndarray, start, goal, weights=(1.0, 1.0, 1.0)):
                 came_from[neighbor] = current
                 heapq.heappush(open_heap, (tentative + heuristic(neighbor), neighbor))
     return None
+
+
+def chained_astar_waypoints(stops, grid, weights=AStarWeights()):
+    """(waypoints, leg_costs) of ``generate_waypoints``, searching every leg
+    with ``astar``; raises what it raises, with the same messages."""
+    voxels = []
+    for i, stop in enumerate(stops):
+        v = tuple(int(c) for c in np.floor((stop.position - grid.origin) / grid.voxel_edge))
+        if not grid.in_bounds(v):
+            raise StopPointBlocked(
+                f"stop {i}: stop position {stop.position} is outside the grid")
+        if grid.occupied[v]:
+            raise StopPointBlocked(
+                f"stop {i}: stop voxel {v} is occupied after inflation")
+        voxels.append(v)
+    chain = [voxels[0]]
+    leg_costs = []
+    for i in range(len(voxels) - 1):
+        try:
+            leg = astar(grid, voxels[i], voxels[i + 1], weights)
+        except NoPath as err:
+            raise NoPath(f"leg {i}: {err}") from err
+        leg_costs.append(path_cost(leg, weights))
+        chain.extend(leg[1:])
+    return grid.index_to_center(chain), leg_costs
 
 
 def render_svg_per_point(cloud=None, polygons=(), polylines=(), view="top", size=800):

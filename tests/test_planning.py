@@ -1,8 +1,11 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
+from scanplan import planning
 from scanplan.errors import (
     EmptySurface,
     NoPath,
@@ -23,10 +26,11 @@ from scanplan.planning import (
     path_cost,
     plan_coverage,
     standoff_distance,
+    _search_box,
 )
 from scanplan.segmentation import PlanarSurface, PlaneModel
 
-from oracles import dijkstra_grid, tuple_key_astar
+from oracles import chained_astar_waypoints, dijkstra_grid, tuple_key_astar
 
 
 def rect_surface(width, height, z=0.0):
@@ -398,3 +402,121 @@ def _stop_at(grid, index):
     from scanplan.planning import StopPoint
 
     return StopPoint(grid.index_to_center(index), np.array([0.0, 0, -1]), 0, 0)
+
+
+LEG_WEIGHTS = pytest.mark.parametrize(
+    "weights", [(1.0, 1.0, 1.0), (1.0, 2.0, 1.5), (0.3, 2.7, 1.1)],
+    ids=["uniform", "weighted", "fractional"])
+
+
+def _plan_or_error(plan_fn, stops, grid, weights):
+    """(waypoint bytes, leg costs), or (error class, message)."""
+    try:
+        waypoints, leg_costs = plan_fn(stops, grid, weights)
+    except (StopPointBlocked, NoPath) as err:
+        return type(err).__name__, str(err)
+    return np.asarray(waypoints).tobytes(), leg_costs
+
+
+def _waypoints_and_costs(stops, grid, weights):
+    plan = generate_waypoints(stops, grid, weights)
+    return plan.waypoints, plan.leg_costs
+
+
+def _lattice_voxels(rng, dims):
+    """A serpentine lattice of voxels, as coverage stops come: a few rows
+    that repeat one step along and one step across, clipped to the grid."""
+    along = rng.integers(-2, 3, 3) * (rng.random(3) < 0.5)
+    across = rng.integers(-2, 3, 3) * (rng.random(3) < 0.5)
+    first = rng.integers(dims // 4, dims - dims // 4)
+    rows = []
+    for r in range(rng.integers(1, 5)):
+        row = [first + r * across + c * along for c in range(rng.integers(2, 12))]
+        rows.extend(row if r % 2 == 0 else row[::-1])
+    return np.clip(rows, 0, dims - 1)
+
+
+@LEG_WEIGHTS
+def test_generate_waypoints_equals_one_search_per_leg(rng, caplog, weights):
+    # Legs repeat displacements. Obstacles sit inside or beside the spans of
+    # some legs, on grid faces and scattered; some stops are blocked or
+    # walled in. Reusing searched legs must give the bytes, costs and errors
+    # of searching every leg.
+    caplog.set_level(logging.INFO, logger="scanplan.planning")
+    weights = AStarWeights(*weights)
+    outcomes = set()
+    for _ in range(150):
+        dims = rng.integers(6, 25, 3)
+        voxels = _lattice_voxels(rng, dims)
+        occ = rng.random(tuple(dims)) < rng.choice([0.0, 0.001, 0.01])
+        for i, (a, b) in enumerate(zip(voxels, voxels[1:])):
+            draw = rng.random()
+            if draw < 0.04 or (i == 0 and draw < 0.25):
+                occ[tuple((a + b) // 2)] = True
+            elif draw < 0.08:
+                lo, hi = np.minimum(a, b) - 1, np.maximum(a, b) + 1
+                occ[tuple(np.clip(rng.integers(lo, hi + 1), 0, dims - 1))] = True
+        if rng.random() < 0.2:
+            np.moveaxis(occ, rng.integers(3), 0)[rng.choice([0, -1])] = True
+        if rng.random() < 0.9:
+            occ[tuple(voxels.T)] = False
+        if rng.random() < 0.1:
+            # Wall one stop in: the legs to and from it have no path.
+            v = voxels[rng.integers(len(voxels))]
+            occ[tuple(slice(max(0, c - 1), c + 2) for c in v)] = True
+            occ[tuple(v)] = False
+        grid = OccupancyGrid(np.array([-2.0, 0.5, 3.0]), 0.25, occ)
+        stops = [_stop_at(grid, v) for v in voxels]
+        got = _plan_or_error(_waypoints_and_costs, stops, grid, weights)
+        assert got == _plan_or_error(chained_astar_waypoints, stops, grid, weights)
+        outcomes.add(got[0] if isinstance(got[0], str) else "ok")
+    assert outcomes == {"ok", "StopPointBlocked", "NoPath"}
+    reused = sum(int(re.search(r"(\d+) reused$", m).group(1)) for m in caplog.messages)
+    assert reused > 100
+
+
+@LEG_WEIGHTS
+def test_astar_reads_nothing_outside_the_search_box(weights):
+    # A* bound: on a free leg, occupying every voxel outside the padded
+    # search box, in a shell three voxels thick, leaves the path unchanged.
+    weights = AStarWeights(*weights)
+    a_min = min(weights.a1, weights.a2, weights.a3)
+    for shift in [(0, 0, 0), (2, 0, 0), (-1, 0, 0), (0, 2, 1), (2, 2, 0),
+                  (-3, 1, 2), (4, -4, 4), (1, 3, -2)]:
+        cost = path_cost(astar(empty_grid(9), (4, 4, 4),
+                               tuple(4 + d for d in shift), weights), weights)
+        box = _search_box(shift, cost, a_min)
+        start = tuple(3 - lo for lo, _ in box)
+        goal = tuple(s + d for s, d in zip(start, shift))
+        walled = np.ones(tuple(hi - lo + 6 for lo, hi in box), dtype=bool)
+        walled[3:-3, 3:-3, 3:-3] = False
+        free = OccupancyGrid(np.zeros(3), 1.0, np.zeros_like(walled))
+        assert (astar(OccupancyGrid(np.zeros(3), 1.0, walled), start, goal, weights)
+                == astar(free, start, goal, weights))
+
+
+def test_generate_waypoints_searches_a_seen_leg_with_an_obstacle_in_its_box(
+        monkeypatch, caplog):
+    # One row of (2, 0, 0) legs. A unit-cost leg's box reaches two voxels
+    # past its span. Obstacle (5, 6, 6) is on leg 0's path and in leg 1's
+    # box; (13, 6, 6) is on the path of the leg from x = 12 and in the boxes
+    # of the legs from x = 10 and 14; (21, 8, 6) is off every path but in
+    # the boxes of the legs from x = 18, 20 and 22. Those legs are searched.
+    # Leg 0's detour is not kept, so the free legs reuse the leg from x = 8.
+    occ = np.zeros((40, 13, 13), dtype=bool)
+    occ[5, 6, 6] = occ[13, 6, 6] = occ[21, 8, 6] = True
+    grid = OccupancyGrid(np.zeros(3), 1.0, occ)
+    stops = [_stop_at(grid, (x, 6, 6)) for x in range(4, 36, 2)]
+    searched_from = []
+
+    def recording_astar(grid, start, goal, weights):
+        searched_from.append(start[0])
+        return astar(grid, start, goal, weights)
+
+    monkeypatch.setattr(planning, "astar", recording_astar)
+    caplog.set_level(logging.INFO, logger="scanplan.planning")
+    got = _plan_or_error(_waypoints_and_costs, stops, grid, AStarWeights())
+    assert got == _plan_or_error(chained_astar_waypoints, stops, grid, AStarWeights())
+    assert searched_from == [4, 6, 8, 10, 12, 14, 18, 20, 22]
+    assert got[1] == [4.0] + [2.0] * 3 + [4.0] + [2.0] * 10
+    assert caplog.messages == ["waypoints: 15 legs, 9 searched, 6 reused"]

@@ -16,10 +16,12 @@ HALVES = [0.125, 0.375, 0.625, 0.875, 1.005, 2.675, 5.015, 10.125, 10.375]
 def _halves_cloud(rng):
     # x spans [0.5, 10.5] and y spans [0.5, 10.5], so with size=11 the
     # padding is 0.5, the scale is exactly 1 and a pixel x equals the point x:
-    # the halves reach the formatter unchanged.
-    xs = np.array([0.5, 10.5] + HALVES[3:] + list(rng.uniform(0.5, 10.5, 200)))
+    # the halves reach the formatter unchanged. The scatter is one dot longer
+    # than a block, so its last block holds one dot.
+    n = plots._BLOCK_DOTS + 1 - 2 - len(HALVES[3:])
+    xs = np.array([0.5, 10.5] + HALVES[3:] + list(rng.uniform(0.5, 10.5, n)))
     ys = np.array([0.5, 10.5] + [11.0 - v for v in HALVES[3:]]
-                  + list(rng.uniform(0.5, 10.5, 200)))
+                  + list(rng.uniform(0.5, 10.5, n)))
     return PointCloud(np.stack([xs, ys, rng.uniform(-1.0, 1.0, len(xs))], axis=1))
 
 
@@ -34,6 +36,7 @@ def test_render_svg_matches_the_per_point_text(tmp_path, rng, monkeypatch, view)
         render_svg(path, cloud=cloud, polygons=[polygon], polylines=[polyline], view=view)
         want = render_svg_per_point(cloud, [polygon], [polyline], view, size)
         assert path.read_text(encoding="ascii") == want
+    assert want.count("<circle") == plots._BLOCK_DOTS + 1
     if view == "top":
         # 10.125 sits in the text exactly as the half it is.
         assert '<circle cx="10.12" cy="10.12"' in (tmp_path / "top_11.svg").read_text()
