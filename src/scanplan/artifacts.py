@@ -338,7 +338,8 @@ def import_boundary(
     """Replace a surface's boundary with the (possibly edited) polygon on file.
 
     The polygon must be simple and its vertices must lie on the surface's
-    plane within ``distance_threshold``. Convexity is not required; the area
+    plane within ``distance_threshold``. A last vertex that repeats the first
+    closes the ring and is dropped. Convexity is not required; the area
     is recomputed by the shoelace rule in the plane basis. The surface's own
     boundary brings the surface back as it is, so an export and import of an
     unedited file changes no byte.
@@ -350,6 +351,10 @@ def import_boundary(
     data = json.loads(Path(path).read_text(encoding="ascii"))
     (boundary,) = _values(data, ("boundary",), str(path))
     boundary = np.array(_vectors(boundary, f"{path} boundary"))
+    # A closed ring, as many polygon editors save one, repeats its first
+    # vertex at the end; the stored boundary does not.
+    if len(boundary) > 1 and np.array_equal(boundary[-1], boundary[0]):
+        boundary = boundary[:-1]
     if len(boundary) < 3:
         raise NonPlanarEdit("boundary must be at least 3 points of 3 coordinates")
     dists = surface.model.distance(boundary)

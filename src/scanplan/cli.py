@@ -2,7 +2,7 @@
 
 Verbs: generate, simulate, ingest, register, filter, segment, cluster,
 plan, run, edit-boundary. Configuration comes from one JSON file
-(--config), with a few per-verb flag overrides. Exit codes: 0 success,
+(--config); no flag sets a stage setting. Exit codes: 0 success,
 2 validation error, 3 stage failure (stage named on stderr).
 """
 
@@ -12,7 +12,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,35 +40,20 @@ EXIT_VALIDATION = 2
 EXIT_STAGE = 3
 
 
-# Per-verb flags that override one config field: (flag, section, field).
-_OVERRIDES = [
-    ("seed", "ransac", "rng_seed"),
-    ("leaf_size", "voxel_grid", "leaf_size"),
-    ("ransac_threshold", "ransac", "distance_threshold"),
-    ("min_area", "ransac", "min_area"),
-]
-
-
 def _load_config(args) -> PipelineConfig:
-    cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
-    for flag, section, name in _OVERRIDES:
-        value = getattr(args, flag, None)
-        if value is not None:
-            section_cfg = replace(getattr(cfg, section), **{name: value})
-            cfg = replace(cfg, **{section: section_cfg})
-    return cfg
+    return PipelineConfig.load(args.config) if args.config else PipelineConfig()
 
 
-def _scene_from_args(args):
+def _scene_from_args(args, **sampling):
     if args.scene:
         data = json.loads(Path(args.scene).read_text(encoding="ascii"))
         return scene_from_dict(data)
-    return preset_scene(args.preset, density=args.density, noise_sigma=args.noise)
+    return preset_scene(args.preset, **sampling)
 
 
 def cmd_generate(args) -> int:
-    scene = _scene_from_args(args)
-    cloud = generate_scene(scene, seed=args.seed or 0)
+    scene = _scene_from_args(args, density=args.density, noise_sigma=args.noise)
+    cloud = generate_scene(scene, seed=args.seed)
     artifacts.write_cloud(args.out, cloud)
     print(f"wrote {len(cloud)} points to {args.out}")
     return EXIT_OK
@@ -89,7 +73,7 @@ def cmd_simulate(args) -> int:
         n_scans=args.scans,
         drift_per_scan=drift,
         range_noise=args.range_noise,
-        seed=args.seed or 0,
+        seed=args.seed,
     )
     write_scan_log(args.out, log)
     truth = {
@@ -202,13 +186,10 @@ def _add_scene_args(p: argparse.ArgumentParser):
                    help="built-in scene: point, line, surface, cube, "
                         "crossed_planes, deck, room")
     p.add_argument("--scene", help="scene spec JSON (overrides --preset)")
-    p.add_argument("--density", type=float, default=100.0, help="points per m^2")
-    p.add_argument("--noise", type=float, default=0.0, help="sampling noise sigma (m)")
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,6 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample a synthetic scene into a cloud file")
     _add_scene_args(p)
+    p.add_argument("--density", type=float, default=100.0, help="points per m^2")
+    p.add_argument("--noise", type=float, default=0.0, help="sampling noise sigma (m)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -254,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--leaf-size", type=float, default=None)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("segment", help="extract planar surfaces")
@@ -262,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--remainder", help="optional path for the leftover cloud")
-    p.add_argument("--ransac-threshold", type=float, default=None)
-    p.add_argument("--min-area", type=float, default=None)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("cluster", help="cluster leftover points into obstacles")
@@ -283,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="artifact directory")
-    p.add_argument("--leaf-size", type=float, default=None)
-    p.add_argument("--ransac-threshold", type=float, default=None)
-    p.add_argument("--min-area", type=float, default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("edit-boundary", help="export or import a surface boundary")
@@ -311,7 +288,7 @@ def main(argv=None) -> int:
     except StageError as err:
         print(f"stage {args.verb}: {err}", file=sys.stderr)
         return EXIT_STAGE
-    except (ValidationError, FileNotFoundError, ValueError) as err:
+    except (ValidationError, OSError, ValueError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

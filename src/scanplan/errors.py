@@ -45,11 +45,7 @@ class DegenerateGeometry(StageError):
     pass
 
 
-# --- preprocess / segmentation ---------------------------------------------
-
-class CloudTooSmall(ValidationError):
-    pass
-
+# --- segmentation ---------------------------------------------------------
 
 class NoPlaneFound(StageError):
     pass

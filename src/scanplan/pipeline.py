@@ -142,16 +142,10 @@ def filter_cloud(
 ) -> tuple[PointCloud, int]:
     """Statistical outlier removal, then voxel downsampling; writes ``out``.
 
-    A cloud of at most ``k_neighbors`` points is too small for neighborhood
-    statistics and goes to the voxel grid whole.
-
     Returns:
         (filtered cloud, number of outliers removed).
     """
-    if len(cloud) > cfg.outlier_filter.k_neighbors:
-        kept, removed = remove_statistical_outliers(cloud, cfg.outlier_filter)
-    else:
-        kept, removed = cloud, 0
+    kept, removed = remove_statistical_outliers(cloud, cfg.outlier_filter)
     filtered = voxel_downsample(kept, cfg.voxel_grid)
     artifacts.write_cloud(out, filtered)
     return filtered, removed

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CloudTooSmall
 from .geometry import PointCloud
 from .spatial import KdTree
 
@@ -58,11 +57,10 @@ def neighbor_mean_distances(cloud: PointCloud, k_neighbors: int) -> np.ndarray:
     cloud's size: the memory beyond the tree and the (N,) result is fixed.
     Each row's sorted distances and its mean do not depend on the other rows
     of its query, so the result is bit-identical to one query of every row.
+
+    Raises:
+        ValueError: the cloud has at most ``k_neighbors`` points.
     """
-    if len(cloud) <= k_neighbors:
-        raise CloudTooSmall(
-            f"cloud of {len(cloud)} points cannot supply {k_neighbors} neighbors"
-        )
     pts = cloud.points
     tree = KdTree(pts)
     # k+1 because the closest hit of each query is the point itself; each
@@ -85,14 +83,14 @@ def remove_statistical_outliers(
 
     sigma is the population standard deviation of the per-point means; the
     keep interval is closed, so with sigma = 0 every point whose mean equals
-    mu survives.
+    mu survives. A cloud of at most ``k_neighbors`` points is too small for
+    neighborhood statistics and comes back whole.
 
     Returns:
         (kept cloud, number of removed points).
-
-    Raises:
-        CloudTooSmall: not enough points to gather k neighbors.
     """
+    if len(cloud) <= cfg.k_neighbors:
+        return cloud, 0
     means = neighbor_mean_distances(cloud, cfg.k_neighbors)
     mu = float(means.mean())
     sigma = float(means.std())

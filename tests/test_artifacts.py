@@ -352,6 +352,17 @@ def test_boundary_export_import_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_boundary_closed_ring_imports_as_the_open_ring(tmp_path):
+    # A polygon editor may save the ring closed, its first vertex repeated last.
+    surface = square_surface()
+    path = tmp_path / "ring.json"
+    export_boundary(surface, path)
+    data = json.loads(path.read_text())
+    data["boundary"].append(data["boundary"][0])
+    path.write_text(json.dumps(data), encoding="ascii")
+    assert import_boundary(surface, path) is surface
+
+
 def test_boundary_shrink_halves_stop_count(tmp_path):
     camera = CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0)
     full = square_surface(22.0, 10.0)

@@ -234,8 +234,9 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
      (*_run_with_config({"ransac": {"max_area": 40.0}}), "unknown key(s) max_area"),
      (*_run_with_config({"ransac": {"min_area": 10**400}}),
       "ransac.min_area: expected a finite float, got an integer too large for a float"),
-     ({}, ["segment", "--input", "{tmp}/cloud.xyz", "--out", "{tmp}/surfaces.json",
-           "--min-area", "-5"], "min_area must be >= 0"),
+     ({"config.json": {"ransac": {"min_area": -5}}},
+      ["segment", "--config", "{tmp}/config.json", "--input", "{tmp}/cloud.xyz",
+       "--out", "{tmp}/surfaces.json"], "min_area must be >= 0"),
      ({"stations.json": {"stations": [
          {"cloud": "cloud.xyz", "translation": [0.0, 0.0, 0.0]}]}},
       ["register", "--stations", "{tmp}/stations.json", "--out", "{tmp}/merged.xyz"],
@@ -430,6 +431,28 @@ def test_generate_density_it_cannot_take_exits_2(tmp_path, capsys, density):
     assert (f"validation error: density must be > 0 and finite, got {float(density)}"
             in capsys.readouterr().err)
     assert not cloud.exists()
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["run", "--input", "{tmp}/dir", "--out", "{tmp}/out"], "{tmp}/dir"),
+    (["filter", "--input", "{tmp}/cloud.xyz", "--out", "{tmp}/dir"], "{tmp}/dir"),
+    (["run", "--config", "{tmp}/dir", "--input", "{tmp}/cloud.xyz", "--out", "{tmp}/out"],
+     "{tmp}/dir"),
+    (["run", "--input", "{tmp}/cloud.xyz", "--out", "{tmp}/file"], "{tmp}/file"),
+], ids=["run_input_dir", "filter_out_dir", "run_config_dir", "run_out_file"])
+def test_path_of_the_wrong_kind_exits_2_naming_it(tmp_path, capsys, argv, path):
+    # A directory where a file is read or written, or a file where the
+    # artifact directory goes, is bad input like a missing file.
+    cloud = tmp_path / "cloud.xyz"
+    assert main(["generate", "--preset", "surface", "--density", "10",
+                 "--out", str(cloud)]) == EXIT_OK
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("", encoding="ascii")
+    capsys.readouterr()
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ")
+    assert path.format(tmp=tmp_path) in err
 
 
 def test_malformed_cloud_exits_2_and_makes_no_output_dir(tmp_path, capsys):

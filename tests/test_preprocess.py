@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scanplan import preprocess
-from scanplan.errors import CloudTooSmall
 from scanplan.geometry import PointCloud
 from scanplan.preprocess import (
     OutlierFilterConfig,
@@ -89,12 +88,15 @@ def test_filter_translation_invariant(rng):
     assert np.array_equal(kept_a.sources, kept_b.sources)
 
 
-def test_filter_requires_enough_points():
-    with pytest.raises(CloudTooSmall):
-        remove_statistical_outliers(
-            PointCloud(np.zeros((5, 3)) + np.arange(5)[:, None]),
-            OutlierFilterConfig(k_neighbors=5),
-        )
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_filter_passes_a_cloud_too_small_for_its_neighbors(n):
+    # At most k points cannot supply k neighbors each: the filter keeps them
+    # all, and only a direct kNN call refuses them.
+    cloud = PointCloud(np.zeros((n, 3)) + np.arange(n)[:, None])
+    kept, removed = remove_statistical_outliers(cloud, OutlierFilterConfig(k_neighbors=5))
+    assert kept is cloud and removed == 0
+    with pytest.raises(ValueError):
+        neighbor_mean_distances(cloud, 5)
 
 
 def _one_query_means(points, k_neighbors):

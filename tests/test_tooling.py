@@ -1,9 +1,11 @@
 """Checks on the source tree itself rather than on what the pipeline computes."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import scanplan
+from scanplan.cli import build_parser
 
 PACKAGE = Path(scanplan.__file__).parent
 ROOT = PACKAGE.parents[1]
@@ -234,3 +236,42 @@ def test_every_dataclass_field_is_read_somewhere():
     assert unread - set(UNREAD_FIELDS_KEPT) == set()
     # A listed field that gains a reader comes off the list.
     assert set(UNREAD_FIELDS_KEPT) <= unread
+
+
+def unread_flags() -> set[str]:
+    """``verb --flag`` of each flag of a CLI verb that neither the verb's
+    ``cmd_*`` function nor a ``cli.py`` function it passes ``args`` to, at
+    any depth, reads as ``args.<dest>``."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        if name in seen:
+            return set()
+        seen.add(name)
+        found = set()
+        for node in ast.walk(functions[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in functions
+                  and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+                found |= reads(node.func.id, seen)
+        return found
+
+    (verbs,) = [action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    unread = set()
+    for verb, parser in verbs.choices.items():
+        read = reads(parser.get_default("func").__name__, set())
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction) and action.dest not in read:
+                unread.add(f"{verb} {(action.option_strings or [action.dest])[-1]}")
+    return unread
+
+
+def test_every_cli_flag_is_read_by_its_verb():
+    # A flag its verb never reads sets nothing, or sets a config key a
+    # second way; the config file is the one way in for stage settings.
+    assert unread_flags() == set()
