@@ -52,7 +52,14 @@ def _scene_from_args(args, **sampling):
 
 
 def cmd_generate(args) -> int:
-    scene = _scene_from_args(args, density=args.density, noise_sigma=args.noise)
+    sampling = {key: value for key, value in
+                (("density", args.density), ("noise_sigma", args.noise))
+                if value is not None}
+    if args.scene and sampling:
+        raise ValidationError(
+            "--density and --noise sample a --preset scene; "
+            "a --scene file sets its own density and noise_sigma")
+    scene = _scene_from_args(args, **sampling)
     cloud = generate_scene(scene, seed=args.seed)
     artifacts.write_cloud(args.out, cloud)
     print(f"wrote {len(cloud)} points to {args.out}")
@@ -202,8 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample a synthetic scene into a cloud file")
     _add_scene_args(p)
-    p.add_argument("--density", type=float, default=100.0, help="points per m^2")
-    p.add_argument("--noise", type=float, default=0.0, help="sampling noise sigma (m)")
+    p.add_argument("--density", type=float,
+                   help="points per m^2 of a --preset scene (default 100)")
+    p.add_argument("--noise", type=float,
+                   help="sampling noise sigma (m) of a --preset scene (default 0)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)

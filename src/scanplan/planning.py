@@ -7,7 +7,6 @@ inflated occupancy grid with per-axis weighted step costs.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import logging
 import math
@@ -194,15 +193,6 @@ _NEIGHBOR_OFFSETS = [
 ]
 
 
-@functools.lru_cache(maxsize=16)
-def _steps(ny: int, nz: int, weights: AStarWeights) -> tuple:
-    """(flat index offset, dx, dy, dz, step cost) of each of the 26 neighbours."""
-    return tuple(
-        ((dx * ny + dy) * nz + dz, dx, dy, dz, weights.step_cost(dx, dy, dz))
-        for dx, dy, dz in _NEIGHBOR_OFFSETS
-    )
-
-
 def astar(
     grid: OccupancyGrid,
     start: tuple[int, int, int],
@@ -233,7 +223,9 @@ def astar(
     nx, ny, nz = grid.dims
     nyz = ny * nz
     occupied = grid.occupied.tobytes()
-    steps = _steps(ny, nz, weights)
+    # (flat index offset, dx, dy, dz, step cost) of each of the 26 neighbours.
+    steps = [((dx * ny + dy) * nz + dz, dx, dy, dz, weights.step_cost(dx, dy, dz))
+             for dx, dy, dz in _NEIGHBOR_OFFSETS]
     gx, gy, gz = goal
     goal_key = (gx * ny + gy) * nz + gz
     sx, sy, sz = start

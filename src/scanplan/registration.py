@@ -116,6 +116,13 @@ def _icp(
     well for clouds a million metres from the origin. Every other row is
     queried again and re-anchored. The pairs, and so the fits, residuals
     and errors, are those of querying every row on every iteration.
+
+    The matched target rows (``tgt[idx]``) are kept across iterations too,
+    and only the re-queried rows are gathered again. When every row pairs,
+    the fit reads ``src`` and the matched rows themselves; only when some
+    row is out of reach are the pairs copied out. Both are C-contiguous, as
+    the copies are, so the means and the fit sum in the same order and
+    give the same bits.
     """
     if len(src) == 0 or len(tgt) == 0:
         raise IcpDiverged("empty point set")
@@ -129,12 +136,14 @@ def _icp(
         if anchor is None:
             anchor = moved
             idx, dist, runner_up = tree.nearest(moved)
+            matched = tgt[idx]
         else:
-            dist = _norms(tgt[idx] - moved)
+            dist = _norms(matched - moved)
             stale = np.nonzero(~_kept(dist, runner_up, _norms(moved - anchor)))[0]
             if len(stale):
                 anchor[stale] = moved[stale]
                 idx[stale], dist[stale], runner_up[stale] = tree.nearest(moved[stale])
+                matched[stale] = tgt[idx[stale]]
         mask = dist <= cfg.max_correspondence_dist
         n_pairs = int(mask.sum())
         if n_pairs == 0:
@@ -145,10 +154,10 @@ def _icp(
             raise InsufficientOverlap(
                 f"only {n_pairs} matched pairs, need {cfg.min_pairs}"
             )
-        residual = float(dist[mask].mean())
-
-        p = src[mask]
-        q = tgt[idx[mask]]
+        if n_pairs == len(src):
+            p, q, residual = src, matched, float(dist.mean())
+        else:
+            p, q, residual = src[mask], matched[mask], float(dist[mask].mean())
         if rot is None:
             trans = q.mean(axis=0) - p.mean(axis=0)
         else:
@@ -185,7 +194,7 @@ def icp_align_2d(
             mean residual grew for three consecutive iterations.
         InsufficientOverlap: fewer matched pairs than ``cfg.min_pairs``.
     """
-    src = np.asarray(source, dtype=float).reshape(-1, 2)
+    src = np.ascontiguousarray(source, dtype=float).reshape(-1, 2)
     tgt = np.asarray(target, dtype=float).reshape(-1, 2)
     return _icp(src, tgt, None, np.zeros(2), cfg)[1]
 

