@@ -154,10 +154,11 @@ def _icp(
             raise InsufficientOverlap(
                 f"only {n_pairs} matched pairs, need {cfg.min_pairs}"
             )
+        residual = float(dist[mask].mean())
         if n_pairs == len(src):
-            p, q, residual = src, matched, float(dist.mean())
+            p, q = src, matched
         else:
-            p, q, residual = src[mask], matched[mask], float(dist[mask].mean())
+            p, q = src[mask], matched[mask]
         if rot is None:
             trans = q.mean(axis=0) - p.mean(axis=0)
         else:

@@ -382,14 +382,12 @@ def test_warm_start_matches_cold_loop_when_every_row_pairs(dim):
         ring = ring_2d(400)
         src = np.column_stack([ring, np.zeros(len(ring))])[:, :2]
         tgt = ring + np.array([0.3, -0.1])
-        icp_align_2d(src, tgt, cfg)
         assert_matches_cold_loop(src, tgt, cfg)
     else:
         cube = cube_cloud(np.random.default_rng(4), n=1200)
         true = Pose(rotation_about_z(math.radians(6.0)), np.array([0.3, -0.2, 0.1]))
         tgt = transform_cloud(true, cube)
         init = Pose(rotation_about_z(math.radians(10.0)), np.array([0.5, 0.0, 0.0]))
-        icp_align_3d(cube, tgt, init, cfg)
         assert_matches_cold_loop(cube.points, tgt.points, cfg, init)
 
 
@@ -398,7 +396,9 @@ def test_station_icp_copies_no_pairs_when_every_row_pairs():
     # register run places them: every row pairs on every iteration. Traced
     # peaks, in copies of one cloud's points (230,400 B): 8.28 when each
     # iteration gathered the matches again and copied out the pairs, 7.28
-    # with the matches kept and nothing copied.
+    # with the matches kept and nothing copied. The bound sits halfway: one
+    # more (N, 3) array alive at the peak fails it, and an allocation change
+    # of under half a copy elsewhere in the call does not.
     scene = preset_scene("room", density=100.0, noise_sigma=0.005)
     target = generate_scene(scene, seed=0)
     true = Pose(rotation_about_z(0.3), np.array([0.5, -0.3, 0.1]))
@@ -414,7 +414,7 @@ def test_station_icp_copies_no_pairs_when_every_row_pairs():
         tracemalloc.stop()
     assert len(source) == len(target) == 9600
     assert np.abs(pose.translation - true.translation).max() < 0.03
-    assert peak < 7.8 * target.points.nbytes
+    assert peak < 7.78 * target.points.nbytes
 
 
 @pytest.mark.parametrize("dim", [2, 3])
