@@ -48,6 +48,7 @@ from .errors import (
     MalformedRecord,
     NonPlanarEdit,
     SelfIntersectingPolygon,
+    StageError,
     ValidationError,
 )
 from .geometry import PointCloud, Pose, format_table
@@ -255,24 +256,24 @@ def write_clusters(path, clusters: list[np.ndarray], cloud: PointCloud) -> None:
 
 # --- flight plans ----------------------------------------------------------------
 
-def plan_to_dict(plan: FlightPlan) -> dict:
-    return {
-        "stop_points": [
-            {
-                "position": [float(v) for v in s.position],
-                "facing": [float(v) for v in s.facing],
-                "row": s.row,
-                "col": s.col,
-            }
-            for s in plan.stops
-        ],
-        "waypoints": [[float(v) for v in w] for w in plan.waypoints],
-        "leg_costs": [float(c) for c in plan.leg_costs],
-    }
-
-
-def write_plans(path, entries: list[dict]) -> None:
-    """Per-surface plan entries; failed surfaces carry status + error."""
+def write_plans(path, plans: list[FlightPlan | StageError]) -> None:
+    """One entry per surface, in order: status "ok" with the plan's stops,
+    waypoints and leg costs, or the class name of the error that stopped
+    the surface as status and its message as error."""
+    entries = []
+    for k, plan in enumerate(plans):
+        if isinstance(plan, StageError):
+            entries.append({"surface_index": k, "status": type(plan).__name__,
+                            "error": str(plan)})
+            continue
+        facing = plan.stops.facing.tolist()  # one list, shared by every stop
+        stops = zip(plan.stops.positions.tolist(), plan.stops.cells.tolist())
+        entries.append({
+            "surface_index": k, "status": "ok",
+            "stop_points": [{"position": xyz, "facing": facing, "row": row, "col": col}
+                            for xyz, (row, col) in stops],
+            "waypoints": plan.waypoints.tolist(), "leg_costs": plan.leg_costs,
+        })
     write_json(path, {"version": SCHEMA_VERSION, "plans": entries})
 
 

@@ -25,6 +25,7 @@ from .pipeline import (
     filter_cloud,
     format_timings,
     ingest_log,
+    plan_failures,
     plan_surfaces,
     run_pipeline,
     segment_cloud,
@@ -148,10 +149,11 @@ def cmd_plan(args) -> int:
     cfg = _load_config(args)
     cloud = artifacts.read_cloud(args.cloud)
     surfaces = artifacts.read_surfaces(args.surfaces)
-    entries, failures = plan_surfaces(cloud, surfaces, cfg, args.out)
+    plans = plan_surfaces(cloud, surfaces, cfg, args.out)
+    failures = plan_failures(plans)
     for message in failures:
         print(f"plan: {message}", file=sys.stderr)
-    print(f"planned {len(entries) - len(failures)}/{len(entries)} surfaces")
+    print(f"planned {len(plans) - len(failures)}/{len(plans)} surfaces")
     return EXIT_STAGE if failures else EXIT_OK
 
 

@@ -127,6 +127,8 @@ def _parse_line(line_no: int, raw: str, header: dict, streams: tuple) -> None:
     """Check one log line and add it to ``header`` or to its stream of
     ``streams`` (vertical, horizontal, imu)."""
     vertical, horizontal, imu = streams
+    if not raw.isascii():
+        raise MalformedRecord("non-ASCII byte", line=line_no)
     line = raw.strip()
     if not line:
         return
@@ -210,7 +212,8 @@ def _parse_block(lines: list[str], header: dict):
     """
     by_width: dict[int, list[int]] = {}
     for k, line in enumerate(lines):
-        if (line.encode("ascii").translate(None, _CANONICAL_LOG)
+        if (not line.isascii()
+                or line.encode("ascii").translate(None, _CANONICAL_LOG)
                 or not _RECORD_START.match(line)):
             return None
         by_width.setdefault(line.count(" "), []).append(k)
@@ -254,12 +257,12 @@ def parse_scan_log(path) -> ScanLog:
     the OS.
 
     Raises:
-        MalformedRecord: unknown record type, bad number, negative range,
-            implied bearing outside the detection arc, a header value that
-            is not finite, an ``angle_inc`` or ``range_max`` that is not
-            > 0, a header key missing at the first scan record, a header
-            line after the first record, or no IMU sample at or before the
-            first scan.
+        MalformedRecord: a non-ASCII byte, unknown record type, bad
+            number, negative range, implied bearing outside the detection
+            arc, a header value that is not finite, an ``angle_inc`` or
+            ``range_max`` that is not > 0, a header key missing at the
+            first scan record, a header line after the first record, or no
+            IMU sample at or before the first scan.
         UnsortedTimestamps: a stream's timestamps fail to strictly increase.
         EmptyLog: no scan records at all.
     """
@@ -280,23 +283,19 @@ def parse_scan_log(path) -> ScanLog:
 
     block: list[str] = []
     first = 1   # the line number of block[0]
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            for line_no, raw in enumerate(fh, start=1):
-                if len(header) < 3:
-                    _parse_line(line_no, raw, header, streams)
-                    continue
-                if not block:
-                    first = line_no
-                block.append(raw)
-                if len(block) == _READ_BLOCK_LINES:
-                    take(first, block)
-                    block = []
-        except UnicodeDecodeError:
-            # The bad byte stops the read where a line-by-line read stops:
-            # the lines before it are checked first.
-            take(first, block)
-            raise
+    # latin-1 decodes every byte, so a non-ASCII byte reaches the line
+    # checks and is named by its line, after the lines before it.
+    with open(path, "r", encoding="latin-1") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if len(header) < 3:
+                _parse_line(line_no, raw, header, streams)
+                continue
+            if not block:
+                first = line_no
+            block.append(raw)
+            if len(block) == _READ_BLOCK_LINES:
+                take(first, block)
+                block = []
     if block:
         take(first, block)
 

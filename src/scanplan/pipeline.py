@@ -34,6 +34,7 @@ from .ingest import ScanLog, build_cloud, estimate_pose_track, parse_scan_log
 from .planning import (
     AStarWeights,
     CameraSpec,
+    FlightPlan,
     PlanningConfig,
     build_occupancy,
     generate_waypoints,
@@ -169,38 +170,38 @@ def cluster_cloud(cloud: PointCloud, cfg: PipelineConfig, out) -> list[np.ndarra
 
 def plan_surfaces(
     cloud: PointCloud, surfaces: list[PlanarSurface], cfg: PipelineConfig, out
-) -> tuple[list[dict], list[str]]:
+) -> list[FlightPlan | StageError]:
     """Coverage stops and waypoints per surface, in an occupancy grid of ``cloud``.
 
     Writes the plan JSON to ``out`` and ``plan_<k>.csv`` beside it for each
-    planned surface. A surface whose planning fails gets an entry with the
-    error's class name and message; the other surfaces are still planned.
+    planned surface. A surface whose planning fails is recorded with its
+    error; the other surfaces are still planned.
 
     Returns:
-        (plan entries, one "surface <k>: <error>" message per failed surface).
+        Per surface, in order, its plan or the error that stopped it.
     """
     grid = inflate(
         build_occupancy(cloud, cfg.planning.voxel_edge, cfg.planning.bounds_margin),
         cfg.planning.inflate_radius,
     )
-    entries: list[dict] = []
-    failures: list[str] = []
+    plans: list[FlightPlan | StageError] = []
     for k, surface in enumerate(surfaces):
         try:
             stops = plan_coverage(surface, cfg.planning, cfg.camera, grid=grid)
             plan = generate_waypoints(stops, grid, cfg.astar_weights)
         except StageError as err:
-            entries.append(
-                {"surface_index": k, "status": type(err).__name__, "error": str(err)}
-            )
-            failures.append(f"surface {k}: {err}")
+            plans.append(err)
             continue
-        entries.append(
-            {"surface_index": k, "status": "ok", **artifacts.plan_to_dict(plan)}
-        )
+        plans.append(plan)
         artifacts.write_waypoints_csv(Path(out).parent / f"plan_{k}.csv", plan)
-    artifacts.write_plans(out, entries)
-    return entries, failures
+    artifacts.write_plans(out, plans)
+    return plans
+
+
+def plan_failures(plans: list[FlightPlan | StageError]) -> list[str]:
+    """One "surface <k>: <error>" message per surface that was not planned."""
+    return [f"surface {k}: {plan}" for k, plan in enumerate(plans)
+            if isinstance(plan, StageError)]
 
 
 def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
@@ -247,9 +248,9 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
             result.counts["cluster"] = len(clusters)
 
         with _Stage(result, "plan"):
-            path = out / "plan.json"
-            entries, failures = plan_surfaces(filtered, surfaces, cfg, path)
-            result.counts["plan"] = sum(e["status"] == "ok" for e in entries)
+            plans = plan_surfaces(filtered, surfaces, cfg, out / "plan.json")
+            failures = plan_failures(plans)
+            result.counts["plan"] = len(plans) - len(failures)
             result.failures.extend(("plan", message) for message in failures)
             if failures:
                 result.status = 3
@@ -257,8 +258,8 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
         with _Stage(result, "render"):
             boundaries = [s.boundary for s in surfaces]
             chains = [
-                e["waypoints"] for e in entries
-                if e["status"] == "ok" and len(e["waypoints"]) > 1
+                plan.waypoints for plan in plans
+                if isinstance(plan, FlightPlan) and len(plan.waypoints) > 1
             ]
             for view in ("top", "elevation"):
                 plots.render_svg(

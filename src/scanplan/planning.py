@@ -3,6 +3,9 @@
 A surface is photographed from a lattice of standoff positions ordered in a
 serpentine sweep; consecutive stops are joined by A* paths over an
 inflated occupancy grid with per-axis weighted step costs.
+
+A surface's stops are one :class:`Stops` record of arrays in sweep order,
+with one facing for them all; ``len()`` of the record is the stop count.
 """
 
 from __future__ import annotations
@@ -70,21 +73,17 @@ class PlanningConfig:
 
 
 @dataclass(frozen=True)
-class StopPoint:
-    """A pause position with the camera facing the surface.
+class Stops:
+    """Camera stops in sweep order: ``positions`` (N, 3), lattice ``cells``
+    (N, 2) of (row, col), and the unit ``facing`` (3,) of every stop, used
+    as given: it is not normalised again."""
 
-    ``facing`` is the camera's unit direction, as given: it is not normalised
-    again.
-    """
-
-    position: np.ndarray
+    positions: np.ndarray
+    cells: np.ndarray
     facing: np.ndarray
-    row: int
-    col: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "facing", np.asarray(self.facing, dtype=float))
+    def __len__(self) -> int:
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -154,11 +153,10 @@ def build_occupancy(
         lo = lo - bounds_margin
         extent = (hi + bounds_margin) - lo
     dims = np.maximum(np.floor(extent / voxel_edge).astype(int) + 1, 1)
-    occupied = np.zeros(tuple(dims), dtype=bool)
+    grid = OccupancyGrid(lo, voxel_edge, np.zeros(tuple(dims), dtype=bool))
     if len(cloud) > 0:
-        idx = np.floor((cloud.points - lo) / voxel_edge).astype(int)
-        occupied[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    return OccupancyGrid(lo, voxel_edge, occupied)
+        grid.occupied[tuple(grid.world_to_indices(cloud.points).T)] = True
+    return grid
 
 
 def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
@@ -169,8 +167,6 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
     cells beyond the grid counting as free."""
     occupied = grid.occupied
     reach = int(math.floor(radius / grid.voxel_edge))
-    if reach == 0 or not occupied.any():
-        return OccupancyGrid(grid.origin.copy(), grid.voxel_edge, occupied.copy())
     rng = np.arange(-reach, reach + 1)
     dx, dy, dz = np.meshgrid(rng, rng, rng, indexing="ij")
     ball = (dx**2 + dy**2 + dz**2) * grid.voxel_edge**2 <= radius**2
@@ -322,7 +318,7 @@ def plan_coverage(
     cfg: PlanningConfig,
     camera: CameraSpec,
     grid: OccupancyGrid | None = None,
-) -> list[StopPoint]:
+) -> Stops:
     """Serpentine lattice of photo positions covering the surface boundary.
 
     Photo centers tile the boundary's bounding rectangle in the plane basis
@@ -361,7 +357,7 @@ def plan_coverage(
     cols = np.arange(n_u)
     cu = lo[0] + w / 2.0 + cols * step_u
     u_min, u_max = cu - w / 2.0, cu + w / 2.0
-    cells: list[tuple[int, int]] = []
+    cells: list[np.ndarray] = []
     centers: list[np.ndarray] = []
     for row in range(n_v):
         cv = lo[1] + h / 2.0 + row * step_v
@@ -369,25 +365,22 @@ def plan_coverage(
         rect_max = np.stack([u_max, np.full(n_u, cv + h / 2.0)], axis=1)
         hit = rects_intersect_polygon(rect_min, rect_max, poly2d)
         kept = cols[hit] if row % 2 == 0 else cols[hit][::-1]
-        cells.extend((row, col) for col in kept.tolist())
+        cells.append(np.stack([np.full(len(kept), row), kept], axis=1))
         centers.append(np.stack([cu[kept], np.full(len(kept), cv)], axis=1))
-    if not cells:
+    cells = np.concatenate(cells)
+    if not len(cells):
         raise EmptySurface("no photo footprint intersects the boundary")
     positions = basis.to_world(np.concatenate(centers)) + standoff * outward
-    # One unit facing, read-only, shared by every stop of the surface.
     facing = -outward / np.linalg.norm(-outward)
     facing.setflags(write=False)
-    return [
-        StopPoint(position, facing, row, col)
-        for position, (row, col) in zip(positions, cells)
-    ]
+    return Stops(positions, cells, facing)
 
 
 @dataclass(frozen=True)
 class FlightPlan:
     """Ordered stops plus the voxel-center waypoint chain threading them."""
 
-    stops: list
+    stops: Stops
     waypoints: np.ndarray
     leg_costs: list
 
@@ -430,7 +423,7 @@ def _box_is_free(grid: OccupancyGrid, start, box) -> bool:
 
 
 def generate_waypoints(
-    stops: list[StopPoint],
+    stops: Stops,
     grid: OccupancyGrid,
     weights: AStarWeights = AStarWeights(),
 ) -> FlightPlan:
@@ -451,9 +444,9 @@ def generate_waypoints(
             message names the stop).
         NoPath: some leg admits no free path (the message names the leg).
     """
-    if not stops:
+    if not len(stops):
         raise ValueError("need at least one stop point")
-    indices = grid.world_to_indices([stop.position for stop in stops])
+    indices = grid.world_to_indices(stops.positions)
     inside = np.all((indices >= 0) & (indices < grid.dims), axis=1)
     blocked = ~inside
     blocked[inside] = grid.occupied[tuple(indices[inside].T)]
@@ -461,7 +454,7 @@ def generate_waypoints(
         i = int(np.argmax(blocked))
         if not inside[i]:
             raise StopPointBlocked(
-                f"stop {i}: stop position {stops[i].position} is outside the grid"
+                f"stop {i}: stop position {stops.positions[i]} is outside the grid"
             )
         raise StopPointBlocked(
             f"stop {i}: stop voxel {tuple(indices[i].tolist())} is occupied "
@@ -497,4 +490,4 @@ def generate_waypoints(
         chain.append(tail + start)
     logger.info("waypoints: %d legs, %d searched, %d reused",
                 len(leg_costs), searched, len(leg_costs) - searched)
-    return FlightPlan(list(stops), grid.index_to_center(np.concatenate(chain)), leg_costs)
+    return FlightPlan(stops, grid.index_to_center(np.concatenate(chain)), leg_costs)

@@ -370,11 +370,11 @@ def chained_astar_waypoints(stops, grid, weights=AStarWeights()):
     """(waypoints, leg_costs) of ``generate_waypoints``, searching every leg
     with ``astar``; raises what it raises, with the same messages."""
     voxels = []
-    for i, stop in enumerate(stops):
-        v = tuple(int(c) for c in np.floor((stop.position - grid.origin) / grid.voxel_edge))
+    for i, position in enumerate(stops.positions):
+        v = tuple(int(c) for c in np.floor((position - grid.origin) / grid.voxel_edge))
         if not grid.in_bounds(v):
             raise StopPointBlocked(
-                f"stop {i}: stop position {stop.position} is outside the grid")
+                f"stop {i}: stop position {position} is outside the grid")
         if grid.occupied[v]:
             raise StopPointBlocked(
                 f"stop {i}: stop voxel {v} is occupied after inflation")

@@ -19,10 +19,16 @@ from scanplan.artifacts import (
     read_surfaces,
     write_cloud,
     write_stations,
+    write_plans,
     write_surfaces,
     write_waypoints_csv,
 )
-from scanplan.errors import MalformedRecord, NonPlanarEdit, SelfIntersectingPolygon
+from scanplan.errors import (
+    EmptySurface,
+    MalformedRecord,
+    NonPlanarEdit,
+    SelfIntersectingPolygon,
+)
 from scanplan.geometry import GRID_LIMIT, PointCloud, Pose, rotation_about_z
 from scanplan.planning import CameraSpec, FlightPlan, PlanningConfig, plan_coverage
 from scanplan.segmentation import PlanarSurface, PlaneModel
@@ -112,6 +118,28 @@ def test_waypoints_csv_bytes_equal_the_per_value_writer(tmp_path, rng, n):
     write_waypoints_csv(tmp_path / "new.csv", plan)
     write_waypoints_csv_per_value(tmp_path / "old.csv", waypoints)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_plan_file_holds_each_stop_and_each_error(tmp_path, rng):
+    # Every stop record carries its own position, the surface's facing and
+    # its cell as JSON integers, as a per-stop writer prints them.
+    stops = plan_coverage(square_surface(3.0, 2.0), PlanningConfig(),
+                          CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0))
+    waypoints = rng.normal(size=(7, 3))
+    plans = [FlightPlan(stops, waypoints, [1.25, 0.5]), EmptySurface("no boundary")]
+    write_plans(tmp_path / "plan.json", plans)
+    expected = {"version": 1, "plans": [
+        {"surface_index": 0, "status": "ok",
+         "stop_points": [{"position": [float(v) for v in position],
+                          "facing": [float(v) for v in stops.facing],
+                          "row": int(row), "col": int(col)}
+                         for position, (row, col) in zip(stops.positions, stops.cells)],
+         "waypoints": [[float(v) for v in w] for w in waypoints],
+         "leg_costs": [1.25, 0.5]},
+        {"surface_index": 1, "status": "EmptySurface", "error": "no boundary"}]}
+    assert len(stops) == 30
+    assert (tmp_path / "plan.json").read_text(encoding="ascii") == (
+        json.dumps(expected, indent=1, sort_keys=True) + "\n")
 
 
 HEADER = "3\n# comment\n"

@@ -167,6 +167,34 @@ def test_register_two_stations(tmp_path):
     assert np.allclose(got.points[n:], points, atol=1e-6)
 
 
+@pytest.mark.parametrize("n_stations, config, code, message", [
+    (0, {}, EXIT_VALIDATION,
+     "validation error: register_clouds needs at least one station"),
+    (2, {"icp": {"min_pairs": 1000000}}, EXIT_STAGE,
+     "stage register: station 1: only 1200 matched pairs, need 1000000"),
+], ids=["no_stations", "too_few_pairs"])
+def test_register_failure_exits_naming_the_cause(
+        tmp_path, capsys, n_stations, config, code, message):
+    # The cube pair of the README: station 1 is the same scan 3 cm off.
+    assert main(["generate", "--preset", "cube", "--density", "50",
+                 "--out", str(tmp_path / "cube.xyz")]) == EXIT_OK
+    identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    stations = [
+        {"cloud": "cube.xyz", "rotation": identity, "translation": [0.0, 0.0, 0.0]},
+        {"cloud": "cube.xyz", "rotation": identity, "translation": [0.03, -0.02, 0.01]},
+    ][:n_stations]
+    (tmp_path / "stations.json").write_text(json.dumps({"stations": stations}),
+                                            encoding="ascii")
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="ascii")
+    merged = tmp_path / "merged.xyz"
+    capsys.readouterr()
+    assert main(["register", "--config", str(tmp_path / "config.json"),
+                 "--stations", str(tmp_path / "stations.json"),
+                 "--out", str(merged)]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not merged.exists()
+
+
 def test_edit_boundary_export_then_import_keeps_the_surfaces_bytes(deck, tmp_path):
     _, out = deck
     surfaces = out / "surfaces.json"
@@ -318,20 +346,48 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, files, argv, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config, message", [
+# One row per range check of a config type: tests/test_tooling.py checks
+# that every message a config's __post_init__ raises is here.
+CONFIG_RANGE_ERRORS = [
     ({"planning": {"inflate_radius": -1}},
      "config.planning: inflate_radius must be >= 0"),
     ({"planning": {"footprint_width": 0}},
      "config.planning: footprint dimensions must be > 0"),
     ({"planning": {"overlap": 1.0}}, "config.planning: overlap must be in [0, 1)"),
+    ({"planning": {"voxel_edge": 0}}, "config.planning: voxel_edge must be > 0"),
+    ({"planning": {"bounds_margin": -1}}, "config.planning: bounds_margin must be >= 0"),
     ({"surface_cluster_eps": -1}, "config: surface_cluster_eps must be > 0"),
     ({"ransac": {"min_inliers": -3}}, "config.ransac: min_inliers must be >= 1"),
     ({"ransac": {"min_area": -5}}, "config.ransac: min_area must be >= 0"),
     ({"ransac": {"rng_seed": -1}}, "config.ransac: rng_seed must be >= 0"),
+    ({"ransac": {"distance_threshold": 0}},
+     "config.ransac: distance_threshold must be > 0"),
+    ({"ransac": {"iterations": 0}}, "config.ransac: iterations must be >= 1"),
     ({"icp": {"min_pairs": -3}}, "config.icp: min_pairs must be >= 1"),
-], ids=["negative_inflate_radius", "zero_footprint", "full_overlap",
-        "negative_cluster_eps", "negative_min_inliers", "negative_min_area",
-        "negative_rng_seed", "negative_min_pairs"])
+    ({"icp": {"max_iterations": 0}}, "config.icp: max_iterations must be >= 1"),
+    ({"icp": {"convergence_eps": 0}}, "config.icp: convergence_eps must be > 0"),
+    ({"icp": {"max_correspondence_dist": -1}},
+     "config.icp: max_correspondence_dist must be > 0"),
+    ({"cluster": {"radius": 0}}, "config.cluster: radius must be > 0"),
+    ({"cluster": {"min_cluster_size": 0}}, "config.cluster: min_cluster_size must be >= 1"),
+    ({"outlier_filter": {"k_neighbors": 0}},
+     "config.outlier_filter: k_neighbors must be >= 1"),
+    ({"outlier_filter": {"d_t": 0}}, "config.outlier_filter: d_t must be > 0"),
+    ({"voxel_grid": {"leaf_size": -0.05}}, "config.voxel_grid: leaf_size must be > 0"),
+    ({"camera": {"fov_h_deg": 180}},
+     "config.camera: fields of view must be in (0, 180) degrees"),
+    ({"astar_weights": {"a2": 0}}, "config.astar_weights: A* weights must be > 0"),
+]
+
+
+@pytest.mark.parametrize("config, message", CONFIG_RANGE_ERRORS, ids=[
+    "negative_inflate_radius", "zero_footprint", "full_overlap", "zero_voxel_edge",
+    "negative_bounds_margin", "negative_cluster_eps", "negative_min_inliers",
+    "negative_min_area", "negative_rng_seed", "zero_distance_threshold",
+    "zero_ransac_iterations", "negative_min_pairs", "zero_max_iterations",
+    "zero_convergence_eps", "negative_correspondence_dist", "zero_cluster_radius",
+    "zero_min_cluster_size", "zero_k_neighbors", "zero_d_t", "negative_leaf_size",
+    "flat_field_of_view", "zero_astar_weight"])
 def test_config_value_out_of_range_exits_2_before_any_stage(
         deck, tmp_path, capsys, config, message):
     # A value the config rejects ends the run before a stage writes anything,
@@ -355,6 +411,18 @@ def test_nan_timestamp_exits_2_naming_the_line(tmp_path, capsys):
     assert main(["run", "--input", str(log), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert "validation error: line 6: timestamp is NaN" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_non_ascii_byte_after_a_bad_record_exits_2_naming_the_record(tmp_path, capsys):
+    log = tmp_path / "bad.log"
+    log.write_bytes(b"# angle_min -0.1\n# angle_inc 0.1\n# range_max 30.0\n"
+                    b"I 0.0 1 0 0 0 1 0 0 0 1\nV 0.0 1.0\nH 0.0 1.0\n"
+                    b"V 0.1 -2.0\nV 0.2 1.0 \xe9 1.0\n")
+    capsys.readouterr()
+    assert main(["ingest", "--input", str(log),
+                 "--out", str(tmp_path / "out.xyz")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: line 7: negative range reading\n"
+    assert not (tmp_path / "out.xyz").exists()
 
 
 @pytest.mark.parametrize("key, value, line", [
@@ -488,6 +556,66 @@ def test_bad_source_tag_exits_2_naming_the_line(tmp_path, capsys):
     assert main(["filter", "--input", str(cloud),
                  "--out", str(tmp_path / "out.xyz")]) == EXIT_VALIDATION
     assert "validation error: line 4: bad source tag 'x'" in capsys.readouterr().err
+
+
+def _check_partly_planned(out_dir, err, prefix, failed):
+    """plan.json in ``out_dir`` holds an ok entry and, for each of ``failed``
+    (surface index -> (error class, message)), the error; only the planned
+    surfaces have a plan_<k>.csv, and stderr names each failed surface."""
+    entries = json.loads((out_dir / "plan.json").read_text(encoding="ascii"))["plans"]
+    assert [e["surface_index"] for e in entries] == list(range(len(entries)))
+    planned = [e["surface_index"] for e in entries if e["status"] == "ok"]
+    assert planned and all(entries[k]["stop_points"] for k in planned)
+    assert {e["surface_index"]: (e["status"], e["error"]) for e in entries
+            if e["status"] != "ok"} == failed
+    assert sorted(p.name for p in out_dir.glob("plan_*.csv")) == sorted(
+        f"plan_{k}.csv" for k in planned)
+    assert [line for line in err.splitlines() if line.startswith(prefix)] == [
+        f"{prefix}surface {k}: {message}" for k, (_, message) in sorted(failed.items())]
+
+
+def test_plan_records_a_surface_it_cannot_plan_and_plans_the_rest(tmp_path, capsys):
+    cloud, surfaces = tmp_path / "cloud.xyz", tmp_path / "surfaces.json"
+    assert main(["generate", "--preset", "surface", "--density", "50",
+                 "--out", str(cloud)]) == EXIT_OK
+    assert main(["segment", "--input", str(cloud), "--out", str(surfaces)]) == EXIT_OK
+    data = json.loads(surfaces.read_text(encoding="ascii"))
+    assert len(data["planes"]) == 1
+    # A 2-vertex boundary cannot be covered: EmptySurface.
+    plane = data["planes"][0]
+    data["planes"].append({**plane, "boundary": plane["boundary"][:2]})
+    surfaces.write_text(json.dumps(data), encoding="ascii")
+    out = tmp_path / "plans"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["plan", "--cloud", str(cloud), "--surfaces", str(surfaces),
+                 "--out", str(out / "plan.json")]) == EXIT_STAGE
+    captured = capsys.readouterr()
+    assert "planned 1/2 surfaces" in captured.out
+    _check_partly_planned(out, captured.err, "plan: ",
+                          {1: ("EmptySurface", "surface boundary is degenerate")})
+
+
+def test_run_records_the_surfaces_it_cannot_plan_and_plans_the_rest(tmp_path, capsys):
+    # A wall in the open plans; the sheets of the crossed planes block every
+    # standoff position in front of them.
+    scene = {"density": 20, "noise_sigma": 0.01, "primitives": [
+        {"type": "rectangle", "center": [0.0, 3.0, 1.5], "normal": [0, -1, 0],
+         "width": 4.0, "height": 3.0},
+        {"type": "crossed_planes", "center": [12.0, 0.0, 0.0], "edge": 2.0}]}
+    (tmp_path / "scene.json").write_text(json.dumps(scene), encoding="ascii")
+    cloud, out = tmp_path / "cloud.xyz", tmp_path / "out"
+    assert main(["generate", "--scene", str(tmp_path / "scene.json"),
+                 "--out", str(cloud)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", "--input", str(cloud), "--out", str(out)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    entries = json.loads((out / "plan.json").read_text(encoding="ascii"))["plans"]
+    failed = {e["surface_index"]: (e["status"], e["error"]) for e in entries
+              if e["status"] != "ok"}
+    assert failed and {status for status, _ in failed.values()} == {"StopPointBlocked"}
+    assert all(message.startswith("stop ") for _, message in failed.values())
+    _check_partly_planned(out, err, "stage plan: ", failed)
 
 
 @pytest.mark.parametrize("planes, index, message", [

@@ -313,6 +313,30 @@ def test_bad_record_before_a_non_ascii_byte_is_named(tmp_path):
     assert outcome == (MalformedRecord, "line 6: negative range reading", 6)
 
 
+@pytest.mark.parametrize("gap", [0, 100, 20_000])
+def test_a_non_ascii_byte_soon_after_a_bad_record_leaves_the_record_named(tmp_path, gap):
+    # A text file is decoded some kilobytes at a time: a non-ASCII byte in
+    # the same stretch as an earlier bad record must not hide the record.
+    lines = [f"I 0.0 {IDENTITY}", "V 0.0 1.0 1.0", "V 0.1 1.0 1.0", "V 0.15 1.0 -2.0"]
+    if gap:
+        lines.append("#" + "x" * (gap - 2))
+    lines.append("V 0.2 1.0 \xe9 1.0")
+    path = tmp_path / "scan.log"
+    path.write_bytes((HEADER + "\n".join(lines) + "\n").encode("latin-1"))
+    outcome, _ = assert_block_pass_agrees(path, ingest._READ_BLOCK_LINES)
+    assert outcome == (MalformedRecord, "line 7: negative range reading", 7)
+
+
+@pytest.mark.parametrize("line", [1, 6])
+def test_a_non_ascii_byte_is_named_by_its_line(tmp_path, line):
+    lines = HEADER.splitlines() + [f"I 0.0 {IDENTITY}", "V 0.0 1.0 1.0", "V 0.1 1.0 1.0"]
+    lines[line - 1] += " \xe9"
+    path = tmp_path / "scan.log"
+    path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    outcome, _ = assert_block_pass_agrees(path, ingest._READ_BLOCK_LINES)
+    assert outcome == (MalformedRecord, f"line {line}: non-ASCII byte", line)
+
+
 def test_a_room_log_is_held_in_a_few_arrays(tmp_path):
     log = simulate_yaw_scan(
         open_walls(), n_scans=360, yaw_span=math.radians(60.0),

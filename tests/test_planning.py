@@ -25,6 +25,7 @@ from scanplan.planning import (
     inflate,
     path_cost,
     plan_coverage,
+    Stops,
     standoff_distance,
     _search_box,
 )
@@ -82,12 +83,12 @@ def test_coverage_exact_tiling_serpentine():
     square_camera = CameraSpec(fov_h_deg=60.0, fov_v_deg=60.0)
     stops = plan_coverage(rect_surface(1.0, 1.0), cfg, square_camera)
     assert len(stops) == 4
-    assert [(s.row, s.col) for s in stops] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+    assert stops.cells.tolist() == [[0, 0], [0, 1], [1, 1], [1, 0]]
     # Stops stand off the plane by the pinhole distance, facing the surface.
     d = standoff_distance(cfg, square_camera)
-    for s in stops:
-        assert s.position[2] == pytest.approx(d, abs=1e-6)
-        assert np.allclose(s.facing, [0, 0, -1])
+    assert stops.positions.shape == (4, 3)
+    assert stops.positions[:, 2] == pytest.approx([d] * 4, abs=1e-6)
+    assert np.allclose(stops.facing, [0, 0, -1])
 
 
 def test_coverage_stops_share_one_unit_facing():
@@ -97,8 +98,8 @@ def test_coverage_stops_share_one_unit_facing():
                                                         [0, 0.6, 0.8]]).T,
                            surface.area)
     stops = plan_coverage(tilted, footprint(0.6, 0.4, 0.2), WIDE_CAMERA)
-    facing = stops[0].facing
-    assert all(s.facing is facing for s in stops)
+    facing = stops.facing
+    assert len(stops) > 1 and facing.shape == (3,)
     assert not facing.flags.writeable
     assert np.allclose(facing, [0.0, -0.6, -0.8])
     assert np.linalg.norm(facing) == pytest.approx(1.0, abs=1e-15)
@@ -117,7 +118,7 @@ def test_coverage_footprints_cover_polygon_monte_carlo(rng):
     cfg = footprint(0.6, 0.4, 0.2)
     stops = plan_coverage(surface, cfg, WIDE_CAMERA)
     w, h = cfg.footprint_width, cfg.footprint_height
-    centers = np.array([s.position[:2] for s in stops])
+    centers = stops.positions[:, :2]
     samples = rng.uniform([0.0, 0.0], [3.3, 2.1], size=(10_000, 2))
     for s in samples:
         inside = np.any(
@@ -130,17 +131,17 @@ def test_coverage_footprints_cover_polygon_monte_carlo(rng):
 def test_coverage_serpentine_adjacent_steps():
     cfg = footprint(0.6, 0.4, 0.2)
     stops = plan_coverage(rect_surface(4.0, 2.0), cfg, WIDE_CAMERA)
+    cells = stops.cells.tolist()
     rows = {}
-    for s in stops:
-        rows.setdefault(s.row, []).append(s.col)
+    for row, col in cells:
+        rows.setdefault(row, []).append(col)
     n_cols = len(rows[0])
-    for i in range(len(stops) - 1):
-        a, b = stops[i], stops[i + 1]
-        if a.row == b.row:
-            assert abs(a.col - b.col) == 1
+    for (a_row, a_col), (b_row, b_col) in zip(cells, cells[1:]):
+        if a_row == b_row:
+            assert abs(a_col - b_col) == 1
         else:
-            assert b.row == a.row + 1 and a.col == b.col
-            assert a.col in (0, n_cols - 1)  # turns happen at row ends
+            assert b_row == a_row + 1 and a_col == b_col
+            assert a_col in (0, n_cols - 1)  # turns happen at row ends
 
 
 def test_coverage_empty_surface():
@@ -366,9 +367,7 @@ def test_generate_waypoints_routes_through_gap():
     occ[5, :, :] = True
     occ[5, 5, 2] = False
     grid = OccupancyGrid(np.zeros(3), 1.0, occ)
-    stop_a = _stop_at(grid, (2, 5, 2))
-    stop_b = _stop_at(grid, (8, 5, 2))
-    plan = generate_waypoints([stop_a, stop_b], grid)
+    plan = generate_waypoints(_stops_at(grid, [(2, 5, 2), (8, 5, 2)]), grid)
     oracle = dijkstra_grid(occ, (2, 5, 2), (8, 5, 2))
     assert plan.leg_costs[0] == pytest.approx(oracle)
     chain = grid.world_to_indices(np.asarray(plan.waypoints)).tolist()
@@ -379,29 +378,28 @@ def test_generate_waypoints_blocked_stop():
     occ = np.zeros((5, 5, 5), dtype=bool)
     occ[2, 2, 2] = True
     grid = OccupancyGrid(np.zeros(3), 1.0, occ)
-    blocked = _stop_at(grid, (2, 2, 2))
     with pytest.raises(StopPointBlocked):
-        generate_waypoints([blocked], grid)
+        generate_waypoints(_stops_at(grid, [(2, 2, 2)]), grid)
 
 
 def test_generate_waypoints_names_the_first_bad_stop():
     occ = np.zeros((5, 5, 5), dtype=bool)
     occ[2, 2, 2] = occ[3, 3, 3] = True
     grid = OccupancyGrid(np.zeros(3), 1.0, occ)
-    free, outside = _stop_at(grid, (0, 0, 0)), _stop_at(grid, (0, 0, 7))
-    blocked, also_blocked = _stop_at(grid, (2, 2, 2)), _stop_at(grid, (3, 3, 3))
+    free, outside, blocked, also_blocked = (0, 0, 0), (0, 0, 7), (2, 2, 2), (3, 3, 3)
     with pytest.raises(StopPointBlocked,
                        match=r"^stop 1: stop voxel \(2, 2, 2\) is occupied after inflation$"):
-        generate_waypoints([free, blocked, outside, also_blocked], grid)
+        generate_waypoints(_stops_at(grid, [free, blocked, outside, also_blocked]), grid)
     with pytest.raises(StopPointBlocked,
                        match=r"^stop 2: stop position \[0.5 0.5 7.5\] is outside the grid$"):
-        generate_waypoints([free, free, outside, blocked], grid)
+        generate_waypoints(_stops_at(grid, [free, free, outside, blocked]), grid)
 
 
-def _stop_at(grid, index):
-    from scanplan.planning import StopPoint
-
-    return StopPoint(grid.index_to_center(index), np.array([0.0, 0, -1]), 0, 0)
+def _stops_at(grid, indices):
+    """Stops at the centers of the voxels ``indices``, in that order."""
+    positions = grid.index_to_center(np.asarray(indices).reshape(-1, 3))
+    return Stops(positions, np.zeros((len(positions), 2), dtype=int),
+                 np.array([0.0, 0, -1]))
 
 
 LEG_WEIGHTS = pytest.mark.parametrize(
@@ -466,7 +464,7 @@ def test_generate_waypoints_equals_one_search_per_leg(rng, caplog, weights):
             occ[tuple(slice(max(0, c - 1), c + 2) for c in v)] = True
             occ[tuple(v)] = False
         grid = OccupancyGrid(np.array([-2.0, 0.5, 3.0]), 0.25, occ)
-        stops = [_stop_at(grid, v) for v in voxels]
+        stops = _stops_at(grid, voxels)
         got = _plan_or_error(_waypoints_and_costs, stops, grid, weights)
         assert got == _plan_or_error(chained_astar_waypoints, stops, grid, weights)
         outcomes.add(got[0] if isinstance(got[0], str) else "ok")
@@ -506,7 +504,7 @@ def test_generate_waypoints_searches_a_seen_leg_with_an_obstacle_in_its_box(
     occ = np.zeros((40, 13, 13), dtype=bool)
     occ[5, 6, 6] = occ[13, 6, 6] = occ[21, 8, 6] = True
     grid = OccupancyGrid(np.zeros(3), 1.0, occ)
-    stops = [_stop_at(grid, (x, 6, 6)) for x in range(4, 36, 2)]
+    stops = _stops_at(grid, [(x, 6, 6) for x in range(4, 36, 2)])
     searched_from = []
 
     def recording_astar(grid, start, goal, weights):

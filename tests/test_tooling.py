@@ -2,10 +2,16 @@
 
 import argparse
 import ast
+import inspect
+import textwrap
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import scanplan
 from scanplan.cli import build_parser
+from scanplan.pipeline import PipelineConfig
+
+from test_cli import CONFIG_RANGE_ERRORS
 
 PACKAGE = Path(scanplan.__file__).parent
 ROOT = PACKAGE.parents[1]
@@ -275,3 +281,37 @@ def test_every_cli_flag_is_read_by_its_verb():
     # A flag its verb never reads sets nothing, or sets a config key a
     # second way; the config file is the one way in for stage settings.
     assert unread_flags() == set()
+
+
+def _config_types(cls=PipelineConfig) -> list[type]:
+    """``cls`` and every config type its fields hold, at any depth."""
+    found = [cls]
+    for f in fields(cls):
+        if f.default_factory is not MISSING and is_dataclass(f.default_factory):
+            found += _config_types(f.default_factory)
+    return found
+
+
+def config_range_messages() -> dict[str, str]:
+    """Each ``ValueError`` message raised in the ``__post_init__`` of a config
+    type reachable from PipelineConfig, with ``Class`` naming where."""
+    messages = {}
+    for cls in _config_types():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__post_init__)))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "ValueError"):
+                (arg,) = node.args
+                assert isinstance(arg, ast.Constant), f"{cls.__name__}: not a plain message"
+                messages[arg.value] = cls.__name__
+    return messages
+
+
+def test_every_config_range_check_has_a_cli_row():
+    # Each range check of the config exits 2 by the CLI; the table of
+    # tests/test_cli.py runs one config file per check.
+    rows = [message for _, message in CONFIG_RANGE_ERRORS]
+    messages = config_range_messages()
+    assert len(_config_types()) == 9 and len(messages) == 22
+    assert {message: cls for message, cls in messages.items()
+            if not any(row.endswith(f": {message}") for row in rows)} == {}
