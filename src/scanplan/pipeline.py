@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import resource
 import time
 from dataclasses import dataclass, field
@@ -168,14 +169,20 @@ def cluster_cloud(cloud: PointCloud, cfg: PipelineConfig, out) -> list[np.ndarra
     return clusters
 
 
+# The name of a surface's waypoint file, plan_<k>.csv, as plan_surfaces writes it.
+_PLAN_CSV = re.compile(r"plan_(0|[1-9][0-9]*)\.csv")
+
+
 def plan_surfaces(
     cloud: PointCloud, surfaces: list[PlanarSurface], cfg: PipelineConfig, out
 ) -> list[FlightPlan | StageError]:
     """Coverage stops and waypoints per surface, in an occupancy grid of ``cloud``.
 
     Writes the plan JSON to ``out`` and ``plan_<k>.csv`` beside it for each
-    planned surface. A surface whose planning fails is recorded with its
-    error; the other surfaces are still planned.
+    planned surface, and removes every other ``plan_<k>.csv`` there, so a
+    re-run leaves no plan of a surface that failed or is gone. A surface
+    whose planning fails is recorded with its error; the other surfaces
+    are still planned.
 
     Returns:
         Per surface, in order, its plan or the error that stopped it.
@@ -184,7 +191,9 @@ def plan_surfaces(
         build_occupancy(cloud, cfg.planning.voxel_edge, cfg.planning.bounds_margin),
         cfg.planning.inflate_radius,
     )
+    out_dir = Path(out).parent
     plans: list[FlightPlan | StageError] = []
+    written = set()
     for k, surface in enumerate(surfaces):
         try:
             stops = plan_coverage(surface, cfg.planning, cfg.camera, grid=grid)
@@ -193,7 +202,11 @@ def plan_surfaces(
             plans.append(err)
             continue
         plans.append(plan)
-        artifacts.write_waypoints_csv(Path(out).parent / f"plan_{k}.csv", plan)
+        artifacts.write_waypoints_csv(out_dir / f"plan_{k}.csv", plan)
+        written.add(f"plan_{k}.csv")
+    for stale in out_dir.glob("plan_*.csv"):
+        if _PLAN_CSV.fullmatch(stale.name) and stale.name not in written:
+            stale.unlink()
     artifacts.write_plans(out, plans)
     return plans
 

@@ -27,12 +27,47 @@ vector doubles once more and the process peaks higher. At 32-point leaves
 every tree the pipeline builds on the benchmark clouds has fewer nodes
 than the balanced one (that tree: 4,555), so it is smaller as well as
 quicker to build.
+
+scanplan uses only ``cKDTree`` from :mod:`scipy.spatial`, and that
+package's ``__init__`` also imports ``_qhull``, ``distance``, ``transform``
+and :mod:`scipy.linalg`. So the compiled module ``scipy.spatial._ckdtree``
+is found by file location in scipy's ``spatial`` directory and executed on
+its own, registered in ``sys.modules`` under its own name first, so that a
+later ``import scipy.spatial`` reuses it and binds the same class (Python
+sets a submodule as its package's attribute only when it loads it itself,
+so ``scipy.spatial._ckdtree`` is then reached through ``sys.modules`` or
+:func:`importlib.import_module`, not as an attribute). ``import
+scanplan.cli`` loads 76 scipy modules instead of 175: a process that only
+imports it peaks at 51.4 MB RSS instead of 66.9 MB and exits after 0.33 s
+instead of 0.47 s (medians of 11 alternating runs, scipy 1.17, 2-vCPU VM).
+Only the name of that private module is relied on; it has been
+``_ckdtree`` since scipy 1.8. When the file is not there, or
+``scipy.spatial._ckdtree`` is already imported, the class comes from
+``from scipy.spatial import cKDTree`` as usual.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
-from scipy.spatial import cKDTree
+import scipy
+
+_CKDTREE = "scipy.spatial._ckdtree"
+_spec = None if _CKDTREE in sys.modules else importlib.machinery.FileFinder(
+    str(Path(scipy.__file__).parent / "spatial"),
+    (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+).find_spec(_CKDTREE)
+if _spec is None:
+    from scipy.spatial import cKDTree
+else:
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_CKDTREE] = _module
+    _spec.loader.exec_module(_module)
+    cKDTree = _module.cKDTree
 
 _LEAF_SIZE = 32
 

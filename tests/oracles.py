@@ -637,3 +637,18 @@ def register_clouds_by_concat(stations, cfg):
 def argmin_nearest_sample(timestamps, t):
     """Index of the smallest |timestamps - t|; the earliest wins ties."""
     return int(np.argmin(np.abs(timestamps - t)))
+
+
+def path_clearance(waypoints, start, end, samples: int = 21) -> float:
+    """Least distance from the polyline through ``waypoints`` to the segment
+    ``start``-``end``: each piece of the polyline is sampled at ``samples``
+    evenly spaced points, and each sample's distance to the segment is exact."""
+    wp = np.asarray(waypoints, dtype=float).reshape(-1, 3)
+    a, b = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+    best = math.inf
+    for p, q in zip(wp, wp[1:]):
+        for s in np.linspace(0.0, 1.0, samples):
+            x = p + s * (q - p)
+            t = min(1.0, max(0.0, float(np.dot(x - a, b - a) / np.dot(b - a, b - a))))
+            best = min(best, float(np.linalg.norm(x - (a + t * (b - a)))))
+    return best

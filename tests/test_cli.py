@@ -596,6 +596,35 @@ def test_plan_records_a_surface_it_cannot_plan_and_plans_the_rest(tmp_path, caps
                           {1: ("EmptySurface", "surface boundary is degenerate")})
 
 
+def test_replanning_into_the_same_out_removes_the_plans_of_failed_or_gone_surfaces(
+        tmp_path, capsys):
+    cloud, surfaces = tmp_path / "cloud.xyz", tmp_path / "surfaces.json"
+    assert main(["generate", "--preset", "surface", "--density", "50",
+                 "--out", str(cloud)]) == EXIT_OK
+    assert main(["segment", "--input", str(cloud), "--out", str(surfaces)]) == EXIT_OK
+    data = json.loads(surfaces.read_text(encoding="ascii"))
+    plane = data["planes"][0]
+    out = tmp_path / "plans"
+    out.mkdir()
+    (out / "plan_notes.csv").write_text("kept\n", encoding="ascii")
+    plan = ["plan", "--cloud", str(cloud), "--surfaces", str(surfaces),
+            "--out", str(out / "plan.json")]
+    surfaces.write_text(json.dumps({**data, "planes": [plane, plane]}), encoding="ascii")
+    assert main(plan) == EXIT_OK
+    assert sorted(p.name for p in out.glob("plan_*.csv")) == [
+        "plan_0.csv", "plan_1.csv", "plan_notes.csv"]
+    # The one surface left cannot be planned with a 2-vertex boundary, and
+    # surface 1 is gone.
+    surfaces.write_text(json.dumps({**data, "planes": [
+        {**plane, "boundary": plane["boundary"][:2]}]}), encoding="ascii")
+    capsys.readouterr()
+    assert main(plan) == EXIT_STAGE
+    assert "plan: surface 0: surface boundary is degenerate" in capsys.readouterr().err
+    assert [p.name for p in out.glob("plan_*.csv")] == ["plan_notes.csv"]
+    entries = json.loads((out / "plan.json").read_text(encoding="ascii"))["plans"]
+    assert [e["status"] for e in entries] == ["EmptySurface"]
+
+
 def test_run_records_the_surfaces_it_cannot_plan_and_plans_the_rest(tmp_path, capsys):
     # A wall in the open plans; the sheets of the crossed planes block every
     # standoff position in front of them.
@@ -641,6 +670,18 @@ def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_importing_the_cli_leaves_the_rest_of_scipy_spatial_unloaded():
+    # scanplan binds cKDTree from the compiled scipy.spatial._ckdtree alone;
+    # the package __init__ would load these too, about 0.1 s and 15 MB.
+    unused = ["scipy.spatial.distance", "scipy.spatial._qhull",
+              "scipy.spatial.transform", "scipy.linalg"]
+    code = f"import sys, scanplan.cli; print([m for m in {unused!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(scanplan.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_with_surfaces_leaves_scipy_sparse_csgraph_unloaded(deck, tmp_path):

@@ -1,0 +1,56 @@
+"""Open defects of the pipeline, one test each, pinned as strict xfails.
+
+Each test runs its defect's probe input and checks the acceptance bound of
+the ROADMAP item that mends it. Its mark expects only ``BoundMissed``, so a
+setup error fails the run rather than passing as the defect; and the mark
+is strict, so a fix that makes the bound hold fails the run until the mark
+is deleted.
+
+Not pinnable yet, for want of simulator features: 6a needs a scene whose z
+offset the scanners can observe, and 9a needs IMU noise.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from scanplan.cli import EXIT_OK, main
+from scanplan.planning import PlanningConfig
+
+from oracles import path_clearance
+
+
+class BoundMissed(AssertionError):
+    """A defect's acceptance bound does not hold: the failure its mark expects."""
+
+
+def _check_bound(holds: bool, message: str) -> None:
+    if not holds:
+        raise BoundMissed(message)
+
+
+# A 20 x 8 m wall with a 6 m pole 1.4 m in front of it.
+_POLE = ((5.0, 4.6, 0.0), (5.0, 4.6, 6.0))
+_WALL_AND_POLE = {"density": 100, "noise_sigma": 0.01, "primitives": [
+    {"type": "rectangle", "center": [0, 6, 4], "normal": [0, -1, 0],
+     "width": 20, "height": 8},
+    {"type": "segment", "start": list(_POLE[0]), "end": list(_POLE[1])}]}
+
+
+@pytest.mark.xfail(strict=True, raises=BoundMissed, reason=(
+    "15a: the outlier filter removes every point of a thin pole, so the "
+    "occupancy grid has no pole and the plan flies through it"))
+def test_15a_the_flown_path_keeps_clear_of_a_thin_pole(tmp_path):
+    scene, cloud, out = tmp_path / "scene.json", tmp_path / "scene.xyz", tmp_path / "out"
+    scene.write_text(json.dumps(_WALL_AND_POLE), encoding="ascii")
+    assert main(["generate", "--scene", str(scene), "--seed", "0", "--out", str(cloud)]) == EXIT_OK
+    assert main(["run", "--input", str(cloud), "--out", str(out)]) == EXIT_OK
+    plans = json.loads((out / "plan.json").read_text(encoding="ascii"))["plans"]
+    assert plans
+    cfg = PlanningConfig()
+    bound = cfg.inflate_radius - math.sqrt(3) * cfg.voxel_edge / 2
+    clearance = min(path_clearance(np.array(p["waypoints"]), *_POLE) for p in plans)
+    _check_bound(clearance >= bound, f"the flown path passes {clearance:.3f} m from "
+                 f"the pole's axis, inside the {bound:.3f} m bound")

@@ -1,10 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import scanplan
 from scanplan.spatial import KdTree
 
 from oracles import (
@@ -186,3 +191,44 @@ def test_knearest_threaded_matches_single_thread(rng):
 def test_empty_tree_rejected():
     with pytest.raises(ValueError):
         KdTree(np.zeros((0, 3)))
+
+
+# The pytest process imported scipy.spatial above, so each way of loading
+# cKDTree is checked in a fresh interpreter.
+def _printed_in_fresh_interpreter(code: str, *args: str) -> list[str]:
+    env = {**os.environ, "PYTHONPATH": str(Path(scanplan.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    return done.stdout.split()
+
+
+def test_cKDTree_from_the_compiled_module_alone_is_scipys_class():
+    code = ("import importlib, sys, numpy as np, scanplan.spatial\n"
+            "print('scipy.spatial' in sys.modules,\n"
+            "      scanplan.spatial.KdTree(np.eye(3)).nearest(np.eye(3) * 0.9)[0].tolist())\n"
+            "import scipy.spatial\n"
+            "print(scanplan.spatial.cKDTree is scipy.spatial.cKDTree,\n"
+            "      importlib.import_module('scipy.spatial._ckdtree').cKDTree\n"
+            "      is scipy.spatial.cKDTree)")
+    assert _printed_in_fresh_interpreter(code) == ["False", "[0,", "1,", "2]", "True", "True"]
+
+
+def test_cKDTree_imported_after_scipy_spatial_is_scipys_class():
+    code = ("import scipy.spatial, scanplan.spatial\n"
+            "print(scanplan.spatial.cKDTree is scipy.spatial.cKDTree)")
+    assert _printed_in_fresh_interpreter(code) == ["True"]
+
+
+def test_cKDTree_falls_back_to_scipy_spatial_without_the_compiled_file(tmp_path):
+    # scipy's location is pointed at a copy of its layout with an empty
+    # spatial directory, so the compiled file is not found there.
+    (tmp_path / "scipy" / "spatial").mkdir(parents=True)
+    code = ("import pathlib, sys, scipy\n"
+            "scipy.__file__ = str(pathlib.Path(sys.argv[1]) / 'scipy' / '__init__.py')\n"
+            "import numpy as np, scanplan.spatial\n"
+            "print('scipy.spatial.distance' in sys.modules)\n"
+            "import scipy.spatial\n"
+            "print(scanplan.spatial.cKDTree is scipy.spatial.cKDTree,\n"
+            "      scanplan.spatial.KdTree(np.eye(3)).nearest(np.eye(3) * 0.9)[0].tolist())")
+    assert _printed_in_fresh_interpreter(code, str(tmp_path)) == [
+        "True", "True", "[0,", "1,", "2]"]
