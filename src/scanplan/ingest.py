@@ -13,7 +13,7 @@ pipeline):
 The three header lines come first: a log has one header, which gives the
 bearings of every scan (the two scan planes are set out in
 :mod:`scanplan.geometry`), and a header line after the first record is
-malformed. One validity rule, applied in :func:`local_points` only: a range
+malformed. One validity rule, in :func:`_valid_returns` only: a range
 reading is a valid return when 0 < range <= range_max. Other readings (0
 marks a no-return) stay in the record as written and are skipped by every
 consumer.
@@ -351,12 +351,17 @@ def write_scan_log(path, log: ScanLog) -> None:
             fh.write(f"{tag} {FLOAT_FORMAT % record.timestamp} {values}\n")
 
 
+def _valid_returns(log: ScanLog, scan: LaserScan) -> np.ndarray:
+    """The mask of a scan's valid returns: 0 < range <= range_max."""
+    return (scan.ranges > 0) & (scan.ranges <= log.range_max)
+
+
 def local_points(log: ScanLog, scan: LaserScan, to_local) -> np.ndarray:
-    """Local points (N, 3) of a scan's valid returns: 0 < range <= range_max.
+    """Local points (N, 3) of a scan's valid returns (:func:`_valid_returns`).
 
     ``to_local`` is the map of the scan's plane from :mod:`scanplan.geometry`.
     """
-    valid = (scan.ranges > 0) & (scan.ranges <= log.range_max)
+    valid = _valid_returns(log, scan)
     bearings = scan_bearings(log.angle_min, log.angle_inc, len(scan.ranges))
     return to_local(scan.ranges[valid], bearings[valid])
 
@@ -429,24 +434,29 @@ def build_cloud(log: ScanLog, poses: list[Pose]) -> PointCloud:
     """Map every valid vertical-scan return through its scan pose, the
     ``poses`` entry at the scan's index in ``log.vertical``.
 
-    Invalid readings (see :func:`local_points`) are dropped; the drop count
+    Invalid readings (see :func:`_valid_returns`) are dropped; the drop count
     is logged. Output points carry the vertical scan index as source tag.
+    The valid returns are counted first, so the points are one (N, 3) array
+    allocated once, each scan's slice written in scan order, and the tags
+    one ``np.repeat``; no per-scan array outlives its scan.
 
     Raises:
-        ValueError: ``poses`` does not hold one pose per vertical scan.
+        ValueError: ``poses`` does not hold one pose per vertical scan,
+            raised before anything is built.
     """
-    parts = []
-    tags = []
-    dropped = 0
-    for scan_index, (scan, pose) in enumerate(zip(log.vertical, poses, strict=True)):
-        local = local_points(log, scan, polar_to_local_arrays)
-        dropped += len(scan.ranges) - len(local)
-        if not len(local):
-            continue
-        parts.append(pose.apply(local))
-        tags.append(np.full(len(local), scan_index, dtype=np.int64))
+    if len(poses) != len(log.vertical):
+        raise ValueError(f"{len(poses)} poses for {len(log.vertical)} vertical scans")
+    counts = [int(np.count_nonzero(_valid_returns(log, scan))) for scan in log.vertical]
+    total = sum(counts)
+    dropped = sum(len(scan.ranges) for scan in log.vertical) - total
     if dropped:
         logger.info("build_cloud dropped %d invalid/out-of-range returns", dropped)
-    if not parts:
+    if not total:
         return PointCloud.empty()
-    return PointCloud._own(np.vstack(parts), np.concatenate(tags))
+    points = np.empty((total, 3))
+    end = 0
+    for scan, pose, count in zip(log.vertical, poses, counts):
+        points[end:end + count] = pose.apply(local_points(log, scan, polar_to_local_arrays))
+        end += count
+    sources = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return PointCloud._own(points, sources)

@@ -10,6 +10,11 @@ artifacts. Per-stage wall times and the process's peak resident memory at
 the end of each stage are reported on the returned result (and by the CLI
 on stdout), never written into artifacts.
 
+``run_pipeline`` drops each input once no later stage reads it: the scan
+log after ingest has built the registered cloud, and the registered cloud
+after the filter has written and logged its output. Segment, cluster, plan
+and render read only the filtered cloud and what segment returns.
+
 A config is checked once, when it is built: each config type's
 ``__post_init__`` rejects a bad value, so a bad config file fails before
 any stage runs, and the stages do not check their settings again.
@@ -251,6 +256,7 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
             result.counts["filter"] = len(filtered)
             logger.info("filter: %d -> %d points (%d outliers removed)",
                         len(cloud), len(filtered), removed)
+            del cloud  # read by no later stage
 
         with _Stage(result, "segment"):
             surfaces, remainder = segment_cloud(filtered, cfg, out / "surfaces.json")

@@ -17,7 +17,10 @@ import numpy as np
 import pytest
 
 from scanplan.cli import EXIT_OK, main
+from scanplan.pipeline import PipelineConfig, filter_cloud, segment_cloud
 from scanplan.planning import PlanningConfig
+from scanplan.preprocess import remove_statistical_outliers
+from scanplan.scenes import RectanglePrimitive, SceneSpec, generate_scene, preset_scene
 
 from oracles import path_clearance
 
@@ -54,3 +57,35 @@ def test_15a_the_flown_path_keeps_clear_of_a_thin_pole(tmp_path):
     clearance = min(path_clearance(np.array(p["waypoints"]), *_POLE) for p in plans)
     _check_bound(clearance >= bound, f"the flown path passes {clearance:.3f} m from "
                  f"the pole's axis, inside the {bound:.3f} m bound")
+
+
+@pytest.mark.xfail(strict=True, raises=BoundMissed, reason=(
+    "12a: the outlier filter removes surface points from a cloud that holds "
+    "no outliers, a quarter of a 20 pts/m2 deck"))
+def test_12a_the_filter_keeps_the_surface_points_of_a_clean_cloud():
+    cloud = generate_scene(preset_scene("deck", density=20, noise_sigma=0.01), seed=0)
+    kept, _ = remove_statistical_outliers(cloud)
+    share = len(kept) / len(cloud)
+    _check_bound(share >= 0.98, f"the filter keeps {share:.1%} of {len(cloud)} "
+                 "surface points, below the 98% bound")
+
+
+# One plane, y = 3 facing -y: a 10 x 2 m bar and a 2 x 14 m leg standing on
+# its left end, an L of 48 m2.
+_L_WALL = SceneSpec((
+    RectanglePrimitive((0.0, 3.0, 1.0), (0, -1, 0), 10.0, 2.0),
+    RectanglePrimitive((-4.0, 3.0, 9.0), (0, -1, 0), 2.0, 14.0),
+), density=50.0, noise_sigma=0.01)
+
+
+@pytest.mark.xfail(strict=True, raises=BoundMissed, reason=(
+    "7a: a surface is bounded by the convex hull of its inliers, so an "
+    "L-shaped wall gains the air inside its hull"))
+def test_7a_an_l_shaped_wall_keeps_its_area(tmp_path):
+    cfg = PipelineConfig()
+    filtered, _ = filter_cloud(generate_scene(_L_WALL, seed=0), cfg, tmp_path / "f.xyz")
+    surfaces, _ = segment_cloud(filtered, cfg, tmp_path / "surfaces.json")
+    areas = [round(s.area, 1) for s in surfaces]
+    _check_bound(len(surfaces) == 1 and abs(surfaces[0].area - 48.0) <= 0.05 * 48.0,
+                 f"the 48 m2 L-wall gives surfaces of {areas} m2, not one "
+                 "within 5% of 48 m2")

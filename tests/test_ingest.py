@@ -1,6 +1,7 @@
 import contextlib
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -16,7 +17,7 @@ from scanplan.errors import (
     ScanPlanError,
     UnsortedTimestamps,
 )
-from scanplan.geometry import Pose, polar_to_local_arrays
+from scanplan.geometry import PointCloud, Pose, polar_to_local_arrays
 from scanplan.ingest import (
     LaserScan,
     ScanLog,
@@ -595,6 +596,34 @@ def test_build_cloud_size_equals_valid_points():
         for s in log.vertical
     )
     assert len(cloud) == expected
+
+    # A middle scan with no valid return adds no point, and the scans on
+    # either side keep their points and tags, in scan order.
+    blank = log.vertical[3]
+    log.vertical[3] = LaserScan(blank.timestamp, np.zeros_like(blank.ranges))
+    cloud = build_cloud(log, track)
+    parts = [pose.apply(local_points(log, scan, polar_to_local_arrays))
+             for scan, pose in zip(log.vertical, track)]
+    assert len(parts[3]) == 0
+    reference = PointCloud(np.vstack(parts),
+                           np.repeat(np.arange(len(parts)), [len(p) for p in parts]))
+    assert cloud.points.tobytes() == reference.points.tobytes()
+    assert cloud.sources.tobytes() == reference.sources.tobytes()
+
+
+def test_build_cloud_holds_little_more_than_its_output():
+    # The points are one array allocated once, not per-scan parts stacked
+    # at the end, so the peak stays near the output's own size.
+    log = simulate_yaw_scan(preset_scene("room"), station=(0, 0, 1.5), n_scans=72)
+    track = estimate_pose_track(log, IcpConfig())
+    tracemalloc.start()
+    try:
+        cloud = build_cloud(log, track)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = cloud.points.nbytes + cloud.sources.nbytes
+    assert peak <= 1.5 * size, f"build_cloud peaked at {peak / size:.2f} x its output"
 
 
 def test_full_yaw_room_reconstruction_with_truth_track():

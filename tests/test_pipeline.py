@@ -1,12 +1,17 @@
+import math
+import weakref
 from dataclasses import asdict
 
 import pytest
 
-from scanplan import artifacts
-from scanplan.pipeline import PipelineConfig
+from scanplan import artifacts, pipeline
+from scanplan.ingest import write_scan_log
+from scanplan.pipeline import PipelineConfig, run_pipeline
 from scanplan.planning import CameraSpec
 from scanplan.registration import IcpConfig
+from scanplan.scenes import RectanglePrimitive, SceneSpec, generate_scene, preset_scene
 from scanplan.segmentation import RansacConfig
+from scanplan.simulate import DeviceParams, simulate_yaw_scan
 
 
 @pytest.mark.parametrize("cfg", [
@@ -35,3 +40,37 @@ def test_config_integers_pass_as_floats():
     )
     assert type(cfg.surface_cluster_eps) is float and cfg.surface_cluster_eps == 1.0
     assert type(cfg.ransac.min_area) is float and cfg.ransac.min_area == 3.0
+
+
+@pytest.mark.parametrize("kind", ["scan log", "cloud file"])
+def test_the_registered_cloud_is_dropped_after_the_filter(tmp_path, monkeypatch, kind):
+    # No stage after the filter reads the registered cloud, so run_pipeline
+    # holds it no longer: it is gone by the time segment starts.
+    if kind == "scan log":
+        walls = SceneSpec((
+            RectanglePrimitive((-4.0, 0.0, 1.0), (1, 0, 0), 6.0, 2.0),
+            RectanglePrimitive((0.0, -4.0, 1.0), (0, 1, 0), 6.0, 2.0),
+        ))
+        log = simulate_yaw_scan(walls, n_scans=6, yaw_span=math.radians(30.0),
+                                device=DeviceParams(angle_inc=math.radians(0.25),
+                                                    rays_per_scan=1081))
+        path = tmp_path / "walls.log"
+        write_scan_log(path, log)
+    else:
+        path = tmp_path / "deck.xyz"
+        artifacts.write_cloud(path, generate_scene(preset_scene("deck", 5.0, 0.01), seed=0))
+    filter_cloud, segment_cloud = pipeline.filter_cloud, pipeline.segment_cloud
+    registered = []
+
+    def watched_filter(cloud, *args):
+        registered.append(weakref.ref(cloud))
+        return filter_cloud(cloud, *args)
+
+    def checked_segment(*args):
+        assert registered and registered[0]() is None, "the registered cloud is still held"
+        return segment_cloud(*args)
+
+    monkeypatch.setattr(pipeline, "filter_cloud", watched_filter)
+    monkeypatch.setattr(pipeline, "segment_cloud", checked_segment)
+    result = run_pipeline(path, PipelineConfig(), tmp_path / "out")
+    assert "segment" in result.timings
