@@ -9,6 +9,7 @@ plan, run, edit-boundary. Configuration comes from one JSON file
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -33,6 +34,14 @@ from .pipeline import (
 from .registration import register_clouds
 from .scenes import generate_scene, preset_scene, scene_from_dict, scene_to_dict
 from .simulate import DeviceParams, scan_truth, simulate_yaw_scan
+
+# The imports above leave some 40,000 objects tracked by the cycle collector,
+# most of them in function <-> module-globals cycles that live as long as the
+# process. Interpreter shutdown walks them again in its own collections: a
+# process that only imports this module took 40 ms to exit, 8 ms with them
+# frozen (2-vCPU VM). Frozen objects are skipped by every collection; cycles
+# made after this line are still freed.
+gc.freeze()
 
 logger = logging.getLogger(__name__)
 

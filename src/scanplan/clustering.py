@@ -13,7 +13,9 @@ This is exact. Two points within the radius differ by at most the radius
 along the sort axis, so both lie in the extended strip of the lower one,
 and the pair is tested there by the kd-tree's own predicate. Memory beyond
 the (n,) arrays follows the strip, not the cloud: at the default 0.3 m
-radius a 400 pts/m² sheet has about 33 pairs per point.
+radius a 20,000-point, 400 pts/m² sheet has about 55 pairs per point, and
+its labelling holds 1.3 MB beyond those arrays in strips of 512 rows, 5.7 MB
+in strips of 2,048.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ import numpy as np
 from .geometry import PointCloud
 from .spatial import KdTree
 
-# Points per strip of the component labelling. The first plane of the
-# 400 pts/m² crossed_planes cloud has 8,658 inliers and 288,173 pairs; with
-# one query of them all the segment stage peaked at 91.8 MB, with strips of
-# 512 to 2,048 rows at 83.9-84.2 MB and of 4,096 at 86.6 MB. Labelling the
-# 14,715 points of the filtered deck cloud took 0.029 s in strips of this
-# size and 0.039 s in one query, on a 2-vCPU VM.
-_STRIP_ROWS = 2048
+# Points per strip of the component labelling. On the 400 pts/m²
+# crossed_planes cloud, whose first plane has 8,658 inliers, the segment
+# stage of `run` peaked at 59.1 MB with strips of 512 rows, 59.2 MB with
+# 1,024 and 60.8 MB with 2,048, while extract_surfaces took the same time
+# at all three sizes (0.116-0.120 s, median of 9 on a 2-vCPU VM).
+_STRIP_ROWS = 512
 # Relative slack on a strip's reach along the sort axis, far above the
 # rounding of a key difference, so that no pair within the radius is cut.
 _KEY_MARGIN = 1e-9

@@ -19,11 +19,14 @@ import numpy as np
 from .geometry import PointCloud
 from .spatial import KdTree
 
-# The kNN distances and indices held at once by neighbor_mean_distances. At
-# k = 50 that is about 10,000 rows, enough for each threaded query to keep
-# every core busy: half this size made the kNN of a 54 k-point room cloud
-# about 10% slower on 2 cores, one query of every row no faster.
-_KNN_BLOCK_BYTES = 8 << 20
+# The kNN distances and indices held at once by neighbor_mean_distances: at
+# k = 50, 2,570 rows per threaded query. At 8 MiB the filter set the peak
+# memory of `run` on every bench cloud; at 2 MiB it peaks below segment and
+# plan, and 4 MiB raises the deck filter's own peak by 0.7 MB. Looped in one
+# process, filtering the 54 k-point room cloud took 0.180, 0.168, 0.165 and
+# 0.173 s at 1, 2, 4 and 8 MiB (median of 9 on a 2-vCPU VM), but in a fresh
+# `run` the crossed_planes kNN took 0.229 s at 2 MiB against 0.175 s at 8.
+_KNN_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)

@@ -257,10 +257,16 @@ def _drop_interior(pts: np.ndarray) -> np.ndarray:
     which are points of the set: it is no hull vertex. A point is dropped
     only when each edge's cross product exceeds ``_CROSS_MARGIN`` of its
     terms' size, so rounding never drops a point on or near the hull.
+
+    The extreme points are found one direction at a time, with one (n,)
+    projection each, so no (n, 8) table of 64 bytes per point is formed.
+    Each projection ``x * dx + y * dy`` with ``dx, dy`` in {-1, 0, 1} has
+    exact products and one rounding, so it gives the table's values and
+    argmax.
     """
     if len(pts) == 0:
         return pts
-    corners = pts[np.argmax(pts @ _OCTANTS.T, axis=0)]
+    corners = pts[[np.argmax(pts @ d) for d in _OCTANTS]]
     corners = corners[np.any(corners != np.roll(corners, 1, axis=0), axis=1)]
     if len(corners) < 3:
         return pts

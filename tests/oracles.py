@@ -652,3 +652,26 @@ def path_clearance(waypoints, start, end, samples: int = 21) -> float:
             t = min(1.0, max(0.0, float(np.dot(x - a, b - a) / np.dot(b - a, b - a))))
             best = min(best, float(np.linalg.norm(x - (a + t * (b - a)))))
     return best
+
+
+def rectangles_matched(planes, rectangles, angle_deg: float = 5.0,
+                       offset_m: float = 0.1) -> int:
+    """Truth rectangles that some fitted plane matches: a plane ``(normal, d)``
+    with n.x + d = 0 matches a rectangle when the two normals agree within
+    ``angle_deg`` in either orientation and the rectangle's centre lies
+    within ``offset_m`` of the plane (the benchmark's 5 degree and 0.1 m
+    limits)."""
+    cos_limit = math.cos(math.radians(angle_deg))
+    count = 0
+    for rect in rectangles:
+        rn = np.asarray(rect.normal, dtype=float)
+        rn = rn / np.linalg.norm(rn)
+        centre = np.asarray(rect.center, dtype=float)
+        for normal, d in planes:
+            n = np.asarray(normal, dtype=float)
+            length = float(np.linalg.norm(n))
+            if (abs(float(n @ rn)) >= cos_limit * length
+                    and abs(float(n @ centre) + d) <= offset_m * length):
+                count += 1
+                break
+    return count

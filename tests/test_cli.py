@@ -684,6 +684,23 @@ def test_importing_the_cli_leaves_the_rest_of_scipy_spatial_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_freezes_its_objects_and_later_cycles_are_freed():
+    # The frozen import-time objects are skipped by interpreter shutdown's
+    # collections; a cycle made after the import must still be collected.
+    code = ("import gc, weakref, scanplan.cli\n"
+            "class Node: pass\n"
+            "a, b = Node(), Node()\n"
+            "a.other, b.other = b, a\n"
+            "alive = weakref.ref(a)\n"
+            "del a, b\n"
+            "gc.collect()\n"
+            "print(gc.get_freeze_count() > 0, alive() is None)")
+    env = {**os.environ, "PYTHONPATH": str(Path(scanplan.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert done.stdout.split() == ["True", "True"]
+
+
 def test_run_with_surfaces_leaves_scipy_sparse_csgraph_unloaded(deck, tmp_path):
     # The segment and cluster stages label their components without
     # scipy.sparse, whose csgraph package costs import time and memory.

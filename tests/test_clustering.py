@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,3 +254,25 @@ def test_segment_pair_queries_stay_within_one_extended_strip(monkeypatch):
     assert sum(n > bound for n, bound, _ in calls) >= 2
     for n, bound, queried in calls:
         assert max(queried) <= min(n, bound)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_labelling_holds_one_small_strip_of_pairs_beyond_its_point_arrays(rng):
+    # A 10 x 5 m sheet at 400 pts/m2 has about 55 pairs per point within
+    # 0.3 m. At a radius that links nothing the peak is that of the (n,)
+    # arrays alone; the rest is the pairs of one extended strip. Strips of
+    # 2,048 rows held 285 bytes per point beyond the arrays, of 512 rows 66.
+    n = 20_000
+    sheet = np.zeros((n, 3))
+    sheet[:, :2] = rng.uniform(0, 1, size=(n, 2)) * [10.0, 5.0]
+    arrays = _traced_peak(clustering._component_labels, sheet, 1e-6)
+    beyond = _traced_peak(clustering._component_labels, sheet, 0.3) - arrays
+    assert beyond <= 100 * n

@@ -22,7 +22,7 @@ from scanplan.planning import PlanningConfig
 from scanplan.preprocess import remove_statistical_outliers
 from scanplan.scenes import RectanglePrimitive, SceneSpec, generate_scene, preset_scene
 
-from oracles import path_clearance
+from oracles import path_clearance, rectangles_matched
 
 
 class BoundMissed(AssertionError):
@@ -89,3 +89,44 @@ def test_7a_an_l_shaped_wall_keeps_its_area(tmp_path):
     _check_bound(len(surfaces) == 1 and abs(surfaces[0].area - 48.0) <= 0.05 * 48.0,
                  f"the 48 m2 L-wall gives surfaces of {areas} m2, not one "
                  "within 5% of 48 m2")
+
+
+# The bench's crossed_planes scene at the lowest density from which both 2c
+# and 4a show at every density tried up to the bench's 400 pts/m2 (at 20 one
+# surface plans; at 15 they show again).
+_CROSSED_PLANES_DENSITY = 25
+
+
+@pytest.fixture(scope="module")
+def crossed_planes_run(tmp_path_factory):
+    """The planes and the per-surface plan statuses of one ``run``."""
+    work = tmp_path_factory.mktemp("crossed_planes")
+    cloud, out = work / "scene.xyz", work / "out"
+    assert main(["generate", "--preset", "crossed_planes", "--density",
+                 str(_CROSSED_PLANES_DENSITY), "--noise", "0.01", "--seed", "0",
+                 "--out", str(cloud)]) == EXIT_OK
+    main(["run", "--input", str(cloud), "--out", str(out)])
+    planes = json.loads((out / "surfaces.json").read_text(encoding="ascii"))["planes"]
+    plans = json.loads((out / "plan.json").read_text(encoding="ascii"))["plans"]
+    return [(p["normal"], p["d"]) for p in planes], [p["status"] for p in plans]
+
+
+@pytest.mark.xfail(strict=True, raises=BoundMissed, reason=(
+    "4a: one blocked coverage stop fails its whole surface, and every "
+    "crossed_planes surface has one"))
+def test_4a_a_crossed_planes_surface_plans(crossed_planes_run):
+    _, statuses = crossed_planes_run
+    assert statuses
+    _check_bound(any(s in ("ok", "partial") for s in statuses),
+                 f"no surface is ok or partial: {statuses}")
+
+
+@pytest.mark.xfail(strict=True, raises=BoundMissed, reason=(
+    "2c: segment finds few of the crossed_planes rectangles with the fixed "
+    "RANSAC threshold and connectivity radius"))
+def test_2c_segment_matches_every_crossed_planes_rectangle(crossed_planes_run):
+    planes, _ = crossed_planes_run
+    rects = preset_scene("crossed_planes").rectangles()
+    matched = rectangles_matched(planes, rects)
+    _check_bound(matched == len(rects), f"{len(planes)} planes match {matched} "
+                 f"of the {len(rects)} rectangles")

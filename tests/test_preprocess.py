@@ -138,6 +138,15 @@ def test_neighbor_means_memory_grows_with_the_cloud_not_with_k(rng):
     assert growth <= 100
 
 
+def test_neighbor_means_transient_stays_within_one_2_mib_block(rng):
+    # Beyond the tree's index array and the result, 8 bytes per point each,
+    # the filter holds one block of 51 distances and indices per row, which
+    # 2 MiB bounds. Blocks of 8 MiB held 8.4 MB here.
+    n = 60_000
+    transient = _traced_peak(n, rng) - 16 * n
+    assert transient <= (2 << 20) + (64 << 10)
+
+
 def test_voxel_two_points_merge_to_centroid():
     cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]]))
     out = voxel_downsample(cloud, VoxelGridConfig(leaf_size=0.1))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,20 @@ def test_hull_prefilter_keeps_the_chains_hull(rng, monkeypatch):
 def test_hull_prefilter_drops_most_of_a_plane(rng):
     pts = rng.uniform(0, 1, size=(2000, 2)) * [20.0, 11.0]
     assert len(segmentation._drop_interior(pts)) < 0.1 * len(pts)
+
+
+def test_hull_prefilter_holds_less_than_a_table_of_eight_projections(rng):
+    # An (n, 8) float64 table of every point's eight projections would be
+    # 64 bytes per point; one (n,) projection at a time is 8.
+    n = 20_000
+    pts = rng.uniform(0, 1, size=(n, 2)) * [20.0, 11.0]
+    tracemalloc.start()
+    try:
+        segmentation._drop_interior(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n
 
 
 def test_hull_permutation_invariant(rng):
