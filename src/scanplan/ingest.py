@@ -22,9 +22,11 @@ After its header a log is read a block of lines at a time. A block of
 records spelled as :func:`write_scan_log` spells them is converted by one
 ``np.loadtxt`` pass per line width and checked by vector tests; any other
 block is read line by line, with the same values and the same error on the
-same line. A block's scans are rows of one array, so a log is held in a few
-large arrays rather than one small one per scan, and dropping it gives the
-memory back to the OS instead of leaving it in malloc's heap.
+same line. Each stream of a :class:`ScanLog` is one :class:`Stream`, a
+stamps array and its records, and a block's scans are row views of one
+table. So a log is held in a few large arrays rather than one small one
+per scan, and dropping it gives the memory back to the OS instead of
+leaving it in malloc's heap.
 
 The IMU owns the rotation channel of the pose track: each pose takes the
 nearest IMU sample, untouched. The translation channel chains 2D scan
@@ -69,32 +71,34 @@ from .registration import IcpConfig, icp_align_2d
 logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
-class LaserScan:
-    """One sweep's ranges, in ray order; its log's header gives the bearings."""
+class Stream:
+    """One stream of a log: ``records[k]``, a scan's ranges in ray order or
+    an IMU rotation (3, 3), is stamped ``stamps[k]`` seconds. ``stamps`` is
+    a float64 (n,) array and each record a float64 array; stamps and
+    records of different lengths are a ValueError."""
 
-    timestamp: float
-    ranges: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranges", np.asarray(self.ranges, dtype=float))
-
-
-@dataclass(frozen=True)
-class ImuSample:
-    timestamp: float
-    rotation: np.ndarray
+    stamps: np.ndarray
+    records: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", validate_rotation(self.rotation))
+        stamps = np.asarray(self.stamps, dtype=np.float64)
+        records = tuple(np.asarray(r, dtype=np.float64) for r in self.records)
+        if stamps.shape != (len(records),):
+            raise ValueError(f"{stamps.shape} stamps for {len(records)} records")
+        object.__setattr__(self, "stamps", stamps)
+        object.__setattr__(self, "records", records)
+
+    def __len__(self) -> int:
+        return len(self.stamps)
 
 
 @dataclass(frozen=True)
 class ScanLog:
     """Vertical scans, horizontal scans and IMU samples under one header."""
 
-    vertical: list
-    horizontal: list
-    imu: list
+    vertical: Stream
+    horizontal: Stream
+    imu: Stream
     angle_min: float
     angle_inc: float
     range_max: float
@@ -125,8 +129,7 @@ def _parse_floats(tokens: list[str], line_no: int, what: str) -> np.ndarray:
 
 def _parse_line(line_no: int, raw: str, header: dict, streams: tuple) -> None:
     """Check one log line and add it to ``header`` or to its stream of
-    ``streams`` (vertical, horizontal, imu)."""
-    vertical, horizontal, imu = streams
+    ``streams``: the (stamps, records) lists of the V, H and I streams."""
     if not raw.isascii():
         raise MalformedRecord("non-ASCII byte", line=line_no)
     line = raw.strip()
@@ -135,7 +138,7 @@ def _parse_line(line_no: int, raw: str, header: dict, streams: tuple) -> None:
     if line.startswith("#"):
         parts = line[1:].split()
         if len(parts) == 2 and parts[0] in ("angle_min", "angle_inc", "range_max"):
-            if vertical or horizontal or imu:
+            if any(stamps for stamps, _ in streams):
                 raise MalformedRecord(
                     f"header line '# {parts[0]} ...' after the first record",
                     line=line_no,
@@ -150,7 +153,7 @@ def _parse_line(line_no: int, raw: str, header: dict, streams: tuple) -> None:
     tokens = line.split()
     tag = tokens[0]
     if tag in ("V", "H"):
-        if not vertical and not horizontal and len(header) < 3:
+        if len(header) < 3:
             key = next(k for k in ("angle_min", "angle_inc", "range_max")
                        if k not in header)
             raise MalformedRecord(f"scan record before header line '# {key} ...'",
@@ -169,7 +172,7 @@ def _parse_line(line_no: int, raw: str, header: dict, streams: tuple) -> None:
                 f"implied bearing outside the +-{DEFAULT_ARC_LIMIT:.6f} rad arc",
                 line=line_no,
             )
-        (vertical if tag == "V" else horizontal).append(LaserScan(t, ranges))
+        record = ranges
     elif tag == "I":
         if len(tokens) != 11:
             raise MalformedRecord(
@@ -178,12 +181,14 @@ def _parse_line(line_no: int, raw: str, header: dict, streams: tuple) -> None:
         t = _parse_float(tokens[1], line_no, "timestamp")
         entries = _parse_floats(tokens[2:], line_no, "rotation entry")
         try:
-            sample = ImuSample(t, entries.reshape(3, 3))
+            record = validate_rotation(entries.reshape(3, 3))
         except ValueError as err:
             raise MalformedRecord(str(err), line=line_no) from None
-        imu.append(sample)
     else:
         raise MalformedRecord(f"unknown record type {tag!r}", line=line_no)
+    stamps, records = streams["VHI".index(tag)]
+    stamps.append(t)
+    records.append(record)
 
 
 # Lines after the header are read this many at a time. With 1081-ray scans
@@ -196,54 +201,52 @@ _CANONICAL_LOG = b"0123456789.-+eE \nVHI"
 _RECORD_START = re.compile(r"[VHI] \S")
 
 
-def _parse_block(lines: list[str], header: dict):
-    """The (vertical, horizontal, imu) records of a block of log lines read
-    after the header, one ``np.loadtxt`` pass per line width, or None when
-    the block takes :func:`_parse_line`.
+def _parse_block(lines: list[str], header: dict, streams: tuple) -> bool:
+    """Add the records of a block of log lines read after the header to
+    ``streams`` (as :func:`_parse_line` does), one ``np.loadtxt`` pass per
+    line width; False, with ``streams`` untouched, when the block takes
+    :func:`_parse_line`.
 
     The pass takes a block of records alone: each line a tag, one space and
     then numbers one space apart, in ``_CANONICAL_LOG`` bytes. Within these
     bytes numpy converts a number as ``float`` does, or fails, and no number
     is NaN. Each width's table then gets the line parser's checks as vector
     tests (a scan's stamp and ranges >= 0, its width inside the arc), and
-    each IMU record the rotation check of :class:`ImuSample`. A block that
-    fails any of them gives None, and the line parser then names the first
-    bad line.
+    each IMU record the rotation check. A block that fails any of them gives
+    False, and the line parser then names the first bad line.
     """
     by_width: dict[int, list[int]] = {}
     for k, line in enumerate(lines):
         if (not line.isascii()
                 or line.encode("ascii").translate(None, _CANONICAL_LOG)
                 or not _RECORD_START.match(line)):
-            return None
+            return False
         by_width.setdefault(line.count(" "), []).append(k)
     records = [None] * len(lines)
     for width, rows in by_width.items():
         try:
             table = np.loadtxt([lines[k][2:] for k in rows], comments=None, ndmin=2)
         except ValueError:
-            return None
+            return False
         is_imu = np.array([lines[k][0] == "I" for k in rows])
         if table.shape != (len(rows), width):
-            return None
+            return False
         if not is_imu.all() and (
                 width < 2
                 or outside_arc(header["angle_min"], header["angle_inc"], width - 1)
                 or (table.min(axis=1)[~is_imu] < 0).any()):
-            return None
+            return False
         for k, t, values, imu in zip(rows, table[:, 0].tolist(), table[:, 1:],
                                      is_imu.tolist()):
-            if not imu:
-                records[k] = LaserScan(t, values)
-                continue
             try:
-                records[k] = ImuSample(t, values.reshape(3, 3))
+                records[k] = t, validate_rotation(values.reshape(3, 3)) if imu else values
             except ValueError:
-                return None
-    streams: tuple[list, list, list] = ([], [], [])
-    for line, record in zip(lines, records):
-        streams["VHI".index(line[0])].append(record)
-    return streams
+                return False
+    for line, (t, record) in zip(lines, records):
+        stamps, stream = streams["VHI".index(line[0])]
+        stamps.append(t)
+        stream.append(record)
+    return True
 
 
 def parse_scan_log(path) -> ScanLog:
@@ -263,23 +266,17 @@ def parse_scan_log(path) -> ScanLog:
             ``range_max`` that is not > 0, a header key missing at the
             first scan record, a header line after the first record, or no
             IMU sample at or before the first scan.
-        UnsortedTimestamps: a stream's timestamps fail to strictly increase.
+        UnsortedTimestamps: a stream's stamps fail to strictly increase; the
+            message names the first record out of order and both stamps.
         EmptyLog: no scan records at all.
     """
     header: dict[str, float] = {}
-    vertical: list[LaserScan] = []
-    horizontal: list[LaserScan] = []
-    imu: list[ImuSample] = []
-    streams = (vertical, horizontal, imu)
+    streams = ([], []), ([], []), ([], [])
 
     def take(first: int, lines: list[str]) -> None:
-        parsed = _parse_block(lines, header)
-        if parsed is None:
+        if not _parse_block(lines, header, streams):
             for line_no, raw in enumerate(lines, start=first):
                 _parse_line(line_no, raw, header, streams)
-        else:
-            for stream, records in zip(streams, parsed):
-                stream.extend(records)
 
     block: list[str] = []
     first = 1   # the line number of block[0]
@@ -299,14 +296,17 @@ def parse_scan_log(path) -> ScanLog:
     if block:
         take(first, block)
 
+    vertical, horizontal, imu = (Stream(*stream) for stream in streams)
     if not vertical and not horizontal:
         raise EmptyLog(f"{path} contains no scan records")
-    for name, stream in (("vertical", vertical), ("horizontal", horizontal), ("imu", imu)):
-        ts = [s.timestamp for s in stream]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise UnsortedTimestamps(f"{name} stream timestamps must strictly increase")
-    first_scan_t = min(s.timestamp for s in vertical + horizontal)
-    if not imu or imu[0].timestamp > first_scan_t:
+    for name, stream in (("vertical scan", vertical), ("horizontal scan", horizontal),
+                         ("IMU sample", imu)):
+        late = np.flatnonzero(stream.stamps[1:] <= stream.stamps[:-1]) + 1
+        if len(late):
+            before, t = stream.stamps[late[0] - 1:late[0] + 1].tolist()
+            raise UnsortedTimestamps(f"{name} {late[0]} at {t!r} s does not follow {before!r} s")
+    first_scan_t = min(stream.stamps[0] for stream in (vertical, horizontal) if stream)
+    if not imu or imu.stamps[0] > first_scan_t:
         raise MalformedRecord("no IMU sample at or before the first scan")
 
     return ScanLog(
@@ -325,45 +325,43 @@ def write_scan_log(path, log: ScanLog) -> None:
     read back bit for bit when they lie on the 1 um grid, as the simulator's
     do (:func:`scanplan.geometry.to_grid`). The header values and the 9
     entries of each IMU rotation are printed by ``repr`` and read back
-    exactly, as the rotation check of :class:`ImuSample` needs: the number
-    format of :mod:`scanplan.artifacts`.
+    exactly, as the parser's rotation check needs: the number format of
+    :mod:`scanplan.artifacts`.
     """
-    streams = (("V", "vertical", log.vertical), ("H", "horizontal", log.horizontal))
-    for _, name, stream in streams:
-        if empty := [s.timestamp for s in stream if len(s.ranges) == 0]:
-            raise ValueError(f"{name} scan at {float(empty[0])!r} s has no ranges")
-    records = [(tag, s) for tag, _, stream in streams for s in stream]
-    records += [("I", s) for s in log.imu]
+    for name, stream in (("vertical", log.vertical), ("horizontal", log.horizontal)):
+        if empty := [t for t, ranges in zip(stream.stamps.tolist(), stream.records)
+                     if len(ranges) == 0]:
+            raise ValueError(f"{name} scan at {empty[0]!r} s has no ranges")
+    records = [(tag, t, record)
+               for tag, stream in zip("VHI", (log.vertical, log.horizontal, log.imu))
+               for t, record in zip(stream.stamps.tolist(), stream.records)]
     # Stable interleave by time; stream order V < H < I on equal stamps.
-    records.sort(key=lambda r: (r[1].timestamp, "VHI".index(r[0])))
+    records.sort(key=lambda r: (r[1], "VHI".index(r[0])))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# angle_min {float(log.angle_min)!r}\n")
         fh.write(f"# angle_inc {float(log.angle_inc)!r}\n")
         fh.write(f"# range_max {float(log.range_max)!r}\n")
-        for tag, record in records:
-            if tag == "I":
-                # tolist() first: under numpy 2 the repr of a numpy scalar
-                # is "np.float64(...)", which the parser rejects.
-                values = " ".join(map(repr, record.rotation.ravel().tolist()))
-            else:
-                ranges = record.ranges.tolist()
-                values = " ".join([FLOAT_FORMAT] * len(ranges)) % tuple(ranges)
-            fh.write(f"{tag} {FLOAT_FORMAT % record.timestamp} {values}\n")
+        for tag, t, record in records:
+            # tolist() first: under numpy 2 the repr of a numpy scalar is
+            # "np.float64(...)", which the parser rejects.
+            values = record.ravel().tolist()
+            spec = " ".join(["%r" if tag == "I" else FLOAT_FORMAT] * len(values))
+            fh.write(f"{tag} {FLOAT_FORMAT % t} {spec % tuple(values)}\n")
 
 
-def _valid_returns(log: ScanLog, scan: LaserScan) -> np.ndarray:
+def _valid_returns(log: ScanLog, ranges: np.ndarray) -> np.ndarray:
     """The mask of a scan's valid returns: 0 < range <= range_max."""
-    return (scan.ranges > 0) & (scan.ranges <= log.range_max)
+    return (ranges > 0) & (ranges <= log.range_max)
 
 
-def local_points(log: ScanLog, scan: LaserScan, to_local) -> np.ndarray:
+def local_points(log: ScanLog, ranges: np.ndarray, to_local) -> np.ndarray:
     """Local points (N, 3) of a scan's valid returns (:func:`_valid_returns`).
 
     ``to_local`` is the map of the scan's plane from :mod:`scanplan.geometry`.
     """
-    valid = _valid_returns(log, scan)
-    bearings = scan_bearings(log.angle_min, log.angle_inc, len(scan.ranges))
-    return to_local(scan.ranges[valid], bearings[valid])
+    valid = _valid_returns(log, ranges)
+    bearings = scan_bearings(log.angle_min, log.angle_inc, len(ranges))
+    return to_local(ranges[valid], bearings[valid])
 
 
 def _nearest_sample(timestamps: np.ndarray, t: float) -> int:
@@ -401,15 +399,13 @@ def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> list[
         raise ValueError("pose-track estimation needs at least 2 horizontal scans")
     if not log.imu:
         raise ValueError("pose-track estimation needs IMU samples")
-    imu_ts = np.array([s.timestamp for s in log.imu])
+    imu, h_ts = log.imu, log.horizontal.stamps
 
     def imu_for(t: float) -> np.ndarray:
-        return log.imu[_nearest_sample(imu_ts, t)].rotation
-
-    h_ts = np.array([s.timestamp for s in log.horizontal])
+        return imu.records[_nearest_sample(imu.stamps, t)]
 
     def rotated_xy(i: int) -> np.ndarray:
-        local = local_points(log, log.horizontal[i], horizontal_polar_to_local_arrays)
+        local = local_points(log, log.horizontal.records[i], horizontal_polar_to_local_arrays)
         return (local @ imu_for(h_ts[i]).T)[:, :2]
 
     cumulative = np.zeros((len(log.horizontal), 2))
@@ -424,9 +420,9 @@ def estimate_pose_track(log: ScanLog, icp_cfg: IcpConfig = IcpConfig()) -> list[
         prev_points = cur_points
 
     poses = []
-    for scan in log.vertical:
-        xy = cumulative[_nearest_sample(h_ts, scan.timestamp)]
-        poses.append(Pose(imu_for(scan.timestamp), np.array([xy[0], xy[1], 0.0])))
+    for t in log.vertical.stamps.tolist():
+        xy = cumulative[_nearest_sample(h_ts, t)]
+        poses.append(Pose(imu_for(t), np.array([xy[0], xy[1], 0.0])))
     return poses
 
 
@@ -446,17 +442,18 @@ def build_cloud(log: ScanLog, poses: list[Pose]) -> PointCloud:
     """
     if len(poses) != len(log.vertical):
         raise ValueError(f"{len(poses)} poses for {len(log.vertical)} vertical scans")
-    counts = [int(np.count_nonzero(_valid_returns(log, scan))) for scan in log.vertical]
+    scans = log.vertical.records
+    counts = [int(np.count_nonzero(_valid_returns(log, ranges))) for ranges in scans]
     total = sum(counts)
-    dropped = sum(len(scan.ranges) for scan in log.vertical) - total
+    dropped = sum(map(len, scans)) - total
     if dropped:
         logger.info("build_cloud dropped %d invalid/out-of-range returns", dropped)
     if not total:
         return PointCloud.empty()
     points = np.empty((total, 3))
     end = 0
-    for scan, pose, count in zip(log.vertical, poses, counts):
-        points[end:end + count] = pose.apply(local_points(log, scan, polar_to_local_arrays))
+    for ranges, pose, count in zip(scans, poses, counts):
+        points[end:end + count] = pose.apply(local_points(log, ranges, polar_to_local_arrays))
         end += count
     sources = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     return PointCloud._own(points, sources)

@@ -189,13 +189,23 @@ _NEIGHBOR_OFFSETS = [
 ]
 
 
+class VoxelPath(list):
+    """The voxels of a path, start to goal, and its ``cost``: the sum of its
+    step costs, added in path order."""
+
+    def __init__(self, voxels, cost: float):
+        super().__init__(voxels)
+        self.cost = cost
+
+
 def astar(
     grid: OccupancyGrid,
     start: tuple[int, int, int],
     goal: tuple[int, int, int],
     weights: AStarWeights = AStarWeights(),
-) -> list[tuple[int, int, int]]:
-    """Cheapest 26-connected path between two free voxels.
+) -> VoxelPath:
+    """Cheapest 26-connected path between two free voxels, with its cost,
+    the search's g-score at the goal.
 
     A step to offset (dx, dy, dz) costs a1*dx^2 + a2*dy^2 + a3*dz^2.
     The heuristic min(a) * Chebyshev distance never exceeds the remaining
@@ -240,7 +250,8 @@ def astar(
             while current in came_from:
                 current = came_from[current]
                 path.append(current)
-            return [(k // nyz, k // nz % ny, k % nz) for k in reversed(path)]
+            return VoxelPath([(k // nyz, k // nz % ny, k % nz) for k in reversed(path)],
+                             g_score[goal_key])
         closed.add(current)
         cx, rest = divmod(current, nyz)
         cy, cz = divmod(rest, nz)
@@ -260,13 +271,6 @@ def astar(
                 heapq.heappush(open_heap, (tentative + h, neighbor))
 
     raise NoPath(f"no free path from {start} to {goal}")
-
-
-def path_cost(path, weights: AStarWeights = AStarWeights()) -> float:
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        total += weights.step_cost(b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    return total
 
 
 def standoff_distance(cfg: PlanningConfig, camera: CameraSpec) -> float:
@@ -334,7 +338,7 @@ def plan_coverage(
         EmptySurface: degenerate boundary.
         UnreachableStandoff: see :func:`standoff_distance`.
     """
-    if surface.boundary is None or len(surface.boundary) < 3:
+    if len(surface.boundary) < 3:
         raise EmptySurface("surface boundary is degenerate")
     basis = plane_basis(surface.model)
     poly2d = basis.to_plane(surface.boundary)
@@ -480,7 +484,7 @@ def generate_waypoints(
             except NoPath as err:
                 raise NoPath(f"leg {i}: {err}") from err
             searched += 1
-            cost = path_cost(leg, weights)
+            cost = leg.cost
             tail = np.asarray(leg[1:]).reshape(-1, 3) - start
             if hit is None:
                 box = _search_box(shift, cost, a_min)

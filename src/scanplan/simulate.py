@@ -23,7 +23,7 @@ from .geometry import (
     scan_bearings,
     to_grid,
 )
-from .ingest import ImuSample, LaserScan, ScanLog
+from .ingest import ScanLog, Stream
 from .scenes import RectanglePrimitive, SceneSpec
 
 
@@ -116,12 +116,13 @@ def simulate_yaw_scan(
     """Simulate a yaw sweep and return the scan log.
 
     One vertical scan, one horizontal scan and one attitude sample are
-    emitted per step, all at the same timestamp. The stamps and ranges lie
-    on the 1 um grid (:func:`scanplan.geometry.to_grid`), so a written log
-    reads back as it was made. The attitude channel is the exact
-    ground-truth yaw rotation; optional translation drift accumulates per
-    scan. Ground truth for scoring comes from :func:`scan_truth` with the
-    same arguments.
+    emitted per step, all at the same timestamp, so the log's three
+    streams (:class:`~scanplan.ingest.Stream`) share one stamps array. The
+    stamps and ranges lie on the 1 um grid (:func:`scanplan.geometry.to_grid`),
+    so a written log reads back as it was made. The attitude channel is the
+    exact ground-truth yaw rotation; optional translation drift accumulates
+    per scan. Ground truth for scoring comes from :func:`scan_truth` with
+    the same arguments.
 
     Raises ValueError for ``n_scans`` < 1, a negative or infinite
     ``range_noise``, a non-finite ``station`` or ``drift_per_scan``, or
@@ -145,13 +146,11 @@ def simulate_yaw_scan(
     vertical_dirs = polar_to_local_arrays(unit, bearings)
     horizontal_dirs = horizontal_polar_to_local_arrays(unit, bearings)
 
-    vertical: list[LaserScan] = []
-    horizontal: list[LaserScan] = []
-    imu: list[ImuSample] = []
+    vertical, horizontal = [], []
     truth = scan_truth(station, n_scans, yaw_span, drift_per_scan, device.scan_period)
-    stamps = to_grid(np.array([rec["timestamp"] for rec in truth])).tolist()
-    for t, rec in zip(stamps, truth):
-        rot = rotation_about_z(rec["yaw"])
+    stamps = to_grid(np.array([rec["timestamp"] for rec in truth]))
+    rotations = [rotation_about_z(rec["yaw"]) for rec in truth]
+    for rot, rec in zip(rotations, truth):
         pos = np.asarray(rec["position"])
         for dirs, out in ((vertical_dirs, vertical), (horizontal_dirs, horizontal)):
             ranges = _cast(pos, dirs @ rot.T, rects, device.range_max)
@@ -161,8 +160,7 @@ def simulate_yaw_scan(
                     hits, np.maximum(ranges + rng.normal(0, range_noise, len(ranges)),
                                      1e-6), ranges
                 )
-            out.append(LaserScan(t, to_grid(ranges)))
-        imu.append(ImuSample(t, rot))
+            out.append(to_grid(ranges))
 
-    return ScanLog(vertical, horizontal, imu,
+    return ScanLog(*(Stream(stamps, records) for records in (vertical, horizontal, rotations)),
                    device.angle_min, device.angle_inc, device.range_max)

@@ -23,7 +23,7 @@ from scanplan.errors import (
     NoPath,
     StopPointBlocked,
 )
-from scanplan.planning import AStarWeights, astar, path_cost
+from scanplan.planning import AStarWeights, astar
 from scanplan.registration import _kabsch
 from scanplan.spatial import KdTree
 
@@ -366,6 +366,14 @@ def tuple_key_astar(occupied: np.ndarray, start, goal, weights=(1.0, 1.0, 1.0)):
     return None
 
 
+def path_cost(path, weights=AStarWeights()) -> float:
+    """The cost of a voxel path: its step costs added in path order."""
+    total = 0.0
+    for a, b in zip(path, path[1:]):
+        total += weights.step_cost(b[0] - a[0], b[1] - a[1], b[2] - a[2])
+    return total
+
+
 def chained_astar_waypoints(stops, grid, weights=AStarWeights()):
     """(waypoints, leg_costs) of ``generate_waypoints``, searching every leg
     with ``astar``; raises what it raises, with the same messages."""
@@ -483,11 +491,9 @@ def write_waypoints_csv_per_value(path, waypoints):
 def write_scan_log_per_value(path, log):
     """A scan log written one record and one value at a time: stamps and
     ranges by :func:`fixed6`, header values and rotation entries by repr."""
-    records = (
-        [("V", s.timestamp, s) for s in log.vertical]
-        + [("H", s.timestamp, s) for s in log.horizontal]
-        + [("I", s.timestamp, s) for s in log.imu]
-    )
+    records = []
+    for tag, stream in (("V", log.vertical), ("H", log.horizontal), ("I", log.imu)):
+        records += [(tag, float(t), rec) for t, rec in zip(stream.stamps, stream.records)]
     order = {"V": 0, "H": 1, "I": 2}
     records.sort(key=lambda r: (r[1], order[r[0]]))
     with open(path, "w", encoding="ascii") as fh:
@@ -496,9 +502,9 @@ def write_scan_log_per_value(path, log):
         fh.write(f"# range_max {float(log.range_max)!r}\n")
         for tag, t, rec in records:
             if tag == "I":
-                vals = " ".join(repr(float(v)) for v in rec.rotation.ravel())
+                vals = " ".join(repr(float(v)) for v in np.ravel(rec))
             else:
-                vals = " ".join(fixed6(v) for v in rec.ranges)
+                vals = " ".join(fixed6(v) for v in rec)
             fh.write(f"{tag} {fixed6(t)} {vals}\n")
 
 

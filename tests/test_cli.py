@@ -1,5 +1,6 @@
 """The command line end to end, called in-process through ``cli.main``."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import scanplan
 from scanplan.artifacts import read_cloud
 from scanplan.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
-from scanplan.ingest import LaserScan, write_scan_log
+from scanplan.ingest import Stream, write_scan_log
 from scanplan.scenes import preset_scene, scene_to_dict
 from scanplan.simulate import simulate_yaw_scan
 
@@ -111,8 +112,9 @@ def test_blank_horizontal_scan_fails_its_scan_pair(tmp_path, capsys, verb):
     # A scan of no-returns is valid input, so it is a stage failure (exit 3)
     # of the pair that needs it, not a validation error.
     log = simulate_yaw_scan(preset_scene("room"), station=(0.0, 0.0, 1.5))
-    blank = log.horizontal[5]
-    log.horizontal[5] = LaserScan(blank.timestamp, np.zeros_like(blank.ranges))
+    scans = list(log.horizontal.records)
+    scans[5] = np.zeros_like(scans[5])
+    log = dataclasses.replace(log, horizontal=Stream(log.horizontal.stamps, scans))
     path = tmp_path / "blank.log"
     write_scan_log(path, log)
     capsys.readouterr()

@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 from scanplan.cli import EXIT_OK, main
+from scanplan.ingest import estimate_pose_track, write_scan_log
 from scanplan.pipeline import PipelineConfig, filter_cloud, segment_cloud
 from scanplan.planning import PlanningConfig
 from scanplan.preprocess import remove_statistical_outliers
 from scanplan.scenes import RectanglePrimitive, SceneSpec, generate_scene, preset_scene
+from scanplan.simulate import simulate_yaw_scan
 
 from oracles import path_clearance, rectangles_matched
 
@@ -130,3 +132,32 @@ def test_2c_segment_matches_every_crossed_planes_rectangle(crossed_planes_run):
     matched = rectangles_matched(planes, rects)
     _check_bound(matched == len(rects), f"{len(planes)} planes match {matched} "
                  f"of the {len(rects)} rectangles")
+
+
+@pytest.mark.xfail(strict=True, raises=BoundMissed, reason=(
+    "2a: the CLI-default 72-scan room gives no surface at the fixed "
+    "connectivity radius"))
+def test_2a_the_default_room_sweep_finds_its_four_walls(tmp_path):
+    # The station is at the origin and the first scan's yaw is 0, so the
+    # cloud's frame is the scene's.
+    log, out = tmp_path / "room.log", tmp_path / "out"
+    write_scan_log(log, simulate_yaw_scan(preset_scene("room")))
+    assert main(["run", "--input", str(log), "--out", str(out)]) == EXIT_OK
+    planes = json.loads((out / "surfaces.json").read_text(encoding="ascii"))["planes"]
+    walls = preset_scene("room").rectangles()
+    matched = rectangles_matched([(p["normal"], p["d"]) for p in planes], walls)
+    _check_bound(matched == len(walls), f"{len(planes)} planes match {matched} "
+                 f"of the {len(walls)} walls")
+
+
+@pytest.mark.xfail(strict=True, raises=BoundMissed, reason=(
+    "13a: the track adds up consecutive scan matches, so every match error "
+    "stays in every later pose of a still platform"))
+def test_13a_the_track_of_a_still_platform_stays_put():
+    # The bench's room_sweep input: the platform only yaws, so every true
+    # pose has the first pose's translation.
+    log = simulate_yaw_scan(preset_scene("room"), station=(0.0, 0.0, 1.5),
+                            n_scans=360, range_noise=0.005, seed=0)
+    worst = max(float(np.hypot(*pose.translation[:2])) for pose in estimate_pose_track(log))
+    _check_bound(worst <= 0.005, f"the still platform's track wanders {1000 * worst:.2f} mm "
+                 "in xy, past the 5 mm bound")

@@ -20,7 +20,7 @@ from scanplan.geometry import (
     rotation_about_z,
     to_grid,
 )
-from scanplan.ingest import ImuSample, LaserScan, ScanLog, write_scan_log
+from scanplan.ingest import ScanLog, Stream, write_scan_log
 from scanplan.scenes import generate_scene, preset_scene
 from scanplan.simulate import DeviceParams, simulate_yaw_scan
 
@@ -206,9 +206,9 @@ _EDGE = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3, 2.0**53]
 LOGS = {
     "room": ROOM_LOG,
     "three_widths": ScanLog(
-        [LaserScan(0.0, _EDGE[:5]), LaserScan(0.5, _EDGE[2:])],
-        [LaserScan(0.0, _EDGE[:2]), LaserScan(0.25, _EDGE[5:])],
-        [ImuSample(0.0, np.eye(3)), ImuSample(0.5, rotation_about_z(1 / 3))],
+        Stream([0.0, 0.5], [_EDGE[:5], _EDGE[2:]]),
+        Stream([0.0, 0.25], [_EDGE[:2], _EDGE[5:]]),
+        Stream([0.0, 0.5], [np.eye(3), rotation_about_z(1 / 3)]),
         -0.0, 1e-5, 30.0,
     ),
 }

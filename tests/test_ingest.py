@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import tempfile
 import tracemalloc
@@ -19,8 +20,8 @@ from scanplan.errors import (
 )
 from scanplan.geometry import PointCloud, Pose, polar_to_local_arrays
 from scanplan.ingest import (
-    LaserScan,
     ScanLog,
+    Stream,
     _nearest_sample,
     build_cloud,
     estimate_pose_track,
@@ -69,7 +70,26 @@ def test_parse_well_formed_file(tmp_path):
     assert len(log.horizontal) == 1
     assert len(log.imu) == 1
     assert log.range_max == 30.0
-    assert np.allclose(log.vertical[0].ranges, [1.0, 2.0, 3.0])
+    assert np.allclose(log.vertical.records[0], [1.0, 2.0, 3.0])
+
+
+def test_parsed_stamps_are_the_stamps_written(tmp_path):
+    path = tmp_path / "scan.log"
+    path.write_text(HEADER + f"I 0.0 {IDENTITY}\nI 0.25 {IDENTITY}\nV 0.125 1.0\n"
+                    + "H 0.125 2.0\nV 0.5 1.0\nH 0.75 2.0\n", encoding="ascii")
+    log = parse_scan_log(path)
+    for stream, stamps in ((log.vertical, [0.125, 0.5]), (log.horizontal, [0.125, 0.75]),
+                           (log.imu, [0.0, 0.25])):
+        assert stream.stamps.dtype == np.float64 and stream.stamps.shape == (2,)
+        assert stream.stamps.tolist() == stamps
+        assert len(stream) == len(stream.records) == 2
+
+
+def test_a_stream_needs_one_stamp_per_record():
+    with pytest.raises(ValueError, match=r"^\(2,\) stamps for 1 records$"):
+        Stream([0.0, 1.0], [np.ones(3)])
+    with pytest.raises(ValueError, match=r"^\(1, 1\) stamps for 1 records$"):
+        Stream([[0.0]], [np.ones(3)])
 
 
 def test_parse_bearing_out_of_arc(tmp_path):
@@ -115,6 +135,25 @@ def test_parse_unsorted_timestamps(tmp_path):
         parse_scan_log(path)
 
 
+@pytest.mark.parametrize("stamps, message", [
+    (("0.7", "0.5"), "2 at 0.5 s does not follow 0.7 s"),
+    (("0.7", "0.7"), "2 at 0.7 s does not follow 0.7 s"),
+    (("1e400", "inf"), "2 at inf s does not follow inf s"),
+], ids=["earlier", "equal", "both_infinite"])
+@pytest.mark.parametrize("tag, name", [
+    ("V", "vertical scan"), ("H", "horizontal scan"), ("I", "IMU sample")])
+def test_parse_unsorted_timestamps_names_the_record(tmp_path, tag, name, stamps, message):
+    # The stream's stamps are 0.0 and then ``stamps``; the other streams are
+    # sorted.
+    values = IDENTITY if tag == "I" else "1.0"
+    lines = [f"{tag} {t} {values}" for t in ("0.0", *stamps)]
+    lines += ["V 0.0 1.0"] if tag == "I" else [f"I 0.0 {IDENTITY}"]
+    path = tmp_path / "scan.log"
+    path.write_text(HEADER + "\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(UnsortedTimestamps, match=f"^{name} {message}$"):
+        parse_scan_log(path)
+
+
 def test_parse_empty_log(tmp_path):
     path = tmp_path / "scan.log"
     path.write_text(HEADER + f"I 0.0 {IDENTITY}\n", encoding="ascii")
@@ -136,10 +175,10 @@ def test_parse_invalid_ranges_masked(tmp_path):
     )
     log = parse_scan_log(path)
     # The readings stay as written; only the 5.0 m return at ray 1 is valid.
-    assert list(log.vertical[0].ranges) == [0.0, 5.0, 31.0]
+    assert list(log.vertical.records[0]) == [0.0, 5.0, 31.0]
     expected = polar_to_local_arrays([5.0], [log.angle_min + log.angle_inc])
     assert np.array_equal(
-        local_points(log, log.vertical[0], polar_to_local_arrays), expected
+        local_points(log, log.vertical.records[0], polar_to_local_arrays), expected
     )
 
 
@@ -187,7 +226,7 @@ def test_parse_range_spellings_read_as_float_reads_them(tmp_path):
     path = tmp_path / "scan.log"
     path.write_text(HEADER + f"I 0.0 {IDENTITY}\nV 0.0 {' '.join(GOOD_RANGES)}\n",
                     encoding="ascii")
-    ranges = parse_scan_log(path).vertical[0].ranges
+    ranges = parse_scan_log(path).vertical.records[0]
     assert ranges.tobytes() == np.array([float(t) for t in GOOD_RANGES]).tobytes()
 
 
@@ -229,9 +268,9 @@ def test_parse_bad_rotation_entry_names_the_token(tmp_path):
 # The block pass (ingest._parse_block) against the line parser alone. Either
 # way a file must give the same log, bit for bit, or the same error.
 
-def _record(rec, values):
-    t = rec.timestamp
-    return type(t), np.float64(t).tobytes(), values.dtype.str, values.shape, values.tobytes()
+def _stream(stream):
+    return (stream.stamps.dtype.str, stream.stamps.tobytes(),
+            [(r.dtype.str, r.shape, r.tobytes()) for r in stream.records])
 
 
 def parse_outcome(path, block_pass=True):
@@ -245,9 +284,9 @@ def parse_outcome(path, block_pass=True):
         except (ScanPlanError, ValueError) as err:
             return type(err), str(err), getattr(err, "line", None)
     return (
-        [_record(s, s.ranges) for s in log.vertical],
-        [_record(s, s.ranges) for s in log.horizontal],
-        [_record(s, s.rotation) for s in log.imu],
+        _stream(log.vertical),
+        _stream(log.horizontal),
+        _stream(log.imu),
         np.array([log.angle_min, log.angle_inc, log.range_max]).tobytes(),
     )
 
@@ -347,12 +386,12 @@ def test_a_room_log_is_held_in_a_few_arrays(tmp_path):
     path = tmp_path / "sweep.log"
     write_scan_log(path, log)
     back = parse_scan_log(path)
-    scans = back.vertical + back.horizontal
-    bases = {id(s.ranges.base) for s in scans if s.ranges.base is not None}
-    assert all(s.ranges.base is not None for s in scans)
+    scans = back.vertical.records + back.horizontal.records
+    bases = {id(ranges.base) for ranges in scans if ranges.base is not None}
+    assert all(ranges.base is not None for ranges in scans)
     assert len(bases) <= math.ceil(3 * 360 / ingest._READ_BLOCK_LINES) + 1
-    for a, b in zip(log.vertical + log.horizontal, scans):
-        assert a.ranges.tobytes() == b.ranges.tobytes()
+    for a, b in zip(log.vertical.records + log.horizontal.records, scans):
+        assert a.tobytes() == b.tobytes()
 
 
 def _rotation_tokens(angle):
@@ -448,7 +487,8 @@ def test_write_scan_log_bytes_equal_the_per_value_writer(tmp_path):
         range_noise=0.005, seed=3,
     )
     edge = np.array([-0.0, 0.0, 1e-300, 1e300, 5e-324, 2.0**53, 0.1])
-    log.vertical[0] = LaserScan(log.vertical[0].timestamp, edge)
+    log = dataclasses.replace(log, vertical=Stream(
+        log.vertical.stamps, (edge,) + log.vertical.records[1:]))
     write_scan_log(tmp_path / "new.log", log)
     write_scan_log_per_value(tmp_path / "old.log", log)
     assert (tmp_path / "new.log").read_bytes() == (tmp_path / "old.log").read_bytes()
@@ -461,7 +501,10 @@ def test_write_scan_log_refuses_a_scan_with_no_ranges(tmp_path, stream):
     log = simulate_yaw_scan(open_walls(), station=(0.0, 0.0, 0.0), n_scans=4,
                             yaw_span=math.radians(10.0), seed=0)
     scans = getattr(log, stream)
-    scans[1] = LaserScan(0.125, np.zeros(0))
+    stamps = scans.stamps.copy()
+    stamps[1] = 0.125
+    records = (scans.records[0], np.zeros(0)) + scans.records[2:]
+    log = dataclasses.replace(log, **{stream: Stream(stamps, records)})
     path = tmp_path / "empty.log"
     with pytest.raises(ValueError, match=rf"^{stream} scan at 0\.125 s has no ranges$"):
         write_scan_log(path, log)
@@ -481,11 +524,11 @@ def test_write_read_round_trip(tmp_path):
     assert len(back.vertical) == len(log.vertical)
     assert len(back.horizontal) == len(log.horizontal)
     assert len(back.imu) == len(log.imu)
-    for a, b in zip(log.vertical, back.vertical):
-        assert a.timestamp == b.timestamp
-        assert np.array_equal(a.ranges, b.ranges)  # repr round-trip is exact
-    for a, b in zip(log.imu, back.imu):
-        assert np.array_equal(a.rotation, b.rotation)
+    assert np.array_equal(log.vertical.stamps, back.vertical.stamps)
+    for a, b in zip(log.vertical.records, back.vertical.records):
+        assert np.array_equal(a, b)  # repr round-trip is exact
+    for a, b in zip(log.imu.records, back.imu.records):
+        assert np.array_equal(a, b)
 
 
 def test_in_memory_log_matches_its_file_round_trip(tmp_path):
@@ -495,7 +538,7 @@ def test_in_memory_log_matches_its_file_round_trip(tmp_path):
     log = simulate_yaw_scan(open_walls(), station=(0.0, 0.0, 1.0), device=device,
                             n_scans=12, yaw_span=math.radians(30.0),
                             range_noise=0.01, seed=0)
-    assert any((s.ranges > device.range_max).any() for s in log.horizontal)
+    assert any((ranges > device.range_max).any() for ranges in log.horizontal.records)
     path = tmp_path / "sim.log"
     write_scan_log(path, log)
     back = parse_scan_log(path)
@@ -546,10 +589,10 @@ def test_pose_track_rotations_passthrough():
     log = simulate_yaw_scan(open_walls(), n_scans=8, yaw_span=math.radians(40.0),
                             device=fine_device())
     track = estimate_pose_track(log, IcpConfig())
-    imu_by_t = {s.timestamp: s.rotation for s in log.imu}
+    imu_by_t = dict(zip(log.imu.stamps.tolist(), log.imu.records))
     assert len(track) == len(log.vertical)
-    for scan, pose in zip(log.vertical, track):
-        assert np.array_equal(pose.rotation, imu_by_t[scan.timestamp])
+    for t, pose in zip(log.vertical.stamps.tolist(), track):
+        assert np.array_equal(pose.rotation, imu_by_t[t])
 
 
 def test_pose_track_needs_two_horizontal_scans():
@@ -560,8 +603,8 @@ def test_pose_track_needs_two_horizontal_scans():
 
 
 def test_build_cloud_single_scan_identity_pose():
-    scan = LaserScan(0.0, np.array([1.0, 2.0]))
-    log = ScanLog([scan], [], [], -0.1, 0.2, 30.0)
+    none = Stream([], [])
+    log = ScanLog(Stream([0.0], [[1.0, 2.0]]), none, none, -0.1, 0.2, 30.0)
     cloud = build_cloud(log, [Pose.identity()])
     assert len(cloud) == 2
     expected = [[-1.0 * math.cos(-0.1), 0.0, -1.0 * math.sin(-0.1)],
@@ -571,7 +614,8 @@ def test_build_cloud_single_scan_identity_pose():
 
 
 def test_build_cloud_empty_vertical_scans():
-    log = ScanLog([], [], [], 0.0, 0.1, 30.0)
+    none = Stream([], [])
+    log = ScanLog(none, none, none, 0.0, 0.1, 30.0)
     cloud = build_cloud(log, [])
     assert len(cloud) == 0
 
@@ -579,8 +623,8 @@ def test_build_cloud_empty_vertical_scans():
 def test_build_cloud_missing_pose():
     # Scans and poses pair by index, so a track one pose short or one long
     # is refused rather than paired out of step.
-    scans = [LaserScan(0.0, np.array([1.0])), LaserScan(5.0, np.array([1.0]))]
-    log = ScanLog(scans, [], [], 0.0, 0.1, 30.0)
+    none = Stream([], [])
+    log = ScanLog(Stream([0.0, 5.0], [[1.0], [1.0]]), none, none, 0.0, 0.1, 30.0)
     for n_poses in (1, 3):
         with pytest.raises(ValueError):
             build_cloud(log, [Pose.identity()] * n_poses)
@@ -592,18 +636,19 @@ def test_build_cloud_size_equals_valid_points():
     track = estimate_pose_track(log, IcpConfig())
     cloud = build_cloud(log, track)
     expected = sum(
-        int(np.count_nonzero((s.ranges > 0) & (s.ranges <= log.range_max)))
-        for s in log.vertical
+        int(np.count_nonzero((ranges > 0) & (ranges <= log.range_max)))
+        for ranges in log.vertical.records
     )
     assert len(cloud) == expected
 
     # A middle scan with no valid return adds no point, and the scans on
     # either side keep their points and tags, in scan order.
-    blank = log.vertical[3]
-    log.vertical[3] = LaserScan(blank.timestamp, np.zeros_like(blank.ranges))
+    scans = list(log.vertical.records)
+    scans[3] = np.zeros_like(scans[3])
+    log = dataclasses.replace(log, vertical=Stream(log.vertical.stamps, scans))
     cloud = build_cloud(log, track)
-    parts = [pose.apply(local_points(log, scan, polar_to_local_arrays))
-             for scan, pose in zip(log.vertical, track)]
+    parts = [pose.apply(local_points(log, ranges, polar_to_local_arrays))
+             for ranges, pose in zip(log.vertical.records, track)]
     assert len(parts[3]) == 0
     reference = PointCloud(np.vstack(parts),
                            np.repeat(np.arange(len(parts)), [len(p) for p in parts]))

@@ -23,7 +23,6 @@ from scanplan.planning import (
     build_occupancy,
     generate_waypoints,
     inflate,
-    path_cost,
     plan_coverage,
     Stops,
     standoff_distance,
@@ -31,7 +30,7 @@ from scanplan.planning import (
 )
 from scanplan.segmentation import PlanarSurface, PlaneModel
 
-from oracles import chained_astar_waypoints, dijkstra_grid, tuple_key_astar
+from oracles import chained_astar_waypoints, dijkstra_grid, path_cost, tuple_key_astar
 
 
 def rect_surface(width, height, z=0.0):
@@ -321,6 +320,25 @@ def test_astar_returns_the_tuple_keyed_path(rng, weights):
                     astar(grid, start, goal, AStarWeights(*weights))
             else:
                 assert astar(grid, start, goal, AStarWeights(*weights)) == want
+
+
+@pytest.mark.parametrize("weights", [(1.0, 2.0, 1.5), (0.3, 0.7, 1.1)])
+def test_astar_cost_is_the_path_cost_bit_for_bit(rng, weights):
+    # The search's g-score at the goal adds the same step costs in the same
+    # order as the oracle, so the sums agree to the last bit.
+    weights = AStarWeights(*weights)
+    checked = 0
+    for _ in range(20):
+        occ = rng.random((10, 10, 10)) < 0.25
+        free = np.argwhere(~occ)
+        start, goal = (tuple(free[i].tolist()) for i in rng.integers(len(free), size=2))
+        try:
+            path = astar(OccupancyGrid(np.zeros(3), 1.0, occ), start, goal, weights)
+        except NoPath:
+            continue
+        assert path.cost.hex() == path_cost(path, weights).hex()
+        checked += 1
+    assert checked >= 10
 
 
 def test_astar_weight_scaling_invariance(rng):

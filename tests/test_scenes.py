@@ -112,9 +112,9 @@ def test_simulate_empty_scene_all_no_returns():
         SceneSpec((), density=1.0), n_scans=3,
         device=DeviceParams(angle_inc=math.radians(1.0), rays_per_scan=271),
     )
-    for scan in log.vertical + log.horizontal:
-        assert np.all(scan.ranges == 0.0)
-        assert len(local_points(log, scan, polar_to_local_arrays)) == 0
+    for ranges in log.vertical.records + log.horizontal.records:
+        assert np.all(ranges == 0.0)
+        assert len(local_points(log, ranges, polar_to_local_arrays)) == 0
 
 
 def test_simulate_single_wall_hits_match_analytic():
@@ -122,7 +122,7 @@ def test_simulate_single_wall_hits_match_analytic():
     dev = DeviceParams(angle_inc=math.radians(0.5), rays_per_scan=541)
     log = simulate_yaw_scan(wall, station=(0.0, 0.0, 1.0), n_scans=1,
                             yaw_span=0.0, device=dev)
-    local = local_points(log, log.horizontal[0], horizontal_polar_to_local_arrays)
+    local = local_points(log, log.horizontal.records[0], horizontal_polar_to_local_arrays)
     # Horizontal rays at height 1.0 end on the x=-3 plane, in the scan plane.
     assert len(local) > 0
     assert np.allclose(local[:, 0], -3.0, atol=1e-9)
