@@ -119,10 +119,8 @@ def cmd_register(args) -> int:
     stations = []
     base = Path(args.stations).parent
     for cloud_path, pose in artifacts.read_stations(args.stations):
-        p = Path(cloud_path)
-        if not p.is_absolute():
-            p = base / p
-        stations.append((artifacts.read_cloud(p), pose))
+        # An absolute path replaces the base when joined.
+        stations.append((artifacts.read_cloud(base / cloud_path), pose))
     merged = register_clouds(stations, cfg.icp)
     artifacts.write_cloud(args.out, merged)
     print(f"registered {len(stations)} stations into {len(merged)} points")

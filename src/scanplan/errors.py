@@ -73,6 +73,10 @@ class StopPointBlocked(StageError):
     pass
 
 
+class GridTooLarge(StageError):
+    pass
+
+
 # --- boundary editing --------------------------------------------------------
 
 class NonPlanarEdit(ValidationError):

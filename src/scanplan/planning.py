@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     EmptySurface,
+    GridTooLarge,
     NoPath,
     StartOrGoalOccupied,
     StopPointBlocked,
@@ -139,12 +140,21 @@ class OccupancyGrid:
         return all(0 <= index[i] < self.occupied.shape[i] for i in range(3))
 
 
+# The most voxels an occupancy grid may have: 64 MiB per boolean copy, of
+# which the plan stage holds a few. Deck's grid has 99,008 (104 x 56 x 17).
+MAX_GRID_VOXELS = 2**26
+
+
 def build_occupancy(
     cloud: PointCloud, voxel_edge: float, bounds_margin: float
 ) -> OccupancyGrid:
     """Grid over the cloud's bounding box plus margin; a voxel is occupied
     iff it contains at least one point. An empty cloud yields an all-free
-    grid spanning the margin around the origin."""
+    grid spanning the margin around the origin.
+
+    Raises:
+        GridTooLarge: over ``MAX_GRID_VOXELS`` voxels, before any is allocated.
+    """
     if len(cloud) == 0:
         lo = np.zeros(3) - bounds_margin
         extent = np.full(3, 2.0 * bounds_margin)
@@ -152,8 +162,12 @@ def build_occupancy(
         lo, hi = cloud.bounds()
         lo = lo - bounds_margin
         extent = (hi + bounds_margin) - lo
-    dims = np.maximum(np.floor(extent / voxel_edge).astype(int) + 1, 1)
-    grid = OccupancyGrid(lo, voxel_edge, np.zeros(tuple(dims), dtype=bool))
+    shape = np.maximum(np.floor(extent / voxel_edge) + 1, 1)
+    if np.prod(shape) > MAX_GRID_VOXELS:
+        raise GridTooLarge(
+            f"occupancy grid of shape ({', '.join(f'{n:.0f}' for n in shape)}) "
+            f"has more than {MAX_GRID_VOXELS:,} voxels")
+    grid = OccupancyGrid(lo, voxel_edge, np.zeros(tuple(shape.astype(int)), dtype=bool))
     if len(cloud) > 0:
         grid.occupied[tuple(grid.world_to_indices(cloud.points).T)] = True
     return grid
@@ -190,12 +204,16 @@ _NEIGHBOR_OFFSETS = [
 
 
 class VoxelPath(list):
-    """The voxels of a path, start to goal, and its ``cost``: the sum of its
-    step costs, added in path order."""
+    """The voxels of a path, start to goal, its ``cost``: the sum of its
+    step costs, added in path order, and the ``box`` its search read: per
+    axis, the [lo, hi) index range of the voxels it expanded (the goal, when
+    it is the start), grown by one voxel. The search reads the occupancy of
+    the expanded voxels' neighbours and of the goal, all inside the box."""
 
-    def __init__(self, voxels, cost: float):
+    def __init__(self, voxels, cost: float, box: list[tuple[int, int]]):
         super().__init__(voxels)
         self.cost = cost
+        self.box = box
 
 
 def astar(
@@ -205,7 +223,8 @@ def astar(
     weights: AStarWeights = AStarWeights(),
 ) -> VoxelPath:
     """Cheapest 26-connected path between two free voxels, with its cost,
-    the search's g-score at the goal.
+    the search's g-score at the goal, and the box of voxels the search read
+    (see :class:`VoxelPath`).
 
     A step to offset (dx, dy, dz) costs a1*dx^2 + a2*dy^2 + a3*dz^2.
     The heuristic min(a) * Chebyshev distance never exceeds the remaining
@@ -246,12 +265,15 @@ def astar(
         if current in closed:
             continue
         if current == goal_key:
+            # The goal is a neighbour of an expanded voxel, unless it is the start.
+            seen = [(k // nyz, k // nz % ny, k % nz) for k in closed or (current,)]
+            box = [(min(axis) - 1, max(axis) + 2) for axis in zip(*seen)]
             path = [current]
             while current in came_from:
                 current = came_from[current]
                 path.append(current)
             return VoxelPath([(k // nyz, k // nz % ny, k % nz) for k in reversed(path)],
-                             g_score[goal_key])
+                             g_score[goal_key], box)
         closed.add(current)
         cx, rest = divmod(current, nyz)
         cy, cz = divmod(rest, nz)
@@ -389,35 +411,9 @@ class FlightPlan:
     leg_costs: list
 
 
-def _search_box(shift, cost: float, a_min: float) -> list[tuple[int, int]]:
-    """Per axis, the [lo, hi) offsets from a leg's start of every voxel that
-    :func:`astar` can read on a leg of displacement ``shift`` (goal - start)
-    and optimal cost ``cost``.
-
-    A* (Hart, Nilsson & Raphael, IEEE TSSC 1968) expands only voxels n with
-    g(n) + h(n) <= cost, where h(n) = a_min * Chebyshev(n, goal). A step
-    moves each axis by at most one and costs at least a_min per axis it
-    moves, so g(n) >= a_min * L1(start, n). Let n lie e voxels outside the
-    start-goal span on axis i, and write D_j = |shift_j|. Axis i alone gives
-    a_min * (D_i + 2e) <= cost; axis i of L1 with axis j of L1 and of h
-    gives a_min * (e + D_j) <= cost for each other axis j. The search reads
-    the 26 neighbours of the voxels it expands, one voxel further out, and
-    one more voxel of padding keeps float rounding of the summed step costs
-    from shrinking the box.
-    """
-    span = cost / a_min
-    gaps = [abs(d) for d in shift]
-    box = []
-    for i, d in enumerate(shift):
-        other = max(gaps[:i] + gaps[i + 1:])
-        reach = int(max(0.0, min((span - gaps[i]) / 2, span - other))) + 2
-        box.append((min(0, d) - reach, max(0, d) + reach + 1))
-    return box
-
-
 def _box_is_free(grid: OccupancyGrid, start, box) -> bool:
-    """True when ``box`` (see :func:`_search_box`) placed at ``start`` lies
-    inside the grid and holds no occupied voxel."""
+    """True when ``box``, per axis the [lo, hi) offsets from ``start``,
+    placed at ``start`` lies inside the grid and holds no occupied voxel."""
     slices = []
     for s, (lo, hi), n in zip(start, box, grid.occupied.shape):
         if s + lo < 0 or s + hi > n:
@@ -434,14 +430,15 @@ def generate_waypoints(
     """Thread the coverage stops with A* paths over the inflated grid.
 
     A coverage lattice repeats a few stop-to-stop displacements many times,
-    so a leg is searched only once per displacement in free space: when a
-    searched leg's search box (:func:`_search_box`) is inside the grid
-    and free, a later leg with the same displacement and a free box of its
-    own takes that path moved to its start, with that cost, and skips
-    :func:`astar`. The result is the leg's own search result, bit for bit:
-    inside free boxes both searches read the same free voxels, their heap
-    keys (f, flat index) differ by a constant in the index and so order
-    alike, and they pop the same voxels in the same order.
+    so a leg is searched only once per displacement in free space: when the
+    box a searched leg's search read (:attr:`VoxelPath.box`) is inside the
+    grid and free, a later leg with the same displacement whose box, moved
+    to its start, is so too takes that path moved to its start, with that
+    cost, and skips :func:`astar`. The result is the leg's own search
+    result, bit for bit: both searches read only voxels of a box that is
+    free and inside the grid at both starts, where their heap keys
+    (f, flat index) differ by a constant in the index, so they pop the
+    same voxels in the same order.
 
     Raises:
         StopPointBlocked: a stop's voxel is occupied after inflation (the
@@ -466,8 +463,7 @@ def generate_waypoints(
         )
 
     voxels = indices.tolist()
-    a_min = min(weights.a1, weights.a2, weights.a3)
-    # Displacement -> (path after the start, cost, search box), relative to
+    # Displacement -> (path after the start, cost, read box), relative to
     # the start of the first leg with that displacement, when its box was free.
     known: dict = {}
     chain = [indices[:1]]
@@ -487,7 +483,7 @@ def generate_waypoints(
             cost = leg.cost
             tail = np.asarray(leg[1:]).reshape(-1, 3) - start
             if hit is None:
-                box = _search_box(shift, cost, a_min)
+                box = [(lo - s, hi - s) for (lo, hi), s in zip(leg.box, start)]
                 if _box_is_free(grid, start, box):
                     known[shift] = (tail, cost, box)
         leg_costs.append(cost)

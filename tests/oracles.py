@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive: linear scans, union-find over the
-full distance matrix, gift wrapping, Dijkstra without a heuristic, one
-polygon edge at a time, one value of a file at a time. None of it shares
+full distance matrix, gift wrapping, Dijkstra without a heuristic, a bound
+on what A* reads from the leg's cost alone, one polygon edge at a time, one
+value of a file at a time. None of it shares
 code with the package under test, except :func:`cold_icp`, the ICP loop
 without its warm start: it runs the package's kd-tree and Kabsch fit, so
 that it checks the warm start alone, and :func:`chained_astar_waypoints`,
@@ -372,6 +373,32 @@ def path_cost(path, weights=AStarWeights()) -> float:
     for a, b in zip(path, path[1:]):
         total += weights.step_cost(b[0] - a[0], b[1] - a[1], b[2] - a[2])
     return total
+
+
+def search_box_bound(shift, cost: float, a_min: float) -> list[tuple[int, int]]:
+    """Per axis, [lo, hi) offsets from a leg's start that hold every voxel an
+    A* search can read on a leg of displacement ``shift`` (goal - start) and
+    optimal cost ``cost``: a bound derived from the cost alone.
+
+    A* (Hart, Nilsson & Raphael, IEEE TSSC 1968) expands only voxels n with
+    g(n) + h(n) <= cost, where h(n) = a_min * Chebyshev(n, goal). A step
+    moves each axis by at most one and costs at least a_min per axis it
+    moves, so g(n) >= a_min * L1(start, n). Let n lie e voxels outside the
+    start-goal span on axis i, and write D_j = |shift_j|. Axis i alone gives
+    a_min * (D_i + 2e) <= cost; axis i of L1 with axis j of L1 and of h
+    gives a_min * (e + D_j) <= cost for each other axis j. The search reads
+    the 26 neighbours of the voxels it expands, one voxel further out, and
+    one more voxel of padding keeps float rounding of the summed step costs
+    from shrinking the box.
+    """
+    span = cost / a_min
+    gaps = [abs(d) for d in shift]
+    box = []
+    for i, d in enumerate(shift):
+        other = max(gaps[:i] + gaps[i + 1:])
+        reach = int(max(0.0, min((span - gaps[i]) / 2, span - other))) + 2
+        box.append((min(0, d) - reach, max(0, d) + reach + 1))
+    return box
 
 
 def chained_astar_waypoints(stops, grid, weights=AStarWeights()):

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import scanplan
-from scanplan.artifacts import read_cloud
+from scanplan.artifacts import read_cloud, write_cloud
 from scanplan.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
+from scanplan.geometry import PointCloud
 from scanplan.ingest import Stream, write_scan_log
 from scanplan.scenes import preset_scene, scene_to_dict
 from scanplan.simulate import simulate_yaw_scan
@@ -167,6 +168,26 @@ def test_register_two_stations(tmp_path):
     assert np.array_equal(got.sources, [0] * n + [1] * n)
     assert np.array_equal(got.points[:n], points)
     assert np.allclose(got.points[n:], points, atol=1e-6)
+
+
+def test_register_reads_an_absolute_cloud_path_as_it_is(tmp_path):
+    # The stations file sits in another directory than the cloud it names.
+    cloud = tmp_path / "clouds" / "cube.xyz"
+    cloud.parent.mkdir()
+    assert main(["generate", "--preset", "cube", "--density", "50",
+                 "--out", str(cloud)]) == EXIT_OK
+    identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    stations = tmp_path / "stations" / "stations.json"
+    stations.parent.mkdir()
+    stations.write_text(json.dumps({"stations": [
+        {"cloud": str(cloud), "rotation": identity, "translation": [0.0, 0.0, 0.0]},
+    ]}), encoding="ascii")
+    merged = tmp_path / "merged.xyz"
+    assert main(["register", "--stations", str(stations),
+                 "--out", str(merged)]) == EXIT_OK
+    got = read_cloud(merged)
+    assert np.array_equal(got.points, read_cloud(cloud).points)
+    assert np.array_equal(got.sources, np.zeros(len(got), dtype=int))
 
 
 @pytest.mark.parametrize("n_stations, config, code, message", [
@@ -647,6 +668,28 @@ def test_run_records_the_surfaces_it_cannot_plan_and_plans_the_rest(tmp_path, ca
     assert failed and {status for status, _ in failed.values()} == {"StopPointBlocked"}
     assert all(message.startswith("stop ") for _, message in failed.values())
     _check_partly_planned(out, err, "stage plan: ", failed)
+
+
+def test_grid_too_large_to_build_exits_3_naming_the_plan_stage(tmp_path, capsys):
+    # Two walls 28 km apart: their occupancy grid would have 179 billion
+    # voxels. run and plan refuse it before allocating anything.
+    wall = tmp_path / "wall.xyz"
+    assert main(["generate", "--preset", "surface", "--out", str(wall)]) == EXIT_OK
+    points = read_cloud(wall).points
+    cloud = tmp_path / "two_walls.xyz"
+    write_cloud(cloud, PointCloud(np.concatenate([points, points + [2e4, 2e4, 0.0]])))
+    message = ("stage plan: occupancy grid of shape (80032, 80017, 28) "
+               "has more than 67,108,864 voxels\n")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["run", "--input", str(cloud), "--out", str(out)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.endswith(message) and "Traceback" not in err
+    assert not (out / "plan.json").exists()
+    assert main(["plan", "--cloud", str(cloud), "--surfaces", str(out / "surfaces.json"),
+                 "--out", str(tmp_path / "plan.json")]) == EXIT_STAGE
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "plan.json").exists()
 
 
 @pytest.mark.parametrize("planes, index, message", [

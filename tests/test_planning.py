@@ -8,6 +8,7 @@ import pytest
 from scanplan import planning
 from scanplan.errors import (
     EmptySurface,
+    GridTooLarge,
     NoPath,
     StartOrGoalOccupied,
     StopPointBlocked,
@@ -26,11 +27,16 @@ from scanplan.planning import (
     plan_coverage,
     Stops,
     standoff_distance,
-    _search_box,
 )
 from scanplan.segmentation import PlanarSurface, PlaneModel
 
-from oracles import chained_astar_waypoints, dijkstra_grid, path_cost, tuple_key_astar
+from oracles import (
+    chained_astar_waypoints,
+    dijkstra_grid,
+    path_cost,
+    search_box_bound,
+    tuple_key_astar,
+)
 
 
 def rect_surface(width, height, z=0.0):
@@ -177,6 +183,16 @@ def test_build_occupancy_plane_slab_count(rng):
         tuple(np.floor((p - grid.origin) / 0.5).astype(int)) for p in pts
     }
     assert int(grid.occupied.sum()) == len(expected)
+
+
+def test_build_occupancy_refuses_a_grid_over_the_voxel_limit(monkeypatch):
+    # Two points 1.75 m apart with 0.25 m voxels and no margin: 8 x 1 x 1.
+    cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.75, 0.0, 0.0]]))
+    monkeypatch.setattr(planning, "MAX_GRID_VOXELS", 8)
+    assert build_occupancy(cloud, 0.25, 0.0).dims == (8, 1, 1)
+    monkeypatch.setattr(planning, "MAX_GRID_VOXELS", 7)
+    with pytest.raises(GridTooLarge, match=re.escape("shape (8, 1, 1)")):
+        build_occupancy(cloud, 0.25, 0.0)
 
 
 def test_inflate_zero_radius_identity(rng):
@@ -491,34 +507,75 @@ def test_generate_waypoints_equals_one_search_per_leg(rng, caplog, weights):
     assert reused > 100
 
 
+def _random_leg(rng, dims, density):
+    """A grid with obstacles at ``density`` and a leg of up to four voxels
+    per axis between two free voxels of it; one leg in ten stays put."""
+    occ = rng.random(tuple(dims)) < density
+    start = rng.integers(0, dims)
+    reach = rng.integers(-4, 5, 3) if rng.random() < 0.9 else 0
+    goal = np.clip(start + reach, 0, dims - 1)
+    occ[tuple(start)] = occ[tuple(goal)] = False
+    return occ, tuple(start.tolist()), tuple(goal.tolist())
+
+
 @LEG_WEIGHTS
-def test_astar_reads_nothing_outside_the_search_box(weights):
-    # A* bound: on a free leg, occupying every voxel outside the padded
-    # search box, in a shell three voxels thick, leaves the path unchanged.
+def test_astar_reads_nothing_outside_the_search_box(rng, weights):
+    # Occupying every voxel outside the box a search returns leaves its path,
+    # cost and box unchanged: the search read nothing there.
+    weights = AStarWeights(*weights)
+    walled_legs = 0
+    for trial in range(60):
+        occ, start, goal = _random_leg(rng, rng.integers(4, 14, 3),
+                                       0.0 if trial % 2 else 0.1)
+        grid = OccupancyGrid(np.zeros(3), 1.0, occ)
+        try:
+            leg = astar(grid, start, goal, weights)
+        except NoPath:
+            continue
+        walled = np.ones_like(occ)
+        inner = tuple(slice(max(lo, 0), hi) for lo, hi in leg.box)
+        walled[inner] = occ[inner]
+        walled_legs += int(walled.sum() > occ.sum())
+        again = astar(OccupancyGrid(np.zeros(3), 1.0, walled), start, goal, weights)
+        assert again == leg
+        assert (again.cost, again.box) == (leg.cost, leg.box)
+    assert walled_legs > 30
+
+
+@LEG_WEIGHTS
+def test_astar_reads_no_more_than_the_cost_bound(rng, weights):
+    # The box a search read lies inside the box that bounds it by the leg's
+    # cost alone (tests/oracles.py), so reusing legs by the read box never
+    # searches a leg that the cost bound would have reused.
     weights = AStarWeights(*weights)
     a_min = min(weights.a1, weights.a2, weights.a3)
-    for shift in [(0, 0, 0), (2, 0, 0), (-1, 0, 0), (0, 2, 1), (2, 2, 0),
-                  (-3, 1, 2), (4, -4, 4), (1, 3, -2)]:
-        cost = path_cost(astar(empty_grid(9), (4, 4, 4),
-                               tuple(4 + d for d in shift), weights), weights)
-        box = _search_box(shift, cost, a_min)
-        start = tuple(3 - lo for lo, _ in box)
-        goal = tuple(s + d for s, d in zip(start, shift))
-        walled = np.ones(tuple(hi - lo + 6 for lo, hi in box), dtype=bool)
-        walled[3:-3, 3:-3, 3:-3] = False
-        free = OccupancyGrid(np.zeros(3), 1.0, np.zeros_like(walled))
-        assert (astar(OccupancyGrid(np.zeros(3), 1.0, walled), start, goal, weights)
-                == astar(free, start, goal, weights))
+    tighter = 0
+    for trial in range(200):
+        occ, start, goal = _random_leg(rng, rng.integers(4, 14, 3),
+                                       0.0 if trial % 2 else 0.1)
+        try:
+            leg = astar(OccupancyGrid(np.zeros(3), 1.0, occ), start, goal, weights)
+        except NoPath:
+            continue
+        shift = tuple(g - s for g, s in zip(goal, start))
+        bound = search_box_bound(shift, leg.cost, a_min)
+        read = [(lo - s, hi - s) for (lo, hi), s in zip(leg.box, start)]
+        for (lo, hi), (bound_lo, bound_hi) in zip(read, bound):
+            assert bound_lo <= lo <= 0 <= hi - 1 < bound_hi
+        tighter += read != bound
+    assert tighter > 150
 
 
 def test_generate_waypoints_searches_a_seen_leg_with_an_obstacle_in_its_box(
         monkeypatch, caplog):
-    # One row of (2, 0, 0) legs. A unit-cost leg's box reaches two voxels
-    # past its span. Obstacle (5, 6, 6) is on leg 0's path and in leg 1's
-    # box; (13, 6, 6) is on the path of the leg from x = 12 and in the boxes
-    # of the legs from x = 10 and 14; (21, 8, 6) is off every path but in
-    # the boxes of the legs from x = 18, 20 and 22. Those legs are searched.
-    # Leg 0's detour is not kept, so the free legs reuse the leg from x = 8.
+    # One row of (2, 0, 0) legs. A free unit-cost leg expands its start and
+    # the voxel after it, so its read box spans x = start - 1 .. start + 2
+    # and one voxel either side of the row in y and z. Obstacle (5, 6, 6) is
+    # on leg 0's path and in leg 1's box; (13, 6, 6) is on the path of the
+    # leg from x = 12 and in the box of the leg from x = 14. Those legs are
+    # searched. (21, 8, 6) is two voxels off the row, outside every box.
+    # Neither leg 0's box nor leg 1's is free, so the free legs reuse the
+    # leg from x = 8.
     occ = np.zeros((40, 13, 13), dtype=bool)
     occ[5, 6, 6] = occ[13, 6, 6] = occ[21, 8, 6] = True
     grid = OccupancyGrid(np.zeros(3), 1.0, occ)
@@ -533,6 +590,6 @@ def test_generate_waypoints_searches_a_seen_leg_with_an_obstacle_in_its_box(
     caplog.set_level(logging.INFO, logger="scanplan.planning")
     got = _plan_or_error(_waypoints_and_costs, stops, grid, AStarWeights())
     assert got == _plan_or_error(chained_astar_waypoints, stops, grid, AStarWeights())
-    assert searched_from == [4, 6, 8, 10, 12, 14, 18, 20, 22]
+    assert searched_from == [4, 6, 8, 12, 14]
     assert got[1] == [4.0] + [2.0] * 3 + [4.0] + [2.0] * 10
-    assert caplog.messages == ["waypoints: 15 legs, 9 searched, 6 reused"]
+    assert caplog.messages == ["waypoints: 15 legs, 5 searched, 10 reused"]
