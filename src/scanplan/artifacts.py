@@ -257,9 +257,9 @@ def write_clusters(path, clusters: list[np.ndarray], cloud: PointCloud) -> None:
 # --- flight plans ----------------------------------------------------------------
 
 def write_plans(path, plans: list[FlightPlan | StageError]) -> None:
-    """One entry per surface, in order: status "ok" with the plan's stops,
-    waypoints and leg costs, or the class name of the error that stopped
-    the surface as status and its message as error."""
+    """One entry per surface, in order: status "ok" with the plan's stops
+    and waypoints, or the class name of the error that stopped the surface
+    as status and its message as error."""
     entries = []
     for k, plan in enumerate(plans):
         if isinstance(plan, StageError):
@@ -272,7 +272,7 @@ def write_plans(path, plans: list[FlightPlan | StageError]) -> None:
             "surface_index": k, "status": "ok",
             "stop_points": [{"position": xyz, "facing": facing, "row": row, "col": col}
                             for xyz, (row, col) in stops],
-            "waypoints": plan.waypoints.tolist(), "leg_costs": plan.leg_costs,
+            "waypoints": plan.waypoints.tolist(),
         })
     write_json(path, {"version": SCHEMA_VERSION, "plans": entries})
 

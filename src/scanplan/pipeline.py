@@ -111,7 +111,8 @@ class _Stage:
     when it ends, and its StageError.
 
     The error still propagates: it ends the pipeline, and the artifacts
-    written so far stay.
+    written so far stay. It is not logged: the caller reports
+    ``result.failures``.
     """
 
     def __init__(self, result: PipelineResult, name: str):
@@ -131,7 +132,6 @@ class _Stage:
         if isinstance(exc, StageError):
             self.result.failures.append((self.name, str(exc)))
             self.result.status = 3
-            logger.error("stage %s failed: %s", self.name, exc)
 
 
 # One function per stage, shared by run_pipeline and the CLI verbs: each

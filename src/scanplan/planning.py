@@ -1,8 +1,9 @@
 """Coverage stop-point generation and collision-free waypoint search.
 
 A surface is photographed from a lattice of standoff positions ordered in a
-serpentine sweep; consecutive stops are joined by A* paths over an
-inflated occupancy grid with per-axis weighted step costs.
+serpentine sweep. Consecutive stops are joined by a straight leg where it
+is free in an inflated occupancy grid, and otherwise by an A* path over
+that grid with per-axis weighted step costs.
 
 A surface's stops are one :class:`Stops` record of arrays in sweep order,
 with one facing for them all; ``len()`` of the record is the stop count.
@@ -203,28 +204,14 @@ _NEIGHBOR_OFFSETS = [
 ]
 
 
-class VoxelPath(list):
-    """The voxels of a path, start to goal, its ``cost``: the sum of its
-    step costs, added in path order, and the ``box`` its search read: per
-    axis, the [lo, hi) index range of the voxels it expanded (the goal, when
-    it is the start), grown by one voxel. The search reads the occupancy of
-    the expanded voxels' neighbours and of the goal, all inside the box."""
-
-    def __init__(self, voxels, cost: float, box: list[tuple[int, int]]):
-        super().__init__(voxels)
-        self.cost = cost
-        self.box = box
-
-
 def astar(
     grid: OccupancyGrid,
     start: tuple[int, int, int],
     goal: tuple[int, int, int],
     weights: AStarWeights = AStarWeights(),
-) -> VoxelPath:
-    """Cheapest 26-connected path between two free voxels, with its cost,
-    the search's g-score at the goal, and the box of voxels the search read
-    (see :class:`VoxelPath`).
+) -> list[tuple[int, int, int]]:
+    """Cheapest 26-connected path between two free voxels: its voxels,
+    start to goal.
 
     A step to offset (dx, dy, dz) costs a1*dx^2 + a2*dy^2 + a3*dz^2.
     The heuristic min(a) * Chebyshev distance never exceeds the remaining
@@ -265,15 +252,11 @@ def astar(
         if current in closed:
             continue
         if current == goal_key:
-            # The goal is a neighbour of an expanded voxel, unless it is the start.
-            seen = [(k // nyz, k // nz % ny, k % nz) for k in closed or (current,)]
-            box = [(min(axis) - 1, max(axis) + 2) for axis in zip(*seen)]
             path = [current]
             while current in came_from:
                 current = came_from[current]
                 path.append(current)
-            return VoxelPath([(k // nyz, k // nz % ny, k % nz) for k in reversed(path)],
-                             g_score[goal_key], box)
+            return [(k // nyz, k // nz % ny, k % nz) for k in reversed(path)]
         closed.add(current)
         cx, rest = divmod(current, nyz)
         cy, cz = divmod(rest, nz)
@@ -404,22 +387,53 @@ def plan_coverage(
 
 @dataclass(frozen=True)
 class FlightPlan:
-    """Ordered stops plus the voxel-center waypoint chain threading them."""
+    """Ordered stops plus the waypoint chain that joins them."""
 
     stops: Stops
     waypoints: np.ndarray
-    leg_costs: list
 
 
-def _box_is_free(grid: OccupancyGrid, start, box) -> bool:
-    """True when ``box``, per axis the [lo, hi) offsets from ``start``,
-    placed at ``start`` lies inside the grid and holds no occupied voxel."""
-    slices = []
-    for s, (lo, hi), n in zip(start, box, grid.occupied.shape):
-        if s + lo < 0 or s + hi > n:
-            return False
-        slices.append(slice(s + lo, s + hi))
-    return not grid.occupied[tuple(slices)].any()
+def segment_voxels(grid: OccupancyGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(leg, voxels)``: (M,) leg numbers and (M, 3) voxel indices, with
+    repeats; leg i is the closed segment from ``points[i]`` to ``points[i + 1]``.
+
+    A leg's voxels are ``grid.world_to_indices(p)`` for every point p of
+    its segment. That index changes only where the segment crosses a voxel
+    boundary plane, so it is read at the two ends, at each crossing and
+    halfway between consecutive crossings: an exact voxel traversal
+    (Amanatides & Woo, Eurographics 1987) of all legs in one numpy pass.
+    """
+    at = (np.asarray(points, dtype=float) - grid.origin) / grid.voxel_edge
+    ends = np.floor(at).astype(int)
+    start, span = at[:-1], np.diff(at, axis=0)
+    # One crossing per boundary plane that a leg crosses on an axis, at the
+    # time in [0, 1] where start + time * span reaches the plane.
+    count = np.abs(np.diff(ends, axis=0)).ravel()
+    pair = np.repeat(np.arange(count.size), count)
+    plane = (np.minimum(ends[:-1], ends[1:]).ravel()[pair] + 1
+             + np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count))
+    leg, axis = np.divmod(pair, 3)
+    time = (plane - start[leg, axis]) / span[leg, axis]
+    # Each leg's distinct times, its ends included, in order: leg + 1j * time
+    # sorts by leg, then by time. Crossings at one time meet at one point,
+    # where each crossed axis takes its plane's index.
+    legs = np.arange(len(span))
+    events = np.concatenate([leg + 1j * time, legs + 0j, legs + 1j])
+    events, group = np.unique(events, return_inverse=True)
+    leg, time = events.real.astype(int), events.imag
+    # Between consecutive times of a leg, the index is that of the midpoint.
+    same = leg[1:] == leg[:-1]
+    leg = np.concatenate([leg, leg[1:][same]])
+    time = np.concatenate([time, (time[:-1] + time[1:])[same] / 2])
+    voxels = np.floor(start[leg] + time[:, None] * span[leg]).astype(int)
+    voxels[group[:pair.size], axis] = plane
+    # Rounding can carry a point an ulp past an end of its leg: keep it in the grid.
+    np.clip(voxels, 0, np.subtract(grid.dims, 1), out=voxels)
+    return leg, voxels
+
+
+# Legs traversed per numpy pass, which bounds the pass's temporary arrays.
+_LEG_BLOCK = 256
 
 
 def generate_waypoints(
@@ -427,18 +441,14 @@ def generate_waypoints(
     grid: OccupancyGrid,
     weights: AStarWeights = AStarWeights(),
 ) -> FlightPlan:
-    """Thread the coverage stops with A* paths over the inflated grid.
+    """Join the coverage stops, in sweep order, into the waypoints a
+    vehicle flies over the inflated grid.
 
-    A coverage lattice repeats a few stop-to-stop displacements many times,
-    so a leg is searched only once per displacement in free space: when the
-    box a searched leg's search read (:attr:`VoxelPath.box`) is inside the
-    grid and free, a later leg with the same displacement whose box, moved
-    to its start, is so too takes that path moved to its start, with that
-    cost, and skips :func:`astar`. The result is the leg's own search
-    result, bit for bit: both searches read only voxels of a box that is
-    free and inside the grid at both starts, where their heap keys
-    (f, flat index) differ by a constant in the index, so they pop the
-    same voxels in the same order.
+    A leg whose straight segment is free (:func:`segment_voxels`) flies
+    straight from one stop to the next. Only a blocked leg is searched with
+    :func:`astar`: it flies from its stop through the centres of the path's
+    voxels to the next stop, leaving out a centre that equals its stop.
+    With no leg blocked, the waypoints are the stop positions.
 
     Raises:
         StopPointBlocked: a stop's voxel is occupied after inflation (the
@@ -447,7 +457,8 @@ def generate_waypoints(
     """
     if not len(stops):
         raise ValueError("need at least one stop point")
-    indices = grid.world_to_indices(stops.positions)
+    positions = stops.positions
+    indices = grid.world_to_indices(positions)
     inside = np.all((indices >= 0) & (indices < grid.dims), axis=1)
     blocked = ~inside
     blocked[inside] = grid.occupied[tuple(indices[inside].T)]
@@ -455,39 +466,27 @@ def generate_waypoints(
         i = int(np.argmax(blocked))
         if not inside[i]:
             raise StopPointBlocked(
-                f"stop {i}: stop position {stops.positions[i]} is outside the grid"
+                f"stop {i}: stop position {positions[i]} is outside the grid"
             )
         raise StopPointBlocked(
             f"stop {i}: stop voxel {tuple(indices[i].tolist())} is occupied "
             "after inflation"
         )
 
-    voxels = indices.tolist()
-    # Displacement -> (path after the start, cost, read box), relative to
-    # the start of the first leg with that displacement, when its box was free.
-    known: dict = {}
-    chain = [indices[:1]]
-    leg_costs = []
-    searched = 0
-    for i, (start, goal) in enumerate(zip(voxels, voxels[1:])):
-        shift = (goal[0] - start[0], goal[1] - start[1], goal[2] - start[2])
-        hit = known.get(shift)
-        if hit is not None and _box_is_free(grid, start, hit[2]):
-            tail, cost, _ = hit
-        else:
-            try:
-                leg = astar(grid, start, goal, weights)
-            except NoPath as err:
-                raise NoPath(f"leg {i}: {err}") from err
-            searched += 1
-            cost = leg.cost
-            tail = np.asarray(leg[1:]).reshape(-1, 3) - start
-            if hit is None:
-                box = [(lo - s, hi - s) for (lo, hi), s in zip(leg.box, start)]
-                if _box_is_free(grid, start, box):
-                    known[shift] = (tail, cost, box)
-        leg_costs.append(cost)
-        chain.append(tail + start)
-    logger.info("waypoints: %d legs, %d searched, %d reused",
-                len(leg_costs), searched, len(leg_costs) - searched)
-    return FlightPlan(stops, grid.index_to_center(np.concatenate(chain)), leg_costs)
+    blocked = np.zeros(len(positions) - 1, dtype=bool)
+    for first in range(0, len(blocked), _LEG_BLOCK):
+        leg, voxels = segment_voxels(grid, positions[first:first + _LEG_BLOCK + 1])
+        blocked[first + leg[grid.occupied[tuple(voxels.T)]]] = True
+    logger.info("waypoints: %d legs, %d blocked", len(blocked), np.count_nonzero(blocked))
+    chain, done = [], 0
+    for i in np.flatnonzero(blocked).tolist():
+        try:
+            path = astar(grid, indices[i], indices[i + 1], weights)
+        except NoPath as err:
+            raise NoPath(f"leg {i}: {err}") from err
+        centres = grid.index_to_center(path)
+        at_stop = (centres == positions[i]).all(1) | (centres == positions[i + 1]).all(1)
+        chain += [positions[done:i + 1], centres[~at_stop]]
+        done = i + 1
+    waypoints = np.concatenate(chain + [positions[done:]]) if chain else positions
+    return FlightPlan(stops, waypoints)

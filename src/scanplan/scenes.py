@@ -103,8 +103,8 @@ class BoxPrimitive(_Primitive):
         return [
             RectanglePrimitive(tuple(c + [sx / 2, 0, 0]), (1, 0, 0), sy, sz),
             RectanglePrimitive(tuple(c - [sx / 2, 0, 0]), (-1, 0, 0), sy, sz),
-            RectanglePrimitive(tuple(c + [0, sy / 2, 0]), (0, 1, 0), sz, sx),
-            RectanglePrimitive(tuple(c - [0, sy / 2, 0]), (0, -1, 0), sz, sx),
+            RectanglePrimitive(tuple(c + [0, sy / 2, 0]), (0, 1, 0), sx, sz),
+            RectanglePrimitive(tuple(c - [0, sy / 2, 0]), (0, -1, 0), sx, sz),
             RectanglePrimitive(tuple(c + [0, 0, sz / 2]), (0, 0, 1), sx, sy),
             RectanglePrimitive(tuple(c - [0, 0, sz / 2]), (0, 0, -1), sx, sy),
         ]

@@ -1,18 +1,21 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive: linear scans, union-find over the
-full distance matrix, gift wrapping, Dijkstra without a heuristic, a bound
-on what A* reads from the leg's cost alone, one polygon edge at a time, one
+full distance matrix, gift wrapping, Dijkstra without a heuristic, a voxel
+traversal in exact rational arithmetic, one polygon edge at a time, one
 value of a file at a time. None of it shares
 code with the package under test, except :func:`cold_icp`, the ICP loop
 without its warm start: it runs the package's kd-tree and Kabsch fit, so
-that it checks the warm start alone, and :func:`chained_astar_waypoints`,
-the waypoint chain with one :func:`scanplan.planning.astar` search per leg,
-so that it checks the reuse of searched legs alone.
+that it checks the warm start alone; :func:`straight_or_astar_waypoints`,
+the waypoint chain leg by leg, which runs :func:`scanplan.planning.astar` on
+each blocked leg, so that it checks the choice of legs alone; and
+:func:`flown_coverage`, which rasters a surface in the package's plane
+basis, the frame its photo lattice is laid in.
 """
 
 import heapq
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,7 @@ from scanplan.errors import (
 )
 from scanplan.planning import AStarWeights, astar
 from scanplan.registration import _kabsch
+from scanplan.segmentation import plane_basis
 from scanplan.spatial import KdTree
 
 
@@ -242,7 +246,7 @@ def _on_segment(x, y, x1, y1, x2, y2, tol=1e-12) -> bool:
     return -tol <= dot <= seg2 + tol
 
 
-def segments_intersect(a0, a1, b0, b1) -> bool:
+def _segments_intersect(a0, a1, b0, b1) -> bool:
     """True when closed segments a0-a1 and b0-b1 share a point."""
     def orient(p, q, r):
         v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
@@ -286,7 +290,7 @@ def polygon_is_simple(polygon) -> bool:
         for j in range(i + 1, n):
             if (j + 1) % n == i or (i + 1) % n == j:
                 continue
-            if segments_intersect(edges[i][0], edges[i][1], edges[j][0], edges[j][1]):
+            if _segments_intersect(edges[i][0], edges[i][1], edges[j][0], edges[j][1]):
                 return False
     return True
 
@@ -308,7 +312,7 @@ def rect_intersects_polygon(rect_min, rect_max, polygon) -> bool:
     for i in range(n):
         e0, e1 = p[i], p[(i + 1) % n]
         for k in range(4):
-            if segments_intersect(e0, e1, corners[k], corners[(k + 1) % 4]):
+            if _segments_intersect(e0, e1, corners[k], corners[(k + 1) % 4]):
                 return True
     return False
 
@@ -375,35 +379,50 @@ def path_cost(path, weights=AStarWeights()) -> float:
     return total
 
 
-def search_box_bound(shift, cost: float, a_min: float) -> list[tuple[int, int]]:
-    """Per axis, [lo, hi) offsets from a leg's start that hold every voxel an
-    A* search can read on a leg of displacement ``shift`` (goal - start) and
-    optimal cost ``cost``: a bound derived from the cost alone.
-
-    A* (Hart, Nilsson & Raphael, IEEE TSSC 1968) expands only voxels n with
-    g(n) + h(n) <= cost, where h(n) = a_min * Chebyshev(n, goal). A step
-    moves each axis by at most one and costs at least a_min per axis it
-    moves, so g(n) >= a_min * L1(start, n). Let n lie e voxels outside the
-    start-goal span on axis i, and write D_j = |shift_j|. Axis i alone gives
-    a_min * (D_i + 2e) <= cost; axis i of L1 with axis j of L1 and of h
-    gives a_min * (e + D_j) <= cost for each other axis j. The search reads
-    the 26 neighbours of the voxels it expands, one voxel further out, and
-    one more voxel of padding keeps float rounding of the summed step costs
-    from shrinking the box.
-    """
-    span = cost / a_min
-    gaps = [abs(d) for d in shift]
-    box = []
-    for i, d in enumerate(shift):
-        other = max(gaps[:i] + gaps[i + 1:])
-        reach = int(max(0.0, min((span - gaps[i]) / 2, span - other))) + 2
-        box.append((min(0, d) - reach, max(0, d) + reach + 1))
-    return box
+def exact_segment_voxels(start, end) -> set:
+    """Every voxel floor(p) of the points p of the closed segment from
+    ``start`` to ``end``, given in voxel units, in exact rational
+    arithmetic: the index is read at both ends, at each boundary crossing
+    and halfway between consecutive crossings."""
+    a = [Fraction(float(v)) for v in start]
+    d = [Fraction(float(e)) - s for e, s in zip(end, a)]
+    times = {Fraction(0), Fraction(1)}
+    for k in range(3):
+        lo, hi = sorted((math.floor(a[k]), math.floor(a[k] + d[k])))
+        times.update((j - a[k]) / d[k] for j in range(lo + 1, hi + 1))
+    times = sorted(times)
+    probes = times + [(s + t) / 2 for s, t in zip(times, times[1:])]
+    return {tuple(math.floor(a[k] + t * d[k]) for k in range(3)) for t in probes}
 
 
-def chained_astar_waypoints(stops, grid, weights=AStarWeights()):
-    """(waypoints, leg_costs) of ``generate_waypoints``, searching every leg
-    with ``astar``; raises what it raises, with the same messages."""
+def sampled_segment_voxels(grid, start, end, samples: int) -> set:
+    """The voxels of ``samples`` evenly spaced points of the segment from
+    ``start`` to ``end`` (world coordinates), ends included."""
+    a, b = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+    points = [a + s * (b - a) for s in np.linspace(0.0, 1.0, samples)]
+    return {tuple(v) for v in grid.world_to_indices(np.array(points)).tolist()}
+
+
+def segment_meets_box(start, end, lo, hi) -> bool:
+    """Whether the closed segment from ``start`` to ``end`` meets the closed
+    box [lo, hi], by clipping its parameter range [0, 1] to each axis's slab."""
+    t0, t1 = 0.0, 1.0
+    for a, b, low, high in zip(start, end, lo, hi):
+        if a == b:
+            if not low <= a <= high:
+                return False
+            continue
+        s, t = sorted(((low - a) / (b - a), (high - a) / (b - a)))
+        t0, t1 = max(t0, s), min(t1, t)
+    return t0 <= t1
+
+
+def straight_or_astar_waypoints(stops, grid, weights=AStarWeights()):
+    """The waypoints of ``generate_waypoints``, one leg at a time: a leg
+    flies straight to the next stop when no voxel of
+    :func:`exact_segment_voxels` is occupied, and otherwise through the
+    centres of its ``astar`` path, a centre equal to either stop left out;
+    raises what ``generate_waypoints`` raises, with the same messages."""
     voxels = []
     for i, position in enumerate(stops.positions):
         v = tuple(int(c) for c in np.floor((position - grid.origin) / grid.voxel_edge))
@@ -414,16 +433,47 @@ def chained_astar_waypoints(stops, grid, weights=AStarWeights()):
             raise StopPointBlocked(
                 f"stop {i}: stop voxel {v} is occupied after inflation")
         voxels.append(v)
-    chain = [voxels[0]]
-    leg_costs = []
+    at = (stops.positions - grid.origin) / grid.voxel_edge
+    chain = [stops.positions[0]]
     for i in range(len(voxels) - 1):
-        try:
-            leg = astar(grid, voxels[i], voxels[i + 1], weights)
-        except NoPath as err:
-            raise NoPath(f"leg {i}: {err}") from err
-        leg_costs.append(path_cost(leg, weights))
-        chain.extend(leg[1:])
-    return grid.index_to_center(chain), leg_costs
+        ends = stops.positions[i], stops.positions[i + 1]
+        if any(grid.occupied[v] for v in exact_segment_voxels(at[i], at[i + 1])):
+            try:
+                path = astar(grid, voxels[i], voxels[i + 1], weights)
+            except NoPath as err:
+                raise NoPath(f"leg {i}: {err}") from err
+            chain.extend(c for c in grid.index_to_center(path)
+                         if not any(np.array_equal(c, e) for e in ends))
+        chain.append(ends[1])
+    return np.array(chain)
+
+
+def flown_coverage(surface, stops, rows, width: float, height: float,
+                   cell: float = 0.02) -> float:
+    """Share of the surface's boundary polygon that ``width`` x ``height``
+    photos cover, one taken at the row of ``rows`` nearest to each stop.
+
+    The polygon is rastered at ``cell`` in the surface's plane basis, the
+    frame its stops are laid out in, so a footprint, centred on its row's
+    projection, is one slice of the raster: the cells whose centres lie in
+    it."""
+    basis = plane_basis(surface.model)
+    poly = basis.to_plane(surface.boundary)
+    lo = poly.min(axis=0)
+    shape = np.ceil((poly.max(axis=0) - lo) / cell).astype(int)
+    iu, iv = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
+    centres = lo + cell * (np.stack([iu.ravel(), iv.ravel()], axis=1) + 0.5)
+    inside = _points_in_poly(centres, poly).reshape(shape)
+    covered = np.zeros(shape, dtype=bool)
+    rows = np.asarray(rows, dtype=float).reshape(-1, 3)
+    half = np.array([width, height]) / 2
+    for stop in np.asarray(stops, dtype=float).reshape(-1, 3):
+        shot = basis.to_plane(rows[np.argmin(np.linalg.norm(rows - stop, axis=1))])
+        first = np.ceil((shot - half - lo) / cell - 0.5).astype(int)
+        end = np.floor((shot + half - lo) / cell - 0.5).astype(int) + 1
+        (u0, v0), (u1, v1) = np.clip(first, 0, shape), np.clip(end, 0, shape)
+        covered[u0:u1, v0:v1] = True
+    return float((covered & inside).sum() / inside.sum())
 
 
 def render_svg_per_point(cloud=None, polygons=(), polylines=(), view="top", size=800):

@@ -114,7 +114,7 @@ def test_write_cloud_default_block_bytes_equal_the_per_value_writer(tmp_path, rn
 def test_waypoints_csv_bytes_equal_the_per_value_writer(tmp_path, rng, n):
     waypoints = rng.permutation(np.array((EDGE_FLOATS + PAST_THE_GRID) * 12))
     waypoints = waypoints[: 3 * n].reshape(n, 3)
-    plan = FlightPlan([], waypoints, [])
+    plan = FlightPlan([], waypoints)
     write_waypoints_csv(tmp_path / "new.csv", plan)
     write_waypoints_csv_per_value(tmp_path / "old.csv", waypoints)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -126,7 +126,7 @@ def test_plan_file_holds_each_stop_and_each_error(tmp_path, rng):
     stops = plan_coverage(square_surface(3.0, 2.0), PlanningConfig(),
                           CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0))
     waypoints = rng.normal(size=(7, 3))
-    plans = [FlightPlan(stops, waypoints, [1.25, 0.5]), EmptySurface("no boundary")]
+    plans = [FlightPlan(stops, waypoints), EmptySurface("no boundary")]
     write_plans(tmp_path / "plan.json", plans)
     expected = {"version": 1, "plans": [
         {"surface_index": 0, "status": "ok",
@@ -134,8 +134,7 @@ def test_plan_file_holds_each_stop_and_each_error(tmp_path, rng):
                           "facing": [float(v) for v in stops.facing],
                           "row": int(row), "col": int(col)}
                          for position, (row, col) in zip(stops.positions, stops.cells)],
-         "waypoints": [[float(v) for v in w] for w in waypoints],
-         "leg_costs": [1.25, 0.5]},
+         "waypoints": [[float(v) for v in w] for w in waypoints]},
         {"surface_index": 1, "status": "EmptySurface", "error": "no boundary"}]}
     assert len(stops) == 30
     assert (tmp_path / "plan.json").read_text(encoding="ascii") == (

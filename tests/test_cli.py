@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 
 import scanplan
-from scanplan.artifacts import read_cloud, write_cloud
+from scanplan.artifacts import read_cloud, read_surfaces, write_cloud
 from scanplan.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
 from scanplan.geometry import PointCloud
 from scanplan.ingest import Stream, write_scan_log
+from scanplan.planning import PlanningConfig
 from scanplan.scenes import preset_scene, scene_to_dict
 from scanplan.simulate import simulate_yaw_scan
+
+from oracles import flown_coverage
 
 
 @pytest.fixture(scope="module")
@@ -690,6 +693,45 @@ def test_grid_too_large_to_build_exits_3_naming_the_plan_stage(tmp_path, capsys)
                  "--out", str(tmp_path / "plan.json")]) == EXIT_STAGE
     assert capsys.readouterr().err == message
     assert not (tmp_path / "plan.json").exists()
+
+
+@pytest.mark.parametrize("preset, count", [("deck", 1), ("room", 4)])
+def test_the_flown_plan_covers_what_its_stops_cover(tmp_path, preset, count):
+    # Photos taken at the waypoints nearest the stops cover as much of each
+    # surface as photos taken at the stops. Every leg here is free, so the
+    # flown file is the stops themselves.
+    cloud, out = tmp_path / "cloud.xyz", tmp_path / "out"
+    assert main(["generate", "--preset", preset, "--out", str(cloud)]) == EXIT_OK
+    assert main(["run", "--input", str(cloud), "--out", str(out)]) == EXIT_OK
+    surfaces = read_surfaces(out / "surfaces.json")
+    plans = json.loads((out / "plan.json").read_text(encoding="ascii"))["plans"]
+    assert len(surfaces) == len(plans) == count
+    cfg = PlanningConfig()
+    for k, (surface, plan) in enumerate(zip(surfaces, plans)):
+        stops = np.array([stop["position"] for stop in plan["stop_points"]])
+        rows = np.loadtxt(out / f"plan_{k}.csv", delimiter=",", ndmin=2)
+        planned, flown = (flown_coverage(surface, stops, at, cfg.footprint_width,
+                                         cfg.footprint_height) for at in (stops, rows))
+        assert planned > 0.99 and flown >= 0.99 * planned
+        assert len(rows) == len(stops)
+
+
+def test_run_prints_each_stage_failure_once(tmp_path):
+    # In a fresh process, where logging writes to stderr: the failure line
+    # is printed, and the stage does not log it a second time.
+    wall = tmp_path / "wall.xyz"
+    assert main(["generate", "--preset", "surface", "--out", str(wall)]) == EXIT_OK
+    points = read_cloud(wall).points
+    cloud = tmp_path / "two_walls.xyz"
+    write_cloud(cloud, PointCloud(np.concatenate([points, points + [2e4, 2e4, 0.0]])))
+    env = {**os.environ, "PYTHONPATH": str(Path(scanplan.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "scanplan", "run", "--input", str(cloud),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == EXIT_STAGE
+    assert done.stderr == ("stage plan: occupancy grid of shape (80032, 80017, 28) "
+                           "has more than 67,108,864 voxels\n")
 
 
 @pytest.mark.parametrize("planes, index, message", [

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scanplan import planning
 from scanplan.errors import (
@@ -25,16 +26,19 @@ from scanplan.planning import (
     generate_waypoints,
     inflate,
     plan_coverage,
+    segment_voxels,
     Stops,
     standoff_distance,
 )
 from scanplan.segmentation import PlanarSurface, PlaneModel
 
 from oracles import (
-    chained_astar_waypoints,
     dijkstra_grid,
+    exact_segment_voxels,
     path_cost,
-    search_box_bound,
+    sampled_segment_voxels,
+    segment_meets_box,
+    straight_or_astar_waypoints,
     tuple_key_astar,
 )
 
@@ -338,25 +342,6 @@ def test_astar_returns_the_tuple_keyed_path(rng, weights):
                 assert astar(grid, start, goal, AStarWeights(*weights)) == want
 
 
-@pytest.mark.parametrize("weights", [(1.0, 2.0, 1.5), (0.3, 0.7, 1.1)])
-def test_astar_cost_is_the_path_cost_bit_for_bit(rng, weights):
-    # The search's g-score at the goal adds the same step costs in the same
-    # order as the oracle, so the sums agree to the last bit.
-    weights = AStarWeights(*weights)
-    checked = 0
-    for _ in range(20):
-        occ = rng.random((10, 10, 10)) < 0.25
-        free = np.argwhere(~occ)
-        start, goal = (tuple(free[i].tolist()) for i in rng.integers(len(free), size=2))
-        try:
-            path = astar(OccupancyGrid(np.zeros(3), 1.0, occ), start, goal, weights)
-        except NoPath:
-            continue
-        assert path.cost.hex() == path_cost(path, weights).hex()
-        checked += 1
-    assert checked >= 10
-
-
 def test_astar_weight_scaling_invariance(rng):
     occ = rng.random((10, 10, 10)) < 0.2
     free = np.argwhere(~occ)
@@ -376,7 +361,68 @@ def test_astar_weight_scaling_invariance(rng):
     assert base == scaled
 
 
-def test_generate_waypoints_obstacle_free_lattice():
+# A voxel coordinate: a whole voxel plus 0, 1/8, 1/2 or 7/8 of one, so that
+# many points lie on voxel faces, edges and corners, and every value is
+# exact in binary floating point.
+_EIGHTHS = st.tuples(st.integers(0, 7), st.sampled_from([0, 1, 4, 7])).map(
+    lambda c: (8 * c[0] + c[1]) / 8)
+_VOXEL_POINTS = st.lists(st.tuples(_EIGHTHS, _EIGHTHS, _EIGHTHS), min_size=2, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(at=_VOXEL_POINTS, origin=st.tuples(*[st.integers(-64, 64)] * 3),
+       edge=st.sampled_from([0.25, 0.5, 1.0]))
+@example(at=[(2.5, 2.5, 2.5)] * 2, origin=(0, 0, 0), edge=1.0)
+@example(at=[(1.0, 0.5, 3.0), (6.0, 7.0, 3.0)], origin=(0, 0, 0), edge=1.0)
+@example(at=[(0.5, 1.5, 0.5), (1.5, 0.5, 0.5)], origin=(0, 0, 0), edge=1.0)
+@example(at=[(3.5, 2.5, 0.5), (0.5, 1.5, 0.5), (1.5, 0.5, 1.5)], origin=(-3, 5, 0),
+         edge=0.25)
+@example(at=[(7.125, 0.125, 4.125), (1.5, 7.0, 0.0)], origin=(0, 0, 0), edge=1.0)
+@example(at=[(0.125, 3.0, 0.125), (6.0, 1.0, 6.0)], origin=(0, 0, 0), edge=1.0)
+def test_segment_voxels_are_the_voxels_of_every_point_of_each_leg(at, origin, edge):
+    # Examples: a leg of zero length; one along a voxel face (z = 3); one
+    # through the corner (1, 1), where floor takes voxel (1, 1) though the
+    # leg runs from (0, 1) to (1, 0); two legs whose crossings of x and y
+    # meet at one point; and two legs that cross two planes at once at a
+    # time that rounds, so that a crossed axis computed from that time
+    # falls short of its plane.
+    grid = OccupancyGrid(np.array(origin) / 8, edge, np.zeros((8, 8, 8), dtype=bool))
+    at = np.array(at)
+    points = grid.origin + at * edge
+    leg, voxels = segment_voxels(grid, points)
+    for i, (a, b) in enumerate(zip(at, at[1:])):
+        got = {tuple(v) for v in voxels[leg == i].tolist()}
+        assert sampled_segment_voxels(grid, points[i], points[i + 1], 1025) <= got
+        for v in got:
+            assert segment_meets_box(a, b, np.array(v) - 1e-9, np.array(v) + 1 + 1e-9)
+        assert got == exact_segment_voxels(a, b)
+    assert set(leg.tolist()) == set(range(len(at) - 1))
+
+
+def test_segment_voxels_of_random_segments_hold_every_sample(rng):
+    # Ends anywhere, on a grid whose origin and edge are not binary fractions.
+    grid = OccupancyGrid(np.array([-1.3, 0.7, 2.1]), 0.3, np.zeros((12, 12, 12), dtype=bool))
+    points = grid.origin + rng.uniform(0.0, 12 * 0.3, size=(200, 3))
+    leg, voxels = segment_voxels(grid, points)
+    at = (points - grid.origin) / grid.voxel_edge
+    for i in range(len(points) - 1):
+        got = {tuple(v) for v in voxels[leg == i].tolist()}
+        assert sampled_segment_voxels(grid, points[i], points[i + 1], 2001) <= got
+        for v in got:
+            assert segment_meets_box(at[i], at[i + 1], np.array(v) - 1e-9,
+                                     np.array(v) + 1 + 1e-9)
+
+
+def test_segment_voxels_stay_in_the_grid_when_rounding_overshoots_a_leg():
+    # Where the leg crosses y = 5, at its end, start + 1.0 * span rounds x
+    # up to 8.0, the grid's high face, though the leg ends an ulp short of it.
+    grid = OccupancyGrid(np.zeros(3), 1.0, np.zeros((8, 8, 8), dtype=bool))
+    points = np.array([[3.651022309110887, 2.5, 1.0], [np.nextafter(8.0, 0), 5.0, 1.0]])
+    _, voxels = segment_voxels(grid, points)
+    assert voxels.max(axis=0).tolist() == [7, 5, 1]
+
+
+def test_generate_waypoints_obstacle_free_lattice(caplog):
     surface = rect_surface(2.0, 1.0, z=0.0)
     pts = np.zeros((600, 3))
     rng = np.random.default_rng(0)
@@ -387,25 +433,29 @@ def test_generate_waypoints_obstacle_free_lattice():
     cfg = footprint(0.6, 0.4, 0.2)
     camera = CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0)
     stops = plan_coverage(surface, cfg, camera, grid=grid)
+    caplog.set_level(logging.INFO, logger="scanplan.planning")
     plan = generate_waypoints(stops, grid)
-    assert len(plan.leg_costs) == len(stops) - 1
-    # Every waypoint voxel is free; consecutive waypoints are neighbors.
-    idx = grid.world_to_indices(np.asarray(plan.waypoints))
-    assert not grid.occupied[tuple(idx.T)].any()
-    assert np.abs(np.diff(idx, axis=0)).max() <= 1
+    # Every leg is free, so the vehicle flies straight from stop to stop.
+    assert plan.waypoints is stops.positions
+    assert caplog.messages == [f"waypoints: {len(stops) - 1} legs, 0 blocked"]
 
 
 def test_generate_waypoints_routes_through_gap():
-    # A wall with one gap between the two stops.
+    # A wall between the two stops, with one gap off the straight line.
     occ = np.zeros((11, 11, 5), dtype=bool)
     occ[5, :, :] = True
-    occ[5, 5, 2] = False
+    occ[5, 8, 2] = False
     grid = OccupancyGrid(np.zeros(3), 1.0, occ)
-    plan = generate_waypoints(_stops_at(grid, [(2, 5, 2), (8, 5, 2)]), grid)
-    oracle = dijkstra_grid(occ, (2, 5, 2), (8, 5, 2))
-    assert plan.leg_costs[0] == pytest.approx(oracle)
-    chain = grid.world_to_indices(np.asarray(plan.waypoints)).tolist()
-    assert [5, 5, 2] in chain
+    stops = Stops(np.array([[2.5, 5.5, 2.5], [8.3, 5.1, 2.7]]),
+                  np.zeros((2, 2), dtype=int), np.array([0.0, 0, -1]))
+    plan = generate_waypoints(stops, grid)
+    path = astar(grid, (2, 5, 2), (8, 5, 2))
+    assert (5, 8, 2) in path
+    assert path_cost(path) == pytest.approx(dijkstra_grid(occ, (2, 5, 2), (8, 5, 2)))
+    # The first stop is its voxel's centre, which is not repeated; the
+    # second is not, so the leg flies to its voxel's centre and on to it.
+    assert np.array_equal(plan.waypoints, np.concatenate(
+        [grid.index_to_center(path), stops.positions[1:]]))
 
 
 def test_generate_waypoints_blocked_stop():
@@ -429,30 +479,22 @@ def test_generate_waypoints_names_the_first_bad_stop():
         generate_waypoints(_stops_at(grid, [free, free, outside, blocked]), grid)
 
 
-def _stops_at(grid, indices):
-    """Stops at the centers of the voxels ``indices``, in that order."""
-    positions = grid.index_to_center(np.asarray(indices).reshape(-1, 3))
+def _stops_at(grid, indices, within=0.5):
+    """Stops in the voxels ``indices``, in that order, at ``within`` of a
+    voxel edge from each one's low corner on every axis (0.5: its centre)."""
+    indices = np.asarray(indices).reshape(-1, 3)
+    positions = grid.origin + (indices + within) * grid.voxel_edge
     return Stops(positions, np.zeros((len(positions), 2), dtype=int),
                  np.array([0.0, 0, -1]))
 
 
-LEG_WEIGHTS = pytest.mark.parametrize(
-    "weights", [(1.0, 1.0, 1.0), (1.0, 2.0, 1.5), (0.3, 2.7, 1.1)],
-    ids=["uniform", "weighted", "fractional"])
-
-
 def _plan_or_error(plan_fn, stops, grid, weights):
-    """(waypoint bytes, leg costs), or (error class, message)."""
+    """The waypoint bytes, or (error class, message)."""
     try:
-        waypoints, leg_costs = plan_fn(stops, grid, weights)
+        waypoints = plan_fn(stops, grid, weights)
     except (StopPointBlocked, NoPath) as err:
         return type(err).__name__, str(err)
-    return np.asarray(waypoints).tobytes(), leg_costs
-
-
-def _waypoints_and_costs(stops, grid, weights):
-    plan = generate_waypoints(stops, grid, weights)
-    return plan.waypoints, plan.leg_costs
+    return np.asarray(waypoints).tobytes()
 
 
 def _lattice_voxels(rng, dims):
@@ -468,12 +510,16 @@ def _lattice_voxels(rng, dims):
     return np.clip(rows, 0, dims - 1)
 
 
-@LEG_WEIGHTS
-def test_generate_waypoints_equals_one_search_per_leg(rng, caplog, weights):
-    # Legs repeat displacements. Obstacles sit inside or beside the spans of
-    # some legs, on grid faces and scattered; some stops are blocked or
-    # walled in. Reusing searched legs must give the bytes, costs and errors
-    # of searching every leg.
+@pytest.mark.parametrize(
+    "weights", [(1.0, 1.0, 1.0), (1.0, 2.0, 1.5), (0.3, 2.7, 1.1)],
+    ids=["uniform", "weighted", "fractional"])
+def test_generate_waypoints_equals_one_search_per_leg(rng, caplog, monkeypatch, weights):
+    # Obstacles sit on or beside some legs, on grid faces and scattered;
+    # some stops are blocked or walled in. Stops lie at their voxels'
+    # centres, on voxel faces or in between, and legs are traversed a few
+    # at a time. The waypoints and errors must be those of the leg-by-leg
+    # chain: straight where the exact traversal finds the leg free, else
+    # through the leg's A* path.
     caplog.set_level(logging.INFO, logger="scanplan.planning")
     weights = AStarWeights(*weights)
     outcomes = set()
@@ -498,98 +544,13 @@ def test_generate_waypoints_equals_one_search_per_leg(rng, caplog, weights):
             occ[tuple(slice(max(0, c - 1), c + 2) for c in v)] = True
             occ[tuple(v)] = False
         grid = OccupancyGrid(np.array([-2.0, 0.5, 3.0]), 0.25, occ)
-        stops = _stops_at(grid, voxels)
-        got = _plan_or_error(_waypoints_and_costs, stops, grid, weights)
-        assert got == _plan_or_error(chained_astar_waypoints, stops, grid, weights)
-        outcomes.add(got[0] if isinstance(got[0], str) else "ok")
+        stops = _stops_at(grid, voxels, rng.choice([0.0, 0.25, 0.5, 0.875], (len(voxels), 3)))
+        monkeypatch.setattr(planning, "_LEG_BLOCK", int(rng.integers(1, 8)))
+        got = _plan_or_error(lambda *a: generate_waypoints(*a).waypoints, stops, grid, weights)
+        assert got == _plan_or_error(straight_or_astar_waypoints, stops, grid, weights)
+        outcomes.add(got[0] if isinstance(got, tuple) else "ok")
     assert outcomes == {"ok", "StopPointBlocked", "NoPath"}
-    reused = sum(int(re.search(r"(\d+) reused$", m).group(1)) for m in caplog.messages)
-    assert reused > 100
-
-
-def _random_leg(rng, dims, density):
-    """A grid with obstacles at ``density`` and a leg of up to four voxels
-    per axis between two free voxels of it; one leg in ten stays put."""
-    occ = rng.random(tuple(dims)) < density
-    start = rng.integers(0, dims)
-    reach = rng.integers(-4, 5, 3) if rng.random() < 0.9 else 0
-    goal = np.clip(start + reach, 0, dims - 1)
-    occ[tuple(start)] = occ[tuple(goal)] = False
-    return occ, tuple(start.tolist()), tuple(goal.tolist())
-
-
-@LEG_WEIGHTS
-def test_astar_reads_nothing_outside_the_search_box(rng, weights):
-    # Occupying every voxel outside the box a search returns leaves its path,
-    # cost and box unchanged: the search read nothing there.
-    weights = AStarWeights(*weights)
-    walled_legs = 0
-    for trial in range(60):
-        occ, start, goal = _random_leg(rng, rng.integers(4, 14, 3),
-                                       0.0 if trial % 2 else 0.1)
-        grid = OccupancyGrid(np.zeros(3), 1.0, occ)
-        try:
-            leg = astar(grid, start, goal, weights)
-        except NoPath:
-            continue
-        walled = np.ones_like(occ)
-        inner = tuple(slice(max(lo, 0), hi) for lo, hi in leg.box)
-        walled[inner] = occ[inner]
-        walled_legs += int(walled.sum() > occ.sum())
-        again = astar(OccupancyGrid(np.zeros(3), 1.0, walled), start, goal, weights)
-        assert again == leg
-        assert (again.cost, again.box) == (leg.cost, leg.box)
-    assert walled_legs > 30
-
-
-@LEG_WEIGHTS
-def test_astar_reads_no_more_than_the_cost_bound(rng, weights):
-    # The box a search read lies inside the box that bounds it by the leg's
-    # cost alone (tests/oracles.py), so reusing legs by the read box never
-    # searches a leg that the cost bound would have reused.
-    weights = AStarWeights(*weights)
-    a_min = min(weights.a1, weights.a2, weights.a3)
-    tighter = 0
-    for trial in range(200):
-        occ, start, goal = _random_leg(rng, rng.integers(4, 14, 3),
-                                       0.0 if trial % 2 else 0.1)
-        try:
-            leg = astar(OccupancyGrid(np.zeros(3), 1.0, occ), start, goal, weights)
-        except NoPath:
-            continue
-        shift = tuple(g - s for g, s in zip(goal, start))
-        bound = search_box_bound(shift, leg.cost, a_min)
-        read = [(lo - s, hi - s) for (lo, hi), s in zip(leg.box, start)]
-        for (lo, hi), (bound_lo, bound_hi) in zip(read, bound):
-            assert bound_lo <= lo <= 0 <= hi - 1 < bound_hi
-        tighter += read != bound
-    assert tighter > 150
-
-
-def test_generate_waypoints_searches_a_seen_leg_with_an_obstacle_in_its_box(
-        monkeypatch, caplog):
-    # One row of (2, 0, 0) legs. A free unit-cost leg expands its start and
-    # the voxel after it, so its read box spans x = start - 1 .. start + 2
-    # and one voxel either side of the row in y and z. Obstacle (5, 6, 6) is
-    # on leg 0's path and in leg 1's box; (13, 6, 6) is on the path of the
-    # leg from x = 12 and in the box of the leg from x = 14. Those legs are
-    # searched. (21, 8, 6) is two voxels off the row, outside every box.
-    # Neither leg 0's box nor leg 1's is free, so the free legs reuse the
-    # leg from x = 8.
-    occ = np.zeros((40, 13, 13), dtype=bool)
-    occ[5, 6, 6] = occ[13, 6, 6] = occ[21, 8, 6] = True
-    grid = OccupancyGrid(np.zeros(3), 1.0, occ)
-    stops = _stops_at(grid, [(x, 6, 6) for x in range(4, 36, 2)])
-    searched_from = []
-
-    def recording_astar(grid, start, goal, weights):
-        searched_from.append(start[0])
-        return astar(grid, start, goal, weights)
-
-    monkeypatch.setattr(planning, "astar", recording_astar)
-    caplog.set_level(logging.INFO, logger="scanplan.planning")
-    got = _plan_or_error(_waypoints_and_costs, stops, grid, AStarWeights())
-    assert got == _plan_or_error(chained_astar_waypoints, stops, grid, AStarWeights())
-    assert searched_from == [4, 6, 8, 12, 14]
-    assert got[1] == [4.0] + [2.0] * 3 + [4.0] + [2.0] * 10
-    assert caplog.messages == ["waypoints: 15 legs, 5 searched, 10 reused"]
+    counts = [re.fullmatch(r"waypoints: (\d+) legs, (\d+) blocked", m).groups()
+              for m in caplog.messages]
+    legs, blocked = (sum(int(c[k]) for c in counts) for k in (0, 1))
+    assert blocked > 30 and legs - blocked > 1000

@@ -51,6 +51,39 @@ def test_cube_zero_noise_points_on_faces():
     assert on_face.all()
 
 
+def _box_surface_distance(points, center, size):
+    """Distance from each point to the surface of the axis-aligned box."""
+    d = np.abs(points - center) - np.asarray(size) / 2
+    outside = np.linalg.norm(np.maximum(d, 0.0), axis=1)
+    return np.where(outside > 0, outside, -d.max(axis=1))
+
+
+def test_box_faces_of_non_cubic_boxes_lie_on_the_box(rng):
+    # Each face spans the box along its own axes: its corners are box
+    # corners. Noise-free samples lie on the box; noisy ones lie within
+    # 3 sigma of it but for the Gaussian tail (0.27 % of points), and none
+    # beyond 6 sigma.
+    sigma, noisy = 0.01, []
+    for _ in range(40):
+        center = rng.uniform(-5.0, 5.0, 3)
+        size = rng.uniform(0.5, 4.0, 3)
+        box = BoxPrimitive(tuple(center), tuple(size))
+        corners = center + np.array(
+            [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]) * size / 2
+        for face in box.faces():
+            u, v, _ = face.axes()
+            for su in (-1, 1):
+                for sv in (-1, 1):
+                    corner = (np.asarray(face.center) + su * face.width / 2 * u
+                              + sv * face.height / 2 * v)
+                    assert np.linalg.norm(corners - corner, axis=1).min() < 1e-12
+        exact = box.sample(20.0, 0.0, rng)
+        assert _box_surface_distance(exact, center, size).max() < 1e-12
+        noisy.append(_box_surface_distance(box.sample(20.0, sigma, rng), center, size))
+    noisy = np.concatenate(noisy)
+    assert np.mean(noisy <= 3 * sigma) > 0.99 and noisy.max() < 6 * sigma
+
+
 def test_segment_points_collinear():
     spec = SceneSpec((SegmentPrimitive((0.0, 0, 0), (3.0, 0, 0)),), density=100.0)
     cloud = generate_scene(spec)

@@ -109,6 +109,15 @@ def test_within_radius_matches_linear_scan(rng):
         assert sorted(map(tuple, tree.pairs_within_radius(r).tolist())) == expected
 
 
+def test_within_radius_batch_matches_linear_scan(rng):
+    pts = rng.uniform(0, 1, size=(300, 3))
+    queries = rng.uniform(0, 1, size=(20, 3))
+    tree = KdTree(pts)
+    for r in (0.05, 0.2):
+        found = tree.within_radius_batch(queries, r)
+        assert [sorted(f) for f in found] == [linear_radius(pts, q, r) for q in queries]
+
+
 # Point sets in shuffled order: no ties, every point five times, an integer
 # grid, where half-integer queries and unit radii tie exactly, and one point,
 # whose runner-up distance is inf.

@@ -315,3 +315,25 @@ def test_every_config_range_check_has_a_cli_row():
     assert len(_config_types()) == 9 and len(messages) == 22
     assert {message: cls for message, cls in messages.items()
             if not any(row.endswith(f": {message}") for row in rows)} == {}
+
+
+def uncalled_oracles() -> set[str]:
+    """Each public function of ``tests/oracles.py`` that no test module
+    reads (importing it is not enough), such as an oracle left behind by a
+    deleted test."""
+    tests = Path(__file__).parent
+    oracles = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    public = {stmt.name for stmt in oracles.body
+              if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")}
+    read = set()
+    for path in sorted(tests.glob("test_*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        loaded = {node.id for node in nodes
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= loaded | {node.name for node in nodes
+                          if isinstance(node, ast.alias) and node.asname in loaded}
+    return public - read
+
+
+def test_every_oracle_is_called_by_a_test():
+    assert uncalled_oracles() == set()
