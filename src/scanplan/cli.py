@@ -159,7 +159,7 @@ def cmd_plan(args) -> int:
     plans = plan_surfaces(cloud, surfaces, cfg, args.out)
     failures = plan_failures(plans)
     for message in failures:
-        print(f"plan: {message}", file=sys.stderr)
+        print(f"stage plan: {message}", file=sys.stderr)
     print(f"planned {len(plans) - len(failures)}/{len(plans)} surfaces")
     return EXIT_STAGE if failures else EXIT_OK
 

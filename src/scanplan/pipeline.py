@@ -193,7 +193,7 @@ def plan_surfaces(
         Per surface, in order, its plan or the error that stopped it.
     """
     grid = inflate(
-        build_occupancy(cloud, cfg.planning.voxel_edge, cfg.planning.bounds_margin),
+        build_occupancy(cloud, cfg.planning.voxel_edge, cfg.planning.inflate_radius),
         cfg.planning.inflate_radius,
     )
     out_dir = Path(out).parent

@@ -50,12 +50,13 @@ class CameraSpec:
 class PlanningConfig:
     """Occupancy grid and photo lattice of the plan stage.
 
-    Each photo covers ``footprint_width`` x ``footprint_height`` of the
-    surface (the width fixes the standoff); photos along a row share
-    ``overlap`` of the width, and rows abut."""
+    The grid has ``voxel_edge`` voxels and spans the cloud and its
+    ``inflate_radius`` inflation; space outside it is free, so a stop may
+    stand anywhere. Each photo covers ``footprint_width`` x
+    ``footprint_height`` of the surface (the width fixes the standoff);
+    photos along a row share ``overlap`` of the width, and rows abut."""
 
     voxel_edge: float = 0.25
-    bounds_margin: float = 2.0
     inflate_radius: float = 0.6
     footprint_width: float = 0.6
     footprint_height: float = 0.4
@@ -64,8 +65,6 @@ class PlanningConfig:
     def __post_init__(self):
         if not self.voxel_edge > 0:
             raise ValueError("voxel_edge must be > 0")
-        if self.bounds_margin < 0:
-            raise ValueError("bounds_margin must be >= 0")
         if self.inflate_radius < 0:
             raise ValueError("inflate_radius must be >= 0")
         if not (self.footprint_width > 0 and self.footprint_height > 0):
@@ -140,29 +139,35 @@ class OccupancyGrid:
     def in_bounds(self, index) -> bool:
         return all(0 <= index[i] < self.occupied.shape[i] for i in range(3))
 
+    def occupied_at(self, indices: np.ndarray) -> np.ndarray:
+        """Occupied flags of ``(N, 3)`` voxel indices; a voxel outside the grid is free."""
+        inside = np.all((indices >= 0) & (indices < self.dims), axis=1)
+        flags = np.zeros(len(indices), dtype=bool)
+        flags[inside] = self.occupied[tuple(indices[inside].T)]
+        return flags
+
 
 # The most voxels an occupancy grid may have: 64 MiB per boolean copy, of
-# which the plan stage holds a few. Deck's grid has 99,008 (104 x 56 x 17).
+# which the plan stage holds a few. Deck's grid has 30,268 (94 x 46 x 7).
 MAX_GRID_VOXELS = 2**26
 
 
 def build_occupancy(
-    cloud: PointCloud, voxel_edge: float, bounds_margin: float
+    cloud: PointCloud, voxel_edge: float, inflate_radius: float
 ) -> OccupancyGrid:
-    """Grid over the cloud's bounding box plus margin; a voxel is occupied
-    iff it contains at least one point. An empty cloud yields an all-free
-    grid spanning the margin around the origin.
+    """Grid over the cloud's voxels and ``floor(inflate_radius / voxel_edge)
+    + 1`` more on each side: room for :func:`inflate` to reach, and a layer
+    it leaves free. A voxel is occupied iff it contains at least one point;
+    every voxel outside the grid is free (:meth:`OccupancyGrid.occupied_at`).
+    An empty cloud yields an all-free grid around the origin.
 
     Raises:
         GridTooLarge: over ``MAX_GRID_VOXELS`` voxels, before any is allocated.
     """
-    if len(cloud) == 0:
-        lo = np.zeros(3) - bounds_margin
-        extent = np.full(3, 2.0 * bounds_margin)
-    else:
-        lo, hi = cloud.bounds()
-        lo = lo - bounds_margin
-        extent = (hi + bounds_margin) - lo
+    margin = (math.floor(inflate_radius / voxel_edge) + 1) * voxel_edge
+    lo, hi = cloud.bounds() if len(cloud) else (np.zeros(3), np.zeros(3))
+    lo = lo - margin
+    extent = (hi + margin) - lo
     shape = np.maximum(np.floor(extent / voxel_edge) + 1, 1)
     if np.prod(shape) > MAX_GRID_VOXELS:
         raise GridTooLarge(
@@ -234,7 +239,7 @@ def astar(
     a_min = min(weights.a1, weights.a2, weights.a3)
     nx, ny, nz = grid.dims
     nyz = ny * nz
-    occupied = grid.occupied.tobytes()
+    occupied = memoryview(grid.occupied.reshape(-1))
     # (flat index offset, dx, dy, dz, step cost) of each of the 26 neighbours.
     steps = [((dx * ny + dy) * nz + dz, dx, dy, dz, weights.step_cost(dx, dy, dz))
              for dx, dy, dz in _NEIGHBOR_OFFSETS]
@@ -302,19 +307,11 @@ def standoff_distance(cfg: PlanningConfig, camera: CameraSpec) -> float:
     return d
 
 
-def _pick_side(
-    surface: PlanarSurface, standoff: float, grid: OccupancyGrid | None
-) -> float:
-    """+1.0 to stand along the plane normal, -1.0 for the opposite side.
-
-    With a grid, the side whose standoff slab holds fewer occupied voxel
-    centers wins; ties (and no grid) go to the normal side.
-    """
-    if grid is None:
-        return 1.0
+def _pick_side(surface: PlanarSurface, standoff: float, grid: OccupancyGrid) -> float:
+    """+1.0 to stand along the plane normal, -1.0 for the opposite side: the
+    side whose standoff slab holds fewer occupied voxel centers wins, and a
+    tie goes to the normal side."""
     centers = grid.index_to_center(np.argwhere(grid.occupied))
-    if len(centers) == 0:
-        return 1.0
     sd = surface.model.signed_distance(centers)
     band = standoff + grid.voxel_edge
     pos = int(np.count_nonzero((sd > 0.25 * grid.voxel_edge) & (sd <= band)))
@@ -326,7 +323,7 @@ def plan_coverage(
     surface: PlanarSurface,
     cfg: PlanningConfig,
     camera: CameraSpec,
-    grid: OccupancyGrid | None = None,
+    grid: OccupancyGrid,
 ) -> Stops:
     """Serpentine lattice of photo positions covering the surface boundary.
 
@@ -336,8 +333,7 @@ def plan_coverage(
     boundary polygon are dropped. Each lattice row is tested against the
     polygon in one pass of :func:`~scanplan.polygons.rects_intersect_polygon`.
     Rows alternate direction. Each stop stands at :func:`standoff_distance`
-    on the side of the plane that ``grid`` shows to be freer (the normal side
-    without a grid).
+    on the side of the plane that ``grid`` shows to be freer.
 
     Raises:
         EmptySurface: degenerate boundary.
@@ -395,7 +391,8 @@ class FlightPlan:
 
 def segment_voxels(grid: OccupancyGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(leg, voxels)``: (M,) leg numbers and (M, 3) voxel indices, with
-    repeats; leg i is the closed segment from ``points[i]`` to ``points[i + 1]``.
+    repeats, some perhaps outside the grid; leg i is the closed segment from
+    ``points[i]`` to ``points[i + 1]``.
 
     A leg's voxels are ``grid.world_to_indices(p)`` for every point p of
     its segment. That index changes only where the segment crosses a voxel
@@ -427,8 +424,6 @@ def segment_voxels(grid: OccupancyGrid, points: np.ndarray) -> tuple[np.ndarray,
     time = np.concatenate([time, (time[:-1] + time[1:])[same] / 2])
     voxels = np.floor(start[leg] + time[:, None] * span[leg]).astype(int)
     voxels[group[:pair.size], axis] = plane
-    # Rounding can carry a point an ulp past an end of its leg: keep it in the grid.
-    np.clip(voxels, 0, np.subtract(grid.dims, 1), out=voxels)
     return leg, voxels
 
 
@@ -442,13 +437,15 @@ def generate_waypoints(
     weights: AStarWeights = AStarWeights(),
 ) -> FlightPlan:
     """Join the coverage stops, in sweep order, into the waypoints a
-    vehicle flies over the inflated grid.
+    vehicle flies over the inflated grid, outside which every voxel is free
+    (:meth:`OccupancyGrid.occupied_at`).
 
     A leg whose straight segment is free (:func:`segment_voxels`) flies
     straight from one stop to the next. Only a blocked leg is searched with
-    :func:`astar`: it flies from its stop through the centres of the path's
-    voxels to the next stop, leaving out a centre that equals its stop.
-    With no leg blocked, the waypoints are the stop positions.
+    :func:`astar`, in the grid padded with free voxels until it holds every
+    stop: it flies from its stop through the centres of the path's voxels
+    to the next stop, leaving out a centre that equals its stop. With no
+    leg blocked, the waypoints are the stop positions.
 
     Raises:
         StopPointBlocked: a stop's voxel is occupied after inflation (the
@@ -459,15 +456,9 @@ def generate_waypoints(
         raise ValueError("need at least one stop point")
     positions = stops.positions
     indices = grid.world_to_indices(positions)
-    inside = np.all((indices >= 0) & (indices < grid.dims), axis=1)
-    blocked = ~inside
-    blocked[inside] = grid.occupied[tuple(indices[inside].T)]
+    blocked = grid.occupied_at(indices)
     if blocked.any():
         i = int(np.argmax(blocked))
-        if not inside[i]:
-            raise StopPointBlocked(
-                f"stop {i}: stop position {positions[i]} is outside the grid"
-            )
         raise StopPointBlocked(
             f"stop {i}: stop voxel {tuple(indices[i].tolist())} is occupied "
             "after inflation"
@@ -476,15 +467,22 @@ def generate_waypoints(
     blocked = np.zeros(len(positions) - 1, dtype=bool)
     for first in range(0, len(blocked), _LEG_BLOCK):
         leg, voxels = segment_voxels(grid, positions[first:first + _LEG_BLOCK + 1])
-        blocked[first + leg[grid.occupied[tuple(voxels.T)]]] = True
+        blocked[first + leg[grid.occupied_at(voxels)]] = True
     logger.info("waypoints: %d legs, %d blocked", len(blocked), np.count_nonzero(blocked))
     chain, done = [], 0
+    if blocked.any():
+        low = np.maximum(-indices.min(axis=0), 0)
+        high = np.maximum(indices.max(axis=0) + 1 - grid.dims, 0)
+        padded = OccupancyGrid(grid.origin - low * grid.voxel_edge, grid.voxel_edge,
+                               np.pad(grid.occupied, np.stack([low, high], axis=1)))
     for i in np.flatnonzero(blocked).tolist():
         try:
-            path = astar(grid, indices[i], indices[i + 1], weights)
+            path = astar(padded, indices[i] + low, indices[i + 1] + low, weights)
         except NoPath as err:
-            raise NoPath(f"leg {i}: {err}") from err
-        centres = grid.index_to_center(path)
+            start, goal = (tuple(indices[j].tolist()) for j in (i, i + 1))
+            raise NoPath(f"leg {i}: no free path from {start} to {goal}") from err
+        # From the grid's own origin, so that a centre keeps its bits.
+        centres = grid.index_to_center(np.subtract(path, low))
         at_stop = (centres == positions[i]).all(1) | (centres == positions[i + 1]).all(1)
         chain += [positions[done:i + 1], centres[~at_stop]]
         done = i + 1

@@ -27,7 +27,7 @@ from scanplan.errors import (
     NoPath,
     StopPointBlocked,
 )
-from scanplan.planning import AStarWeights, astar
+from scanplan.planning import AStarWeights, OccupancyGrid, astar
 from scanplan.registration import _kabsch
 from scanplan.segmentation import plane_basis
 from scanplan.spatial import KdTree
@@ -422,27 +422,35 @@ def straight_or_astar_waypoints(stops, grid, weights=AStarWeights()):
     flies straight to the next stop when no voxel of
     :func:`exact_segment_voxels` is occupied, and otherwise through the
     centres of its ``astar`` path, a centre equal to either stop left out;
-    raises what ``generate_waypoints`` raises, with the same messages."""
+    raises what ``generate_waypoints`` raises, with the same messages.
+
+    A voxel outside the grid is free. A search runs in the smallest box that
+    holds the grid and every stop's voxel, free outside the grid."""
+    def occupied(v):
+        return grid.in_bounds(v) and grid.occupied[v]
+
     voxels = []
     for i, position in enumerate(stops.positions):
         v = tuple(int(c) for c in np.floor((position - grid.origin) / grid.voxel_edge))
-        if not grid.in_bounds(v):
-            raise StopPointBlocked(
-                f"stop {i}: stop position {position} is outside the grid")
-        if grid.occupied[v]:
+        if occupied(v):
             raise StopPointBlocked(
                 f"stop {i}: stop voxel {v} is occupied after inflation")
         voxels.append(v)
+    low = np.minimum(np.min(voxels, axis=0), 0)
+    box = np.zeros(np.maximum(np.max(voxels, axis=0) + 1, grid.dims) - low, dtype=bool)
+    box[tuple(slice(-lo, n - lo) for lo, n in zip(low, grid.dims))] = grid.occupied
+    box = OccupancyGrid(np.zeros(3), 1.0, box)
     at = (stops.positions - grid.origin) / grid.voxel_edge
     chain = [stops.positions[0]]
     for i in range(len(voxels) - 1):
         ends = stops.positions[i], stops.positions[i + 1]
-        if any(grid.occupied[v] for v in exact_segment_voxels(at[i], at[i + 1])):
+        if any(occupied(v) for v in exact_segment_voxels(at[i], at[i + 1])):
             try:
-                path = astar(grid, voxels[i], voxels[i + 1], weights)
+                path = astar(box, np.subtract(voxels[i], low), np.subtract(voxels[i + 1], low),
+                             weights)
             except NoPath as err:
-                raise NoPath(f"leg {i}: {err}") from err
-            chain.extend(c for c in grid.index_to_center(path)
+                raise NoPath(f"leg {i}: no free path from {voxels[i]} to {voxels[i + 1]}") from err
+            chain.extend(c for c in grid.index_to_center(np.add(path, low))
                          if not any(np.array_equal(c, e) for e in ends))
         chain.append(ends[1])
     return np.array(chain)

@@ -30,7 +30,13 @@ from scanplan.errors import (
     SelfIntersectingPolygon,
 )
 from scanplan.geometry import GRID_LIMIT, PointCloud, Pose, rotation_about_z
-from scanplan.planning import CameraSpec, FlightPlan, PlanningConfig, plan_coverage
+from scanplan.planning import (
+    CameraSpec,
+    FlightPlan,
+    PlanningConfig,
+    build_occupancy,
+    plan_coverage,
+)
 from scanplan.segmentation import PlanarSurface, PlaneModel
 
 from oracles import (
@@ -40,6 +46,9 @@ from oracles import (
     write_cloud_per_value,
     write_waypoints_csv_per_value,
 )
+
+# The grid of an empty cloud: every voxel, in it or outside it, is free.
+NO_OBSTACLES = build_occupancy(PointCloud.empty(), 0.25, 0.6)
 
 
 def test_cloud_round_trip_bit_exact(tmp_path, rng):
@@ -124,7 +133,7 @@ def test_plan_file_holds_each_stop_and_each_error(tmp_path, rng):
     # Every stop record carries its own position, the surface's facing and
     # its cell as JSON integers, as a per-stop writer prints them.
     stops = plan_coverage(square_surface(3.0, 2.0), PlanningConfig(),
-                          CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0))
+                          CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0), NO_OBSTACLES)
     waypoints = rng.normal(size=(7, 3))
     plans = [FlightPlan(stops, waypoints), EmptySurface("no boundary")]
     write_plans(tmp_path / "plan.json", plans)
@@ -393,7 +402,7 @@ def test_boundary_closed_ring_imports_as_the_open_ring(tmp_path):
 def test_boundary_shrink_halves_stop_count(tmp_path):
     camera = CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0)
     full = square_surface(22.0, 10.0)
-    stops_full = plan_coverage(full, PlanningConfig(), camera)
+    stops_full = plan_coverage(full, PlanningConfig(), camera, NO_OBSTACLES)
 
     path = tmp_path / "half.json"
     export_boundary(full, path)
@@ -403,7 +412,7 @@ def test_boundary_shrink_halves_stop_count(tmp_path):
     ]
     path.write_text(json.dumps(data), encoding="ascii")
     half = import_boundary(full, path)
-    stops_half = plan_coverage(half, PlanningConfig(), camera)
+    stops_half = plan_coverage(half, PlanningConfig(), camera, NO_OBSTACLES)
     ratio = len(stops_half) / len(stops_full)
     assert ratio == pytest.approx(0.5, rel=0.02)
 

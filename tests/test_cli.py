@@ -288,6 +288,8 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
      (*_run_with_config({"icp": {"rotation_locked": True}}),
       "unknown key(s) rotation_locked"),
      (*_run_with_config({"ransac": {"max_area": 40.0}}), "unknown key(s) max_area"),
+     (*_run_with_config({"planning": {"bounds_margin": 2.0}}),
+      "config.planning: unknown key(s) bounds_margin"),
      (*_run_with_config({"ransac": {"min_area": 10**400}}),
       "ransac.min_area: expected a finite float, got an integer too large for a float"),
      ({"config.json": {"ransac": {"min_area": -5}}},
@@ -350,6 +352,7 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
     ids=["top_level", "nested", "removed_field", "string_for_int",
          "null_for_float", "float_for_int", "list_for_section",
          "removed_camera_field", "removed_icp_field", "removed_ransac_field",
+         "removed_planning_field",
          "huge_int_for_float", "segment_negative_min_area",
          "station_without_rotation", "station_number_for_cloud",
          "station_two_row_rotation", "plane_without_d", "plane_null_area",
@@ -381,7 +384,6 @@ CONFIG_RANGE_ERRORS = [
      "config.planning: footprint dimensions must be > 0"),
     ({"planning": {"overlap": 1.0}}, "config.planning: overlap must be in [0, 1)"),
     ({"planning": {"voxel_edge": 0}}, "config.planning: voxel_edge must be > 0"),
-    ({"planning": {"bounds_margin": -1}}, "config.planning: bounds_margin must be >= 0"),
     ({"surface_cluster_eps": -1}, "config: surface_cluster_eps must be > 0"),
     ({"ransac": {"min_inliers": -3}}, "config.ransac: min_inliers must be >= 1"),
     ({"ransac": {"min_area": -5}}, "config.ransac: min_area must be >= 0"),
@@ -408,8 +410,8 @@ CONFIG_RANGE_ERRORS = [
 
 @pytest.mark.parametrize("config, message", CONFIG_RANGE_ERRORS, ids=[
     "negative_inflate_radius", "zero_footprint", "full_overlap", "zero_voxel_edge",
-    "negative_bounds_margin", "negative_cluster_eps", "negative_min_inliers",
-    "negative_min_area", "negative_rng_seed", "zero_distance_threshold",
+    "negative_cluster_eps", "negative_min_inliers", "negative_min_area",
+    "negative_rng_seed", "zero_distance_threshold",
     "zero_ransac_iterations", "negative_min_pairs", "zero_max_iterations",
     "zero_convergence_eps", "negative_correspondence_dist", "zero_cluster_radius",
     "zero_min_cluster_size", "zero_k_neighbors", "zero_d_t", "negative_leaf_size",
@@ -618,7 +620,7 @@ def test_plan_records_a_surface_it_cannot_plan_and_plans_the_rest(tmp_path, caps
                  "--out", str(out / "plan.json")]) == EXIT_STAGE
     captured = capsys.readouterr()
     assert "planned 1/2 surfaces" in captured.out
-    _check_partly_planned(out, captured.err, "plan: ",
+    _check_partly_planned(out, captured.err, "stage plan: ",
                           {1: ("EmptySurface", "surface boundary is degenerate")})
 
 
@@ -645,7 +647,7 @@ def test_replanning_into_the_same_out_removes_the_plans_of_failed_or_gone_surfac
         {**plane, "boundary": plane["boundary"][:2]}]}), encoding="ascii")
     capsys.readouterr()
     assert main(plan) == EXIT_STAGE
-    assert "plan: surface 0: surface boundary is degenerate" in capsys.readouterr().err
+    assert capsys.readouterr().err == "stage plan: surface 0: surface boundary is degenerate\n"
     assert [p.name for p in out.glob("plan_*.csv")] == ["plan_notes.csv"]
     entries = json.loads((out / "plan.json").read_text(encoding="ascii"))["plans"]
     assert [e["status"] for e in entries] == ["EmptySurface"]
@@ -681,7 +683,7 @@ def test_grid_too_large_to_build_exits_3_naming_the_plan_stage(tmp_path, capsys)
     points = read_cloud(wall).points
     cloud = tmp_path / "two_walls.xyz"
     write_cloud(cloud, PointCloud(np.concatenate([points, points + [2e4, 2e4, 0.0]])))
-    message = ("stage plan: occupancy grid of shape (80032, 80017, 28) "
+    message = ("stage plan: occupancy grid of shape (80022, 80007, 18) "
                "has more than 67,108,864 voxels\n")
     out = tmp_path / "run"
     capsys.readouterr()
@@ -716,6 +718,39 @@ def test_the_flown_plan_covers_what_its_stops_cover(tmp_path, preset, count):
         assert len(rows) == len(stops)
 
 
+@pytest.mark.parametrize("preset, footprint, count", [
+    ("deck", {"footprint_width": 1.0, "footprint_height": 0.6}, 1),
+    ("room", {"footprint_width": 2.0, "footprint_height": 1.2}, 4),
+], ids=["deck_2.35m_standoff", "room_4.70m_standoff"])
+def test_a_wide_footprint_plans_from_stops_far_outside_the_cloud(
+        tmp_path, preset, footprint, count):
+    # A wide footprint puts the stops 2.35 or 4.70 m off their surfaces,
+    # beyond the cloud's grid, where space is free.
+    cloud, out, config = tmp_path / "cloud.xyz", tmp_path / "out", tmp_path / "config.json"
+    config.write_text(json.dumps({"planning": footprint}), encoding="ascii")
+    assert main(["generate", "--preset", preset, "--out", str(cloud)]) == EXIT_OK
+    assert main(["run", "--config", str(config), "--input", str(cloud),
+                 "--out", str(out)]) == EXIT_OK
+    plans = json.loads((out / "plan.json").read_text(encoding="ascii"))["plans"]
+    assert [plan["status"] for plan in plans] == ["ok"] * count
+
+
+def test_plan_and_run_print_a_failed_surface_alike(tmp_path, capsys):
+    # Every surface of the crossed planes fails; both verbs name each one in
+    # the same stderr line.
+    cloud, out = tmp_path / "cloud.xyz", tmp_path / "out"
+    assert main(["generate", "--preset", "crossed_planes", "--out", str(cloud)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", "--input", str(cloud), "--out", str(out)]) == EXIT_STAGE
+    run_lines = capsys.readouterr().err.splitlines()
+    assert main(["plan", "--cloud", str(out / "filtered.xyz"),
+                 "--surfaces", str(out / "surfaces.json"),
+                 "--out", str(tmp_path / "plan.json")]) == EXIT_STAGE
+    plan_lines = capsys.readouterr().err.splitlines()
+    assert run_lines and all(line.startswith("stage plan: surface ") for line in run_lines)
+    assert plan_lines == run_lines
+
+
 def test_run_prints_each_stage_failure_once(tmp_path):
     # In a fresh process, where logging writes to stderr: the failure line
     # is printed, and the stage does not log it a second time.
@@ -730,7 +765,7 @@ def test_run_prints_each_stage_failure_once(tmp_path):
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == EXIT_STAGE
-    assert done.stderr == ("stage plan: occupancy grid of shape (80032, 80017, 28) "
+    assert done.stderr == ("stage plan: occupancy grid of shape (80022, 80007, 18) "
                            "has more than 67,108,864 voxels\n")
 
 

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,9 @@ def footprint(width, height, overlap):
 WIDE_CAMERA = CameraSpec(fov_h_deg=60.0, fov_v_deg=50.0,
                          max_standoff=10.0)
 
+# The grid of an empty cloud: every voxel, in it or outside it, is free.
+NO_OBSTACLES = build_occupancy(PointCloud.empty(), 0.25, 0.6)
+
 
 def test_standoff_pinhole_relation():
     cfg = footprint(0.6, 0.4, 0.2)
@@ -83,14 +87,14 @@ def test_standoff_vertical_coverage_shortfall():
 
 def test_coverage_single_stop_when_footprint_covers_surface():
     cfg = footprint(0.6, 0.4, 0.0)
-    stops = plan_coverage(rect_surface(0.4, 0.3), cfg, WIDE_CAMERA)
+    stops = plan_coverage(rect_surface(0.4, 0.3), cfg, WIDE_CAMERA, NO_OBSTACLES)
     assert len(stops) == 1
 
 
 def test_coverage_exact_tiling_serpentine():
     cfg = footprint(0.5, 0.5, 0.0)
     square_camera = CameraSpec(fov_h_deg=60.0, fov_v_deg=60.0)
-    stops = plan_coverage(rect_surface(1.0, 1.0), cfg, square_camera)
+    stops = plan_coverage(rect_surface(1.0, 1.0), cfg, square_camera, NO_OBSTACLES)
     assert len(stops) == 4
     assert stops.cells.tolist() == [[0, 0], [0, 1], [1, 1], [1, 0]]
     # Stops stand off the plane by the pinhole distance, facing the surface.
@@ -106,7 +110,7 @@ def test_coverage_stops_share_one_unit_facing():
                            surface.boundary @ np.array([[1, 0, 0], [0, 0.8, -0.6],
                                                         [0, 0.6, 0.8]]).T,
                            surface.area)
-    stops = plan_coverage(tilted, footprint(0.6, 0.4, 0.2), WIDE_CAMERA)
+    stops = plan_coverage(tilted, footprint(0.6, 0.4, 0.2), WIDE_CAMERA, NO_OBSTACLES)
     facing = stops.facing
     assert len(stops) > 1 and facing.shape == (3,)
     assert not facing.flags.writeable
@@ -116,7 +120,7 @@ def test_coverage_stops_share_one_unit_facing():
 
 def test_coverage_deck_count_matches_formula():
     cfg = footprint(0.6, 0.4, 0.2)
-    stops = plan_coverage(rect_surface(22.0, 10.0), cfg, WIDE_CAMERA)
+    stops = plan_coverage(rect_surface(22.0, 10.0), cfg, WIDE_CAMERA, NO_OBSTACLES)
     # 46 columns (0.48 m steps along rows) x 25 rows (0.4 m spacing).
     assert len(stops) == 1150
     assert 1123 <= len(stops) <= 1169
@@ -125,7 +129,7 @@ def test_coverage_deck_count_matches_formula():
 def test_coverage_footprints_cover_polygon_monte_carlo(rng):
     surface = rect_surface(3.3, 2.1)
     cfg = footprint(0.6, 0.4, 0.2)
-    stops = plan_coverage(surface, cfg, WIDE_CAMERA)
+    stops = plan_coverage(surface, cfg, WIDE_CAMERA, NO_OBSTACLES)
     w, h = cfg.footprint_width, cfg.footprint_height
     centers = stops.positions[:, :2]
     samples = rng.uniform([0.0, 0.0], [3.3, 2.1], size=(10_000, 2))
@@ -139,7 +143,7 @@ def test_coverage_footprints_cover_polygon_monte_carlo(rng):
 
 def test_coverage_serpentine_adjacent_steps():
     cfg = footprint(0.6, 0.4, 0.2)
-    stops = plan_coverage(rect_surface(4.0, 2.0), cfg, WIDE_CAMERA)
+    stops = plan_coverage(rect_surface(4.0, 2.0), cfg, WIDE_CAMERA, NO_OBSTACLES)
     cells = stops.cells.tolist()
     rows = {}
     for row, col in cells:
@@ -159,7 +163,7 @@ def test_coverage_empty_surface():
                                surface.boundary[:2], 0.0)
     cfg = footprint(0.6, 0.4, 0.2)
     with pytest.raises(EmptySurface):
-        plan_coverage(degenerate, cfg, WIDE_CAMERA)
+        plan_coverage(degenerate, cfg, WIDE_CAMERA, NO_OBSTACLES)
 
 
 def test_build_occupancy_empty_cloud():
@@ -189,13 +193,27 @@ def test_build_occupancy_plane_slab_count(rng):
     assert int(grid.occupied.sum()) == len(expected)
 
 
+def test_build_occupancy_spans_the_cloud_and_its_inflation():
+    # 0.6 m of inflation in 0.25 m voxels reaches 2 voxels; one free voxel
+    # more on each side makes 3. The inflated grid's outer layer is free.
+    cloud = PointCloud(np.array([[0.1, 0.2, 0.3], [1.9, 0.2, 0.3]]))
+    grid = build_occupancy(cloud, 0.25, 0.6)
+    assert grid.dims == (8 + 6, 1 + 6, 1 + 6)
+    assert np.array_equal(grid.world_to_indices(cloud.points), [[3, 3, 3], [10, 3, 3]])
+    occupied = inflate(grid, 0.6).occupied
+    assert occupied[1:-1, 1:-1, 1:-1].any()
+    for axis in range(3):
+        assert not np.take(occupied, [0, -1], axis=axis).any()
+
+
 def test_build_occupancy_refuses_a_grid_over_the_voxel_limit(monkeypatch):
-    # Two points 1.75 m apart with 0.25 m voxels and no margin: 8 x 1 x 1.
+    # Two points 1.75 m apart with 0.25 m voxels and no inflation: 8 x 1 x 1
+    # voxels, and one free voxel on each side.
     cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.75, 0.0, 0.0]]))
-    monkeypatch.setattr(planning, "MAX_GRID_VOXELS", 8)
-    assert build_occupancy(cloud, 0.25, 0.0).dims == (8, 1, 1)
-    monkeypatch.setattr(planning, "MAX_GRID_VOXELS", 7)
-    with pytest.raises(GridTooLarge, match=re.escape("shape (8, 1, 1)")):
+    monkeypatch.setattr(planning, "MAX_GRID_VOXELS", 90)
+    assert build_occupancy(cloud, 0.25, 0.0).dims == (10, 3, 3)
+    monkeypatch.setattr(planning, "MAX_GRID_VOXELS", 89)
+    with pytest.raises(GridTooLarge, match=re.escape("shape (10, 3, 3)")):
         build_occupancy(cloud, 0.25, 0.0)
 
 
@@ -361,6 +379,19 @@ def test_astar_weight_scaling_invariance(rng):
     assert base == scaled
 
 
+def test_astar_reads_the_grid_without_copying_it():
+    # A copy of this 256^3 grid (tobytes) would allocate 16.8 MB per search.
+    grid = empty_grid(256)
+    tracemalloc.start()
+    try:
+        path = astar(grid, (100, 100, 100), (101, 100, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path == [(100, 100, 100), (101, 100, 100)]
+    assert peak < 1_000_000
+
+
 # A voxel coordinate: a whole voxel plus 0, 1/8, 1/2 or 7/8 of one, so that
 # many points lie on voxel faces, edges and corners, and every value is
 # exact in binary floating point.
@@ -413,13 +444,16 @@ def test_segment_voxels_of_random_segments_hold_every_sample(rng):
                                      np.array(v) + 1 + 1e-9)
 
 
-def test_segment_voxels_stay_in_the_grid_when_rounding_overshoots_a_leg():
+def test_a_leg_that_rounds_past_the_grid_reads_free_there():
     # Where the leg crosses y = 5, at its end, start + 1.0 * span rounds x
-    # up to 8.0, the grid's high face, though the leg ends an ulp short of it.
+    # up to 8.0, the grid's high face, though the leg ends an ulp short of
+    # it. That voxel lies outside the grid, where every voxel is free.
     grid = OccupancyGrid(np.zeros(3), 1.0, np.zeros((8, 8, 8), dtype=bool))
     points = np.array([[3.651022309110887, 2.5, 1.0], [np.nextafter(8.0, 0), 5.0, 1.0]])
     _, voxels = segment_voxels(grid, points)
-    assert voxels.max(axis=0).tolist() == [7, 5, 1]
+    assert voxels.max(axis=0).tolist() == [8, 5, 1]
+    stops = Stops(points, np.zeros((2, 2), dtype=int), np.array([0.0, 0, -1]))
+    assert generate_waypoints(stops, grid).waypoints is points
 
 
 def test_generate_waypoints_obstacle_free_lattice(caplog):
@@ -429,7 +463,7 @@ def test_generate_waypoints_obstacle_free_lattice(caplog):
     pts[:, 0] = rng.uniform(0, 2, 600)
     pts[:, 1] = rng.uniform(0, 1, 600)
     cloud = PointCloud(pts)
-    grid = inflate(build_occupancy(cloud, 0.25, 2.5), 0.6)
+    grid = inflate(build_occupancy(cloud, 0.25, 0.6), 0.6)
     cfg = footprint(0.6, 0.4, 0.2)
     camera = CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0)
     stops = plan_coverage(surface, cfg, camera, grid=grid)
@@ -458,6 +492,55 @@ def test_generate_waypoints_routes_through_gap():
         [grid.index_to_center(path), stops.positions[1:]]))
 
 
+def test_generate_waypoints_detours_between_stops_outside_the_grid():
+    # A 2 x 2 m wall in the plane x = 0, and a stop 3 m in front of it and
+    # one 3 m behind it: both outside the grid. The straight leg crosses the
+    # wall, so the leg is searched, and its detour keeps out of the wall's
+    # inflation.
+    yz = np.stack(np.meshgrid(np.linspace(-1, 1, 41), np.linspace(-1, 1, 41)), -1)
+    wall = np.concatenate([np.zeros((41 * 41, 1)), yz.reshape(-1, 2)], axis=1)
+    grid = inflate(build_occupancy(PointCloud(wall), 0.25, 0.6), 0.6)
+    positions = np.array([[-3.0, 0.1, 0.1], [3.0, 0.1, 0.1]])
+    indices = grid.world_to_indices(positions)
+    assert not any(grid.in_bounds(v) for v in indices)
+    plan = generate_waypoints(Stops(positions, np.zeros((2, 2), dtype=int),
+                                    np.array([0.0, 0, -1])), grid)
+    detour = plan.waypoints[1:-1]
+    assert len(detour) > 0
+    assert np.array_equal(plan.waypoints[[0, -1]], positions)
+    assert not grid.occupied_at(grid.world_to_indices(detour)).any()
+    # The detour's centres are those of the grid's own voxels.
+    voxels = grid.world_to_indices(detour)
+    assert np.array_equal(grid.index_to_center(voxels), detour)
+
+
+def test_generate_waypoints_with_stops_outside_the_grid_equals_one_search_per_leg(rng):
+    # Stops in and around a small grid: a voxel outside the grid is free, and
+    # a blocked leg is searched in the grid padded until it holds every stop.
+    outcomes = set()
+    for _ in range(200):
+        dims = rng.integers(3, 9, 3)
+        occ = rng.random(tuple(dims)) < rng.choice([0.05, 0.2, 0.4])
+        # Not binary fractions: a centre taken from a padded grid's origin
+        # would differ in its last bits.
+        grid = OccupancyGrid(np.array([-1.3, 0.7, 2.1]), 0.3, occ)
+        voxels = rng.integers(-3, dims + 3, (int(rng.integers(2, 6)), 3))
+        if rng.random() < 0.2:
+            # Wall the first stop in, at the grid's centre: its leg has no path.
+            voxels[0] = dims // 2
+            occ[tuple(slice(c - 1, c + 2) for c in voxels[0])] = True
+            occ[tuple(voxels[0])] = False
+        stops = _stops_at(grid, voxels, rng.choice([0.0, 0.25, 0.5, 0.875], (len(voxels), 3)))
+        got = _plan_or_error(lambda *a: generate_waypoints(*a).waypoints, stops, grid,
+                             AStarWeights())
+        assert got == _plan_or_error(straight_or_astar_waypoints, stops, grid, AStarWeights())
+        if isinstance(got, tuple):
+            outcomes.add(got[0])
+        else:
+            outcomes.add("detour" if len(got) > stops.positions.nbytes else "straight")
+    assert outcomes == {"straight", "detour", "StopPointBlocked", "NoPath"}
+
+
 def test_generate_waypoints_blocked_stop():
     occ = np.zeros((5, 5, 5), dtype=bool)
     occ[2, 2, 2] = True
@@ -474,8 +557,9 @@ def test_generate_waypoints_names_the_first_bad_stop():
     with pytest.raises(StopPointBlocked,
                        match=r"^stop 1: stop voxel \(2, 2, 2\) is occupied after inflation$"):
         generate_waypoints(_stops_at(grid, [free, blocked, outside, also_blocked]), grid)
+    # A stop outside the grid stands in free space.
     with pytest.raises(StopPointBlocked,
-                       match=r"^stop 2: stop position \[0.5 0.5 7.5\] is outside the grid$"):
+                       match=r"^stop 3: stop voxel \(2, 2, 2\) is occupied after inflation$"):
         generate_waypoints(_stops_at(grid, [free, free, outside, blocked]), grid)
 
 

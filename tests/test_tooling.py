@@ -292,6 +292,22 @@ def _config_types(cls=PipelineConfig) -> list[type]:
     return found
 
 
+def settable_config_values(cls=PipelineConfig) -> list[str]:
+    """The dotted name of each value a config file sets, nested fields included."""
+    names = []
+    for f in fields(cls):
+        if f.default_factory is not MISSING and is_dataclass(f.default_factory):
+            names += [f"{f.name}.{name}" for name in settable_config_values(f.default_factory)]
+        else:
+            names.append(f.name)
+    return names
+
+
+def test_the_config_has_26_settable_values():
+    # A knob added or taken away changes this number where a reviewer sees it.
+    assert len(settable_config_values()) == 26
+
+
 def config_range_messages() -> dict[str, str]:
     """Each ``ValueError`` message raised in the ``__post_init__`` of a config
     type reachable from PipelineConfig, with ``Class`` naming where."""
@@ -312,7 +328,7 @@ def test_every_config_range_check_has_a_cli_row():
     # tests/test_cli.py runs one config file per check.
     rows = [message for _, message in CONFIG_RANGE_ERRORS]
     messages = config_range_messages()
-    assert len(_config_types()) == 9 and len(messages) == 22
+    assert len(_config_types()) == 9 and len(messages) == 21
     assert {message: cls for message, cls in messages.items()
             if not any(row.endswith(f": {message}") for row in rows)} == {}
 
