@@ -19,13 +19,12 @@ import numpy as np
 
 from . import artifacts
 from .errors import StageError, ValidationError
-from .ingest import estimate_pose_track, parse_scan_log, write_scan_log
+from .ingest import build_cloud, estimate_pose_track, parse_scan_log, write_scan_log
 from .pipeline import (
     PipelineConfig,
     cluster_cloud,
     filter_cloud,
     format_timings,
-    ingest_log,
     plan_failures,
     plan_surfaces,
     run_pipeline,
@@ -109,8 +108,11 @@ def cmd_simulate(args) -> int:
 def cmd_ingest(args) -> int:
     cfg = _load_config(args)
     log = parse_scan_log(args.input)
-    cloud = ingest_log(log, estimate_pose_track(log, cfg.icp), args.out)
-    print(f"built {len(cloud)} points from {len(log.vertical)} vertical scans")
+    scans = len(log.vertical)
+    cloud = build_cloud(log, estimate_pose_track(log, cfg.icp))
+    del log  # freed before the cloud is written
+    artifacts.write_cloud(args.out, cloud)
+    print(f"built {len(cloud)} points from {scans} vertical scans")
     return EXIT_OK
 
 

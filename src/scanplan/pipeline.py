@@ -1,19 +1,23 @@
-"""End-to-end batch pipeline: ingest/register, filter, segment, cluster, plan.
+"""End-to-end batch pipeline: register, filter, segment, cluster, plan, render.
 
-Each stage is one function (``ingest_log``, ``filter_cloud``,
-``segment_cloud``, ``cluster_cloud``, ``plan_surfaces``) that
-``run_pipeline`` and the matching CLI verb both call, so a chain of verbs
-writes the same bytes as one run. Every stage persists its artifact, so
-stages can be re-run in isolation from the files. All randomness is seeded
-through the config; two runs with the same config produce byte-identical
-artifacts. Per-stage wall times and the process's peak resident memory at
-the end of each stage are reported on the returned result (and by the CLI
-on stdout), never written into artifacts.
+The register stage reads a cloud file as it is, or builds a scan log's cloud
+(``parse_scan_log``, ``estimate_pose_track`` and ``build_cloud``, the calls
+the ``ingest`` verb makes), and writes it as registered.xyz. Each later
+stage but render is one function (``filter_cloud``, ``segment_cloud``,
+``cluster_cloud``, ``plan_surfaces``) that ``run_pipeline`` and the
+matching CLI verb both call, so a chain of verbs writes the same bytes as
+one run. Every stage persists its artifact, so stages can be re-run in
+isolation from the files. All randomness is seeded through the config; two
+runs with the same config produce byte-identical artifacts. Per-stage wall
+times and the process's peak resident memory at the end of each stage are
+reported on the returned result (and by the CLI on stdout), never written
+into artifacts.
 
-``run_pipeline`` drops each input once no later stage reads it: the scan
-log after ingest has built the registered cloud, and the registered cloud
-after the filter has written and logged its output. Segment, cluster, plan
-and render read only the filtered cloud and what segment returns.
+``run_pipeline`` drops each input once no later step reads it: the scan
+log as soon as its cloud is built, before registered.xyz is written, and
+the registered cloud after the filter has written and logged its output.
+Segment, cluster, plan and render read only the filtered cloud and what
+segment returns.
 
 A config is checked once, when it is built: each config type's
 ``__post_init__`` rejects a bad value, so a bad config file fails before
@@ -35,8 +39,8 @@ import numpy as np
 from . import artifacts, plots
 from .clustering import ClusterConfig, euclidean_cluster
 from .errors import StageError
-from .geometry import PointCloud, Pose
-from .ingest import ScanLog, build_cloud, estimate_pose_track, parse_scan_log
+from .geometry import PointCloud
+from .ingest import build_cloud, estimate_pose_track, parse_scan_log
 from .planning import (
     AStarWeights,
     CameraSpec,
@@ -137,13 +141,6 @@ class _Stage:
 # One function per stage, shared by run_pipeline and the CLI verbs: each
 # takes its input in memory, writes its artifact and returns its result.
 
-def ingest_log(log: ScanLog, poses: list[Pose], out) -> PointCloud:
-    """Map a scan log's vertical scans through ``poses`` into a cloud, write ``out``."""
-    cloud = build_cloud(log, poses)
-    artifacts.write_cloud(out, cloud)
-    return cloud
-
-
 def filter_cloud(
     cloud: PointCloud, cfg: PipelineConfig, out
 ) -> tuple[PointCloud, int]:
@@ -241,14 +238,12 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
             # made, so an input that cannot be used leaves no directory behind.
             if input_path.suffix in (".log", ".txt"):
                 log = parse_scan_log(input_path)
-                poses = estimate_pose_track(log, cfg.icp)
-                out.mkdir(parents=True, exist_ok=True)
-                cloud = ingest_log(log, poses, out / "registered.xyz")
-                del log  # not held through the later stages
+                cloud = build_cloud(log, estimate_pose_track(log, cfg.icp))
+                del log  # freed before the cloud is written
             else:
                 cloud = artifacts.read_cloud(input_path)
-                out.mkdir(parents=True, exist_ok=True)
-                artifacts.write_cloud(out / "registered.xyz", cloud)
+            out.mkdir(parents=True, exist_ok=True)
+            artifacts.write_cloud(out / "registered.xyz", cloud)
             result.counts["register"] = len(cloud)
 
         with _Stage(result, "filter"):

@@ -39,7 +39,7 @@ def render_svg(
     ax, ay = _VIEWS[view]
     pts2d = None
     if cloud is not None and len(cloud) > 0:
-        stride = max(1, len(cloud) // _MAX_PLOTTED)
+        stride = -(-len(cloud) // _MAX_PLOTTED)  # the ceiling: at most _MAX_PLOTTED dots
         pts2d = cloud.points[::stride][:, (ax, ay)]
     poly2d = [np.asarray(p, dtype=float)[:, (ax, ay)] for p in polygons]
     line2d = [np.asarray(p, dtype=float)[:, (ax, ay)] for p in polylines]

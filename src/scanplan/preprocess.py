@@ -114,16 +114,30 @@ def voxel_downsample(
     if len(cloud) == 0:
         return PointCloud.empty()
     pts = cloud.points
-    idx = np.floor((pts - pts.min(axis=0)) / cfg.leaf_size).astype(np.int64)
-
-    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-    idx_sorted = idx[order]
-    pts_sorted = pts[order]
-    boundaries = np.nonzero(np.any(np.diff(idx_sorted, axis=0) != 0, axis=1))[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    counts = np.diff(np.concatenate((starts, [len(pts_sorted)])))
+    lo = pts.min(axis=0)
+    # One (N,) int64 column per axis, not an (N, 3) table: the columns go one
+    # at a time below. A single ravelled key would overflow int64, since a
+    # cloud within +-GRID_LIMIT spans more than 2**63 voxels.
+    cols = [np.floor((pts[:, a] - lo[a]) / cfg.leaf_size).astype(np.int64)
+            for a in range(3)]
+    order = np.lexsort(cols[::-1])
+    # starts[k]: the k-th point in voxel order begins a new voxel.
+    starts = np.zeros(len(pts), dtype=bool)
+    while cols:
+        col = cols.pop()[order]
+        starts[1:] |= col[1:] != col[:-1]
+    del col
+    # Each point's voxel number, scattered back to input order, so that the
+    # sums below take each voxel's points in input order without a sorted
+    # copy of the points.
+    voxel = np.empty(len(pts), dtype=np.int64)
+    voxel[order] = np.cumsum(starts)
+    del order, starts
+    counts = np.bincount(voxel)
     # bincount adds each voxel's points to +0.0 in row order, the sequential
     # sum numpy's mean(axis=0) does; np.add.reduceat rounds differently.
-    voxel = np.repeat(np.arange(len(starts)), counts)
-    sums = np.stack([np.bincount(voxel, weights=axis) for axis in pts_sorted.T], axis=1)
-    return PointCloud._own(sums / counts[:, None])
+    centroids = np.empty((len(counts), 3))
+    for a in range(3):
+        centroids[:, a] = np.bincount(voxel, weights=pts[:, a])
+    centroids /= counts[:, None]
+    return PointCloud._own(centroids)

@@ -3,8 +3,8 @@
 Everything here is deliberately naive: linear scans, union-find over the
 full distance matrix, gift wrapping, Dijkstra without a heuristic, a voxel
 traversal in exact rational arithmetic, one polygon edge at a time, one
-value of a file at a time. None of it shares
-code with the package under test, except :func:`cold_icp`, the ICP loop
+value of a file at a time, voxels grouped through sorted copies. None of it
+shares code with the package under test, except :func:`cold_icp`, the ICP loop
 without its warm start: it runs the package's kd-tree and Kabsch fit, so
 that it checks the warm start alone; :func:`straight_or_astar_waypoints`,
 the waypoint chain leg by leg, which runs :func:`scanplan.planning.astar` on
@@ -489,7 +489,7 @@ def render_svg_per_point(cloud=None, polygons=(), polylines=(), view="top", size
     ax, ay = {"top": (0, 1), "elevation": (0, 2)}[view]
     pts2d = None
     if cloud is not None and len(cloud) > 0:
-        stride = max(1, len(cloud) // 20000)
+        stride = math.ceil(len(cloud) / 20000)
         pts2d = cloud.points[::stride][:, (ax, ay)]
     poly2d = [np.asarray(p, dtype=float)[:, (ax, ay)] for p in polygons]
     line2d = [np.asarray(p, dtype=float)[:, (ax, ay)] for p in polylines]
@@ -539,6 +539,23 @@ def render_svg_per_point(cloud=None, polygons=(), polylines=(), view="top", size
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def voxel_centroids_sorted(points: np.ndarray, leaf: float) -> np.ndarray:
+    """Voxel centroids through sorted copies: the voxel indices and the points
+    lexsorted by voxel, each run of equal indices summed in its sorted order
+    and divided by its length. Rows in voxel-index order, not put on the grid.
+    """
+    idx = np.floor((points - points.min(axis=0)) / leaf).astype(np.int64)
+    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
+    idx_sorted = idx[order]
+    pts_sorted = points[order]
+    boundaries = np.nonzero(np.any(np.diff(idx_sorted, axis=0) != 0, axis=1))[0] + 1
+    starts = np.concatenate(([0], boundaries))
+    counts = np.diff(np.concatenate((starts, [len(pts_sorted)])))
+    voxel = np.repeat(np.arange(len(starts)), counts)
+    sums = np.stack([np.bincount(voxel, weights=axis) for axis in pts_sorted.T], axis=1)
+    return sums / counts[:, None]
 
 
 def fixed6(value) -> str:

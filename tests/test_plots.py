@@ -42,6 +42,16 @@ def test_render_svg_matches_the_per_point_text(tmp_path, rng, monkeypatch, view)
         assert '<circle cx="10.12" cy="10.12"' in (tmp_path / "top_11.svg").read_text()
 
 
+@pytest.mark.parametrize("n, dots", [(19_999, 19_999), (20_000, 20_000), (20_001, 10_001),
+                                     (39_999, 20_000), (40_000, 20_000), (40_001, 13_334)])
+def test_render_svg_plots_at_most_its_budget_of_dots(tmp_path, n, dots):
+    # The stride is the ceiling of n / budget: a floor plotted 39,999 dots
+    # for a budget of 20,000.
+    cloud = PointCloud(np.stack([np.arange(n) * 1e-3, np.zeros(n), np.zeros(n)], axis=1))
+    render_svg(tmp_path / "scatter.svg", cloud=cloud)
+    assert (tmp_path / "scatter.svg").read_text(encoding="ascii").count("<circle") == dots
+
+
 def test_render_svg_without_geometry(tmp_path):
     render_svg(tmp_path / "empty.svg")
     assert (tmp_path / "empty.svg").read_text(encoding="ascii") == render_svg_per_point()

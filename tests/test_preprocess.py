@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scanplan import preprocess
-from scanplan.geometry import PointCloud
+from scanplan.geometry import GRID_LIMIT, PointCloud
 from scanplan.preprocess import (
     OutlierFilterConfig,
     VoxelGridConfig,
@@ -14,7 +15,7 @@ from scanplan.preprocess import (
 )
 from scanplan.spatial import KdTree
 
-from oracles import to_grid_per_value
+from oracles import to_grid_per_value, voxel_centroids_sorted
 
 
 def unit_grid_10():
@@ -234,3 +235,61 @@ def test_voxel_deterministic_under_permutation(rng):
     a = voxel_downsample(PointCloud(pts), cfg)
     b = voxel_downsample(PointCloud(pts[perm]), cfg)
     assert np.allclose(a.points, b.points)
+
+
+@st.composite
+def _voxel_cases(draw):
+    """(points, leaf): a dense voxel of 100 or more points and a few sparser
+    clusters, points on voxel faces and signed zeros, all shuffled; shifted
+    by 1e6 m or -1e6 m or not at all, and spread to +-GRID_LIMIT on every
+    axis or not."""
+    leaf = draw(st.sampled_from([0.05, 0.1, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Before any shift the zero row is the minimum corner, so the dense points
+    # fill voxel (2, 1, 3).
+    parts = [np.zeros((1, 3)),
+             (np.array([2, 1, 3]) + rng.uniform(0.05, 0.95, (draw(st.integers(100, 400)), 3)))
+             * leaf]
+    for size in draw(st.lists(st.integers(1, 40), max_size=4)):
+        parts.append(rng.uniform(0.0, 4.0, 3) + rng.uniform(0.0, leaf, (size, 3)))
+    parts.append(rng.integers(0, 12, (draw(st.integers(0, 30)), 3)) * leaf)
+    points = np.vstack(parts + [-np.zeros((draw(st.integers(0, 3)), 3))])
+    offset = draw(st.sampled_from([0.0, -1e6, 1e6]))
+    if offset:
+        points = np.vstack([points + offset, -np.zeros((1, 3))])
+    if draw(st.booleans()):
+        corners = np.array([[-GRID_LIMIT] * 3, [GRID_LIMIT] * 3,
+                            [GRID_LIMIT, -GRID_LIMIT, -0.0]])
+        points = np.vstack([points, corners])
+    return points[rng.permutation(len(points))], leaf
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_voxel_cases())
+@example(case=(np.array([[-GRID_LIMIT, -GRID_LIMIT, -GRID_LIMIT], [-0.0, 0.0, -0.0],
+                         [0.0, -0.0, 0.0], [GRID_LIMIT, GRID_LIMIT, GRID_LIMIT]]), 0.05))
+def test_voxel_centroids_equal_the_sorted_copy_grouping_bit_for_bit(case):
+    # The grid snap is off, so every bit of each centroid and any signed
+    # zero reaches the comparison. Within +-GRID_LIMIT a cloud spans more
+    # than 2**63 voxels of 0.05 m, past any one int64 voxel key.
+    points, leaf = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("scanplan.geometry.to_grid", lambda a: a)
+        cloud = PointCloud(points)
+        out = voxel_downsample(cloud, VoxelGridConfig(leaf_size=leaf))
+    assert out.points.tobytes() == voxel_centroids_sorted(cloud.points, leaf).tobytes()
+
+
+def test_voxel_downsample_holds_no_sorted_copies(rng):
+    # Sorted (N, 3) copies of the voxel indices and the points, and their
+    # (N - 1, 3) diff, peaked at 152-161 bytes per point; three index columns
+    # and a voxel number per point in input order peak near 53.
+    n = 60_000
+    cloud = PointCloud(rng.normal(size=(n, 3)))
+    tracemalloc.start()
+    try:
+        voxel_downsample(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * n
