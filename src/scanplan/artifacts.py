@@ -54,7 +54,7 @@ from .errors import (
 from .geometry import PointCloud, Pose, format_table
 from .planning import FlightPlan
 from .polygons import polygon_is_simple, shoelace_area
-from .segmentation import PlanarSurface, PlaneModel, project_to_plane
+from .segmentation import PlanarSurface, PlaneModel, plane_basis
 
 SCHEMA_VERSION = 1
 
@@ -186,25 +186,20 @@ def _parse_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
 
 # --- surfaces ----------------------------------------------------------------
 
-def surfaces_to_dict(surfaces: list[PlanarSurface]) -> dict:
+def _plane_json(surface: PlanarSurface) -> dict:
+    """The JSON form of a surface's plane and boundary, shared by the
+    surfaces file and an exported boundary."""
     return {
-        "version": SCHEMA_VERSION,
-        "planes": [
-            {
-                "normal": [s.model.a, s.model.b, s.model.c],
-                "d": s.model.d,
-                "boundary": [[float(c) for c in v] for v in s.boundary],
-                "area": float(s.area),
-                "inlier_count": int(s.inlier_count),
-            }
-            for s in surfaces
-        ],
+        "normal": [surface.model.a, surface.model.b, surface.model.c],
+        "d": surface.model.d,
+        "boundary": [[float(c) for c in v] for v in surface.boundary],
     }
 
 
 def surfaces_from_dict(data: dict, source: str = "surfaces") -> list[PlanarSurface]:
-    """Inverse of :func:`surfaces_to_dict`; a ValidationError names ``source``
-    and the key when ``planes`` or a key of a plane is missing or mistyped."""
+    """The surfaces of the JSON that :func:`write_surfaces` writes; a
+    ValidationError names ``source`` and the key when ``planes`` or a key of
+    a plane is missing or mistyped."""
     surfaces = []
     for k, entry in enumerate(_list_in(data, "planes", source)):
         where = f"{source} planes[{k}]"
@@ -225,7 +220,9 @@ def surfaces_from_dict(data: dict, source: str = "surfaces") -> list[PlanarSurfa
 
 
 def write_surfaces(path, surfaces: list[PlanarSurface]) -> None:
-    write_json(path, surfaces_to_dict(surfaces))
+    planes = [{**_plane_json(s), "area": float(s.area),
+               "inlier_count": int(s.inlier_count)} for s in surfaces]
+    write_json(path, {"version": SCHEMA_VERSION, "planes": planes})
 
 
 def read_surfaces(path) -> list[PlanarSurface]:
@@ -235,7 +232,7 @@ def read_surfaces(path) -> list[PlanarSurface]:
 
 # --- clusters ------------------------------------------------------------------
 
-def clusters_to_dict(clusters: list[np.ndarray], cloud: PointCloud) -> dict:
+def write_clusters(path, clusters: list[np.ndarray], cloud: PointCloud) -> None:
     """Each cluster's ``indices`` into ``cloud``, the cluster stage's input,
     and its bounding box. In ``run_pipeline`` that input is the segment
     remainder, whose tags are the indices into the filtered cloud."""
@@ -247,11 +244,7 @@ def clusters_to_dict(clusters: list[np.ndarray], cloud: PointCloud) -> dict:
             "bbox_min": [float(v) for v in pts.min(axis=0)],
             "bbox_max": [float(v) for v in pts.max(axis=0)],
         })
-    return {"version": SCHEMA_VERSION, "clusters": entries}
-
-
-def write_clusters(path, clusters: list[np.ndarray], cloud: PointCloud) -> None:
-    write_json(path, clusters_to_dict(clusters, cloud))
+    write_json(path, {"version": SCHEMA_VERSION, "clusters": entries})
 
 
 # --- flight plans ----------------------------------------------------------------
@@ -324,13 +317,7 @@ def write_stations(path, entries: list[tuple[str, Pose]]) -> None:
 
 def export_boundary(surface: PlanarSurface, path) -> None:
     """Write one surface's plane + boundary for manual polygon edits."""
-    data = {
-        "version": SCHEMA_VERSION,
-        "normal": [surface.model.a, surface.model.b, surface.model.c],
-        "d": surface.model.d,
-        "boundary": [[float(c) for c in v] for v in surface.boundary],
-    }
-    write_json(path, data)
+    write_json(path, {"version": SCHEMA_VERSION, **_plane_json(surface)})
 
 
 def import_boundary(
@@ -364,7 +351,7 @@ def import_boundary(
             f"vertex {float(dists.max()):.3f} m off the plane exceeds the "
             f"{distance_threshold:.3f} m threshold"
         )
-    coords, _ = project_to_plane(boundary, surface.model)
+    coords = plane_basis(surface.model).to_plane(boundary)
     if not polygon_is_simple(coords):
         raise SelfIntersectingPolygon("edited boundary intersects itself")
     if np.array_equal(boundary, surface.boundary):

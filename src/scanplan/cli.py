@@ -19,9 +19,10 @@ import numpy as np
 
 from . import artifacts
 from .errors import StageError, ValidationError
-from .ingest import build_cloud, estimate_pose_track, parse_scan_log, write_scan_log
+from .ingest import write_scan_log
 from .pipeline import (
     PipelineConfig,
+    cloud_from_log,
     cluster_cloud,
     filter_cloud,
     format_timings,
@@ -106,11 +107,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    cfg = _load_config(args)
-    log = parse_scan_log(args.input)
-    scans = len(log.vertical)
-    cloud = build_cloud(log, estimate_pose_track(log, cfg.icp))
-    del log  # freed before the cloud is written
+    cloud, scans = cloud_from_log(args.input, _load_config(args))
     artifacts.write_cloud(args.out, cloud)
     print(f"built {len(cloud)} points from {scans} vertical scans")
     return EXIT_OK
@@ -172,7 +169,7 @@ def cmd_run(args) -> int:
     print(format_timings(result))
     for stage, message in result.failures:
         print(f"stage {stage}: {message}", file=sys.stderr)
-    return EXIT_STAGE if result.status else EXIT_OK
+    return EXIT_STAGE if result.failures else EXIT_OK
 
 
 def cmd_edit_boundary(args) -> int:

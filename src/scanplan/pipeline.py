@@ -1,20 +1,19 @@
 """End-to-end batch pipeline: register, filter, segment, cluster, plan, render.
 
 The register stage reads a cloud file as it is, or builds a scan log's cloud
-(``parse_scan_log``, ``estimate_pose_track`` and ``build_cloud``, the calls
-the ``ingest`` verb makes), and writes it as registered.xyz. Each later
-stage but render is one function (``filter_cloud``, ``segment_cloud``,
-``cluster_cloud``, ``plan_surfaces``) that ``run_pipeline`` and the
-matching CLI verb both call, so a chain of verbs writes the same bytes as
-one run. Every stage persists its artifact, so stages can be re-run in
-isolation from the files. All randomness is seeded through the config; two
-runs with the same config produce byte-identical artifacts. Per-stage wall
-times and the process's peak resident memory at the end of each stage are
-reported on the returned result (and by the CLI on stdout), never written
-into artifacts.
+with ``cloud_from_log``, the step the ``ingest`` verb runs too, and writes
+it as registered.xyz. Each later stage but render is one function
+(``filter_cloud``, ``segment_cloud``, ``cluster_cloud``, ``plan_surfaces``)
+that ``run_pipeline`` and the matching CLI verb both call, so a chain of
+verbs writes the same bytes as one run. Every stage persists its artifact,
+so stages can be re-run in isolation from the files. All randomness is
+seeded through the config; two runs with the same config produce
+byte-identical artifacts. Per-stage wall times and the process's peak
+resident memory at the end of each stage are reported on the returned
+result (and by the CLI on stdout), never written into artifacts.
 
 ``run_pipeline`` drops each input once no later step reads it: the scan
-log as soon as its cloud is built, before registered.xyz is written, and
+log when ``cloud_from_log`` returns, before registered.xyz is written, and
 the registered cloud after the filter has written and logged its output.
 Segment, cluster, plan and render read only the filtered cloud and what
 segment returns.
@@ -103,7 +102,6 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
-    status: int                 # 0 ok, 3 some stage failed
     timings: dict               # stage -> seconds
     counts: dict                # stage -> headline number
     failures: list              # (stage, message)
@@ -135,11 +133,23 @@ class _Stage:
         )
         if isinstance(exc, StageError):
             self.result.failures.append((self.name, str(exc)))
-            self.result.status = 3
 
 
 # One function per stage, shared by run_pipeline and the CLI verbs: each
 # takes its input in memory, writes its artifact and returns its result.
+
+def cloud_from_log(path, cfg: PipelineConfig) -> tuple[PointCloud, int]:
+    """A scan log's cloud: parsed, pose-tracked and built.
+
+    The log is local, so it is freed when this returns, before the caller
+    writes the cloud.
+
+    Returns:
+        (cloud, number of vertical scans in the log).
+    """
+    log = parse_scan_log(path)
+    return build_cloud(log, estimate_pose_track(log, cfg.icp)), len(log.vertical)
+
 
 def filter_cloud(
     cloud: PointCloud, cfg: PipelineConfig, out
@@ -226,10 +236,10 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
     surfaces.json, clusters.json, plan.json, plan_<k>.csv per planned
     surface, and top/elevation SVG renders. A planning failure on one
     surface is recorded in plan.json, the remaining surfaces are still
-    planned, and the result carries status 3 with the failure list.
+    planned, and the result's failure list names it.
     """
     out = Path(out_dir)
-    result = PipelineResult(0, {}, {}, [])
+    result = PipelineResult({}, {}, [])
     input_path = Path(input_path)
 
     try:
@@ -237,9 +247,7 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
             # The input is read, and a log pose-tracked, before out_dir is
             # made, so an input that cannot be used leaves no directory behind.
             if input_path.suffix in (".log", ".txt"):
-                log = parse_scan_log(input_path)
-                cloud = build_cloud(log, estimate_pose_track(log, cfg.icp))
-                del log  # freed before the cloud is written
+                cloud, _ = cloud_from_log(input_path, cfg)
             else:
                 cloud = artifacts.read_cloud(input_path)
             out.mkdir(parents=True, exist_ok=True)
@@ -266,8 +274,6 @@ def run_pipeline(input_path, cfg: PipelineConfig, out_dir) -> PipelineResult:
             failures = plan_failures(plans)
             result.counts["plan"] = len(plans) - len(failures)
             result.failures.extend(("plan", message) for message in failures)
-            if failures:
-                result.status = 3
 
         with _Stage(result, "render"):
             boundaries = [s.boundary for s in surfaces]

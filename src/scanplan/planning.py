@@ -427,10 +427,6 @@ def segment_voxels(grid: OccupancyGrid, points: np.ndarray) -> tuple[np.ndarray,
     return leg, voxels
 
 
-# Legs traversed per numpy pass, which bounds the pass's temporary arrays.
-_LEG_BLOCK = 256
-
-
 def generate_waypoints(
     stops: Stops,
     grid: OccupancyGrid,
@@ -464,10 +460,9 @@ def generate_waypoints(
             "after inflation"
         )
 
+    leg, voxels = segment_voxels(grid, positions)
     blocked = np.zeros(len(positions) - 1, dtype=bool)
-    for first in range(0, len(blocked), _LEG_BLOCK):
-        leg, voxels = segment_voxels(grid, positions[first:first + _LEG_BLOCK + 1])
-        blocked[first + leg[grid.occupied_at(voxels)]] = True
+    blocked[leg[grid.occupied_at(voxels)]] = True
     logger.info("waypoints: %d legs, %d blocked", len(blocked), np.count_nonzero(blocked))
     chain, done = [], 0
     if blocked.any():

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateGeometry, IcpDiverged, InsufficientOverlap
 from .geometry import PointCloud, Pose
-from .spatial import KdTree
+from .spatial import KdTree, row_norms
 
 _DIVERGENCE_STREAK = 3
 # Relative rounding bound of the warm-start guard in _icp. A distance computed
@@ -70,12 +70,6 @@ def _kabsch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fix[-1] = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag(fix) @ u.T
     return rot, q_mean - rot @ p_mean
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Row lengths of ``v``, rounded as cKDTree rounds its distances: the
-    squares summed over the axis in order, then one square root."""
-    return np.sqrt((v ** 2).sum(axis=1))
 
 
 def _kept(dist: np.ndarray, runner_up: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -138,8 +132,8 @@ def _icp(
             idx, dist, runner_up = tree.nearest(moved)
             matched = tgt[idx]
         else:
-            dist = _norms(matched - moved)
-            stale = np.nonzero(~_kept(dist, runner_up, _norms(moved - anchor)))[0]
+            dist = row_norms(matched - moved)
+            stale = np.nonzero(~_kept(dist, runner_up, row_norms(moved - anchor)))[0]
             if len(stale):
                 anchor[stale] = moved[stale]
                 idx[stale], dist[stale], runner_up[stale] = tree.nearest(moved[stale])

@@ -231,14 +231,6 @@ def plane_basis(model: PlaneModel) -> PlaneBasis:
     return PlaneBasis(-model.d * n, u, v, n)
 
 
-def project_to_plane(
-    points: np.ndarray, model: PlaneModel
-) -> tuple[np.ndarray, PlaneBasis]:
-    """In-plane 2D coordinates of the orthogonal projections of ``points``."""
-    basis = plane_basis(model)
-    return basis.to_plane(points), basis
-
-
 # Directions whose extreme points span the hull pre-filter's polygon, in
 # counter-clockwise order.
 _OCTANTS = np.array(
@@ -316,8 +308,8 @@ def convex_hull_2d(points2d: np.ndarray) -> np.ndarray:
 
 
 def _boundary_and_area(pts: np.ndarray, model: PlaneModel) -> tuple[np.ndarray, float]:
-    coords, basis = project_to_plane(pts, model)
-    hull2d = convex_hull_2d(coords)
+    basis = plane_basis(model)
+    hull2d = convex_hull_2d(basis.to_plane(pts))
     return basis.to_world(hull2d), abs(shoelace_area(hull2d))
 
 

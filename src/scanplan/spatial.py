@@ -13,6 +13,10 @@ rows in blocks and get the same rows, bit for bit, as from one query:
 :func:`scanplan.preprocess.neighbor_mean_distances` does, so that its
 temporaries are (block, k) rather than (N, k).
 
+How cKDTree rounds a distance is written once, in :func:`row_norms`; the
+tie-break of :meth:`KdTree.nearest` and the warm start of
+:mod:`scanplan.registration` compute their distances with it.
+
 Every tree splits at the sliding midpoint (Maneewongvatana & Mount, "It's
 okay to be skinny, if your friends are fat", 1999): a cell is cut at the
 middle of its points' widest extent, and the cut slides to the nearest
@@ -72,6 +76,12 @@ else:
 _LEAF_SIZE = 32
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Row lengths of ``v``, rounded as cKDTree rounds its distances: the
+    squares summed over the axis in order, then one square root."""
+    return np.sqrt((v ** 2).sum(axis=1))
+
+
 class KdTree:
     def __init__(self, points: np.ndarray):
         pts = np.ascontiguousarray(points, dtype=float)
@@ -113,7 +123,7 @@ class KdTree:
         for row in np.nonzero(runner_up <= dist)[0]:
             ball = np.array(self._tree.query_ball_point(q[row], r=dist[row] * (1 + 1e-12)),
                             dtype=np.int64)
-            d = np.sqrt(((self._points[ball] - q[row]) ** 2).sum(axis=1))
+            d = row_norms(self._points[ball] - q[row])
             tied = ball[d == dist[row]]
             if len(tied):
                 idx[row] = tied.min()

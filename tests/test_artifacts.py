@@ -399,6 +399,18 @@ def test_boundary_closed_ring_imports_as_the_open_ring(tmp_path):
     assert import_boundary(surface, path) is surface
 
 
+def test_boundary_closed_two_point_ring_rejected(tmp_path):
+    # Once its closing vertex goes, the ring has 2 points: no polygon.
+    surface = square_surface()
+    path = tmp_path / "ring.json"
+    ring = surface.boundary[:2].tolist()
+    path.write_text(json.dumps({"boundary": ring + ring[:1]}), encoding="ascii")
+    with pytest.raises(NonPlanarEdit,
+                       match="boundary must be at least 3 points of 3 coordinates") as err:
+        import_boundary(surface, path)
+    assert err.type is NonPlanarEdit
+
+
 def test_boundary_shrink_halves_stop_count(tmp_path):
     camera = CameraSpec(fov_h_deg=24.0, fov_v_deg=20.0)
     full = square_surface(22.0, 10.0)

@@ -320,6 +320,10 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
       ["plan", "--cloud", "{tmp}/cloud.xyz", "--surfaces", "{tmp}/surfaces.json",
        "--out", "{tmp}/plan.json"],
       "surfaces.json planes[0].d: expected a finite float, got nan"),
+     ({"surfaces.json": {"planes": [_PLANE, 5]}},
+      ["plan", "--cloud", "{tmp}/cloud.xyz", "--surfaces", "{tmp}/surfaces.json",
+       "--out", "{tmp}/plan.json"],
+      "surfaces.json planes[1]: expected an object, got int"),
      ({"surfaces.json": {"planes": [_PLANE]},
        "boundary.json": {"normal": [0.0, 0.0, 1.0], "d": 0.0}},
       ["edit-boundary", "import", "--surfaces", "{tmp}/surfaces.json",
@@ -356,7 +360,8 @@ _PLANE = {"normal": [0.0, 0.0, 1.0], "d": 0.0, "area": 0.5, "inlier_count": 3,
          "huge_int_for_float", "segment_negative_min_area",
          "station_without_rotation", "station_number_for_cloud",
          "station_two_row_rotation", "plane_without_d", "plane_null_area",
-         "plane_nan_d", "boundary_file_without_boundary", "boundary_null_coordinate",
+         "plane_nan_d", "plane_number", "boundary_file_without_boundary",
+         "boundary_null_coordinate",
          "scene_unknown_type", "scene_missing_field", "scene_unknown_key",
          "scene_number_for_vector", "scene_string_for_number", "scene_negative_density",
          "scene_without_primitives", "scene_not_an_object"],

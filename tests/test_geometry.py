@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from scanplan.geometry import (
     PointCloud,
     Pose,
     horizontal_polar_to_local_arrays,
+    plane_axes,
     polar_to_local_arrays,
     rotation_about_z,
     scan_bearings,
@@ -89,6 +91,25 @@ def test_validate_rotation_rejects_reflection():
     refl = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         validate_rotation(refl)
+
+
+_NAN_ROTATION = np.eye(3)
+_NAN_ROTATION[1, 2] = np.nan
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: validate_rotation(_NAN_ROTATION), "rotation contains non-finite entries"),
+    (lambda: plane_axes(np.array([0.0, 0.0, 1.0]), u_dir=(0.0, 0.0, -2.0)),
+     "in-plane direction is parallel to the normal"),
+    (lambda: Pose(np.eye(3), [0.0, np.inf, 0.0]), "translation contains non-finite entries"),
+    (lambda: PointCloud(np.zeros((4, 2))), "points must be (N, 3), got shape (4, 2)"),
+    (lambda: PointCloud.empty().bounds(), "empty cloud has no bounds"),
+], ids=["nan_rotation", "u_dir_along_normal", "infinite_translation",
+        "two_column_points", "bounds_of_empty_cloud"])
+def test_geometry_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        call()
+    assert err.type is ValueError
 
 
 def test_cloud_rejects_nonfinite():

@@ -602,6 +602,14 @@ def test_pose_track_needs_two_horizontal_scans():
         estimate_pose_track(log, IcpConfig())
 
 
+def test_pose_track_needs_imu_samples():
+    none = Stream([], [])
+    log = ScanLog(none, Stream([0.0, 0.1], [[1.0], [1.0]]), none, 0.0, 0.1, 30.0)
+    with pytest.raises(ValueError, match="pose-track estimation needs IMU samples") as err:
+        estimate_pose_track(log, IcpConfig())
+    assert err.type is ValueError
+
+
 def test_build_cloud_single_scan_identity_pose():
     none = Stream([], [])
     log = ScanLog(Stream([0.0], [[1.0, 2.0]]), none, none, -0.1, 0.2, 30.0)

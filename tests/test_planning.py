@@ -392,6 +392,30 @@ def test_astar_reads_the_grid_without_copying_it():
     assert peak < 1_000_000
 
 
+_COLLINEAR = PlanarSurface(PlaneModel(0.0, 0.0, 1.0, 0.0), [],
+                           [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], 0.0)
+_NO_STOPS = Stops(np.zeros((0, 3)), np.zeros((0, 2), dtype=int), np.array([0.0, 0, -1]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: OccupancyGrid(np.zeros(3), 0.0, np.zeros((2, 2, 2), dtype=bool)),
+     ValueError, "voxel_edge must be > 0"),
+    (lambda: OccupancyGrid(np.zeros(3), 1.0, np.zeros((2, 2), dtype=bool)),
+     ValueError, "occupied grid must be a non-empty 3D array"),
+    (lambda: astar(empty_grid(), (8, 0, 0), (0, 0, 0)),
+     StartOrGoalOccupied, "start voxel (8, 0, 0) outside the grid"),
+    (lambda: plan_coverage(_COLLINEAR, PlanningConfig(), CameraSpec(), NO_OBSTACLES),
+     EmptySurface, "surface boundary has zero extent"),
+    (lambda: generate_waypoints(_NO_STOPS, empty_grid()),
+     ValueError, "need at least one stop point"),
+], ids=["zero_voxel_edge", "two_dimensional_grid", "astar_start_outside",
+        "collinear_boundary", "no_stops"])
+def test_planning_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as err:
+        call()
+    assert err.type is error
+
+
 # A voxel coordinate: a whole voxel plus 0, 1/8, 1/2 or 7/8 of one, so that
 # many points lie on voxel faces, edges and corners, and every value is
 # exact in binary floating point.
@@ -597,13 +621,12 @@ def _lattice_voxels(rng, dims):
 @pytest.mark.parametrize(
     "weights", [(1.0, 1.0, 1.0), (1.0, 2.0, 1.5), (0.3, 2.7, 1.1)],
     ids=["uniform", "weighted", "fractional"])
-def test_generate_waypoints_equals_one_search_per_leg(rng, caplog, monkeypatch, weights):
+def test_generate_waypoints_equals_one_search_per_leg(rng, caplog, weights):
     # Obstacles sit on or beside some legs, on grid faces and scattered;
     # some stops are blocked or walled in. Stops lie at their voxels'
-    # centres, on voxel faces or in between, and legs are traversed a few
-    # at a time. The waypoints and errors must be those of the leg-by-leg
-    # chain: straight where the exact traversal finds the leg free, else
-    # through the leg's A* path.
+    # centres, on voxel faces or in between. The waypoints and errors must
+    # be those of the leg-by-leg chain: straight where the exact traversal
+    # finds the leg free, else through the leg's A* path.
     caplog.set_level(logging.INFO, logger="scanplan.planning")
     weights = AStarWeights(*weights)
     outcomes = set()
@@ -629,7 +652,6 @@ def test_generate_waypoints_equals_one_search_per_leg(rng, caplog, monkeypatch, 
             occ[tuple(v)] = False
         grid = OccupancyGrid(np.array([-2.0, 0.5, 3.0]), 0.25, occ)
         stops = _stops_at(grid, voxels, rng.choice([0.0, 0.25, 0.5, 0.875], (len(voxels), 3)))
-        monkeypatch.setattr(planning, "_LEG_BLOCK", int(rng.integers(1, 8)))
         got = _plan_or_error(lambda *a: generate_waypoints(*a).waypoints, stops, grid, weights)
         assert got == _plan_or_error(straight_or_astar_waypoints, stops, grid, weights)
         outcomes.add(got[0] if isinstance(got, tuple) else "ok")

@@ -91,6 +91,27 @@ def test_segment_points_collinear():
     assert np.allclose(cloud.points[:, 1:], 0.0)
 
 
+def test_point_preset_is_one_point():
+    assert len(generate_scene(preset_scene("point"))) == 1
+
+
+@pytest.mark.parametrize("density", [100.0, 0.01])
+def test_line_preset_samples_its_segment(density):
+    (segment,) = preset_scene("line").primitives
+    a, b = np.array(segment.start), np.array(segment.end)
+    length = float(np.linalg.norm(b - a))
+    cloud = generate_scene(preset_scene("line", density=density))
+    assert len(cloud) == max(2, round(math.sqrt(density) * length))
+    # Each point lies between the ends, on the line through them.
+    assert np.all((np.minimum(a, b) <= cloud.points) & (cloud.points <= np.maximum(a, b)))
+    t = (cloud.points - a) @ (b - a) / length ** 2
+    assert np.allclose(a + np.outer(t, b - a), cloud.points, atol=1e-6)
+
+
+def test_a_scene_without_primitives_samples_no_points():
+    assert len(generate_scene(SceneSpec())) == 0
+
+
 def test_generation_deterministic():
     spec = preset_scene("cube", density=80.0, noise_sigma=0.005)
     a = generate_scene(spec, seed=9)
@@ -148,6 +169,17 @@ def test_simulate_empty_scene_all_no_returns():
     for ranges in log.vertical.records + log.horizontal.records:
         assert np.all(ranges == 0.0)
         assert len(local_points(log, ranges, polar_to_local_arrays)) == 0
+
+
+def test_simulate_a_segment_returns_nothing():
+    # A segment has no area (no rectangles), so no ray ends on it.
+    log = simulate_yaw_scan(
+        preset_scene("line"), n_scans=3,
+        device=DeviceParams(angle_inc=math.radians(1.0), rays_per_scan=271),
+    )
+    assert len(log.vertical) == len(log.horizontal) == 3
+    for ranges in log.vertical.records + log.horizontal.records:
+        assert np.all(ranges == 0.0)
 
 
 def test_simulate_single_wall_hits_match_analytic():

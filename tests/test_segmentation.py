@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,6 @@ from scanplan.segmentation import (
     extract_surfaces,
     plane_basis,
     plane_from_3_points,
-    project_to_plane,
     ransac_plane,
     refine_plane,
     _boundary_and_area,
@@ -144,11 +144,27 @@ def test_refine_collinear_degenerate():
         refine_plane(pts)
 
 
+_TWO_POINTS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: refine_plane(_TWO_POINTS), DegenerateGeometry,
+     "need at least 3 points to fit a plane"),
+    (lambda: ransac_plane(PointCloud(_TWO_POINTS)), NoPlaneFound,
+     "cloud has 2 points, need at least 3"),
+], ids=["refine_plane", "ransac_plane"])
+def test_a_plane_fit_needs_three_points(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as err:
+        call()
+    assert err.type is error
+
+
 def test_project_on_plane_z0(rng):
     model = PlaneModel(0.0, 0.0, 1.0, 0.0)
     pts = np.column_stack([rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20),
                            np.zeros(20)])
-    coords, basis = project_to_plane(pts, model)
+    basis = plane_basis(model)
+    coords = basis.to_plane(pts)
     # Basis convention: u is the global axis least aligned with the normal.
     assert np.allclose(basis.u, [1, 0, 0])
     assert np.allclose(basis.v, [0, 1, 0])
@@ -159,15 +175,16 @@ def test_project_kills_normal_component():
     model = PlaneModel(0.0, 0.0, 1.0, 0.0)
     on_plane = np.array([[0.3, -0.2, 0.0]])
     off_plane = np.array([[0.3, -0.2, 1.0]])
-    ca, _ = project_to_plane(on_plane, model)
-    cb, _ = project_to_plane(off_plane, model)
+    ca = plane_basis(model).to_plane(on_plane)
+    cb = plane_basis(model).to_plane(off_plane)
     assert np.allclose(ca, cb)
 
 
 def test_project_round_trip(rng):
     model = refine_plane(rng.normal(size=(10, 3)))
     pts = rng.normal(size=(30, 3))
-    coords, basis = project_to_plane(pts, model)
+    basis = plane_basis(model)
+    coords = basis.to_plane(pts)
     lifted = basis.to_world(coords)
     # Lift equals the orthogonal projection of the original points.
     expected = pts - np.outer(model.signed_distance(pts), model.normal)
@@ -402,7 +419,8 @@ def test_extract_inliers_inside_boundary(rng):
     cloud = PointCloud(rect_cloud(rng, 4.0, 3.0))
     surfaces, _ = extract_surfaces(cloud, RansacConfig(min_inliers=50))
     surface = surfaces[0]
-    coords, basis = project_to_plane(cloud.points[surface.inliers], surface.model)
+    basis = plane_basis(surface.model)
+    coords = basis.to_plane(cloud.points[surface.inliers])
     hull2d = basis.to_plane(surface.boundary)
     for c in coords[:: max(1, len(coords) // 100)]:
         assert point_in_polygon(c, hull2d)

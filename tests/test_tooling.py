@@ -283,6 +283,68 @@ def test_every_cli_flag_is_read_by_its_verb():
     assert unread_flags() == set()
 
 
+# The stage functions of pipeline.py that run_pipeline and one CLI verb
+# both call, and the functions those stages wrap, which neither calls itself.
+SHARED_STAGES = {"cloud_from_log", "filter_cloud", "segment_cloud",
+                 "cluster_cloud", "plan_surfaces"}
+STAGE_INNER_CALLS = {
+    "parse_scan_log", "estimate_pose_track", "build_cloud",
+    "remove_statistical_outliers", "voxel_downsample", "extract_surfaces",
+    "euclidean_cluster", "build_occupancy", "inflate", "plan_coverage",
+    "generate_waypoints",
+}
+# Steps with one caller, which have nothing to share: the register verb's
+# station merge and run_pipeline's render stage.
+SINGLE_CALLER_STEPS = {"register_clouds": "cli.cmd_register",
+                       "render_svg": "pipeline.run_pipeline"}
+
+
+def stage_callers() -> dict[str, set[str]]:
+    """The names each of ``run_pipeline`` and the ``cmd_*`` functions of
+    ``cli.py`` call, by bare name or as an attribute, keyed by
+    ``module.function``."""
+    callers = {}
+    for module in ("pipeline", "cli"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and (
+                    node.name.startswith("cmd_") if module == "cli"
+                    else node.name == "run_pipeline"):
+                callers[f"{module}.{node.name}"] = {
+                    call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                    for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and isinstance(call.func, (ast.Name, ast.Attribute))}
+    return callers
+
+
+def stage_sharing_breaches() -> list[str]:
+    """What breaks one implementation per stage: a shared stage that
+    ``run_pipeline`` or exactly one verb does not call, a call of a stage's
+    inner function from outside the stage, or a second caller of a
+    single-caller step."""
+    callers = stage_callers()
+    breaches = []
+    for stage in sorted(SHARED_STAGES):
+        found = sorted(c for c, calls in callers.items() if stage in calls)
+        # "cli.cmd_<verb>" sorts before "pipeline.run_pipeline".
+        if len(found) != 2 or found[1] != "pipeline.run_pipeline":
+            breaches.append(f"{stage} is called by {found}, not by run_pipeline and one verb")
+    for caller, calls in sorted(callers.items()):
+        breaches += [f"{caller} calls {name}" for name in sorted(calls & STAGE_INNER_CALLS)]
+    for step, owner in sorted(SINGLE_CALLER_STEPS.items()):
+        found = sorted(c for c, calls in callers.items() if step in calls)
+        if found != [owner]:
+            breaches.append(f"{step} is called by {found}, not by {owner} alone")
+    return breaches
+
+
+def test_run_and_the_verbs_share_each_stage():
+    # A chain of verbs writes the bytes of one run because each stage is one
+    # function that both call; a caller that runs a stage's inner steps
+    # itself is a second copy of the stage.
+    assert stage_sharing_breaches() == []
+
+
 def _config_types(cls=PipelineConfig) -> list[type]:
     """``cls`` and every config type its fields hold, at any depth."""
     found = [cls]
