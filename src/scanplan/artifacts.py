@@ -196,13 +196,20 @@ def _plane_json(surface: PlanarSurface) -> dict:
     }
 
 
-def surfaces_from_dict(data: dict, source: str = "surfaces") -> list[PlanarSurface]:
-    """The surfaces of the JSON that :func:`write_surfaces` writes; a
-    ValidationError names ``source`` and the key when ``planes`` or a key of
+def write_surfaces(path, surfaces: list[PlanarSurface]) -> None:
+    planes = [{**_plane_json(s), "area": float(s.area),
+               "inlier_count": int(s.inlier_count)} for s in surfaces]
+    write_json(path, {"version": SCHEMA_VERSION, "planes": planes})
+
+
+def read_surfaces(path) -> list[PlanarSurface]:
+    """The surfaces of a file that :func:`write_surfaces` writes; a
+    ValidationError names the file and the key when ``planes`` or a key of
     a plane is missing or mistyped."""
+    data = json.loads(Path(path).read_text(encoding="ascii"))
     surfaces = []
-    for k, entry in enumerate(_list_in(data, "planes", source)):
-        where = f"{source} planes[{k}]"
+    for k, entry in enumerate(_list_in(data, "planes", str(path))):
+        where = f"{path} planes[{k}]"
         normal, d, boundary, area, count = _values(
             entry, ("normal", "d", "boundary", "area", "inlier_count"), where
         )
@@ -217,17 +224,6 @@ def surfaces_from_dict(data: dict, source: str = "surfaces") -> list[PlanarSurfa
             _typed(count, int, f"{where}.inlier_count"),
         ))
     return surfaces
-
-
-def write_surfaces(path, surfaces: list[PlanarSurface]) -> None:
-    planes = [{**_plane_json(s), "area": float(s.area),
-               "inlier_count": int(s.inlier_count)} for s in surfaces]
-    write_json(path, {"version": SCHEMA_VERSION, "planes": planes})
-
-
-def read_surfaces(path) -> list[PlanarSurface]:
-    data = json.loads(Path(path).read_text(encoding="ascii"))
-    return surfaces_from_dict(data, str(path))
 
 
 # --- clusters ------------------------------------------------------------------

@@ -4,8 +4,8 @@ One ICP loop (Besl & McKay, PAMI 1992) serves d = 2 and d = 3. The 2D path
 fits a translation only: the IMU gives the attitude, so the pose track
 hands it horizontal scans already rotated into a common frame, and all that
 is left to recover is how far the platform moved between them. The 3D path
-fits a full rigid motion with a Kabsch fit to merge station clouds, after
-an axis-aligned-box overlap prediction seeded by the recorded poses.
+fits a full rigid motion with a Kabsch fit to merge station clouds: each
+station is aligned against the whole merged cloud from its recorded pose.
 
 The loop warm-starts its correspondences (after Greenspan & Godin, 3DIM
 2001, and Nüchter et al., 3DIM 2007): a source point is sent to the
@@ -114,9 +114,10 @@ def _icp(
     The matched target rows (``tgt[idx]``) are kept across iterations too,
     and only the re-queried rows are gathered again. When every row pairs,
     the fit reads ``src`` and the matched rows themselves; only when some
-    row is out of reach are the pairs copied out. Both are C-contiguous, as
-    the copies are, so the means and the fit sum in the same order and
-    give the same bits.
+    row is out of reach are the pairs copied out. The means and the fit sum
+    the rows in the same order whatever their strides, so ``src`` (which
+    may be a strided view, as a tagged cloud file's points are) and its
+    copies give the same bits.
     """
     if len(src) == 0 or len(tgt) == 0:
         raise IcpDiverged("empty point set")
@@ -212,35 +213,6 @@ def icp_align_3d(
     return Pose(*_icp(source.points, target.points, init.rotation, init.translation, cfg))
 
 
-def predict_overlap(
-    merged: PointCloud,
-    cloud: PointCloud,
-    pose: Pose,
-    margin: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the points of ``merged`` and of ``cloud`` (placed with its
-    recorded ``pose``) inside the overlap of their axis-aligned bounding
-    boxes, dilated by ``margin``.
-
-    Both arrays are empty when a cloud is empty or the boxes lie more than
-    ``margin`` apart on some axis.
-    """
-    none = np.zeros(0, dtype=np.int64)
-    if len(merged) == 0 or len(cloud) == 0:
-        return none, none
-    ga = merged.points
-    gb = pose.apply(cloud.points)
-    lo = np.maximum(ga.min(axis=0), gb.min(axis=0))
-    hi = np.minimum(ga.max(axis=0), gb.max(axis=0))
-    if np.any(lo - hi > margin):
-        return none, none
-    lo = lo - margin
-    hi = hi + margin
-    in_a = np.all((ga >= lo) & (ga <= hi), axis=1)
-    in_b = np.all((gb >= lo) & (gb <= hi), axis=1)
-    return np.nonzero(in_a)[0], np.nonzero(in_b)[0]
-
-
 def register_clouds(
     stations: list[tuple[PointCloud, Pose]],
     cfg: IcpConfig = IcpConfig(),
@@ -248,17 +220,15 @@ def register_clouds(
     """Merge station clouds into one global cloud tagged by station index.
 
     Station 0 (placed with its recorded pose) is the reference. Each later
-    station is aligned against the merged cloud so far: predicted-overlap
-    subsets feed a 3D ICP seeded by the recorded pose, and the refined pose
-    places the full station cloud. No points are dropped.
+    station is aligned against the whole merged cloud so far by a 3D ICP
+    seeded by its recorded pose, and the refined pose places the station
+    cloud. No points are dropped. A station with no point within
+    ``max_correspondence_dist`` of the merged cloud raises IcpDiverged, and
+    every ICP error names the station (``station k: ...``).
 
-    A pair within ``max_correspondence_dist`` lies inside both bounding boxes
-    dilated by that reach, so a station whose predicted-overlap subset, or
-    the merged cloud's, is empty has no pair within reach: it raises
-    IcpDiverged at once.
-
-    The merged cloud is filled in place, station by station; the ICP of
-    station k sees the stations before it as a read-only view.
+    The merged cloud is filled in place, station by station. The ICP of
+    station k reads the station cloud as given and the stations before it
+    as a read-only view of that buffer; neither is copied.
     """
     if not stations:
         raise ValueError("register_clouds needs at least one station")
@@ -269,17 +239,10 @@ def register_clouds(
     for k, (cloud, recorded) in enumerate(stations):
         pose = recorded
         if k:
-            merged = PointCloud._own(points[:end])
-            idx_merged, idx_src = predict_overlap(
-                merged, cloud, recorded, margin=cfg.max_correspondence_dist)
-            if not (len(idx_merged) and len(idx_src)):
-                raise IcpDiverged(
-                    f"station {k}: no point lies within max_correspondence_dist "
-                    "of the merged cloud")
             try:
-                pose = icp_align_3d(cloud.select(idx_src), merged.select(idx_merged),
+                pose = icp_align_3d(cloud, PointCloud._own(points[:end]),
                                     init=recorded, cfg=cfg)
-            except (IcpDiverged, InsufficientOverlap) as err:
+            except (IcpDiverged, InsufficientOverlap, DegenerateGeometry) as err:
                 raise type(err)(f"station {k}: {err}") from err
         points[end:end + len(cloud)] = pose.apply(cloud.points)
         sources[end:end + len(cloud)] = k

@@ -726,18 +726,15 @@ def concat_clouds(clouds, retag: bool = False):
 
 def register_clouds_by_concat(stations, cfg):
     """register_clouds as it was: the merged cloud is concatenated anew for
-    every station, then once more with the station tags. It runs the
-    package's overlap prediction and ICP."""
-    from scanplan.registration import icp_align_3d, predict_overlap
+    every station, then once more with the station tags. Each station is
+    aligned by the package's ICP against the whole concatenated cloud, with
+    no overlap subset of either."""
+    from scanplan.registration import icp_align_3d
 
     first_cloud, first_pose = stations[0]
     parts = [transform_cloud(first_pose, first_cloud)]
     for cloud, recorded in stations[1:]:
-        merged = concat_clouds(parts)
-        idx_merged, idx_src = predict_overlap(
-            merged, cloud, recorded, margin=cfg.max_correspondence_dist)
-        pose = icp_align_3d(cloud.select(idx_src), merged.select(idx_merged),
-                            init=recorded, cfg=cfg)
+        pose = icp_align_3d(cloud, concat_clouds(parts), init=recorded, cfg=cfg)
         parts.append(transform_cloud(pose, cloud))
     return concat_clouds(parts, retag=True)
 

@@ -161,3 +161,31 @@ def test_13a_the_track_of_a_still_platform_stays_put():
     worst = max(float(np.hypot(*pose.translation[:2])) for pose in estimate_pose_track(log))
     _check_bound(worst <= 0.005, f"the still platform's track wanders {1000 * worst:.2f} mm "
                  "in xy, past the 5 mm bound")
+
+
+# A 10 x 6 m building, 4 m tall (roof and four walls), on a 16 x 12 m ground
+# at z = 0: 19,000 points.
+_BUILDING = {"density": 50, "noise_sigma": 0.01, "primitives": [
+    {"type": "rectangle", "center": [0, 0, 0], "normal": [0, 0, 1], "width": 16, "height": 12},
+    {"type": "rectangle", "center": [0, 0, 4], "normal": [0, 0, 1], "width": 10, "height": 6},
+    {"type": "rectangle", "center": [5, 0, 2], "normal": [1, 0, 0], "width": 6, "height": 4},
+    {"type": "rectangle", "center": [-5, 0, 2], "normal": [-1, 0, 0], "width": 6, "height": 4},
+    {"type": "rectangle", "center": [0, 3, 2], "normal": [0, 1, 0], "width": 10, "height": 4},
+    {"type": "rectangle", "center": [0, -3, 2], "normal": [0, -1, 0], "width": 10, "height": 4}]}
+
+
+@pytest.mark.xfail(strict=True, raises=BoundMissed, reason=(
+    "20a: the side of a surface is the one with fewer occupied voxels, and "
+    "below the ground nothing is occupied, so the ground plans from below"))
+def test_20a_no_stop_is_planned_below_the_ground(tmp_path):
+    scene, cloud, out = tmp_path / "scene.json", tmp_path / "scene.xyz", tmp_path / "out"
+    scene.write_text(json.dumps(_BUILDING), encoding="ascii")
+    assert main(["generate", "--scene", str(scene), "--seed", "0", "--out", str(cloud)]) == EXIT_OK
+    # The walls fail (4a), so the run exits 3; the ground and the roof plan.
+    main(["run", "--input", str(cloud), "--out", str(out)])
+    plans = json.loads((out / "plan.json").read_text(encoding="ascii"))["plans"]
+    heights = [s["position"][2] for p in plans for s in p.get("stop_points", [])]
+    assert heights
+    below = sum(z < 0.0 for z in heights)
+    _check_bound(below == 0, f"{below} of {len(heights)} stops stand below the "
+                 f"ground at z = 0, the lowest at z {min(heights):.2f} m")

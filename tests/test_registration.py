@@ -17,7 +17,6 @@ from scanplan.registration import (
     _kept,
     icp_align_2d,
     icp_align_3d,
-    predict_overlap,
     register_clouds,
 )
 from scanplan.scenes import generate_scene, preset_scene
@@ -139,39 +138,6 @@ def test_icp3d_tiny_overlap_degenerate():
         icp_align_3d(src, tgt, cfg=IcpConfig(min_pairs=1))
 
 
-def test_predict_overlap_identical_clouds(rng):
-    cloud = PointCloud(rng.uniform(0, 1, size=(100, 3)))
-    ia, ib = predict_overlap(cloud, cloud, Pose.identity(), 0.1)
-    assert len(ia) == len(ib) == 100
-
-
-def test_predict_overlap_disjoint_is_empty(rng):
-    a = PointCloud(rng.uniform(0, 1, size=(50, 3)))
-    b = PointCloud(rng.uniform(5, 6, size=(50, 3)))
-    for args in ((a, b), (a, PointCloud.empty()), (PointCloud.empty(), b)):
-        ia, ib = predict_overlap(*args, Pose.identity(), 0.5)
-        assert len(ia) == len(ib) == 0
-
-
-def test_predict_overlap_slab(rng):
-    # Unit cubes overlapping in a 0.5-wide slab; margin 0 keeps slab points.
-    a = PointCloud(rng.uniform(0, 1, size=(400, 3)))
-    b = PointCloud(rng.uniform(0, 1, size=(400, 3)) + np.array([0.5, 0.0, 0.0]))
-    ia, ib = predict_overlap(a, b, Pose.identity(), 0.0)
-    lo = np.array([0.5, 0.0, 0.0])
-    hi = np.array([1.0, 1.0, 1.0])
-    lo = np.maximum(lo, np.maximum(a.points.min(0), b.points.min(0)))
-    hi = np.minimum(hi, np.minimum(a.points.max(0), b.points.max(0)))
-    expect_a = {
-        i for i, p in enumerate(a.points) if np.all(p >= lo) and np.all(p <= hi)
-    }
-    expect_b = {
-        i for i, p in enumerate(b.points) if np.all(p >= lo) and np.all(p <= hi)
-    }
-    assert set(ia.tolist()) == expect_a
-    assert set(ib.tolist()) == expect_b
-
-
 def test_register_single_station_passthrough(rng):
     cloud = PointCloud(rng.uniform(0, 1, size=(50, 3)))
     out = register_clouds([(cloud, Pose.identity())])
@@ -212,19 +178,47 @@ def test_register_preserves_point_count(rng):
     assert np.array_equal(np.unique(merged.sources), [0, 1])
 
 
+def three_stations(n):
+    """Three cube shells of ``n`` points, each later one seen from a recorded
+    pose a few cm and a few tenths of a degree off."""
+    shells = [cube_cloud(np.random.default_rng(k), n=n, half=1.0) for k in range(3)]
+    return [(shells[0], Pose.identity()),
+            (shells[1], Pose(rotation_about_z(0.004), np.array([0.03, -0.02, 0.01]))),
+            (shells[2], Pose(rotation_about_z(-0.003), np.array([-0.02, 0.0, 0.02])))]
+
+
 def test_register_fills_the_merged_cloud_as_the_concatenation_did():
-    # Three stations, each later one seen from a recorded pose a few cm and
-    # a few tenths of a degree off.
-    shells = [cube_cloud(np.random.default_rng(k), n=1200, half=1.0) for k in range(3)]
-    stations = [(shells[0], Pose.identity()),
-                (shells[1], Pose(rotation_about_z(0.004), np.array([0.03, -0.02, 0.01]))),
-                (shells[2], Pose(rotation_about_z(-0.003), np.array([-0.02, 0.0, 0.02])))]
+    stations = three_stations(1200)
     cfg = IcpConfig(max_iterations=60, max_correspondence_dist=0.1, min_pairs=3)
     merged = register_clouds(stations, cfg)
     want = register_clouds_by_concat(stations, cfg)
     assert np.array_equal(merged.points, want.points)
     assert np.array_equal(merged.sources, want.sources)
     assert not merged.points.flags.writeable and not merged.sources.flags.writeable
+
+
+def test_register_copies_neither_station_nor_merged_cloud_for_its_icp(monkeypatch):
+    # When a station's ICP starts, the memory traced since register_clouds
+    # began is the merged buffer (points and tags) and little else: the ICP
+    # is handed the station cloud and a view of the buffer, not copies.
+    stations = three_stations(6000)
+    align = registration.icp_align_3d
+    at_icp = []
+
+    def traced(source, target, init, cfg):
+        at_icp.append(tracemalloc.get_traced_memory()[0])
+        return align(source, target, init=init, cfg=cfg)
+
+    monkeypatch.setattr(registration, "icp_align_3d", traced)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        merged = register_clouds(stations, IcpConfig(max_correspondence_dist=0.1, min_pairs=3))
+    finally:
+        tracemalloc.stop()
+    buffer = merged.points.nbytes + merged.sources.nbytes
+    assert len(at_icp) == 2
+    assert max(at_icp) - base < buffer + stations[0][0].points.nbytes / 8
 
 
 def l_shaped_station(rng):
@@ -235,12 +229,11 @@ def l_shaped_station(rng):
 
 
 @pytest.mark.parametrize("case", ["boxes_apart", "empty_subset"])
-def test_full_cloud_fallback_finds_no_pair_within_reach(rng, monkeypatch, case):
-    # A point within reach of the merged cloud lies inside both boxes dilated
-    # by the reach, and so does its partner; so where no overlap is predicted,
-    # the whole clouds hold no pair either, and the station fails before any
-    # ICP: station 1's box lies 0.6 m past station 0's at a 0.5 m reach, or
-    # the boxes meet where station 1 has no point.
+def test_full_cloud_fallback_finds_no_pair_within_reach(rng, case):
+    # Station 1 has no point within reach of the merged cloud: its box lies
+    # 0.6 m past station 0's at a 0.5 m reach, or the boxes meet where
+    # station 1 has no point. Its ICP against the whole merged cloud finds
+    # no pair and the error names the station.
     a = PointCloud(rng.uniform(0, 1, size=(40, 3)))
     if case == "boxes_apart":
         b, recorded = (PointCloud(rng.uniform(0, 1, size=(60, 3))),
@@ -250,13 +243,23 @@ def test_full_cloud_fallback_finds_no_pair_within_reach(rng, monkeypatch, case):
     cfg = IcpConfig(max_correspondence_dist=0.5, min_pairs=3)
     gaps = np.linalg.norm(a.points[:, None] - recorded.apply(b.points)[None], axis=2)
     assert gaps.min() > cfg.max_correspondence_dist
-    handed = []
-    monkeypatch.setattr(registration, "icp_align_3d",
-                        lambda source, target, init, cfg: handed.append(1))
-    with pytest.raises(IcpDiverged, match="^station 1: no point lies within "
-                       "max_correspondence_dist of the merged cloud$"):
+    with pytest.raises(IcpDiverged, match="^station 1: no correspondences within "
+                       "max_correspondence_dist$"):
         register_clouds([(a, Pose.identity()), (b, recorded)], cfg)
-    assert handed == []
+
+
+@pytest.mark.parametrize("error, reach, message", [
+    (DegenerateGeometry, 0.45, "only 2 corresponding points"),
+    (InsufficientOverlap, 0.65, "only 4 matched pairs, need 5"),
+])
+def test_register_names_the_station_in_every_icp_error(error, reach, message):
+    # Station 1 is station 0's 1 m row of points 0.1 m apart, recorded
+    # 0.3 m past its end: 2 or 4 of its points lie within reach of that end.
+    row = PointCloud(np.column_stack([np.arange(11) * 0.1, np.zeros(11), np.zeros(11)]))
+    recorded = Pose(np.eye(3), np.array([1.3, 0.0, 0.0]))
+    with pytest.raises(error, match=f"^station 1: {message}$"):
+        register_clouds([(row, Pose.identity()), (row, recorded)],
+                        IcpConfig(max_correspondence_dist=reach, min_pairs=5))
 
 
 # --- warm-started correspondences against the cold loop ---------------------

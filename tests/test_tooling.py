@@ -3,6 +3,7 @@
 import argparse
 import ast
 import inspect
+import re
 import textwrap
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
@@ -415,3 +416,32 @@ def uncalled_oracles() -> set[str]:
 
 def test_every_oracle_is_called_by_a_test():
     assert uncalled_oracles() == set()
+
+
+def strict_xfail_reasons() -> list[tuple[str, str]]:
+    """(file name, reason) of every ``xfail(strict=True)`` mark under ``tests/``;
+    a reason that is not one string literal reads as ``""``."""
+    found = []
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "xfail"):
+                continue
+            kw = {k.arg: k.value for k in node.keywords}
+            strict, reason = kw.get("strict"), kw.get("reason")
+            if isinstance(strict, ast.Constant) and strict.value is True:
+                found.append((path.name, reason.value if isinstance(reason, ast.Constant)
+                              and isinstance(reason.value, str) else ""))
+    return found
+
+
+def test_every_strict_xfail_names_a_roadmap_defect():
+    # A pinned defect opens its reason with its id ("15a: ..." or "defect 1a:
+    # ..."), and ROADMAP.md names that id, so no pin outlives its entry.
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w.])(\d+[a-z])(?!\w)", roadmap))
+    reasons = strict_xfail_reasons()
+    assert reasons
+    unnamed = [(name, reason) for name, reason in reasons
+               if not (m := re.match(r"(?:defect )?(\d+[a-z]): ", reason)) or m[1] not in named]
+    assert unnamed == []
